@@ -202,7 +202,8 @@ def relation_vector(params: GroupParams, i: int) -> tuple[int, ...]:
 
     Heights divisible by k contribute the word with every generator to
     the i; other heights contribute its k-th power.  Either way the
-    result is an integer multiple of (k, ..., k).
+    result is an integer multiple of (k, ..., k), the single row that
+    :func:`abelianization_invariants` reduces.
     """
     mult = i if i % params.k == 0 else i * params.k
     return (mult,) * params.m
@@ -211,8 +212,10 @@ def relation_vector(params: GroupParams, i: int) -> tuple[int, ...]:
 def abelianization_invariants(params: GroupParams) -> tuple[list[int], int]:
     """Torsion invariant factors and free rank of the abelianisation.
 
-    The abelianisation is Z^m modulo the single relation row (k, ..., k),
-    see :func:`relation_vector`; its Smith form gives C_k x Z^(m-1).
+    The abelianisation is Z^m modulo the single relation row (k, ..., k):
+    every height's relation is a multiple of it (see
+    :func:`relation_vector`, which this function does not call).  Its
+    Smith form gives C_k x Z^(m-1).
     """
     row = IntMatrix.from_rows([[params.k] * params.m])
     result = smith_normal_form(row)

@@ -124,8 +124,13 @@ def cmd_check(args) -> int:
             raise ComplexFormatError(
                 "vertices: --margin needs height metadata on every vertex"
             )
-        span = (min(heights) + args.margin, max(heights) - args.margin)
+        lo, hi = min(heights), max(heights)
+        span = (lo + args.margin, hi - args.margin)
         core = core_edges(X, *span)
+        if not core:
+            raise ValueError(
+                f"--margin {args.margin} leaves no core edges in heights [{lo}, {hi}]"
+            )
     report = interaction_report(X, H, core=core, core_span=span)
     out = {"npc": npc.to_json()}
     out.update(report_to_json(H, report))
@@ -147,13 +152,20 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     params = _params(args)
-    report = verify_all(params, threads=args.threads)
-    doc = report.to_json()
-    ok = report.all_empty
+    size_cap = _size_cap(args)
     if args.cross_validate:
         if args.hmin is None or args.hmax is None:
             raise ValueError("--cross-validate needs --hmin and --hmax")
-        X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=_size_cap(args))
+        if args.hmin + args.margin > args.hmax - args.margin:
+            raise ValueError(
+                f"--margin {args.margin} leaves no core in heights "
+                f"[{args.hmin}, {args.hmax}]"
+            )
+    report = verify_all(params, threads=args.threads, size_cap=size_cap)
+    doc = report.to_json()
+    ok = report.all_empty
+    if args.cross_validate:
+        X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
         cv = cross_validate(
             params,
             args.hmin,
@@ -272,6 +284,16 @@ def _add_common_output(sub) -> None:
     )
 
 
+def _margin(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_params(sub) -> None:
     sub.add_argument("--m", type=int, required=True, help="number of generators")
     sub.add_argument("--k", type=int, required=True, help="cyclic order")
@@ -297,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input", help="complex JSON file")
     c.add_argument(
         "--margin",
-        type=int,
+        type=_margin,
         default=0,
         help="restrict witnesses to heights this far from the truncation boundary",
     )
@@ -315,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--hmin", type=int)
     v.add_argument("--hmax", type=int)
-    v.add_argument("--margin", type=int, default=0)
+    v.add_argument("--margin", type=_margin, default=0)
     v.add_argument("--cap", type=int)
     _add_common_output(v)
     v.set_defaults(fn=cmd_verify)

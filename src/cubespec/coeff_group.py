@@ -39,7 +39,7 @@ def is_prime(n: int) -> bool:
 class GroupParams:
     """Parameters of the coefficient group: m cyclic factors of order k.
 
-    m >= 3 and k >= 2 are required.  Composite k and m = 3 are accepted
+    Integer m >= 3 and k >= 2 are required.  Composite k and m = 3 are accepted
     for exploration, but ``hypotheses_met`` is then False and verifiers
     report honestly instead of assuming the specialness guarantee.
     """
@@ -48,6 +48,10 @@ class GroupParams:
     k: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.m < 3:
             raise ValueError(f"need m >= 3, got m={self.m}")
         if self.k < 2:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-from cubespec.coeff_group import Elem, GroupParams, constant, prefix, unit
+from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 
 DEFAULT_SIZE_CAP = 65536
 
@@ -232,17 +232,18 @@ def validate_complex(X: SquareComplex) -> None:
 # builder
 
 
-def _canonical_coeffs(params: GroupParams, i: int) -> Iterator[Elem]:
-    """Canonical vertex coefficients at height i, in lexicographic order."""
-    step = math.gcd(i % params.k, params.k)
-    for first in range(step):
-        for rest in itertools.product(range(params.k), repeat=params.m - 1):
-            yield Elem(params, (first,) + rest)
+def _translation(params: GroupParams, t: Elem) -> list[int]:
+    """Index table of g -> g * t over the coefficient index.
 
-
-def _all_coeffs(params: GroupParams) -> Iterator[Elem]:
-    for exps in itertools.product(range(params.k), repeat=params.m):
-        yield Elem(params, exps)
+    A coefficient's index reads its exponents as a base-k integer, first
+    exponent most significant, so index order is lexicographic order.
+    """
+    k = params.k
+    table = [0]
+    for x in t.exps:
+        digits = [(d + x) % k for d in range(k)]
+        table = [base * k + d for base in table for d in digits]
+    return table
 
 
 def build_quotient_complex(
@@ -258,6 +259,15 @@ def build_quotient_complex(
     above and below.  Boundary layers simply lack the squares that would
     extend past the truncation; downstream checks compensate with a core
     margin.  Cell ids are deterministic.
+
+    The incidence rules are equivariant: the cell with coefficient g has
+    the faces of the identity cell translated by g.  So the faces of the
+    identity cells are read off ``edge_endpoints`` and ``square_boundary``
+    once per (height, type), each translation becomes an index table, and
+    the per-cell loops only look up shared ids and ``Elem`` objects.
+    Reduction modulo a vertex stabiliser commutes with translation, so
+    vertex faces go through ``canonical_vertex`` only once per
+    coefficient and height residue mod k, which fixes the stabiliser.
     """
     if h_max < h_min + 2:
         raise SpanError(
@@ -268,29 +278,52 @@ def build_quotient_complex(
         raise SizeCapError(
             f"coefficient group order {params.order} exceeds size cap {size_cap}"
         )
+    k = params.k
+    elems = [Elem(params, exps) for exps in itertools.product(range(k), repeat=params.m)]
+    index_of = {g.exps: c for c, g in enumerate(elems)}
+    exps_strs = [_exps_str(g) for g in elems]
+    one = identity(params)
+    tables: dict[tuple[int, ...], list[int]] = {}
+
+    def table(t: Elem) -> list[int]:
+        if t.exps not in tables:
+            tables[t.exps] = _translation(params, t)
+        return tables[t.exps]
+
     X = SquareComplex(params=params)
+    canon_by_residue: dict[int, list[int]] = {}
+    vertex_ids: dict[int, list[str]] = {}  # height -> coefficient index -> id
     for i in range(h_min, h_max + 1):
-        for g in _canonical_coeffs(params, i):
-            ref = VertexRef(i, g)
-            X.vertices[vertex_id(ref)] = Vertex(vertex_id(ref), height=i)
+        if i % k not in canon_by_residue:
+            canon_by_residue[i % k] = [
+                index_of[canonical_vertex(g, i).coeff.exps] for g in elems
+            ]
+        canon = canon_by_residue[i % k]
+        ids = {c: f"v/{i}/{exps_strs[c]}" for c in sorted(set(canon))}
+        for vid in ids.values():
+            X.vertices[vid] = Vertex(vid, height=i)
+        vertex_ids[i] = [ids[c] for c in canon]
+    edge_ids: dict[tuple[int, int], list[str]] = {}
     for i in range(h_min + 1, h_max + 1):
         for j in range(1, params.m + 1):
-            for g in _all_coeffs(params):
-                ref = EdgeRef(i, j, g)
-                tail, head = edge_endpoints(ref)
-                eid = edge_id(ref)
-                X.edges[eid] = Edge(eid, vertex_id(tail), vertex_id(head), type=j)
-                X.edge_refs[eid] = ref
+            eids = [f"e/{i}/{j}/{s}" for s in exps_strs]
+            edge_ids[i, j] = eids
+            tail, head = edge_endpoints(EdgeRef(i, j, one))
+            tails = [vertex_ids[tail.height][x] for x in table(tail.coeff)]
+            heads = [vertex_ids[head.height][x] for x in table(head.coeff)]
+            for eid, t, h, g in zip(eids, tails, heads, elems):
+                X.edges[eid] = Edge(eid, t, h, type=j)
+                X.edge_refs[eid] = EdgeRef(i, j, g)
     for i in range(h_min + 1, h_max):
         for j in range(1, params.m + 1):
-            for g in _all_coeffs(params):
-                ref = SquareRef(i, j, g)
-                sides = tuple(
-                    (edge_id(er), d) for er, d in square_boundary(ref)
-                )
-                sid = square_id(ref)
-                X.squares[sid] = Square(sid, sides)
-                X.square_refs[sid] = ref
+            sides = [
+                [(edge_ids[er.height, er.type_j][x], d) for x in table(er.coeff)]
+                for er, d in square_boundary(SquareRef(i, j, one))
+            ]
+            for s, g, boundary in zip(exps_strs, elems, zip(*sides)):
+                sid = f"s/{i}/{j}/{s}"
+                X.squares[sid] = Square(sid, boundary)
+                X.square_refs[sid] = SquareRef(i, j, g)
     validate_complex(X)
     return X
 

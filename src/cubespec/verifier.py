@@ -43,6 +43,7 @@ from cubespec.coeff_group import (
     unit_character,
 )
 from cubespec.complex_model import (
+    DEFAULT_SIZE_CAP,
     SquareComplex,
     SquareRef,
     build_quotient_complex,
@@ -529,13 +530,14 @@ def verify_all(
     params: GroupParams,
     structural_complex: Optional[SquareComplex] = None,
     threads: int = 1,
+    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> VerifyReport:
     """Run every check for one parameter pair.
 
     The structural scan needs a built truncation; by default a span of
-    [-(k+1), k+1] is built, which contains every residue layer.  Case
-    enumerations are independent, so they fan out across threads when
-    asked; output order is fixed either way.
+    [-(k+1), k+1], which contains every residue layer, is built under
+    ``size_cap``.  Case enumerations are independent, so they fan out
+    across threads when asked; output order is fixed either way.
     """
     stab_checks = []
     for j in range(1, params.m + 1):
@@ -550,7 +552,9 @@ def verify_all(
             )
         )
     if structural_complex is None:
-        structural_complex = build_quotient_complex(params, -(params.k + 1), params.k + 1)
+        structural_complex = build_quotient_complex(
+            params, -(params.k + 1), params.k + 1, size_cap=size_cap
+        )
     certificates = list(check_structural_conditions(structural_complex))
     jobs = [check_self_osculation_cases, check_inter_osculation_cases]
     if threads > 1:

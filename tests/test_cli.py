@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cubespec.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = SRC / "cubespec" / "fixtures"
 
 
 def run(capsys, *argv):
@@ -120,6 +124,23 @@ class TestCheck:
         assert code == 2
         assert "height" in err
 
+    @pytest.mark.parametrize("margin", ["10", "-2"])
+    def test_margin_without_core_rejected(self, margin, tmp_path, capsys):
+        path = self.build_complex(tmp_path, capsys, lo="-3", hi="3")
+        code, stdout, err = run(capsys, "check", str(path), "--margin", margin)
+        assert code == 2
+        assert "--margin" in err
+        assert "violations" not in stdout
+
+    def test_non_integer_params_rejected(self, tmp_path, capsys):
+        path = self.build_complex(tmp_path, capsys, lo="0", hi="2")
+        doc = json.loads(path.read_text())
+        doc["params"]["m"] = 4.5
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "params: m must be an integer" in err
+
     def test_malformed_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": [], "edges": []}')
@@ -166,6 +187,32 @@ class TestVerify:
         assert doc["cross_validation"]["agreement"] is True
         assert doc["cross_validation"]["class_mismatches"] == []
         assert "cross-validation agreement=True" in stdout
+
+    @pytest.mark.parametrize("margin", ["10", "-2"])
+    def test_cross_validate_margin_without_core_rejected(self, margin, capsys):
+        code, _, err = run(
+            capsys,
+            "verify", "--m", "4", "--k", "2", "--cross-validate",
+            "--hmin", "-3", "--hmax", "3", "--margin", margin, "--json",
+        )
+        assert code == 2
+        assert "--margin" in err
+
+    def test_cap_flag(self, capsys):
+        code, _, err = run(capsys, "verify", "--m", "4", "--k", "3", "--cap", "10")
+        assert code == 3
+        assert "size cap 10" in err
+        code, _, _ = run(capsys, "verify", "--m", "4", "--k", "3", "--cap", "81")
+        assert code == 0
+
+    def test_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("CUBESPEC_SIZE_CAP", "10")
+        code, _, err = run(capsys, "verify", "--m", "4", "--k", "3")
+        assert code == 3
+        assert "size cap 10" in err
+        monkeypatch.setenv("CUBESPEC_SIZE_CAP", "81")
+        code, _, _ = run(capsys, "verify", "--m", "4", "--k", "3")
+        assert code == 0
 
     def test_cross_validate_needs_span(self, capsys):
         code, _, err = run(
@@ -287,3 +334,25 @@ class TestFixtureRegression:
         want = json.loads((FIXTURES / f"{name}.expected.json").read_text())
         assert got == want
         assert code == (0 if want["clean"] else 1)
+
+
+def test_python_m_cubespec_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubespec", "abelianize", "--m", "4", "--k", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "C2 x Z^3"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubespec", "build", "--m", "4"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2

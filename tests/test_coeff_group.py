@@ -50,6 +50,11 @@ class TestParams:
         with pytest.raises(ValueError):
             GroupParams(4, 1)
 
+    @pytest.mark.parametrize("m, k", [(4.5, 3), (4.0, 3), (4, 3.0), (True, 3), (4, True), ("4", 3)])
+    def test_integers_only(self, m, k):
+        with pytest.raises(TypeError, match="must be an integer"):
+            GroupParams(m, k)
+
     def test_primality_flag(self):
         assert GroupParams(4, 3).k_prime
         assert not GroupParams(4, 4).k_prime

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from cubespec.complex_model import (
     edge_endpoints,
     edge_id,
     square_boundary,
+    square_id,
     validate_complex,
     vertex_id,
     vertex_link,
@@ -221,14 +223,53 @@ class TestBuilder:
             shift[eid] = edge_id(EdgeRef(ref.height + 2, ref.type_j, ref.coeff))
         assert sorted(shift.values()) == sorted(Y.edges)
         for sid, ref in X.square_refs.items():
-            from cubespec.complex_model import square_id as sq_id
-
-            other = Y.squares[sq_id(SquareRef(ref.height + 2, ref.type_j, ref.coeff))]
+            other = Y.squares[square_id(SquareRef(ref.height + 2, ref.type_j, ref.coeff))]
             ours = X.squares[sid]
             assert [d for _, d in other.boundary] == [d for _, d in ours.boundary]
             assert [shift[e] for e, _ in ours.boundary] == [
                 e for e, _ in other.boundary
             ]
+
+    @pytest.mark.parametrize(
+        "m, k, h_min, h_max",
+        [(4, 2, -2, 3), (3, 3, -3, 2), (4, 4, -1, 3), (5, 3, 0, 3)],
+    )
+    def test_cells_match_incidence_rules(self, m, k, h_min, h_max):
+        """Cell by cell, the built complex agrees with the per-cell rules."""
+        params = GroupParams(m, k)
+        X = build_quotient_complex(params, h_min, h_max)
+        coeffs = [Elem(params, e) for e in itertools.product(range(k), repeat=m)]
+        edge_refs = {}
+        for i in range(h_min + 1, h_max + 1):
+            for j in range(1, m + 1):
+                for g in coeffs:
+                    edge_refs[edge_id(EdgeRef(i, j, g))] = EdgeRef(i, j, g)
+        square_refs = {}
+        for i in range(h_min + 1, h_max):
+            for j in range(1, m + 1):
+                for g in coeffs:
+                    square_refs[square_id(SquareRef(i, j, g))] = SquareRef(i, j, g)
+        assert list(X.edge_refs.items()) == list(edge_refs.items())
+        assert list(X.square_refs.items()) == list(square_refs.items())
+        assert list(X.edges) == list(edge_refs)
+        assert list(X.squares) == list(square_refs)
+        assert set(X.vertices) == {
+            vertex_id(canonical_vertex(g, i))
+            for i in range(h_min, h_max + 1)
+            for g in coeffs
+        }
+        for eid, ref in X.edge_refs.items():
+            tail, head = edge_endpoints(ref)
+            e = X.edges[eid]
+            assert (e.tail, e.head, e.type) == (
+                vertex_id(tail),
+                vertex_id(head),
+                ref.type_j,
+            )
+        for sid, ref in X.square_refs.items():
+            assert X.squares[sid].boundary == tuple(
+                (edge_id(er), d) for er, d in square_boundary(ref)
+            )
 
     def test_composite_k_builds_and_validates(self):
         params = GroupParams(4, 4)
@@ -375,6 +416,13 @@ class TestJsonRoundTrip:
         doc = complex_to_json(build_quotient_complex(P42, 0, 2))
         doc["edges"][0]["tail"] = "v/9/9"
         with pytest.raises(ComplexFormatError, match="unknown vertex"):
+            complex_from_json(doc)
+
+    @pytest.mark.parametrize("bad", [4.5, True, "4"])
+    def test_non_integer_params_rejected(self, bad):
+        doc = complex_to_json(build_quotient_complex(P42, 0, 2))
+        doc["params"]["m"] = bad
+        with pytest.raises(ComplexFormatError, match=r"^params: "):
             complex_from_json(doc)
 
     def test_non_closing_boundary_rejected(self):
