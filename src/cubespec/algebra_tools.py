@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from cubespec.coeff_group import Elem, GroupParams, ParameterMismatchError, unit
 
@@ -197,25 +197,13 @@ def smith_normal_form(M: IntMatrix) -> SNFResult:
     return SNFResult(d, IntMatrix.from_rows(u), IntMatrix.from_rows(v), factors)
 
 
-def relation_vector(params: GroupParams, i: int) -> tuple[int, ...]:
-    """Abelianised defining relation at height i.
-
-    Heights divisible by k contribute the word with every generator to
-    the i; other heights contribute its k-th power.  Either way the
-    result is an integer multiple of (k, ..., k), the single row that
-    :func:`abelianization_invariants` reduces.
-    """
-    mult = i if i % params.k == 0 else i * params.k
-    return (mult,) * params.m
-
-
 def abelianization_invariants(params: GroupParams) -> tuple[list[int], int]:
     """Torsion invariant factors and free rank of the abelianisation.
 
     The abelianisation is Z^m modulo the single relation row (k, ..., k):
-    every height's relation is a multiple of it (see
-    :func:`relation_vector`, which this function does not call).  Its
-    Smith form gives C_k x Z^(m-1).
+    the relation at height i abelianises to (i, ..., i) when k divides i
+    and to its k-th power otherwise, a multiple of that row either way.
+    Its Smith form gives C_k x Z^(m-1).
     """
     row = IntMatrix.from_rows([[params.k] * params.m])
     result = smith_normal_form(row)
@@ -282,75 +270,22 @@ class OrderSeq:
         return {"start": self.start, "values": list(self.values)}
 
 
-Perm = tuple[int, ...]
-
-
-def _perm_check(p: Perm, n: int) -> None:
-    if len(p) != n or sorted(p) != list(range(n)):
-        raise ValueError(f"not a permutation of {n} points: {p!r}")
-
-
-def perm_mul(p: Perm, q: Perm) -> Perm:
-    """Composition applying q first, then p."""
-    return tuple(p[x] for x in q)
-
-
-def perm_order(p: Perm) -> int:
-    ident = tuple(range(len(p)))
-    cur, n = p, 1
-    while cur != ident:
-        cur = perm_mul(cur, p)
-        n += 1
-    return n
-
-
-def perm_pow(p: Perm, n: int) -> Perm:
-    result = tuple(range(len(p)))
-    base = p
-    n %= _perm_lcm_bound(p)
-    while n:
-        if n & 1:
-            result = perm_mul(result, base)
-        base = perm_mul(base, base)
-        n >>= 1
-    return result
-
-
-def _perm_lcm_bound(p: Perm) -> int:
-    return perm_order(p)
-
-
-def order_sequence(
-    images: Sequence[Union[Elem, Perm]], i_range: range
-) -> OrderSeq:
+def order_sequence(images: Sequence[Elem], i_range: range) -> OrderSeq:
     """Orders of the products image_1^i * ... * image_m^i over i_range.
 
-    The images must live in one common finite group: either Elems with
-    matching parameters or permutations of one point count.
+    The images must be elements of one coefficient group.
     """
     if not images:
         raise ValueError("need at least one image")
     if i_range.step != 1:
         raise ValueError("i_range must have step 1")
-    if isinstance(images[0], Elem):
-        params = images[0].params
-        for g in images:
-            if not isinstance(g, Elem) or g.params != params:
-                raise ParameterMismatchError("images come from different groups")
-        values = []
-        for i in i_range:
-            prod = reduce(lambda x, y: x * y, (g ** i for g in images))
-            values.append(prod.order())
-        return OrderSeq(i_range.start, tuple(values))
-    n = len(images[0])
-    for p in images:
-        if isinstance(p, Elem):
-            raise ParameterMismatchError("images come from different groups")
-        _perm_check(tuple(p), n)
+    params = images[0].params
+    if any(g.params != params for g in images):
+        raise ParameterMismatchError("images come from different groups")
     values = []
     for i in i_range:
-        prod = reduce(perm_mul, (perm_pow(tuple(p), i) for p in images))
-        values.append(perm_order(prod))
+        prod = reduce(lambda x, y: x * y, (g ** i for g in images))
+        values.append(prod.order())
     return OrderSeq(i_range.start, tuple(values))
 
 

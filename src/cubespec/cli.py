@@ -153,27 +153,25 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     params = _params(args)
     size_cap = _size_cap(args)
-    if args.cross_validate:
+    margin = args.margin if args.margin is not None else 0
+    if not args.cross_validate:
+        for flag in ("hmin", "hmax", "margin"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} only applies with --cross-validate")
+    else:
         if args.hmin is None or args.hmax is None:
             raise ValueError("--cross-validate needs --hmin and --hmax")
-        if args.hmin + args.margin > args.hmax - args.margin:
+        if args.hmin + margin > args.hmax - margin:
             raise ValueError(
-                f"--margin {args.margin} leaves no core in heights "
+                f"--margin {margin} leaves no core in heights "
                 f"[{args.hmin}, {args.hmax}]"
             )
-    report = verify_all(params, threads=args.threads, size_cap=size_cap)
+    report = verify_all(params, size_cap=size_cap)
     doc = report.to_json()
     ok = report.all_empty
     if args.cross_validate:
         X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
-        cv = cross_validate(
-            params,
-            args.hmin,
-            args.hmax,
-            args.margin,
-            complex_=X,
-            certificates=report.certificates,
-        )
+        cv = cross_validate(params, args.hmin, args.hmax, margin, X, report.certificates)
         doc["cross_validation"] = cv.to_json()
         ok = ok and cv.agreement
     _emit(doc, args)
@@ -329,15 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = subs.add_parser("verify", help="run the symbolic case certificates")
     _add_params(v)
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument(
         "--cross-validate",
         action="store_true",
         help="also build a truncation and compare the geometric route",
     )
-    v.add_argument("--hmin", type=int)
-    v.add_argument("--hmax", type=int)
-    v.add_argument("--margin", type=_margin, default=0)
+    v.add_argument("--hmin", type=int, help="lowest height of the cross-validation build")
+    v.add_argument("--hmax", type=int, help="highest height of the cross-validation build")
+    v.add_argument(
+        "--margin",
+        type=_margin,
+        help="core margin of the cross-validation (default 0)",
+    )
     v.add_argument("--cap", type=int)
     _add_common_output(v)
     v.set_defaults(fn=cmd_verify)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 
 class ParameterMismatchError(ValueError):
@@ -280,29 +280,47 @@ def coset_intersection(c1: Coset, c2: Coset) -> frozenset[Elem]:
     return frozenset(e for e in small.elements() if e in large)
 
 
-def find_separating_character(c1: Coset, c2: Coset) -> Optional[Character]:
-    """First character (lex order on duals) that certifies c1 and c2 disjoint.
+def separates(chi: Character, pairs: Sequence[tuple[Coset, Coset]]) -> bool:
+    """True when chi certifies every coset pair disjoint.
 
-    The character must be constant 1 (exponent 0) on both subgroups and
-    take different values on the representatives.  Returning a character
-    proves the intersection empty; None means no such certificate exists,
-    which for cosets of one subgroup happens exactly when they meet.
+    The character must take exponent 0 on both subgroups of a pair and
+    different values on its two representatives; then no element can lie
+    in both cosets.
     """
-    _check_params(c1.params, c2.params)
-    for chi in all_characters(c1.params):
-        if chi(c1.sub.generator) != 0 or chi(c2.sub.generator) != 0:
-            continue
-        if chi(c1.rep) != chi(c2.rep):
+    for left, right in pairs:
+        if chi(left.sub.generator) != 0 or chi(right.sub.generator) != 0:
+            return False
+        if chi(left.rep) == chi(right.rep):
+            return False
+    return True
+
+
+def find_separating_character(
+    pairs: Sequence[tuple[Coset, Coset]],
+) -> Optional[Character]:
+    """First character (lex order on duals) that separates every pair.
+
+    Returning a character proves every intersection empty; None means no
+    single character certifies them all, which for one pair of cosets of
+    one subgroup happens exactly when they meet.
+    """
+    if not pairs:
+        raise ValueError("need at least one coset pair")
+    for chi in all_characters(pairs[0][0].params):
+        if separates(chi, pairs):
             return chi
     return None
 
 
-def climb_coset(params: GroupParams, j: int, a: int, b: int) -> Coset:
-    """Coefficient coset reached by moving a type-j edge from height a to b.
+def climb_coset(params: GroupParams, j: int, coeff: Elem, height: int) -> Coset:
+    """Climb coset coeff * P(j)^height * Stab(j), with P(j) = prefix(j).
 
-    Only (a - b) mod k matters: the transport element is prefix(j)
-    raised to a - b, and the ambient subgroup is the type-j stabiliser.
+    It keys the hyperplane of the type-j edge with coefficient ``coeff``
+    and head at ``height``: moving an edge up one layer through a square
+    multiplies its coefficient by P(j)^-1 modulo Stab(j), so parallel
+    edges share the coset.  With the identity coefficient and height
+    a - b it is the coset reached by moving a type-j edge from height a
+    to b; only the height mod k matters.
     """
-    if not 1 <= j <= params.m:
-        raise ValueError(f"type index must be in [1, m], got {j}")
-    return coset(prefix(params, j) ** (a - b), edge_type_stabilizer(params, j))
+    stab = edge_type_stabilizer(params, j)
+    return coset(coeff * prefix(params, j) ** height, stab)

@@ -333,80 +333,27 @@ def build_quotient_complex(
 
 
 LinkNode = tuple[str, str]  # (edge id, "tail" | "head"): the end at the vertex
+LinkCorner = tuple[LinkNode, LinkNode, str, int]  # (in end, out end, square, corner)
 
 
-@dataclass
-class LinkAdjacency:
-    a: LinkNode
-    b: LinkNode
-    square: str
-    corner: int
+def link_corners(X: SquareComplex) -> dict[str, list[LinkCorner]]:
+    """Square corners of every vertex link, in one pass over the squares.
 
-
-@dataclass
-class LinkGraph:
-    vertex: str
-    nodes: list[LinkNode]
-    adjacencies: list[LinkAdjacency]
-
-    def multiplicity(self) -> dict[tuple[LinkNode, LinkNode], int]:
-        out: dict[tuple[LinkNode, LinkNode], int] = {}
-        for adj in self.adjacencies:
-            key = tuple(sorted((adj.a, adj.b)))
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def _induced(self, end: str) -> tuple[list[LinkNode], list[LinkAdjacency]]:
-        nodes = [n for n in self.nodes if n[1] == end]
-        node_set = set(nodes)
-        adjs = [
-            adj
-            for adj in self.adjacencies
-            if adj.a in node_set and adj.b in node_set
-        ]
-        return nodes, adjs
-
-    def ascending(self) -> tuple[list[LinkNode], list[LinkAdjacency]]:
-        """Subgraph on ends where the vertex is the edge's tail."""
-        return self._induced("tail")
-
-    def descending(self) -> tuple[list[LinkNode], list[LinkAdjacency]]:
-        """Subgraph on ends where the vertex is the edge's head."""
-        return self._induced("head")
-
-
-def _corner_nodes(
-    X: SquareComplex, square: Square
-) -> list[tuple[str, LinkNode, LinkNode]]:
-    """Per corner: (shared vertex, end of incoming side, end of outgoing side)."""
-    out = []
-    for n in range(4):
-        eid_in, d_in = square.boundary[n]
-        eid_out, d_out = square.boundary[(n + 1) % 4]
-        shared = _side_endpoints(X, square.boundary[n])[1]
-        node_in = (eid_in, "head" if d_in == "+" else "tail")
-        node_out = (eid_out, "tail" if d_out == "+" else "head")
-        out.append((shared, node_in, node_out))
-    return out
-
-
-def vertex_link(X: SquareComplex, v: str) -> LinkGraph:
-    """Link graph at v: edge-ends as nodes, square corners as adjacencies."""
-    if v not in X.vertices:
-        raise KeyError(f"unknown vertex {v!r}")
-    nodes = []
-    for e in X.edges.values():
-        if e.tail == v:
-            nodes.append((e.id, "tail"))
-        if e.head == v:
-            nodes.append((e.id, "head"))
-    nodes.sort()
-    adjacencies = []
+    The link of v has the edge ends at v as nodes and one adjacency per
+    square corner at v, joining the end of the side that enters the
+    corner to the end of the side that leaves it.  Corners are listed in
+    sorted square order, then by corner position.
+    """
+    corners: dict[str, list[LinkCorner]] = {v: [] for v in X.vertices}
     for sid in sorted(X.squares):
-        for corner, (shared, na, nb) in enumerate(_corner_nodes(X, X.squares[sid])):
-            if shared == v:
-                adjacencies.append(LinkAdjacency(na, nb, sid, corner))
-    return LinkGraph(v, nodes, adjacencies)
+        b = X.squares[sid].boundary
+        for n in range(4):
+            (e_in, d_in), (e_out, d_out) = b[n], b[(n + 1) % 4]
+            node_in = (e_in, "head" if d_in == "+" else "tail")
+            node_out = (e_out, "tail" if d_out == "+" else "head")
+            shared = _side_endpoints(X, b[n])[1]
+            corners[shared].append((node_in, node_out, sid, n))
+    return corners
 
 
 @dataclass
@@ -425,16 +372,11 @@ def check_npc(X: SquareComplex) -> NpcReport:
     adjacencies between the same two ends, and link triangles.
     """
     failures: list[dict] = []
-    corners_by_vertex: dict[str, list[tuple[LinkNode, LinkNode, str, int]]] = {
-        v: [] for v in X.vertices
-    }
-    for sid in sorted(X.squares):
-        for corner, (shared, na, nb) in enumerate(_corner_nodes(X, X.squares[sid])):
-            corners_by_vertex[shared].append((na, nb, sid, corner))
+    corners_by_vertex = link_corners(X)
     for v in sorted(X.vertices):
         seen: dict[tuple[LinkNode, LinkNode], str] = {}
         neighbours: dict[LinkNode, set[LinkNode]] = {}
-        for na, nb, sid, corner in corners_by_vertex[v]:
+        for na, nb, sid, _ in corners_by_vertex[v]:
             if na == nb:
                 failures.append(
                     {

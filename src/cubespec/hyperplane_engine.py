@@ -239,7 +239,7 @@ def interaction_report(
 
 
 # ---------------------------------------------------------------------------
-# core restriction
+# core edges
 
 
 def core_edges(X: SquareComplex, h_lo: int, h_hi: int) -> frozenset[str]:
@@ -247,19 +247,6 @@ def core_edges(X: SquareComplex, h_lo: int, h_hi: int) -> frozenset[str]:
     return frozenset(
         e for e in X.edges if h_lo <= X.edge_top_height(e) <= h_hi
     )
-
-
-def core_restrict(
-    X: SquareComplex,
-    H: HyperplanePartition,
-    h_lo: int,
-    h_hi: int,
-) -> tuple[dict[str, str], InteractionReport]:
-    """Partition view and interaction report restricted to core witnesses."""
-    core = core_edges(X, h_lo, h_hi)
-    view = {e: c for e, c in H.class_of.items() if e in core}
-    report = interaction_report(X, H, core=core, core_span=(h_lo, h_hi))
-    return view, report
 
 
 # ---------------------------------------------------------------------------

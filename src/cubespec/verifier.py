@@ -21,7 +21,6 @@ core interaction witness must land inside some enumerated configuration.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -31,13 +30,15 @@ from cubespec.coeff_group import (
     Elem,
     GroupParams,
     Subgroup,
-    all_characters,
+    climb_coset,
     constant,
     coset,
     coset_intersection,
     edge_type_stabilizer,
+    find_separating_character,
     identity,
     prefix,
+    separates,
     subgroup_cyclic,
     unit,
     unit_character,
@@ -54,7 +55,6 @@ from cubespec.hyperplane_engine import (
     core_edges,
     interaction_report,
     iter_osculations,
-    square_corner_pairs,
 )
 
 SELF_OSC_CASES = (
@@ -119,7 +119,6 @@ class CaseCertificate:
 
 
 def _certify_family(
-    params: GroupParams,
     case_id: str,
     j: int,
     tuples: Sequence[tuple],
@@ -137,22 +136,10 @@ def _certify_family(
             member = min(hits, key=lambda e: e.exps)
             witnesses.append(tuple(t) + (tuple(member.exps),))
     empty = not witnesses
-
-    def separates(chi: Character) -> bool:
-        for left, right in pairs:
-            if chi(left.sub.generator) != 0 or chi(right.sub.generator) != 0:
-                return False
-            if chi(left.rep) == chi(right.rep):
-                return False
-        return True
-
-    named_valid = separates(named) if named is not None and pairs else None
+    named_valid = separates(named, pairs) if named is not None and pairs else None
     separating = named if named_valid else None
     if separating is None and empty and pairs:
-        for chi in all_characters(params):
-            if separates(chi):
-                separating = chi
-                break
+        separating = find_separating_character(pairs)
     sub_left = pairs[0][0].sub.generator.exps if pairs else None
     sub_right = pairs[0][1].sub.generator.exps if pairs else None
     return CaseCertificate(
@@ -202,7 +189,6 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
 
         out.append(
             _certify_family(
-                params,
                 "selfosc_b_eq_a_minus_1",
                 j,
                 [(a, c) for a in range(k) for c in range(k)],
@@ -224,7 +210,6 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
 
         out.append(
             _certify_family(
-                params,
                 "selfosc_b_eq_a_plus_1",
                 j,
                 [(a, c) for a in range(k) for c in range(k)],
@@ -244,7 +229,6 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
 
         out.append(
             _certify_family(
-                params,
                 "selfosc_b_eq_a_at_a",
                 j,
                 [(a, c) for a in range(1, k) for c in range(1, k)],
@@ -264,7 +248,6 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
 
         out.append(
             _certify_family(
-                params,
                 "selfosc_b_eq_a_at_a_minus_1",
                 j,
                 [(a, c) for a in range(k) if (a - 1) % k for c in range(1, k)],
@@ -384,7 +367,6 @@ def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
         for sub in (1, 2, 3, 4):
             out.append(
                 _certify_family(
-                    params,
                     f"interosc_{case_family}_{sub}",
                     j,
                     tuples,
@@ -526,18 +508,11 @@ class VerifyReport:
         }
 
 
-def verify_all(
-    params: GroupParams,
-    structural_complex: Optional[SquareComplex] = None,
-    threads: int = 1,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> VerifyReport:
+def verify_all(params: GroupParams, size_cap: int = DEFAULT_SIZE_CAP) -> VerifyReport:
     """Run every check for one parameter pair.
 
-    The structural scan needs a built truncation; by default a span of
-    [-(k+1), k+1], which contains every residue layer, is built under
-    ``size_cap``.  Case enumerations are independent, so they fan out
-    across threads when asked; output order is fixed either way.
+    The structural scan needs a built truncation: the span [-(k+1), k+1],
+    which contains every residue layer, is built under ``size_cap``.
     """
     stab_checks = []
     for j in range(1, params.m + 1):
@@ -551,19 +526,12 @@ def verify_all(
                 derived.elements == expected.elements,
             )
         )
-    if structural_complex is None:
-        structural_complex = build_quotient_complex(
-            params, -(params.k + 1), params.k + 1, size_cap=size_cap
-        )
-    certificates = list(check_structural_conditions(structural_complex))
-    jobs = [check_self_osculation_cases, check_inter_osculation_cases]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda fn: fn(params), jobs))
-    else:
-        results = [fn(params) for fn in jobs]
-    for res in results:
-        certificates.extend(res)
+    X = build_quotient_complex(params, -(params.k + 1), params.k + 1, size_cap=size_cap)
+    certificates = (
+        check_structural_conditions(X)
+        + check_self_osculation_cases(params)
+        + check_inter_osculation_cases(params)
+    )
     return VerifyReport(params, params.order, stab_checks, certificates)
 
 
@@ -741,10 +709,13 @@ def cross_validate(
     h_min: int,
     h_max: int,
     margin: int,
-    complex_: Optional[SquareComplex] = None,
-    certificates: Optional[list[CaseCertificate]] = None,
+    complex_: SquareComplex,
+    certificates: list[CaseCertificate],
 ) -> CrossValidation:
     """Compare the geometric and symbolic routes on one truncation.
+
+    ``complex_`` is the truncation of [h_min, h_max] with builder refs,
+    and ``certificates`` are the symbolic case certificates for ``params``.
 
     (i) On core edges, union-find classes must coincide with the climb
     cosets; classes finer than a coset are boundary artefacts and are
@@ -754,29 +725,20 @@ def cross_validate(
     (iii) Core violation counts must be zero exactly when all
     certificates are empty.
     """
-    X = complex_ if complex_ is not None else build_quotient_complex(
-        params, h_min, h_max
-    )
+    X = complex_
     if not X.edge_refs:
         raise ValueError("cross validation needs a built complex with refs")
     H = compute_hyperplanes(X)
     h_lo, h_hi = h_min + margin, h_max - margin
     core = core_edges(X, h_lo, h_hi)
 
-    keys = {}
-    for e in core:
-        ref = X.edge_refs[e]
-        sub = edge_type_stabilizer(params, ref.type_j)
-        key = (
-            ref.type_j,
-            coset(ref.coeff * prefix(params, ref.type_j) ** ref.height, sub).rep.exps,
-        )
-        keys[e] = key
     by_class: dict[str, set] = {}
     by_key: dict[tuple, set] = {}
     for e in core:
-        by_class.setdefault(H.class_of[e], set()).add(keys[e])
-        by_key.setdefault(keys[e], set()).add(H.class_of[e])
+        ref = X.edge_refs[e]
+        key = (ref.type_j, climb_coset(params, ref.type_j, ref.coeff, ref.height).rep.exps)
+        by_class.setdefault(H.class_of[e], set()).add(key)
+        by_key.setdefault(key, set()).add(H.class_of[e])
     mismatches = [
         {"class": cls, "cosets": sorted(str(k) for k in ks)}
         for cls, ks in sorted(by_class.items())
@@ -798,8 +760,7 @@ def cross_validate(
             findings.append(
                 {"kind": "crossing_types", "square": sid, "types": [t1, t2]}
             )
-    corner_pairs = square_corner_pairs(X)
-    for e, f, v in iter_osculations(X, corner_pairs, core):
+    for e, f, v in iter_osculations(X, core=core):
         got = classify_osculation(X, e, f, v)
         if got["case_id"] == "unmatched":
             findings.append({"kind": "osculation", **got})
@@ -818,10 +779,6 @@ def cross_validate(
             )
         else:
             case_matches[got["case_id"]] = case_matches.get(got["case_id"], 0) + 1
-    if certificates is None:
-        certificates = check_self_osculation_cases(params) + (
-            check_inter_osculation_cases(params)
-        )
     certificates_empty = all(c.empty for c in certificates)
     return CrossValidation(
         params=params,

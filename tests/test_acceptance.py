@@ -25,6 +25,8 @@ from cubespec.hyperplane_engine import (
     revalidate_osculation,
 )
 from cubespec.verifier import (
+    check_inter_osculation_cases,
+    check_self_osculation_cases,
     check_structural_conditions,
     cross_validate,
     derive_stabilizer_from_loops,
@@ -86,9 +88,10 @@ def test_criterion_3_climb_coset_closed_form(acceptance_builds):
     with criterion(3, "engine classes equal climb cosets on the core"):
         for m, k in [(4, 2), (4, 3)]:
             X = acceptance_builds[(m, k)]
-            cv = cross_validate(
-                GroupParams(m, k), -(2 * k + 2), 2 * k + 2, k, complex_=X
-            )
+            params = GroupParams(m, k)
+            certificates = check_self_osculation_cases(params)
+            certificates += check_inter_osculation_cases(params)
+            cv = cross_validate(params, -(2 * k + 2), 2 * k + 2, k, X, certificates)
             assert cv.class_mismatches == [], (m, k)
             assert cv.inconclusive == [], (m, k)
             assert cv.witness_findings == [], (m, k)

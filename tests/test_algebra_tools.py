@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +9,6 @@ from cubespec.algebra_tools import (
     crossing_orbit_growth,
     is_periodic,
     order_sequence,
-    perm_mul,
-    perm_order,
-    relation_vector,
     smith_normal_form,
     OrderSeq,
 )
@@ -114,15 +109,6 @@ class TestAbelianization:
         }
         assert len(seen) == len(pairs)
 
-    def test_relation_rows_are_multiples_of_relation_vector(self):
-        for m, k in [(4, 2), (4, 3), (5, 3)]:
-            params = GroupParams(m, k)
-            for i in range(-2 * k, 2 * k + 1):
-                vec = relation_vector(params, i)
-                assert len(set(vec)) == 1
-                assert vec[0] % k == 0
-
-
 class TestOrbitGrowth:
     def brute_force_member(self, m, k, n):
         # independent oracle: exhaustive search over a generous coefficient box
@@ -180,15 +166,6 @@ class TestOrderSequence:
         seq = canonical_order_sequence(GroupParams(5, 2), range(-4, 5))
         assert seq.value_at(0) == 1
 
-    def test_permutation_images(self):
-        swap = (1, 0, 2)
-        seq = order_sequence([swap, swap], range(0, 6))
-        # the product of two equal transpositions to the i is trivial
-        assert set(seq.values) == {1}
-        seq = order_sequence([(1, 0, 2), (0, 2, 1)], range(0, 6))
-        assert seq.values[0] == 1
-        assert seq.values[1] == perm_order(perm_mul((1, 0, 2), (0, 2, 1)))
-
     def test_mixed_images_rejected(self):
         from cubespec.coeff_group import ParameterMismatchError
 
@@ -214,28 +191,3 @@ class TestPeriodicity:
     def test_window_too_short(self):
         with pytest.raises(ValueError):
             is_periodic(OrderSeq(0, (1, 2, 1)), 2)
-
-    def test_no_permutation_images_realise_aperiodic_window(self):
-        """Finite images force on-window periodicity of the value-1 set.
-
-        The target pattern {0, 1, 5} on a 12-wide window admits no period
-        up to 6 (the exponent of S_3), so no pair of S_3 images can hit it.
-        """
-        window = range(0, 12)
-        target = {0, 1, 5}
-        indicator = [1 if i in target else 0 for i in window]
-        assert not any(
-            all(indicator[i] == indicator[i + p] for i in range(12 - p))
-            for p in range(1, 7)
-        )
-        s3 = [p for p in itertools.permutations(range(3))]
-        for g1 in s3:
-            for g2 in s3:
-                seq = order_sequence([g1, g2], window)
-                ones = {i for i in window if seq.value_at(i) == 1}
-                assert ones != target
-                got = [1 if i in ones else 0 for i in window]
-                assert any(
-                    all(got[i] == got[i + p] for i in range(12 - p))
-                    for p in range(1, 7)
-                )

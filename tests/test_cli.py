@@ -214,6 +214,27 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--m", "4", "--k", "3")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--hmin", "-5"], ["--hmax", "5"], ["--margin", "2"], ["--margin", "0"],
+         ["--hmin", "-5", "--hmax", "5", "--margin", "2"]],
+    )
+    def test_cross_validation_flags_need_cross_validate(self, flags, capsys):
+        code, stdout, err = run(capsys, "verify", "--m", "4", "--k", "2", *flags, "--json")
+        assert code == 2
+        assert stdout == ""
+        assert f"{flags[0]} only applies with --cross-validate" in err
+
+    def test_cross_validate_margin_defaults_to_zero(self, capsys):
+        code, stdout, _ = run(
+            capsys,
+            "verify", "--m", "4", "--k", "2", "--cross-validate",
+            "--hmin", "-3", "--hmax", "3", "--json",
+        )
+        # margin 0 keeps the truncation-boundary artefacts in the core
+        assert code == 1
+        assert json.loads(stdout)["cross_validation"]["margin"] == 0
+
     def test_cross_validate_needs_span(self, capsys):
         code, _, err = run(
             capsys, "verify", "--m", "4", "--k", "2", "--cross-validate"

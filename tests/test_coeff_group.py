@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubespec.coeff_group import (
@@ -18,6 +18,7 @@ from cubespec.coeff_group import (
     find_separating_character,
     identity,
     prefix,
+    separates,
     subgroup_cyclic,
     unit,
     unit_character,
@@ -33,9 +34,33 @@ def all_elems(params):
         yield Elem(params, exps)
 
 
-elem_strategy = st.builds(
-    lambda exps: Elem(P43, exps),
-    st.tuples(*(st.integers(0, 2) for _ in range(4))),
+def elems(params):
+    return st.builds(
+        lambda exps: Elem(params, exps),
+        st.tuples(*(st.integers(0, params.k - 1) for _ in range(params.m))),
+    )
+
+
+def subgroups(params):
+    """The stabilisers the certificates use: edge types and the trivial one."""
+    return st.sampled_from(
+        [edge_type_stabilizer(params, j) for j in range(1, params.m + 1)]
+        + [subgroup_cyclic(identity(params))]
+    )
+
+
+def cosets(params, sub=None):
+    return st.builds(coset, elems(params), subgroups(params) if sub is None else st.just(sub))
+
+
+elem_strategy = elems(P43)
+coset_pair_lists = st.sampled_from([P42, P43]).flatmap(
+    lambda p: st.lists(st.tuples(cosets(p), cosets(p)), min_size=1, max_size=4)
+)
+same_subgroup_pair_lists = st.sampled_from([P42, P43]).flatmap(
+    lambda p: subgroups(p).flatmap(
+        lambda sub: st.lists(st.tuples(cosets(p, sub), cosets(p, sub)), min_size=1, max_size=4)
+    )
 )
 char_strategy = st.builds(
     lambda dual: Character(P43, dual),
@@ -216,34 +241,50 @@ class TestCosets:
                 assert coset_intersection(c1, c2) == brute
 
 
+def brute_force_separator(pairs):
+    """First dual in lex order whose character is constant on each coset of
+    every pair, with different constants on its two sides."""
+    params = pairs[0][0].params
+    for dual in itertools.product(range(params.k), repeat=params.m):
+        chi = Character(params, dual)
+        values = [
+            ({chi(e) for e in left.elements()}, {chi(e) for e in right.elements()})
+            for left, right in pairs
+        ]
+        if all(len(a) == 1 and len(b) == 1 and a != b for a, b in values):
+            return chi
+    return None
+
+
 class TestSeparatingCharacter:
     def test_named_case_instance(self):
         sub = edge_type_stabilizer(P43, 2)
         chi = find_separating_character(
-            coset(identity(P43), sub), coset(unit(P43, 1), sub)
+            [(coset(identity(P43), sub), coset(unit(P43, 1), sub))]
         )
         assert chi is not None
         assert chi.dual == (1, 2, 0, 0)
 
     def test_equal_cosets_unseparable(self):
         c = coset(unit(P43, 3), edge_type_stabilizer(P43, 4))
-        assert find_separating_character(c, c) is None
+        assert find_separating_character([(c, c)]) is None
 
     def test_cross_subgroup_search(self):
         # exhaustive search over the 16 duals of (m=4, k=2)
         c1 = coset(identity(P42), edge_type_stabilizer(P42, 2))
         c2 = coset(constant(P42, 1), edge_type_stabilizer(P42, 3))
-        chi = find_separating_character(c1, c2)
+        chi = find_separating_character([(c1, c2)])
         assert chi is not None
         assert chi.dual == (0, 0, 0, 1)
 
     def test_separator_certifies_emptiness(self):
         c1 = coset(identity(P42), edge_type_stabilizer(P42, 2))
         c2 = coset(constant(P42, 1), edge_type_stabilizer(P42, 3))
-        chi = find_separating_character(c1, c2)
+        chi = find_separating_character([(c1, c2)])
         assert coset_intersection(c1, c2) == frozenset()
         assert chi(c1.sub.generator) == 0 and chi(c2.sub.generator) == 0
         assert chi(c1.rep) != chi(c2.rep)
+        assert separates(chi, [(c1, c2)])
 
     def test_disjoint_iff_separable_same_subgroup(self):
         # disjoint and separable coincide; exhaustive for one subgroup of (4, 2)
@@ -251,23 +292,57 @@ class TestSeparatingCharacter:
         for r1, r2 in itertools.product(all_elems(P42), repeat=2):
             c1, c2 = coset(r1, sub), coset(r2, sub)
             empty = not coset_intersection(c1, c2)
-            found = find_separating_character(c1, c2) is not None
+            found = find_separating_character([(c1, c2)]) is not None
             assert empty == found
+
+    def test_disjoint_pairs_without_common_separator(self):
+        # each pair is disjoint and separable alone, but a character that is
+        # 1 on u(1) and on u(3) is 0 on u(1)u(3): no single one splits all
+        sub = edge_type_stabilizer(P42, 2)
+        reps = [unit(P42, 1), unit(P42, 3), unit(P42, 1) * unit(P42, 3)]
+        pairs = [(coset(identity(P42), sub), coset(r, sub)) for r in reps]
+        assert all(not coset_intersection(a, b) for a, b in pairs)
+        assert all(find_separating_character([p]) is not None for p in pairs)
+        assert find_separating_character(pairs) is None
+
+    def test_needs_a_pair(self):
+        with pytest.raises(ValueError):
+            find_separating_character([])
+
+    @given(coset_pair_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_search_matches_brute_force(self, pairs):
+        chi = find_separating_character(pairs)
+        assert chi == brute_force_separator(pairs)
+        if chi is not None:
+            for left, right in pairs:
+                assert coset_intersection(left, right) == frozenset()
+                assert chi(left.sub.generator) == 0
+                assert chi(right.sub.generator) == 0
+        elif len(pairs) == 1 and pairs[0][0].sub == pairs[0][1].sub:
+            # one pair over one subgroup: no separator exactly when they meet
+            assert coset_intersection(*pairs[0])
+
+    @given(same_subgroup_pair_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_meeting_pair_blocks_separation(self, pairs):
+        if any(coset_intersection(left, right) for left, right in pairs):
+            assert find_separating_character(pairs) is None
 
 
 class TestClimbCoset:
     def test_zero_difference_is_stabilizer(self):
-        c = climb_coset(P43, 2, 5, 5)
+        c = climb_coset(P43, 2, identity(P43), 0)
         assert c == coset(identity(P43), edge_type_stabilizer(P43, 2))
 
     def test_rep_inside_subgroup(self):
         # for j = 2 the transport element is the stabiliser generator
-        c = climb_coset(P43, 2, 1, 0)
+        c = climb_coset(P43, 2, identity(P43), 1)
         assert c.rep.exps == (0, 0, 0, 0)
         assert prefix(P43, 2) in c
 
     def test_proper_coset(self):
-        c = climb_coset(P43, 3, 1, 0)
+        c = climb_coset(P43, 3, identity(P43), 1)
         sub_elems = sorted(e.exps for e in edge_type_stabilizer(P43, 3).elements)
         assert sub_elems == [(0, 0, 0, 0), (0, 1, 1, 0), (0, 2, 2, 0)]
         assert prefix(P43, 3) in c
@@ -280,10 +355,19 @@ class TestClimbCoset:
         st.integers(0, 5),
     )
     def test_depends_only_on_difference_mod_k(self, j, a, b, shift):
-        assert climb_coset(P43, j, a, b) == climb_coset(
-            P43, j, a + 3 * shift, b
+        one = identity(P43)
+        assert climb_coset(P43, j, one, a - b) == climb_coset(
+            P43, j, one, a - b + 3 * shift
         )
-        assert climb_coset(P43, j, a, b) == climb_coset(P43, j, a - b, 0)
+
+    @given(st.integers(1, 4), elem_strategy, st.integers(-7, 7))
+    def test_coefficient_translates_the_coset(self, j, g, height):
+        c = climb_coset(P43, j, g, height)
+        assert c == coset(g * climb_coset(P43, j, identity(P43), height).rep, c.sub)
+
+    def test_invalid_type_index(self):
+        with pytest.raises(ValueError):
+            climb_coset(P43, 5, identity(P43), 0)
 
 
 class TestSerialization:

@@ -21,11 +21,11 @@ from cubespec.complex_model import (
     complex_to_json,
     edge_endpoints,
     edge_id,
+    link_corners,
     square_boundary,
     square_id,
     validate_complex,
     vertex_id,
-    vertex_link,
 )
 
 P42 = GroupParams(4, 2)
@@ -44,14 +44,21 @@ def make_complex(vertices, edges, squares):
     return X
 
 
+def half_link(X, corners, incident, v, end):
+    """Link of v restricted to the edge ends of one kind ("head" or "tail")."""
+    nodes = [(e, end) for e in incident[v] if getattr(X.edges[e], end) == v]
+    adjacencies = [(a, b) for a, b, _, _ in corners[v] if a[1] == end and b[1] == end]
+    return nodes, adjacencies
+
+
 def single_cycle(nodes, adjacencies):
     """True when the given link subgraph is one cycle through all nodes."""
     if len(adjacencies) != len(nodes):
         return False
     neigh = {n: set() for n in nodes}
-    for adj in adjacencies:
-        neigh[adj.a].add(adj.b)
-        neigh[adj.b].add(adj.a)
+    for a, b in adjacencies:
+        neigh[a].add(b)
+        neigh[b].add(a)
     if any(len(s) != 2 for s in neigh.values()):
         return False
     seen = set()
@@ -288,11 +295,11 @@ def _coeff_of_vertex(vid, params):
 class TestLinks:
     def test_descending_cycles(self):
         X = build_quotient_complex(P42, -2, 2)
+        corners, incident = link_corners(X), X.incident_edges()
         for vid, v in X.vertices.items():
             if v.height < 0:  # descending needs squares on the layer below
                 continue
-            link = vertex_link(X, vid)
-            nodes, adjs = link.descending()
+            nodes, adjs = half_link(X, corners, incident, vid, "head")
             if v.height % 2 == 0:
                 assert single_cycle(nodes, adjs), vid
                 assert len(nodes) == 4
@@ -302,31 +309,25 @@ class TestLinks:
 
     def test_ascending_cycles(self):
         X = build_quotient_complex(P43, -1, 3)
+        corners, incident = link_corners(X), X.incident_edges()
         for vid, v in X.vertices.items():
             if not -1 <= v.height <= 1:
                 continue
-            link = vertex_link(X, vid)
-            nodes, adjs = link.ascending()
+            nodes, adjs = half_link(X, corners, incident, vid, "tail")
             want = 4 if v.height % 3 == 0 else 12
             assert len(nodes) == want
             assert single_cycle(nodes, adjs), vid
 
-    def test_full_link_node_count(self):
+    def test_every_corner_joins_ends_at_its_vertex(self):
         X = build_quotient_complex(P42, -2, 2)
-        incident = X.incident_edges()
-        for vid, v in X.vertices.items():
-            link = vertex_link(X, vid)
-            loops = sum(
-                1
-                for e in incident[vid]
-                if X.edges[e].tail == X.edges[e].head
-            )
-            assert len(link.nodes) == len(incident[vid]) + loops
-
-    def test_unknown_vertex(self):
-        X = build_quotient_complex(P42, 0, 2)
-        with pytest.raises(KeyError):
-            vertex_link(X, "v/99/0,0,0,0")
+        corners = link_corners(X)
+        assert sum(len(cs) for cs in corners.values()) == 4 * len(X.squares)
+        for vid, cs in corners.items():
+            for (ea, end_a), (eb, end_b), sid, n in cs:
+                assert getattr(X.edges[ea], end_a) == vid
+                assert getattr(X.edges[eb], end_b) == vid
+                b = X.squares[sid].boundary
+                assert (ea, eb) == (b[n][0], b[(n + 1) % 4][0])
 
 
 class TestNpc:

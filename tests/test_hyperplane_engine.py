@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubespec.coeff_group import GroupParams, coset, edge_type_stabilizer, prefix
+from cubespec.coeff_group import GroupParams, climb_coset
 from cubespec.complex_model import (
     Edge,
     Square,
@@ -14,7 +14,6 @@ from cubespec.complex_model import (
 from cubespec.hyperplane_engine import (
     compute_hyperplanes,
     core_edges,
-    core_restrict,
     dot_export,
     interaction_report,
     report_to_json,
@@ -200,7 +199,7 @@ class TestBuiltComplexChecks:
         assert len(full.violations["inter_osc"]) > 0
         assert len(full.violations["self_osc"]) == 0
         assert len(full.violations["self_cross"]) == 0
-        _, rep = core_restrict(X, H, -1, 1)
+        rep = interaction_report(X, H, core=core_edges(X, -1, 1))
         assert rep.violation_count() == 0
 
     def test_core_classes_match_transport_cosets(self):
@@ -211,12 +210,7 @@ class TestBuiltComplexChecks:
         keys = {}
         for e in core:
             ref = X.edge_refs[e]
-            sub = edge_type_stabilizer(params, ref.type_j)
-            key = (
-                ref.type_j,
-                coset(ref.coeff * prefix(params, ref.type_j) ** ref.height, sub).rep.exps,
-            )
-            keys[e] = key
+            keys[e] = (ref.type_j, climb_coset(params, ref.type_j, ref.coeff, ref.height))
         by_class = {}
         by_key = {}
         for e in core:
@@ -229,16 +223,18 @@ class TestBuiltComplexChecks:
         X = build_quotient_complex(P42, -2, 2)
         H = compute_hyperplanes(X)
         full = interaction_report(X, H)
-        view, rep = core_restrict(X, H, -2, 2)
-        assert view == H.class_of
+        core = core_edges(X, -2, 2)
+        assert core == frozenset(H.class_of)
+        rep = interaction_report(X, H, core=core)
         assert rep.crossings == full.crossings
         assert rep.osculations == full.osculations
 
     def test_empty_core_range(self):
         X = build_quotient_complex(P42, -2, 2)
         H = compute_hyperplanes(X)
-        view, rep = core_restrict(X, H, 5, 7)
-        assert view == {}
+        core = core_edges(X, 5, 7)
+        assert core == frozenset()
+        rep = interaction_report(X, H, core=core)
         assert rep.crossings == {}
         assert rep.osculations == {}
         assert rep.violation_count() == 0

@@ -1,0 +1,69 @@
+"""Guard: no public library code exists only for the tests to call.
+
+Every public module-level function or class in ``src/cubespec`` must be
+used by code somewhere in ``src/cubespec`` other than its own
+definition.  A use is a name or attribute reference in the syntax tree,
+so docstrings, comments and bare imports do not count.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubespec"
+
+# Reference implementations that tests compare the program against.
+ALLOWED = {
+    "vertex_stabilizer",  # closed form that canonical_vertex is checked by
+    "vertex_id",  # cell ids from refs; the builder formats ids from tables
+    "edge_id",
+    "square_id",
+    "revalidate_osculation",  # witness re-checks from the definitions
+    "revalidate_crossing",
+    "revalidate_one_sided",
+}
+
+
+def _definitions_and_uses():
+    definitions = {}  # name -> (module file, definition node)
+    uses = []  # (module file, line, name)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    definitions[node.name] = (path.name, node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((path.name, node.lineno, node.attr))
+    return definitions, uses
+
+
+def _used_outside_itself(name, module, node, uses):
+    return any(
+        used == name
+        and not (where == module and node.lineno <= line <= node.end_lineno)
+        for where, line, used in uses
+    )
+
+
+def test_every_public_definition_is_used_by_the_package():
+    definitions, uses = _definitions_and_uses()
+    assert "find_separating_character" in definitions  # the scan sees src
+    unused = sorted(
+        f"{module}: {name}"
+        for name, (module, node) in definitions.items()
+        if name not in ALLOWED and not _used_outside_itself(name, module, node, uses)
+    )
+    assert unused == []
+
+
+def test_allowlist_names_exist_and_are_unused():
+    # an allowlisted name that the package starts to use, or that is gone,
+    # should leave the list
+    definitions, uses = _definitions_and_uses()
+    for name in ALLOWED:
+        assert name in definitions, name
+        module, node = definitions[name]
+        assert not _used_outside_itself(name, module, node, uses), name

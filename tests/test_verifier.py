@@ -221,7 +221,7 @@ class TestStructuralConditions:
 class TestVerifyAll:
     def test_report_shape_and_determinism(self):
         r1 = verify_all(P42)
-        r2 = verify_all(P42, threads=2)
+        r2 = verify_all(P42)
         assert r1.all_empty
         assert len(r1.certificates) == 2 + 8 * 4
         assert len(r1.stabilizers) == 4
@@ -238,9 +238,15 @@ class TestVerifyAll:
         assert not rep.params.hypotheses_met
 
 
+def run_cross_validation(params, h_min, h_max, margin):
+    X = build_quotient_complex(params, h_min, h_max)
+    certificates = check_self_osculation_cases(params) + check_inter_osculation_cases(params)
+    return cross_validate(params, h_min, h_max, margin, X, certificates)
+
+
 class TestCrossValidation:
     def test_small_pairs_agree(self):
-        cv = cross_validate(P42, -4, 4, 2)
+        cv = run_cross_validation(P42, -4, 4, 2)
         assert cv.agreement
         assert cv.class_mismatches == []
         assert cv.inconclusive == []
@@ -252,7 +258,7 @@ class TestCrossValidation:
         assert sum(cv.case_matches.values()) > 0
 
     def test_margin_zero_never_reports_class_mismatch(self):
-        cv = cross_validate(P42, -3, 3, 0)
+        cv = run_cross_validation(P42, -3, 3, 0)
         assert cv.class_mismatches == []
         # boundary osculation noise is honest disagreement, not a mismatch
         assert not cv.violations_zero
@@ -261,11 +267,13 @@ class TestCrossValidation:
 
     def test_reuses_prebuilt_complex(self):
         X = build_quotient_complex(P42, -4, 4)
-        cv = cross_validate(P42, -4, 4, 2, complex_=X)
+        certificates = verify_all(P42).certificates
+        cv = cross_validate(P42, -4, 4, 2, X, certificates)
         assert cv.agreement
+        assert cv.certificates_empty
 
     def test_43_with_margin_three(self):
-        cv = cross_validate(P43, -5, 5, 3)
+        cv = run_cross_validation(P43, -5, 5, 3)
         assert cv.agreement
         assert cv.class_mismatches == [] and cv.inconclusive == []
 
@@ -273,7 +281,7 @@ class TestCrossValidation:
         X = SquareComplex()
         X.vertices["v"] = Vertex("v")
         with pytest.raises(ValueError):
-            cross_validate(P42, -4, 4, 2, complex_=X)
+            cross_validate(P42, -4, 4, 2, X, check_self_osculation_cases(P42))
 
     def test_every_core_witness_classifies(self):
         from cubespec.hyperplane_engine import core_edges, iter_osculations
