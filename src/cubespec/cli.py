@@ -56,13 +56,16 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _stamp() -> dict:
+    return {
+        "tool": f"cubespec {__version__}",
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+
+
 def _emit(doc: dict, args) -> None:
-    if getattr(args, "stamp", False):
-        doc = dict(doc)
-        doc["stamp"] = {
-            "tool": f"cubespec {__version__}",
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        }
+    if args.stamp:
+        doc = {**doc, "stamp": _stamp()}
     text = _dump(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -90,8 +93,9 @@ def _params(args) -> GroupParams:
 def cmd_build(args) -> int:
     params = _params(args)
     X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=_size_cap(args))
-    doc = complex_to_json(X)
-    text = _dump(doc)
+    if args.stamp:
+        X.extra["stamp"] = _stamp()
+    text = complex_to_json(X)
     counts = X.counts()
     summary = (
         f"vertices={counts['vertices']} edges={counts['edges']} "
@@ -114,6 +118,7 @@ def cmd_check(args) -> int:
         except json.JSONDecodeError as exc:
             raise ComplexFormatError(f"invalid JSON: {exc}") from exc
     X = complex_from_json(doc)
+    del doc  # X shares its strings; the record dicts can go
     npc = check_npc(X)
     H = compute_hyperplanes(X)
     core = None
@@ -274,12 +279,16 @@ def cmd_torsion_probe(args) -> int:
     return EXIT_CLEAN if period == params.k and ones_ok else EXIT_FINDINGS
 
 
-def _add_common_output(sub) -> None:
-    sub.add_argument("--json", action="store_true", help="machine-readable stdout")
+def _add_output(sub) -> None:
     sub.add_argument("-o", "--output", help="write the JSON document to this path")
     sub.add_argument(
         "--stamp", action="store_true", help="include tool/timestamp metadata"
     )
+
+
+def _add_common_output(sub) -> None:
+    sub.add_argument("--json", action="store_true", help="machine-readable stdout")
+    _add_output(sub)
 
 
 def _margin(text: str) -> int:
@@ -310,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--hmin", type=int, required=True)
     b.add_argument("--hmax", type=int, required=True)
     b.add_argument("--cap", type=int, help=f"size cap override (or ${SIZE_CAP_ENV})")
-    _add_common_output(b)
+    _add_output(b)
     b.set_defaults(fn=cmd_build)
 
     c = subs.add_parser("check", help="hyperplane and curvature report for a complex")

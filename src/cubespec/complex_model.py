@@ -17,8 +17,10 @@ heights both branch.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _enc
 from typing import Optional
 
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
@@ -428,37 +430,87 @@ _SQUARE_KEYS = {"id", "boundary"}
 _TOP_KEYS = {"params", "vertices", "edges", "squares"}
 
 
-def complex_to_json(X: SquareComplex) -> dict:
-    doc: dict = {
-        "params": (
-            {"m": X.params.m, "k": X.params.k} if X.params is not None else None
-        ),
-        "vertices": [
-            {"id": v.id, "height": v.height, **dict(sorted(v.extra.items()))}
-            for v in X.vertices.values()
-        ],
-        "edges": [
-            {
-                "id": e.id,
-                "tail": e.tail,
-                "head": e.head,
-                "type": e.type,
-                **dict(sorted(e.extra.items())),
-            }
-            for e in X.edges.values()
-        ],
-        "squares": [
-            {
-                "id": s.id,
-                "boundary": [{"edge": eid, "dir": d} for eid, d in s.boundary],
-                **dict(sorted(s.extra.items())),
-            }
-            for s in X.squares.values()
-        ],
-    }
-    for key in sorted(X.extra):
-        doc[key] = X.extra[key]
-    return doc
+def _dumped_record(rec: dict, extra: dict) -> str:
+    """A list record with its extra fields, laid out by ``json.dumps``.
+
+    Exact at any depth because an encoded JSON value never holds a raw
+    newline, so indenting every line break indents every nested line.
+    """
+    text = json.dumps({**rec, **dict(sorted(extra.items()))}, indent=2)
+    return "    " + text.replace("\n", "\n    ")
+
+
+def _members(obj: dict) -> str:
+    """Members of a top-level object, laid out by ``json.dumps(indent=2)``."""
+    return json.dumps(obj, indent=2)[2:-2]
+
+
+def _plain_int(value) -> Optional[str]:
+    """JSON text of an int or None; None for any other value."""
+    if value is None:
+        return "null"
+    return str(value) if type(value) is int else None
+
+
+def _vertex_record(v: Vertex) -> str:
+    height = _plain_int(v.height)
+    if v.extra or height is None:
+        return _dumped_record({"id": v.id, "height": v.height}, v.extra)
+    return f'    {{\n      "id": {_enc(v.id)},\n      "height": {height}\n    }}'
+
+
+def _edge_record(e: Edge) -> str:
+    type_ = _plain_int(e.type)
+    if e.extra or type_ is None:
+        rec = {"id": e.id, "tail": e.tail, "head": e.head, "type": e.type}
+        return _dumped_record(rec, e.extra)
+    return (
+        f'    {{\n      "id": {_enc(e.id)},\n      "tail": {_enc(e.tail)},\n'
+        f'      "head": {_enc(e.head)},\n      "type": {type_}\n    }}'
+    )
+
+
+def _square_record(s: Square) -> str:
+    if s.extra or not s.boundary:
+        sides = [{"edge": eid, "dir": d} for eid, d in s.boundary]
+        return _dumped_record({"id": s.id, "boundary": sides}, s.extra)
+    sides = ",\n".join(
+        f'        {{\n          "edge": {_enc(eid)},\n          "dir": {_enc(d)}\n        }}'
+        for eid, d in s.boundary
+    )
+    return f'    {{\n      "id": {_enc(s.id)},\n      "boundary": [\n{sides}\n      ]\n    }}'
+
+
+def complex_to_json(X: SquareComplex) -> str:
+    """The complex document as JSON text, written record by record.
+
+    The text is ``json.dumps(doc, indent=2) + "\n"`` of the object with
+    keys params, vertices, edges and squares, then the extra top-level
+    keys in sorted order (an extra key named like a section replaces it).
+    Plain records come from templates with ids quoted as ``json.dumps``
+    quotes them; records with extra fields, an empty boundary or
+    non-int heights or types go through ``json.dumps`` itself.
+    """
+    params = None if X.params is None else {"m": X.params.m, "k": X.params.k}
+    chunks = ["{\n", _members({"params": X.extra.get("params", params)})]
+    sections = (
+        ("vertices", _vertex_record, X.vertices),
+        ("edges", _edge_record, X.edges),
+        ("squares", _square_record, X.squares),
+    )
+    for key, record, cells in sections:
+        chunks.append(",\n")
+        if key in X.extra:
+            chunks.append(_members({key: X.extra[key]}))
+        elif cells:
+            chunks += [f'  "{key}": [\n', ",\n".join(map(record, cells.values())), "\n  ]"]
+        else:
+            chunks.append(f'  "{key}": []')
+    rest = {key: X.extra[key] for key in sorted(X.extra) if key not in _TOP_KEYS}
+    if rest:
+        chunks += [",\n", _members(rest)]
+    chunks.append("\n}\n")
+    return "".join(chunks)
 
 
 def _require(cond: bool, path: str, message: str) -> None:

@@ -130,6 +130,29 @@ def square_corner_pairs(X: SquareComplex) -> set[tuple[str, str]]:
     return pairs
 
 
+def _bigon_lower_ends(X: SquareComplex) -> dict[tuple[str, str], str]:
+    """Lower shared vertex of each pair of distinct edges with the same ends.
+
+    Only such a pair can osculate at two vertices.  The corner exemption
+    and core membership do not depend on the vertex, so the pair
+    osculates at both of its ends or at neither.  Keys are (e, f) with
+    e < f, as ``iter_osculations`` yields them; "lower" is in the sorted
+    vertex order of its walk.
+    """
+    by_ends: dict[tuple[str, str], list[str]] = {}
+    for e in X.edges.values():
+        if e.tail != e.head:
+            ends = (e.tail, e.head) if e.tail < e.head else (e.head, e.tail)
+            by_ends.setdefault(ends, []).append(e.id)
+    lower: dict[tuple[str, str], str] = {}
+    for ends, edges in by_ends.items():
+        edges.sort()
+        for i in range(len(edges)):
+            for j in range(i + 1, len(edges)):
+                lower[edges[i], edges[j]] = ends[0]
+    return lower
+
+
 def iter_osculations(
     X: SquareComplex,
     corner_pairs: Optional[set[tuple[str, str]]] = None,
@@ -211,15 +234,15 @@ def interaction_report(
         )
     corner_pairs = square_corner_pairs(X)
     osculations: dict[tuple[str, ...], tuple[str, str, str]] = {}
-    pair_first_vertex: dict[tuple[str, str], str] = {}
+    bigon_lower = _bigon_lower_ends(X)
     bigons: list[list[str]] = []
     for e, f, v in iter_osculations(X, corner_pairs, core):
         ce, cf = H.class_of[e], H.class_of[f]
         pair = _class_pair(ce, cf)
         osculations.setdefault(pair, (e, f, v))
-        seen_at = pair_first_vertex.setdefault((e, f), v)
-        if seen_at != v:
-            bigons.append([e, f, seen_at, v])
+        lower = bigon_lower.get((e, f))
+        if lower is not None and lower != v:
+            bigons.append([e, f, lower, v])
         if ce == cf:
             violations["self_osc"].append(
                 {"class": ce, "edges": [e, f], "vertex": v}

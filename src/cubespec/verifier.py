@@ -723,11 +723,14 @@ def cross_validate(
     crossing must mix cyclically adjacent types and every core
     osculation witness must classify into an enumerated configuration.
     (iii) Core violation counts must be zero exactly when all
-    certificates are empty.
+    certificates are empty; an empty certificate list raises
+    ``ValueError`` instead of passing vacuously.
     """
     X = complex_
     if not X.edge_refs:
         raise ValueError("cross validation needs a built complex with refs")
+    if not certificates:
+        raise ValueError("cross validation needs the case certificates, got none")
     H = compute_hyperplanes(X)
     h_lo, h_hi = h_min + margin, h_max - margin
     core = core_edges(X, h_lo, h_hi)

@@ -71,6 +71,35 @@ class TestBuild:
         code, _, _ = run(capsys, "build", "--m", "4")
         assert code == 2
 
+    BUILD_42 = ("build", "--m", "4", "--k", "2", "--hmin", "-3", "--hmax", "3")
+
+    def test_stamp_adds_top_level_stamp(self, tmp_path, capsys):
+        plain, stamped = tmp_path / "plain.json", tmp_path / "stamped.json"
+        assert run(capsys, *self.BUILD_42, "-o", str(plain))[0] == 0
+        assert run(capsys, *self.BUILD_42, "--stamp", "-o", str(stamped))[0] == 0
+        doc = json.loads(stamped.read_text())
+        assert list(doc)[-1] == "stamp"
+        assert doc["stamp"]["tool"].startswith("cubespec ")
+        assert "created" in doc["stamp"]
+        del doc["stamp"]
+        assert doc == json.loads(plain.read_text())
+        # check loads a stamped document like any other
+        code_plain, out_plain, _ = run(capsys, "check", str(plain), "--margin", "2", "--json")
+        code, out, _ = run(capsys, "check", str(stamped), "--margin", "2", "--json")
+        assert code == code_plain == 0
+        assert out == out_plain
+
+    def test_without_output_writes_stdout(self, capsys):
+        code, stdout, err = run(capsys, *self.BUILD_42)
+        assert code == 0
+        assert len(json.loads(stdout)["vertices"]) == 80
+        assert err.strip() == "vertices=80 edges=384 squares=320"
+
+    def test_json_flag_removed(self, capsys):
+        code, _, err = run(capsys, *self.BUILD_42, "--json")
+        assert code == 2
+        assert "--json" in err
+
 
 class TestCheck:
     def build_complex(self, tmp_path, capsys, m="4", k="2", lo="-4", hi="4"):

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 from cubespec.complex_model import (
@@ -394,7 +396,7 @@ class TestNpc:
 class TestJsonRoundTrip:
     def test_round_trip_built(self):
         X = build_quotient_complex(P42, -1, 1)
-        Y = complex_from_json(json.loads(json.dumps(complex_to_json(X))))
+        Y = complex_from_json(json.loads(complex_to_json(X)))
         assert list(Y.vertices) == list(X.vertices)
         assert list(Y.edges) == list(X.edges)
         assert list(Y.squares) == list(X.squares)
@@ -408,20 +410,20 @@ class TestJsonRoundTrip:
         assert Y.params == X.params
 
     def test_three_sided_square_rejected(self):
-        doc = complex_to_json(build_quotient_complex(P42, 0, 2))
+        doc = json.loads(complex_to_json(build_quotient_complex(P42, 0, 2)))
         doc["squares"][0]["boundary"] = doc["squares"][0]["boundary"][:3]
         with pytest.raises(ComplexFormatError, match="expected 4 sides"):
             complex_from_json(doc)
 
     def test_dangling_reference_rejected(self):
-        doc = complex_to_json(build_quotient_complex(P42, 0, 2))
+        doc = json.loads(complex_to_json(build_quotient_complex(P42, 0, 2)))
         doc["edges"][0]["tail"] = "v/9/9"
         with pytest.raises(ComplexFormatError, match="unknown vertex"):
             complex_from_json(doc)
 
     @pytest.mark.parametrize("bad", [4.5, True, "4"])
     def test_non_integer_params_rejected(self, bad):
-        doc = complex_to_json(build_quotient_complex(P42, 0, 2))
+        doc = json.loads(complex_to_json(build_quotient_complex(P42, 0, 2)))
         doc["params"]["m"] = bad
         with pytest.raises(ComplexFormatError, match=r"^params: "):
             complex_from_json(doc)
@@ -454,10 +456,119 @@ class TestJsonRoundTrip:
             complex_from_json(doc)
 
     def test_unknown_fields_preserved(self):
-        doc = complex_to_json(build_quotient_complex(P42, 0, 2))
+        doc = json.loads(complex_to_json(build_quotient_complex(P42, 0, 2)))
         doc["provenance"] = {"note": "hello"}
         doc["vertices"][0]["colour"] = "red"
         X = complex_from_json(doc)
-        out = complex_to_json(X)
+        out = json.loads(complex_to_json(X))
         assert out["provenance"] == {"note": "hello"}
         assert out["vertices"][0]["colour"] == "red"
+
+
+# ---------------------------------------------------------------------------
+# the one-pass writer against the dict it replaced
+
+
+def old_document(X: SquareComplex) -> dict:
+    """The document dict that ``complex_to_json`` used to return."""
+    doc = {
+        "params": {"m": X.params.m, "k": X.params.k} if X.params is not None else None,
+        "vertices": [
+            {"id": v.id, "height": v.height, **dict(sorted(v.extra.items()))}
+            for v in X.vertices.values()
+        ],
+        "edges": [
+            {"id": e.id, "tail": e.tail, "head": e.head, "type": e.type,
+             **dict(sorted(e.extra.items()))}
+            for e in X.edges.values()
+        ],
+        "squares": [
+            {"id": s.id, "boundary": [{"edge": eid, "dir": d} for eid, d in s.boundary],
+             **dict(sorted(s.extra.items()))}
+            for s in X.squares.values()
+        ],
+    }
+    for key in sorted(X.extra):
+        doc[key] = X.extra[key]
+    return doc
+
+
+def old_text(X: SquareComplex) -> str:
+    return json.dumps(old_document(X), indent=2) + "\n"
+
+
+TRICKY_IDS = ['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é", "日本", "\U0001f600", "\ud83d", ""]
+ids = st.one_of(st.text(max_size=6), st.sampled_from(TRICKY_IDS))
+opt_ints = st.one_of(st.none(), st.integers(-10**20, 10**20))
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), ids,
+        st.floats(allow_nan=False),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(ids, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def extras(reserved):
+    keys = ids.filter(lambda key: key not in reserved)
+    return st.dictionaries(keys, json_values, max_size=2)
+
+
+@st.composite
+def complexes(draw) -> SquareComplex:
+    """Valid hand-made complexes: squares on drawn corners, free edges after."""
+    X = SquareComplex(params=draw(st.sampled_from([None, P42, GroupParams(3, 5)])))
+    for vid in draw(st.lists(ids, max_size=5, unique=True)):
+        X.vertices[vid] = Vertex(vid, draw(opt_ints), draw(extras({"id", "height"})))
+    eids = draw(st.lists(ids, max_size=13, unique=True)) if X.vertices else []
+    n_squares = draw(st.integers(0, len(eids) // 4))
+    corners = st.sampled_from(sorted(X.vertices)) if X.vertices else st.nothing()
+    edge_extras = extras({"id", "tail", "head", "type"})
+    for sid in draw(st.lists(ids, min_size=n_squares, max_size=n_squares, unique=True)):
+        ps = [draw(corners) for _ in range(4)]
+        boundary = []
+        for n in range(4):
+            eid, d = eids.pop(), draw(st.sampled_from("+-"))
+            a, b = ps[n], ps[(n + 1) % 4]
+            tail, head = (a, b) if d == "+" else (b, a)
+            X.edges[eid] = Edge(eid, tail, head, draw(opt_ints), draw(edge_extras))
+            boundary.append((eid, d))
+        X.squares[sid] = Square(sid, tuple(boundary), draw(extras({"id", "boundary"})))
+    for eid in eids:
+        tail, head = draw(corners), draw(corners)
+        X.edges[eid] = Edge(eid, tail, head, draw(opt_ints), draw(edge_extras))
+    X.extra = draw(extras({"params", "vertices", "edges", "squares"}))
+    return X
+
+
+class TestWriter:
+    @given(complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_text_equals_old_dump_and_round_trips(self, X):
+        text = complex_to_json(X)
+        assert text == old_text(X)
+        Y = complex_from_json(json.loads(text))
+        assert list(Y.vertices.values()) == list(X.vertices.values())
+        assert list(Y.edges.values()) == list(X.edges.values())
+        assert list(Y.squares.values()) == list(X.squares.values())
+        assert (Y.params, Y.extra) == (X.params, X.extra)
+
+    def test_empty_complex(self):
+        X = SquareComplex()
+        assert complex_to_json(X) == old_text(X)
+        assert '"vertices": []' in complex_to_json(X)
+
+    def test_records_off_the_templates(self):
+        # non-int heights and types, an empty boundary, extras named like
+        # record fields or sections: json.dumps lays these out
+        X = make_complex([("a", 0), ("b", 1)], [("e", "a", "b", 1)], [])
+        X.vertices["a"].height = True
+        X.vertices["b"].height = 1.5
+        X.vertices["b"].extra = {"id": "renamed", "z": [1, {"y": None}]}
+        X.edges["e"].type = "1"
+        X.squares["s"] = Square("s", ())
+        X.extra = {"vertices": {"replaced": True}, "stamp": {"tool": "t"}, "a": []}
+        assert complex_to_json(X) == old_text(X)

@@ -1,4 +1,6 @@
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from cubespec.complex_model import (
     SquareComplex,
     Vertex,
     build_quotient_complex,
+    complex_from_json,
     validate_complex,
 )
 from cubespec.hyperplane_engine import (
@@ -23,6 +26,7 @@ from cubespec.hyperplane_engine import (
 )
 
 P42 = GroupParams(4, 2)
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
 
 
 def make_complex(vertices, edges, squares):
@@ -269,6 +273,54 @@ class TestBuiltComplexChecks:
             assert revalidate_osculation(X, e, f, v)
         for pair, sid in sorted(rep.crossings.items())[::7]:
             assert revalidate_crossing(X, H, pair[0], pair[-1], sid)
+
+
+def brute_force_bigons(X, core):
+    """[e, f, lower, higher] for distinct edges e < f with the same two
+    endpoints, both in the core, osculating at both ends; sorted by
+    (higher, e, f)."""
+    squares_of: dict[str, set] = {e: set() for e in X.edges}
+    for sid, sq in X.squares.items():
+        for eid, _ in sq.boundary:
+            squares_of[eid].add(sid)
+    by_ends: dict[frozenset, list] = {}
+    for e in X.edges.values():
+        by_ends.setdefault(frozenset((e.tail, e.head)), []).append(e.id)
+    out = []
+    for ends, edges in by_ends.items():
+        if len(ends) != 2:
+            continue
+        for e, f in itertools.combinations(sorted(edges), 2):
+            if core is not None and not (e in core and f in core):
+                continue
+            # only squares with e or f on their boundary can exempt the pair
+            local = SquareComplex(
+                X.vertices, X.edges,
+                {sid: X.squares[sid] for sid in squares_of[e] | squares_of[f]},
+            )
+            lower, higher = sorted(ends)
+            if revalidate_osculation(local, e, f, lower) and revalidate_osculation(
+                local, e, f, higher
+            ):
+                out.append([e, f, lower, higher])
+    return sorted(out, key=lambda b: (b[3], b[0], b[1]))
+
+
+class TestBigons:
+    @pytest.mark.parametrize("m, k, h", [(3, 3, 4), (4, 4, 5)])
+    @pytest.mark.parametrize("margin", [0, 2])
+    def test_built_bigons_match_brute_force(self, m, k, h, margin):
+        X = build_quotient_complex(GroupParams(m, k), -h, h)
+        core = core_edges(X, -h + margin, h - margin) if margin else None
+        rep = interaction_report(X, compute_hyperplanes(X), core=core)
+        expected = brute_force_bigons(X, core)
+        assert expected
+        assert rep.bigon_pairs == expected
+
+    def test_double_glue_fixture(self):
+        X = complex_from_json(json.loads((FIXTURES / "double_glue.json").read_text()))
+        rep = interaction_report(X, compute_hyperplanes(X))
+        assert rep.bigon_pairs == brute_force_bigons(X, None)
 
 
 class TestSerialisation:

@@ -283,6 +283,12 @@ class TestCrossValidation:
         with pytest.raises(ValueError):
             cross_validate(P42, -4, 4, 2, X, check_self_osculation_cases(P42))
 
+    def test_empty_certificate_list_rejected(self):
+        # an empty symbolic side must not pass as "all certificates empty"
+        X = build_quotient_complex(GroupParams(3, 2), -4, 4)
+        with pytest.raises(ValueError, match="certificates"):
+            cross_validate(GroupParams(3, 2), -4, 4, 2, X, [])
+
     def test_every_core_witness_classifies(self):
         from cubespec.hyperplane_engine import core_edges, iter_osculations
 
