@@ -267,17 +267,25 @@ class Coset:
         }
 
 
+def _member_exps(rep: Elem, sub: Subgroup) -> list[tuple[int, ...]]:
+    """Exponent tuples of rep * s over the subgroup, made without ``Elem``s."""
+    k = rep.params.k
+    return [tuple((a + b) % k for a, b in zip(rep.exps, s.exps)) for s in sub.elements]
+
+
 def coset(rep: Elem, sub: Subgroup) -> Coset:
     _check_params(rep.params, sub.params)
-    best = min((rep * s for s in sub.elements), key=lambda e: e.exps)
-    return Coset(best, sub)
+    return Coset(Elem(rep.params, min(_member_exps(rep, sub))), sub)
 
 
 def coset_intersection(c1: Coset, c2: Coset) -> frozenset[Elem]:
-    """Exact intersection of two cosets by exhaustive enumeration."""
+    """Exact intersection of two cosets, enumerated as exponent tuples."""
     _check_params(c1.params, c2.params)
     small, large = (c1, c2) if len(c1.sub) <= len(c2.sub) else (c2, c1)
-    return frozenset(e for e in small.elements() if e in large)
+    inside = set(_member_exps(large.rep, large.sub))
+    return frozenset(
+        Elem(c1.params, e) for e in _member_exps(small.rep, small.sub) if e in inside
+    )
 
 
 def separates(chi: Character, pairs: Sequence[tuple[Coset, Coset]]) -> bool:

@@ -248,6 +248,14 @@ def _translation(params: GroupParams, t: Elem) -> list[int]:
     return table
 
 
+def check_size_cap(params: GroupParams, size_cap: int) -> None:
+    """Raise ``SizeCapError`` when the coefficient group order exceeds the cap."""
+    if params.order > size_cap:
+        raise SizeCapError(
+            f"coefficient group order {params.order} exceeds size cap {size_cap}"
+        )
+
+
 def build_quotient_complex(
     params: GroupParams,
     h_min: int,
@@ -276,10 +284,7 @@ def build_quotient_complex(
             f"need h_max >= h_min + 2 for at least one square layer, "
             f"got [{h_min}, {h_max}]"
         )
-    if params.order > size_cap:
-        raise SizeCapError(
-            f"coefficient group order {params.order} exceeds size cap {size_cap}"
-        )
+    check_size_cap(params, size_cap)
     k = params.k
     elems = [Elem(params, exps) for exps in itertools.product(range(k), repeat=params.m)]
     index_of = {g.exps: c for c, g in enumerate(elems)}

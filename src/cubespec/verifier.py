@@ -12,7 +12,8 @@ attach the expected character of each case family, falling back to a
 full lexicographic character search when that one fails.  Emptiness is
 always decided by the enumeration itself, so parameter choices outside
 the guarantee (m = 3, composite k) yield honest non-empty certificates
-rather than errors.
+rather than errors.  Nothing is built: conditions 1 and 2 are read off
+one identity square per type and height residue.
 
 ``cross_validate`` ties this symbolic route to the geometric engine: the
 union-find classes must match the climb cosets on the core, and every
@@ -47,7 +48,7 @@ from cubespec.complex_model import (
     DEFAULT_SIZE_CAP,
     SquareComplex,
     SquareRef,
-    build_quotient_complex,
+    check_size_cap,
     square_boundary,
 )
 from cubespec.hyperplane_engine import (
@@ -83,13 +84,13 @@ class CaseCertificate:
     quantifiers: str
     left: str
     right: str
-    left_subgroup: Optional[tuple[int, ...]]
-    right_subgroup: Optional[tuple[int, ...]]
     empty: bool
-    separating_character: Optional[tuple[int, ...]]
-    named_character: Optional[tuple[int, ...]]
-    named_character_valid: Optional[bool]
     enumerated: int
+    left_subgroup: Optional[tuple[int, ...]] = None
+    right_subgroup: Optional[tuple[int, ...]] = None
+    separating_character: Optional[tuple[int, ...]] = None
+    named_character: Optional[tuple[int, ...]] = None
+    named_character_valid: Optional[bool] = None
     witnesses: tuple = ()
 
     def to_json(self) -> dict:
@@ -159,10 +160,6 @@ def _certify_family(
     )
 
 
-def _trivial_subgroup(params: GroupParams) -> Subgroup:
-    return subgroup_cyclic(identity(params))
-
-
 def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
     """Same-type edge pairs at a shared vertex: the four height cases.
 
@@ -174,7 +171,7 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
     heights, D(j+1) for the equal heights.
     """
     k = params.k
-    trivial = _trivial_subgroup(params)
+    trivial = subgroup_cyclic(identity(params))
     out = []
     for j in range(1, params.m + 1):
         stab = edge_type_stabilizer(params, j)
@@ -364,13 +361,14 @@ def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
             else unit_character(params, 2)
         )
         shapes, descs = _inter_pair_builders(params, j)
+        pairs = {t: shapes(t) for t in tuples}  # all four sub-cases at once
         for sub in (1, 2, 3, 4):
             out.append(
                 _certify_family(
                     f"interosc_{case_family}_{sub}",
                     j,
                     tuples,
-                    lambda t, sub=sub, shapes=shapes: shapes(t)[sub],
+                    lambda t, sub=sub, pairs=pairs: pairs[t][sub],
                     named,
                     quantifiers,
                     descs[sub][0],
@@ -404,60 +402,48 @@ def derive_stabilizer_from_loops(params: GroupParams, j: int) -> Subgroup:
     return subgroup_cyclic(ratio_own * ratio_other.inverse())
 
 
-def check_structural_conditions(X: SquareComplex) -> list[CaseCertificate]:
-    """Conditions 1 and 2 on a built complex, by exhaustive scan.
+def check_structural_conditions(params: GroupParams) -> list[CaseCertificate]:
+    """Conditions 1 and 2 from the square shapes, by exhaustive scan.
 
-    Condition 1: no square corner joins two edges of one type, so no
-    class can cross itself.  Condition 2: all parallelism parities are 0
-    (squares map upward edges to upward edges), so every class is
-    two-sided.  Certificates carry scan sizes and any witnesses found.
+    A built square's side types and direction flags depend only on its
+    type j and height mod k (the builder translates the identity
+    square's boundary), so the identity squares for j in [1, m] and
+    r in [0, k) decide both conditions for every truncation.
+    Condition 1: no corner joins two sides of one type, so no class can
+    cross itself.  Condition 2: opposite sides, positions (0, 2) and
+    (1, 3), carry different direction flags; ``compute_hyperplanes``
+    unites such sides at parity 0, so all parities are 0 and every class
+    is two-sided exactly when no shape fails.  Witnesses are
+    (j, r, position, position) tuples.
     """
-    corner_witnesses = []
-    corners = 0
-    for sid in sorted(X.squares):
-        b = X.squares[sid].boundary
-        for n in range(4):
-            e1, e2 = b[n][0], b[(n + 1) % 4][0]
-            t1, t2 = X.edges[e1].type, X.edges[e2].type
-            corners += 1
-            if t1 is not None and t1 == t2:
-                corner_witnesses.append((sid, n, e1, e2))
-    cond1 = CaseCertificate(
-        case_id="cond1_corner_types",
-        j="all",
-        quantifiers=f"all {corners} square corners",
-        left="corner edge types",
-        right="must differ",
-        left_subgroup=None,
-        right_subgroup=None,
-        empty=not corner_witnesses,
-        separating_character=None,
-        named_character=None,
-        named_character_valid=None,
-        enumerated=corners,
-        witnesses=tuple(corner_witnesses),
+    m, k = params.m, params.k
+    corners, flags = [], []
+    for j in range(1, m + 1):
+        for r in range(k):
+            sides = square_boundary(SquareRef(r, j, identity(params)))
+            for n in range(4):
+                if sides[n][0].type_j == sides[(n + 1) % 4][0].type_j:
+                    corners.append((j, r, n, (n + 1) % 4))
+            for a, b in ((0, 2), (1, 3)):
+                if sides[a][1] == sides[b][1]:
+                    flags.append((j, r, a, b))
+    scans = (
+        ("cond1_corner_types", "corner n in [0,4)", 4, "corner side types", corners),
+        ("cond2_orientation", "opposite pair (0,2) or (1,3)", 2, "opposite side flags", flags),
     )
-    H = compute_hyperplanes(X)
-    parity_witnesses = tuple(
-        (e,) for e, p in sorted(H.parity.items()) if p != 0
-    )[:16]
-    one_sided_witnesses = tuple((c,) for c in sorted(H.one_sided))
-    cond2 = CaseCertificate(
-        case_id="cond2_orientation",
-        j="all",
-        quantifiers=f"all {len(H.parity)} edges",
-        left="parallelism parities",
-        right="must all be 0",
-        left_subgroup=None,
-        right_subgroup=None,
-        empty=not parity_witnesses and not one_sided_witnesses,
-        separating_character=None,
-        named_character=None,
-        named_character_valid=None,
-        enumerated=len(H.parity),
-        witnesses=one_sided_witnesses + parity_witnesses,
-    )
-    return [cond1, cond2]
+    return [
+        CaseCertificate(
+            case_id=case_id,
+            j="all",
+            quantifiers=f"j in [1,m]; r in [0,k); {where}",
+            left=left,
+            right="must differ",
+            empty=not witnesses,
+            enumerated=per_square * m * k,
+            witnesses=tuple(witnesses),
+        )
+        for case_id, where, per_square, left, witnesses in scans
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +495,12 @@ class VerifyReport:
 
 
 def verify_all(params: GroupParams, size_cap: int = DEFAULT_SIZE_CAP) -> VerifyReport:
-    """Run every check for one parameter pair.
+    """Run every check for one parameter pair, without building a complex.
 
-    The structural scan needs a built truncation: the span [-(k+1), k+1],
-    which contains every residue layer, is built under ``size_cap``.
+    ``size_cap`` bounds the coefficient group order as it bounds a build:
+    a larger order raises ``SizeCapError``.
     """
+    check_size_cap(params, size_cap)
     stab_checks = []
     for j in range(1, params.m + 1):
         derived = derive_stabilizer_from_loops(params, j)
@@ -526,9 +513,8 @@ def verify_all(params: GroupParams, size_cap: int = DEFAULT_SIZE_CAP) -> VerifyR
                 derived.elements == expected.elements,
             )
         )
-    X = build_quotient_complex(params, -(params.k + 1), params.k + 1, size_cap=size_cap)
     certificates = (
-        check_structural_conditions(X)
+        check_structural_conditions(params)
         + check_self_osculation_cases(params)
         + check_inter_osculation_cases(params)
     )

@@ -164,10 +164,14 @@ def test_criterion_7_negative_controls():
 def test_criterion_8_structural_conditions(acceptance_builds):
     with criterion(8, "corner types differ and all parities are zero"):
         for m, k in ACCEPTANCE_PAIRS:
-            X = acceptance_builds[(m, k)]
-            cond1, cond2 = check_structural_conditions(X)
+            cond1, cond2 = check_structural_conditions(GroupParams(m, k))
             assert cond1.empty and cond1.witnesses == (), (m, k)
             assert cond2.empty and cond2.witnesses == (), (m, k)
+            # the built complex itself: every corner, every parity
+            X = acceptance_builds[(m, k)]
+            for sid, sq in X.squares.items():
+                types = [X.edges[e].type for e, _ in sq.boundary]
+                assert all(types[n] != types[n - 1] for n in range(4)), (m, k, sid)
             H = compute_hyperplanes(X)
             assert set(H.parity.values()) == {0}, (m, k)
             assert H.one_sided == frozenset(), (m, k)

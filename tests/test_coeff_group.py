@@ -241,6 +241,36 @@ class TestCosets:
                 assert coset_intersection(c1, c2) == brute
 
 
+def reference_subgroups(params):
+    """The trivial group, the edge stabilisers and the vertex stabilisers."""
+    return st.sampled_from(
+        [subgroup_cyclic(identity(params))]
+        + [edge_type_stabilizer(params, j) for j in range(1, params.m + 1)]
+        + [vertex_stabilizer(params, i) for i in range(1, params.k)]
+    )
+
+
+reference_coset_args = st.sampled_from(
+    [GroupParams(4, 2), GroupParams(4, 3), GroupParams(3, 4), GroupParams(5, 2)]
+).flatmap(
+    lambda p: st.tuples(elems(p), reference_subgroups(p), elems(p), reference_subgroups(p))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_coset_args)
+def test_tuple_cosets_match_elem_reference(args):
+    # from-scratch Elem arithmetic: the lex-least rep * s, and the common
+    # members of the two element sets
+    r1, s1, r2, s2 = args
+    c1, c2 = coset(r1, s1), coset(r2, s2)
+    members1 = [r1 * s for s in s1.elements]
+    members2 = [r2 * s for s in s2.elements]
+    assert c1.rep == min(members1, key=lambda e: e.exps) and c1.sub == s1
+    assert c2.rep == min(members2, key=lambda e: e.exps) and c2.sub == s2
+    assert coset_intersection(c1, c2) == frozenset(members1) & frozenset(members2)
+
+
 def brute_force_separator(pairs):
     """First dual in lex order whose character is constant on each coset of
     every pair, with different constants on its two sides."""

@@ -5,9 +5,20 @@ The hashes pin the byte-identical JSON that ``build``, ``check``,
 one of them changes the output contract and must say why.  (3, 3) lies
 outside the guarantee regime and locks the findings: its ``check`` has
 5,346 ``inter_osc`` violations and 324 bigon pairs.
+
+The ``verify`` and ``cross_validate`` hashes moved once, deliberately,
+when ``verify`` stopped building a truncation: the two structural
+certificates, ``cond1_corner_types`` and ``cond2_orientation``, now
+state a scan of the square shapes (4mk corners and 2mk opposite pairs)
+instead of the cells of a hidden build.  ``WITHOUT_STRUCTURAL`` pins the
+rest of those documents: the hashes of each document re-dumped without
+its two ``cond*`` certificates, recorded before that change.  They prove
+every other byte, the osculation certificates, stabilisers and the
+``cross_validation`` section included, stayed the same.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -18,26 +29,26 @@ GOLDEN = {
     (3, 3): {
         "build": (0, "98f8dba167d613ab5c1294bb04b4ec2016f3193e5536a95c10469a7d6125ecc8"),
         "check": (1, "8e8412bf5ed602115a8b58f216de8a940c184139a91bbb2a86b3349bc5cfec3a"),
-        "verify": (1, "1a2eb8c4f85c9339d3a0512788a78a8c8ac45381ba7726d31f9c7884a3b33299"),
-        "cross_validate": (1, "a90a03ab707037e25e1af1cceea2d3b009cb46a88792576998fb8ac117b9679a"),
+        "verify": (1, "db6eacdec87649b4074be587ab6acca48c0e2109e47f62c78606d981f6769e57"),
+        "cross_validate": (1, "af84dd9d9a08e0e9dcabe14c38ceb6f92ccaa7c4b646fc4c3a7a5f23a2ae6a6c"),
     },
     (4, 2): {
         "build": (0, "f9802b24bbe650ab9134358d8cf2d2d1ecdaa22821f12663a9e720011a2acfdb"),
         "check": (0, "b5d96a892647bac3629b5caeab85b8fcdfab33c0cffda389d0eab013876558ec"),
-        "verify": (0, "777b7edd3256dfc66a6759a18e05c4a4e0944be6389a072507743d587f290a70"),
-        "cross_validate": (0, "76ccf2a796c633aabf326355e84260bbe84336a3edba4b4bd0632913276b9eef"),
+        "verify": (0, "728b3d08222d70f7d5c88741f7704314852a5ced5da142507723054b408b6c9a"),
+        "cross_validate": (0, "8dc09240a0950a649ed10e06297166059815ace1add18539221d34e58142041e"),
     },
     (4, 3): {
         "build": (0, "e6567cb4d5bb6eac055a9fcb85acb6565d344ec6f21986f72422636ce6b03a5e"),
         "check": (0, "3308547c0848eabc59451d5daf52c3632631428c007114f402d8ae5aaa674e2d"),
-        "verify": (0, "1a8e775177e1690ad5538182dd55f0100a9bb752b813041b7860e664fe1bc729"),
-        "cross_validate": (0, "f644b200de8f8769bc2fbb634a0939d53b33cb60bcd01306043ff36b361be3fc"),
+        "verify": (0, "a61b884b9b30846a3e466e04c28656d068d89fa61bad36ae4fa26aa5cbf9240a"),
+        "cross_validate": (0, "b0b5e79e48c9d9e388f36edb402baeddf9349fffd0de8d3f7cfb4398635fcd16"),
     },
     (5, 2): {
         "build": (0, "44a64488744c2f26f2a080fea96c0346dcfb5cb9127eb5f50f05b97c7b2bf7b6"),
         "check": (0, "f298212418adb342c1ba0395df1e97222fbd21ccbb45efc1f9d1ea904268b832"),
-        "verify": (0, "512d72ba826868914660c97c2213fc188c0c5cf3b0a1269e71d080e7be3d7509"),
-        "cross_validate": (0, "4da093b1b89b8ae79bd3e2cf9f2f839f0327f24ba36a80c1d9adbfa2ef211365"),
+        "verify": (0, "0d926cb2a3e17d841f3aefca099f34b80f0f965735f10c126ec9ee2db6f2e507"),
+        "cross_validate": (0, "4bd108bd176f742b4b07b8bd38fe5bc93ea473b569812ae8b6c035e251e9b13f"),
     },
 }
 
@@ -54,19 +65,76 @@ def _commands(m: int, k: int, doc: str) -> dict[str, list[str]]:
     }
 
 
-def documents(m: int, k: int, workdir) -> dict[str, tuple[int, str]]:
+# (m, k) -> command -> (exit code, sha256 of the document without cond*)
+WITHOUT_STRUCTURAL = {
+    (3, 3): {
+        "verify": (1, "7fcd062c28f524d5bdb7052d0e05e7ce10bab1d724ad20e85f13d38d2a17bbb6"),
+        "cross_validate": (1, "77356f9f489e42a384a6cd2b09c6520485c044a024a48678ce124cd84e12ae06"),
+    },
+    (4, 2): {
+        "verify": (0, "ea4d52e8972183dde9ed03e13f9b40700dd6cde2a142abf87631ea9c3824b173"),
+        "cross_validate": (0, "5745cd646d56770965f8cb5ed9991b5aeedc69c8c3e09af1b52acdbaabb7efc2"),
+    },
+    (4, 3): {
+        "verify": (0, "12f9aecf63cfd374ab52d2a2d0dd1318d7081ca1805c01bf8919a7f966891ef9"),
+        "cross_validate": (0, "1af65ee977a1797781e40e9bca1b9518fa07def71de505a56e3be73723762e37"),
+    },
+    (5, 2): {
+        "verify": (0, "b35230b636802a0cef6bb3e0e38b53fbea7bd39985a70fd98d9d1c2f5c75b86a"),
+        "cross_validate": (0, "cf97cb74108e98ef0484cacc114f09940f1c231d06dc43adddbd7015c223236d"),
+    },
+}
+
+
+def documents(m: int, k: int, workdir) -> dict[str, tuple[int, bytes]]:
+    """Exit code and document bytes of each of the four commands."""
     doc = str(workdir / f"x{m}{k}.json")
     out = {}
     for name, argv in _commands(m, k, doc).items():
         path = doc if name == "build" else str(workdir / f"{name}{m}{k}.json")
         code = main([*argv, "-o", path])
         with open(path, "rb") as fh:
-            out[name] = (code, hashlib.sha256(fh.read()).hexdigest())
+            out[name] = (code, fh.read())
     return out
 
 
+def without_structural(body: bytes) -> bytes:
+    """The document re-dumped without its cond1/cond2 certificates."""
+    doc = json.loads(body)
+    doc["certificates"] = [
+        c for c in doc["certificates"] if not c["case_id"].startswith("cond")
+    ]
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def _sha256(body: bytes) -> str:
+    return hashlib.sha256(body).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    """The documents per pair, made once for both tables."""
+    cache = {}
+
+    def get(pair):
+        if pair not in cache:
+            cache[pair] = documents(*pair, tmp_path_factory.mktemp("golden"))
+        return cache[pair]
+
+    return get
+
+
 @pytest.mark.parametrize("pair", sorted(GOLDEN))
-def test_documents_match_golden_hashes(pair, tmp_path, capsys):
-    got = documents(*pair, tmp_path)
-    capsys.readouterr()
+def test_documents_match_golden_hashes(pair, produced):
+    got = {name: (code, _sha256(body)) for name, (code, body) in produced(pair).items()}
     assert got == GOLDEN[pair]
+
+
+@pytest.mark.parametrize("pair", sorted(WITHOUT_STRUCTURAL))
+def test_documents_outside_structural_certificates_unchanged(pair, produced):
+    docs = produced(pair)
+    got = {
+        name: (docs[name][0], _sha256(without_structural(docs[name][1])))
+        for name in WITHOUT_STRUCTURAL[pair]
+    }
+    assert got == WITHOUT_STRUCTURAL[pair]

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from cubespec import verifier
 from cubespec.coeff_group import (
     Character,
     Elem,
@@ -15,13 +17,13 @@ from cubespec.coeff_group import (
     unit_character,
 )
 from cubespec.complex_model import (
-    Edge,
-    Square,
     SquareComplex,
+    SquareRef,
     Vertex,
     build_quotient_complex,
-    validate_complex,
+    square_boundary,
 )
+from cubespec.hyperplane_engine import compute_hyperplanes
 from cubespec.verifier import (
     INTER_OSC_CASES,
     SELF_OSC_CASES,
@@ -193,29 +195,55 @@ class TestSoundnessSpotCheck:
 class TestStructuralConditions:
     def test_built_complexes_pass(self):
         for params in (P42, GroupParams(5, 3)):
-            X = build_quotient_complex(params, -2, 2)
-            cond1, cond2 = check_structural_conditions(X)
+            cond1, cond2 = check_structural_conditions(params)
             assert cond1.case_id == "cond1_corner_types" and cond1.empty
             assert cond2.case_id == "cond2_orientation" and cond2.empty
+            assert cond1.enumerated == 4 * params.m * params.k
+            assert cond2.enumerated == 2 * params.m * params.k
+            # and the union-find on a build agrees
+            H = compute_hyperplanes(build_quotient_complex(params, -2, 2))
+            assert set(H.parity.values()) == {0} and H.one_sided == frozenset()
 
-    def test_same_type_corner_detected(self):
-        X = SquareComplex()
-        for vid in "ABCD":
-            X.vertices[vid] = Vertex(vid)
-        for eid, tail, head, t in [
-            ("a", "A", "B", 1),
-            ("b", "B", "C", 1),
-            ("c", "D", "C", 1),
-            ("d", "A", "D", 2),
-        ]:
-            X.edges[eid] = Edge(eid, tail, head, type=t)
-        X.squares["S"] = Square(
-            "S", (("a", "+"), ("b", "+"), ("c", "-"), ("d", "-"))
-        )
-        validate_complex(X)
-        cond1, _ = check_structural_conditions(X)
-        assert not cond1.empty
-        assert ("S", 0, "a", "b") in cond1.witnesses
+    @pytest.mark.parametrize("m,k", [(3, 3), (4, 2), (4, 4), (5, 3)])
+    def test_shapes_match_built_squares(self, m, k):
+        # every built square has the side types and direction flags of its
+        # (type, height mod k) identity square, the one the shape scan reads
+        params = GroupParams(m, k)
+        shapes = {
+            (j, r): tuple(
+                (er.type_j, d)
+                for er, d in square_boundary(SquareRef(r, j, identity(params)))
+            )
+            for j in range(1, m + 1)
+            for r in range(k)
+        }
+        X = build_quotient_complex(params, -(k + 1), k + 1)
+        seen = set()
+        for sid, ref in X.square_refs.items():
+            built = tuple((X.edges[e].type, d) for e, d in X.squares[sid].boundary)
+            assert built == shapes[ref.type_j, ref.height % k], sid
+            seen.add((ref.type_j, ref.height % k))
+        assert seen == set(shapes)
+
+    def test_bad_shape_detected(self, monkeypatch):
+        # one (type, residue) shape with types (2, 2, 3, 3): same-type corners
+        # at positions (0, 1) and (2, 3); flags (+, +, +, -): the opposite
+        # pair (0, 2) repeats its flag
+        real = verifier.square_boundary
+
+        def bad_boundary(ref):
+            sides = real(ref)
+            if (ref.type_j, ref.height) != (2, 1):
+                return sides
+            (br, _), (tr, _), (tl, _), (bl, _) = sides
+            tr, tl = replace(tr, type_j=2), replace(tl, type_j=3)
+            return (br, "+"), (tr, "+"), (tl, "+"), (bl, "-")
+
+        monkeypatch.setattr(verifier, "square_boundary", bad_boundary)
+        cond1, cond2 = check_structural_conditions(P42)
+        assert not cond1.empty and cond1.witnesses == ((2, 1, 0, 1), (2, 1, 2, 3))
+        assert not cond2.empty and cond2.witnesses == ((2, 1, 0, 2),)
+        assert not verify_all(P42).all_empty
 
 
 class TestVerifyAll:
