@@ -51,6 +51,10 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# a build lacks the squares past its two end layers, and the osculations
+# that this leaves unexempted touch only edges within 1 height of an end
+BUILT_MARGIN = 2
+
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
@@ -119,22 +123,26 @@ def cmd_check(args) -> int:
             raise ComplexFormatError(f"invalid JSON: {exc}") from exc
     X = complex_from_json(doc)
     del doc  # X shares its strings; the record dicts can go
+    heights = [v.height for v in X.vertices.values()]
+    margin = args.margin
+    if margin is None:
+        built = X.params is not None and heights and None not in heights
+        margin = BUILT_MARGIN if built else 0
     npc = check_npc(X)
     H = compute_hyperplanes(X)
     core = None
     span = None
-    if args.margin:
-        heights = [v.height for v in X.vertices.values()]
-        if any(h is None for h in heights):
+    if margin:
+        if None in heights:
             raise ComplexFormatError(
                 "vertices: --margin needs height metadata on every vertex"
             )
         lo, hi = min(heights), max(heights)
-        span = (lo + args.margin, hi - args.margin)
+        span = (lo + margin, hi - margin)
         core = core_edges(X, *span)
         if not core:
             raise ValueError(
-                f"--margin {args.margin} leaves no core edges in heights [{lo}, {hi}]"
+                f"--margin {margin} leaves no core edges in heights [{lo}, {hi}]"
             )
     report = interaction_report(X, H, core=core, core_span=span)
     out = {"npc": npc.to_json()}
@@ -158,7 +166,7 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     params = _params(args)
     size_cap = _size_cap(args)
-    margin = args.margin if args.margin is not None else 0
+    margin = args.margin if args.margin is not None else BUILT_MARGIN
     if not args.cross_validate:
         for flag in ("hmin", "hmax", "margin"):
             if getattr(args, flag) is not None:
@@ -176,7 +184,7 @@ def cmd_verify(args) -> int:
     ok = report.all_empty
     if args.cross_validate:
         X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
-        cv = cross_validate(params, args.hmin, args.hmax, margin, X, report.certificates)
+        cv = cross_validate(X, margin, report.certificates)
         doc["cross_validation"] = cv.to_json()
         ok = ok and cv.agreement
     _emit(doc, args)
@@ -327,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--margin",
         type=_margin,
-        default=0,
-        help="restrict witnesses to heights this far from the truncation boundary",
+        help="restrict witnesses to heights this far from the truncation boundary "
+        f"(default {BUILT_MARGIN} for a built document, with params and a height "
+        "on every vertex; 0 otherwise)",
     )
     c.add_argument("--dot", help="also write the interaction graph in DOT format")
     _add_common_output(c)
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--margin",
         type=_margin,
-        help="core margin of the cross-validation (default 0)",
+        help=f"core margin of the cross-validation (default {BUILT_MARGIN})",
     )
     v.add_argument("--cap", type=int)
     _add_common_output(v)

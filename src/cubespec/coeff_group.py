@@ -234,11 +234,6 @@ def edge_type_stabilizer(params: GroupParams, j: int) -> Subgroup:
     return subgroup_cyclic(unit(params, j - 1) * unit(params, j))
 
 
-def vertex_stabilizer(params: GroupParams, i: int) -> Subgroup:
-    """Stabiliser of a height-i vertex: generated by the constant vector i."""
-    return subgroup_cyclic(constant(params, i))
-
-
 @dataclass(frozen=True)
 class Coset:
     """Coset rep * sub with rep normalised to the lex-smallest member.

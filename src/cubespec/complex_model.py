@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _enc
-from typing import Optional
+from typing import Iterable, Optional
 
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 
@@ -116,22 +116,6 @@ def square_boundary(ref: SquareRef) -> tuple[tuple[EdgeRef, str], ...]:
     return ((br, "+"), (tr, "+"), (tl, "-"), (bl, "-"))
 
 
-def _exps_str(e: Elem) -> str:
-    return ",".join(str(x) for x in e.exps)
-
-
-def vertex_id(ref: VertexRef) -> str:
-    return f"v/{ref.height}/{_exps_str(ref.coeff)}"
-
-
-def edge_id(ref: EdgeRef) -> str:
-    return f"e/{ref.height}/{ref.type_j}/{_exps_str(ref.coeff)}"
-
-
-def square_id(ref: SquareRef) -> str:
-    return f"s/{ref.height}/{ref.type_j}/{_exps_str(ref.coeff)}"
-
-
 # ---------------------------------------------------------------------------
 # generic complex
 
@@ -161,14 +145,20 @@ class Square:
 
 @dataclass
 class SquareComplex:
+    """Cells keyed by id, the group parameters and unknown top-level fields.
+
+    A built complex is no different from one loaded from its document:
+    ``params`` is set, every vertex has a height and every edge a type,
+    and the ids are the only naming of a built cell.  ``parse_edge_ids``
+    reads an edge's ref back from its id.  Hand-made complexes have
+    ``params`` None.
+    """
+
     vertices: dict[str, Vertex] = field(default_factory=dict)
     edges: dict[str, Edge] = field(default_factory=dict)
     squares: dict[str, Square] = field(default_factory=dict)
     params: Optional[GroupParams] = None
     extra: dict = field(default_factory=dict)
-    # builder annotations; absent for loaded or hand-made complexes
-    edge_refs: dict[str, EdgeRef] = field(default_factory=dict)
-    square_refs: dict[str, SquareRef] = field(default_factory=dict)
 
     def edge_top_height(self, eid: str) -> int:
         e = self.edges[eid]
@@ -274,7 +264,7 @@ def build_quotient_complex(
     the faces of the identity cell translated by g.  So the faces of the
     identity cells are read off ``edge_endpoints`` and ``square_boundary``
     once per (height, type), each translation becomes an index table, and
-    the per-cell loops only look up shared ids and ``Elem`` objects.
+    the per-cell loops only look up shared ids.
     Reduction modulo a vertex stabiliser commutes with translation, so
     vertex faces go through ``canonical_vertex`` only once per
     coefficient and height residue mod k, which fixes the stabiliser.
@@ -288,7 +278,7 @@ def build_quotient_complex(
     k = params.k
     elems = [Elem(params, exps) for exps in itertools.product(range(k), repeat=params.m)]
     index_of = {g.exps: c for c, g in enumerate(elems)}
-    exps_strs = [_exps_str(g) for g in elems]
+    exps_strs = [",".join(map(str, g.exps)) for g in elems]
     one = identity(params)
     tables: dict[tuple[int, ...], list[int]] = {}
 
@@ -318,21 +308,54 @@ def build_quotient_complex(
             tail, head = edge_endpoints(EdgeRef(i, j, one))
             tails = [vertex_ids[tail.height][x] for x in table(tail.coeff)]
             heads = [vertex_ids[head.height][x] for x in table(head.coeff)]
-            for eid, t, h, g in zip(eids, tails, heads, elems):
+            for eid, t, h in zip(eids, tails, heads):
                 X.edges[eid] = Edge(eid, t, h, type=j)
-                X.edge_refs[eid] = EdgeRef(i, j, g)
     for i in range(h_min + 1, h_max):
         for j in range(1, params.m + 1):
             sides = [
                 [(edge_ids[er.height, er.type_j][x], d) for x in table(er.coeff)]
                 for er, d in square_boundary(SquareRef(i, j, one))
             ]
-            for s, g, boundary in zip(exps_strs, elems, zip(*sides)):
+            for s, boundary in zip(exps_strs, zip(*sides)):
                 sid = f"s/{i}/{j}/{s}"
                 X.squares[sid] = Square(sid, boundary)
-                X.square_refs[sid] = SquareRef(i, j, g)
     validate_complex(X)
     return X
+
+
+def parse_edge_ids(X: SquareComplex, eids: Iterable[str]) -> dict[str, EdgeRef]:
+    """Refs of built edges, read back from their ids ``e/<height>/<type>/<exps>``.
+
+    Raises ``ValueError`` naming the id when it does not parse, is not
+    written as the builder writes it, has a type or exponents out of
+    range for ``X.params``, or is not a stored edge with that type and
+    its head at that height.  Equal exponents share one ``Elem``.
+    """
+    params = X.params
+    if params is None:
+        raise ValueError("edge ids name refs only in a built complex; params is null")
+    m, k = params.m, params.k
+    coeffs: dict[str, Elem] = {}
+    refs: dict[str, EdgeRef] = {}
+    for eid in eids:
+        parts = eid.split("/")
+        g = coeffs.get(parts[-1])
+        try:
+            height, type_j = int(parts[1]), int(parts[2])
+            exps = g.exps if g is not None else tuple(map(int, parts[3].split(",")))
+        except (IndexError, ValueError):
+            raise ValueError(f"edge id {eid!r}: expected e/<height>/<type>/<exps>") from None
+        if eid != f"e/{height}/{type_j}/{','.join(map(str, exps))}":
+            raise ValueError(f"edge id {eid!r}: not written as the builder writes ids")
+        if not 1 <= type_j <= m or len(exps) != m or not all(0 <= x < k for x in exps):
+            raise ValueError(f"edge id {eid!r}: type or exponents out of range for {params}")
+        if g is None:
+            g = coeffs[parts[3]] = Elem(params, exps)
+        edge = X.edges.get(eid)
+        if edge is None or edge.type != type_j or X.vertices[edge.head].height != height:
+            raise ValueError(f"edge id {eid!r}: no stored edge of that type and head height")
+        refs[eid] = EdgeRef(height, type_j, g)
+    return refs
 
 
 # ---------------------------------------------------------------------------

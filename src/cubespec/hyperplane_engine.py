@@ -273,39 +273,6 @@ def core_edges(X: SquareComplex, h_lo: int, h_hi: int) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# witness re-validation (used by tests and negative controls)
-
-
-def revalidate_osculation(X: SquareComplex, e: str, f: str, v: str) -> bool:
-    """Re-run the osculation definition from scratch on one witness."""
-    if e == f or e not in X.edges or f not in X.edges or v not in X.vertices:
-        return False
-    ee, ef = X.edges[e], X.edges[f]
-    if v not in (ee.tail, ee.head) or v not in (ef.tail, ef.head):
-        return False
-    for s in X.squares.values():
-        b = s.boundary
-        for n in range(4):
-            pair = {b[n][0], b[(n + 1) % 4][0]}
-            if pair == {e, f}:
-                return False
-    return True
-
-
-def revalidate_crossing(
-    X: SquareComplex, H: HyperplanePartition, c1: str, c2: str, square: str
-) -> bool:
-    sides = X.squares[square].boundary
-    got = {H.class_of[sides[0][0]], H.class_of[sides[1][0]]}
-    return got == {c1, c2}
-
-
-def revalidate_one_sided(X: SquareComplex, cls: str) -> bool:
-    fresh = compute_hyperplanes(X)
-    return cls in fresh.one_sided
-
-
-# ---------------------------------------------------------------------------
 # serialisation
 
 

@@ -46,12 +46,15 @@ from cubespec.coeff_group import (
 )
 from cubespec.complex_model import (
     DEFAULT_SIZE_CAP,
+    EdgeRef,
     SquareComplex,
     SquareRef,
     check_size_cap,
+    parse_edge_ids,
     square_boundary,
 )
 from cubespec.hyperplane_engine import (
+    _class_pair,
     compute_hyperplanes,
     core_edges,
     interaction_report,
@@ -575,18 +578,20 @@ def _discrete_log(params: GroupParams, base_height: int, r: Elem) -> Optional[in
 
 
 def classify_osculation(
-    X: SquareComplex, e: str, f: str, v: str
+    X: SquareComplex, refs: dict[str, EdgeRef], e: str, f: str, v: str
 ) -> dict:
     """Map a geometric osculation witness onto an enumerated configuration.
 
-    Returns a dict with a ``case_id`` (or ``benign_nonadjacent``) and the
-    residues recovered from the two coefficients, or ``unmatched`` with a
-    reason when the witness fits no configuration.  Unmatched witnesses
-    are findings: they would mean the case split misses a source.
+    ``refs`` holds the refs of both edges, as ``parse_edge_ids`` reads
+    them off the ids of the built complex ``X``.  Returns a dict with a
+    ``case_id`` (or ``benign_nonadjacent``) and the residues recovered
+    from the two coefficients, or ``unmatched`` with a reason when the
+    witness fits no configuration.  Unmatched witnesses are findings:
+    they would mean the case split misses a source.
     """
     params = X.params
     k, m = params.k, params.m
-    re_, rf = X.edge_refs[e], X.edge_refs[f]
+    re_, rf = refs[e], refs[f]
     ee, ef = X.edges[e], X.edges[f]
     e_end = "tail" if ee.tail == v else "head"
     f_end = "tail" if ef.tail == v else "head"
@@ -691,17 +696,15 @@ def classify_osculation(
 
 
 def cross_validate(
-    params: GroupParams,
-    h_min: int,
-    h_max: int,
-    margin: int,
-    complex_: SquareComplex,
-    certificates: list[CaseCertificate],
+    X: SquareComplex, margin: int, certificates: list[CaseCertificate]
 ) -> CrossValidation:
     """Compare the geometric and symbolic routes on one truncation.
 
-    ``complex_`` is the truncation of [h_min, h_max] with builder refs,
-    and ``certificates`` are the symbolic case certificates for ``params``.
+    ``X`` is a built truncation, in memory or reloaded from its document:
+    its ``params`` give the group, its vertex heights the span, and its
+    edge ids the refs of the core edges.  The core is the edges whose top
+    height lies ``margin`` inside either end of the span.
+    ``certificates`` are the symbolic case certificates for ``X.params``.
 
     (i) On core edges, union-find classes must coincide with the climb
     cosets; classes finer than a coset are boundary artefacts and are
@@ -709,22 +712,29 @@ def cross_validate(
     crossing must mix cyclically adjacent types and every core
     osculation witness must classify into an enumerated configuration.
     (iii) Core violation counts must be zero exactly when all
-    certificates are empty; an empty certificate list raises
+    certificates are empty.  An empty certificate list, a complex
+    without ``params`` or heights, and an empty core raise
     ``ValueError`` instead of passing vacuously.
     """
-    X = complex_
-    if not X.edge_refs:
-        raise ValueError("cross validation needs a built complex with refs")
+    params = X.params
     if not certificates:
         raise ValueError("cross validation needs the case certificates, got none")
-    H = compute_hyperplanes(X)
+    heights = [v.height for v in X.vertices.values()]
+    if not heights or None in heights:
+        raise ValueError("cross validation needs a height on every vertex")
+    h_min, h_max = min(heights), max(heights)
     h_lo, h_hi = h_min + margin, h_max - margin
     core = core_edges(X, h_lo, h_hi)
+    if not core:
+        raise ValueError(
+            f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]"
+        )
+    refs = parse_edge_ids(X, core)
+    H = compute_hyperplanes(X)
 
     by_class: dict[str, set] = {}
     by_key: dict[tuple, set] = {}
-    for e in core:
-        ref = X.edge_refs[e]
+    for e, ref in refs.items():
         key = (ref.type_j, climb_coset(params, ref.type_j, ref.coeff, ref.height).rep.exps)
         by_class.setdefault(H.class_of[e], set()).add(key)
         by_key.setdefault(key, set()).add(H.class_of[e])
@@ -743,23 +753,18 @@ def cross_validate(
     case_matches: dict[str, int] = {}
     report = interaction_report(X, H, core=core, core_span=(h_lo, h_hi))
     for pair, sid in sorted(report.crossings.items()):
-        t1 = X.edge_refs[X.squares[sid].boundary[0][0]].type_j
-        t2 = X.edge_refs[X.squares[sid].boundary[1][0]].type_j
+        t1 = refs[X.squares[sid].boundary[0][0]].type_j
+        t2 = refs[X.squares[sid].boundary[1][0]].type_j
         if (t1 - t2) % params.m not in (1, params.m - 1):
             findings.append(
                 {"kind": "crossing_types", "square": sid, "types": [t1, t2]}
             )
     for e, f, v in iter_osculations(X, core=core):
-        got = classify_osculation(X, e, f, v)
+        got = classify_osculation(X, refs, e, f, v)
         if got["case_id"] == "unmatched":
             findings.append({"kind": "osculation", **got})
         elif got["case_id"] == "benign_nonadjacent":
-            pair = (
-                (H.class_of[e],)
-                if H.class_of[e] == H.class_of[f]
-                else tuple(sorted((H.class_of[e], H.class_of[f])))
-            )
-            if pair in report.crossings:
+            if _class_pair(H.class_of[e], H.class_of[f]) in report.crossings:
                 findings.append(
                     {"kind": "nonadjacent_crossing_pair", "edges": [e, f], "vertex": v}
                 )

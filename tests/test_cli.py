@@ -124,6 +124,34 @@ class TestCheck:
         assert doc["core"] == {"h_lo": -2, "h_hi": 2}
         assert "violations: self_cross=0 one_sided=0 self_osc=0 inter_osc=0" in stdout
 
+    def test_built_document_margin_defaults_to_two(self, tmp_path, capsys):
+        path = self.build_complex(tmp_path, capsys, k="3", lo="-3", hi="3")
+        code, stdout, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["clean"] is True
+        assert doc["core"] == {"h_lo": -1, "h_hi": 1}
+        # margin 0 reports the truncation-boundary artefacts as findings
+        code, stdout, _ = run(capsys, "check", str(path), "--margin", "0", "--json")
+        assert code == 1
+        doc = json.loads(stdout)
+        assert len(doc["violations"]["inter_osc"]) == 648
+        assert "core" not in doc
+        # without params the document counts as hand-made and keeps margin 0
+        raw = json.loads(path.read_text())
+        raw["params"] = None
+        path.write_text(json.dumps(raw))
+        code, stdout, _ = run(capsys, "check", str(path), "--json")
+        assert code == 1
+        assert "core" not in json.loads(stdout)
+
+    def test_default_margin_needs_room(self, tmp_path, capsys):
+        path = self.build_complex(tmp_path, capsys, lo="0", hi="2")
+        code, stdout, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "--margin 2" in err
+        assert "violations" not in stdout
+
     def test_klein_bottle_fixture(self, capsys, tmp_path):
         report = tmp_path / "report.json"
         code, stdout, _ = run(
@@ -254,15 +282,27 @@ class TestVerify:
         assert stdout == ""
         assert f"{flags[0]} only applies with --cross-validate" in err
 
-    def test_cross_validate_margin_defaults_to_zero(self, capsys):
-        code, stdout, _ = run(
-            capsys,
-            "verify", "--m", "4", "--k", "2", "--cross-validate",
-            "--hmin", "-3", "--hmax", "3", "--json",
-        )
-        # margin 0 keeps the truncation-boundary artefacts in the core
+    def test_cross_validate_margin_defaults_to_two(self, capsys):
+        argv = ("verify", "--m", "4", "--k", "2", "--cross-validate",
+                "--hmin", "-3", "--hmax", "3", "--json")
+        code, stdout, _ = run(capsys, *argv)
+        # margin 2 leaves out the truncation-boundary artefacts
+        assert code == 0
+        assert json.loads(stdout)["cross_validation"]["margin"] == 2
+        # margin 0 keeps them in the core
+        code, stdout, _ = run(capsys, *argv, "--margin", "0")
         assert code == 1
         assert json.loads(stdout)["cross_validation"]["margin"] == 0
+
+    def test_cross_validate_default_margin_needs_room(self, capsys):
+        code, stdout, err = run(
+            capsys,
+            "verify", "--m", "4", "--k", "2", "--cross-validate",
+            "--hmin", "-1", "--hmax", "2", "--json",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "--margin 2" in err
 
     def test_cross_validate_needs_span(self, capsys):
         code, _, err = run(

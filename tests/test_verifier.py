@@ -21,6 +21,9 @@ from cubespec.complex_model import (
     SquareRef,
     Vertex,
     build_quotient_complex,
+    complex_from_json,
+    complex_to_json,
+    parse_edge_ids,
     square_boundary,
 )
 from cubespec.hyperplane_engine import compute_hyperplanes
@@ -35,6 +38,8 @@ from cubespec.verifier import (
     derive_stabilizer_from_loops,
     verify_all,
 )
+
+from reference_impl import built_square_refs
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
@@ -219,7 +224,7 @@ class TestStructuralConditions:
         }
         X = build_quotient_complex(params, -(k + 1), k + 1)
         seen = set()
-        for sid, ref in X.square_refs.items():
+        for sid, ref in built_square_refs(X).items():
             built = tuple((X.edges[e].type, d) for e, d in X.squares[sid].boundary)
             assert built == shapes[ref.type_j, ref.height % k], sid
             seen.add((ref.type_j, ref.height % k))
@@ -269,7 +274,7 @@ class TestVerifyAll:
 def run_cross_validation(params, h_min, h_max, margin):
     X = build_quotient_complex(params, h_min, h_max)
     certificates = check_self_osculation_cases(params) + check_inter_osculation_cases(params)
-    return cross_validate(params, h_min, h_max, margin, X, certificates)
+    return cross_validate(X, margin, certificates)
 
 
 class TestCrossValidation:
@@ -296,7 +301,7 @@ class TestCrossValidation:
     def test_reuses_prebuilt_complex(self):
         X = build_quotient_complex(P42, -4, 4)
         certificates = verify_all(P42).certificates
-        cv = cross_validate(P42, -4, 4, 2, X, certificates)
+        cv = cross_validate(X, 2, certificates)
         assert cv.agreement
         assert cv.certificates_empty
 
@@ -309,19 +314,36 @@ class TestCrossValidation:
         X = SquareComplex()
         X.vertices["v"] = Vertex("v")
         with pytest.raises(ValueError):
-            cross_validate(P42, -4, 4, 2, X, check_self_osculation_cases(P42))
+            cross_validate(X, 2, check_self_osculation_cases(P42))
 
     def test_empty_certificate_list_rejected(self):
         # an empty symbolic side must not pass as "all certificates empty"
         X = build_quotient_complex(GroupParams(3, 2), -4, 4)
         with pytest.raises(ValueError, match="certificates"):
-            cross_validate(GroupParams(3, 2), -4, 4, 2, X, [])
+            cross_validate(X, 2, [])
 
     def test_every_core_witness_classifies(self):
         from cubespec.hyperplane_engine import core_edges, iter_osculations
 
         X = build_quotient_complex(P43, -5, 5)
         core = core_edges(X, -2, 2)
+        refs = parse_edge_ids(X, core)
         for e, f, v in iter_osculations(X, core=core):
-            got = classify_osculation(X, e, f, v)
+            got = classify_osculation(X, refs, e, f, v)
             assert got["case_id"] != "unmatched", (e, f, v, got)
+
+    @pytest.mark.parametrize("m, k, span", [(4, 2, 6), (3, 3, 8)])
+    def test_reloaded_document_cross_validates_like_the_build(self, m, k, span):
+        # the edge ids carry everything cross-validation reads off a build
+        params = GroupParams(m, k)
+        X = build_quotient_complex(params, -span, span)
+        Y = complex_from_json(json.loads(complex_to_json(X)))
+        certificates = verify_all(params).certificates
+        want = cross_validate(X, 2, certificates).to_json()
+        assert cross_validate(Y, 2, certificates).to_json() == want
+        assert want["span"] == [-span, span] and want["core_edge_count"] > 0
+
+    def test_margin_without_core_rejected(self):
+        X = build_quotient_complex(P42, -3, 3)
+        with pytest.raises(ValueError, match="margin 4"):
+            cross_validate(X, 4, verify_all(P42).certificates)
