@@ -32,8 +32,10 @@ from cubespec.complex_model import (
     SpanError,
     build_quotient_complex,
     check_npc,
+    check_size_cap,
     complex_from_json,
     complex_to_json,
+    validate_complex,
 )
 from cubespec.hyperplane_engine import (
     compute_hyperplanes,
@@ -78,7 +80,8 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _size_cap(args) -> int:
+def _size_cap(args, default: Optional[int]) -> Optional[int]:
+    """``--cap``, else ``$CUBESPEC_SIZE_CAP``, else ``default``."""
     if args.cap is not None:
         return args.cap
     env = os.environ.get(SIZE_CAP_ENV)
@@ -87,7 +90,7 @@ def _size_cap(args) -> int:
             return int(env)
         except ValueError as exc:
             raise ValueError(f"{SIZE_CAP_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_SIZE_CAP
+    return default
 
 
 def _params(args) -> GroupParams:
@@ -96,7 +99,8 @@ def _params(args) -> GroupParams:
 
 def cmd_build(args) -> int:
     params = _params(args)
-    X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=_size_cap(args))
+    size_cap = _size_cap(args, DEFAULT_SIZE_CAP)
+    X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
     if args.stamp:
         X.extra["stamp"] = _stamp()
     text = complex_to_json(X)
@@ -122,31 +126,31 @@ def cmd_check(args) -> int:
         except json.JSONDecodeError as exc:
             raise ComplexFormatError(f"invalid JSON: {exc}") from exc
     X = complex_from_json(doc)
-    del doc  # X shares its strings; the record dicts can go
-    heights = [v.height for v in X.vertices.values()]
+    del doc
+    ix = validate_complex(X)
+    built = X.params is not None
+    del X  # the view holds the ids; the cell records can go
+    heights = ix.height
     margin = args.margin
     if margin is None:
-        built = X.params is not None and heights and None not in heights
-        margin = BUILT_MARGIN if built else 0
-    npc = check_npc(X)
-    H = compute_hyperplanes(X)
+        margin = BUILT_MARGIN if built and heights and None not in heights else 0
     core = None
-    span = None
     if margin:
         if None in heights:
             raise ComplexFormatError(
                 "vertices: --margin needs height metadata on every vertex"
             )
         lo, hi = min(heights), max(heights)
-        span = (lo + margin, hi - margin)
-        core = core_edges(X, *span)
+        core = core_edges(ix, lo + margin, hi - margin)
         if not core:
             raise ValueError(
                 f"--margin {margin} leaves no core edges in heights [{lo}, {hi}]"
             )
-    report = interaction_report(X, H, core=core, core_span=span)
+    npc = check_npc(ix)
+    H = compute_hyperplanes(ix)
+    report = interaction_report(ix, H, core)
     out = {"npc": npc.to_json()}
-    out.update(report_to_json(H, report))
+    out.update(report_to_json(ix, H, report))
     out["clean"] = npc.passed and report.violation_count() == 0
     _emit(out, args)
     if not args.json:
@@ -159,13 +163,13 @@ def cmd_check(args) -> int:
         print(f"npc={'pass' if npc.passed else 'fail'}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_export(report))
+            fh.write(dot_export(ix, report))
     return EXIT_CLEAN if out["clean"] else EXIT_FINDINGS
 
 
 def cmd_verify(args) -> int:
     params = _params(args)
-    size_cap = _size_cap(args)
+    size_cap = _size_cap(args, None)
     margin = args.margin if args.margin is not None else BUILT_MARGIN
     if not args.cross_validate:
         for flag in ("hmin", "hmax", "margin"):
@@ -179,11 +183,13 @@ def cmd_verify(args) -> int:
                 f"--margin {margin} leaves no core in heights "
                 f"[{args.hmin}, {args.hmax}]"
             )
+        build_cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
+        check_size_cap(params, build_cap)
     report = verify_all(params, size_cap=size_cap)
     doc = report.to_json()
     ok = report.all_empty
     if args.cross_validate:
-        X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
+        X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=build_cap)
         cv = cross_validate(X, margin, report.certificates)
         doc["cross_validation"] = cv.to_json()
         ok = ok and cv.agreement
@@ -357,7 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=_margin,
         help=f"core margin of the cross-validation (default {BUILT_MARGIN})",
     )
-    v.add_argument("--cap", type=int)
+    v.add_argument(
+        "--cap",
+        type=int,
+        help=f"size cap (or ${SIZE_CAP_ENV}); unbounded by default, "
+        f"{DEFAULT_SIZE_CAP} for the fallback character search and the "
+        "cross-validation build",
+    )
     _add_common_output(v)
     v.set_defaults(fn=cmd_verify)
 

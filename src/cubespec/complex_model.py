@@ -1,12 +1,15 @@
 """Combinatorial square complexes and the quotient-complex builder.
 
 A generic square complex is a set of vertices, directed edges and
-squares whose boundaries are closed walks of four directed edges.  The
-builder materialises finite height-truncations of the quotient complex
-for parameters (m, k): one vertex orbit per height (coefficients reduced
-modulo the height's stabiliser), m free edge orbits per height and m
-free square orbits per layer, glued according to the fundamental-domain
-incidence rules.
+squares whose boundaries are closed walks of four directed edges, keyed
+by id.  ``validate_complex`` checks the incidences and returns the
+complex's integer view, a ``ComplexIndex``, on which the curvature check
+and the kernels of ``hyperplane_engine`` run.  The builder materialises
+finite height-truncations of the quotient complex for parameters
+(m, k): one vertex orbit per height (coefficients reduced modulo the
+height's stabiliser), m free edge orbits per height and m free square
+orbits per layer, glued according to the fundamental-domain incidence
+rules.
 
 Every built edge points upwards (head one height above tail).  Edge and
 square coefficients are never reduced: those cells are in free orbit,
@@ -19,9 +22,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _enc
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 
@@ -160,21 +164,6 @@ class SquareComplex:
     params: Optional[GroupParams] = None
     extra: dict = field(default_factory=dict)
 
-    def edge_top_height(self, eid: str) -> int:
-        e = self.edges[eid]
-        heights = [self.vertices[e.tail].height, self.vertices[e.head].height]
-        if any(h is None for h in heights):
-            raise ValueError(f"edge {eid}: missing height metadata on endpoints")
-        return max(heights)
-
-    def incident_edges(self) -> dict[str, list[str]]:
-        """Vertex id to sorted list of distinct incident edge ids."""
-        out: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges.values():
-            out[e.tail].add(e.id)
-            out[e.head].add(e.id)
-        return {v: sorted(es) for v, es in out.items()}
-
     def counts(self) -> dict[str, int]:
         return {
             "vertices": len(self.vertices),
@@ -183,41 +172,119 @@ class SquareComplex:
         }
 
 
-def _side_endpoints(X: SquareComplex, side: tuple[str, str]) -> tuple[str, str]:
-    """(start, end) of a boundary side when traversed along the cycle."""
-    e = X.edges[side[0]]
-    return (e.tail, e.head) if side[1] == "+" else (e.head, e.tail)
+class ComplexIndex(NamedTuple):
+    """Integer view of a complex, made by ``validate_complex``.
 
+    Vertices, edges and squares are numbered in sorted-id order, so a
+    lexicographic tie-break on ids is a comparison of indices.  An edge
+    end, a node of a vertex link, is ``2*e`` for the head of edge e and
+    ``2*e + 1`` for its tail, which keeps the order (edge id, "head" <
+    "tail").  Side n of square s is ``sides[4*s + n] = 2*e + (dir ==
+    "-")``: read as a node, that is the end of e where the side stops.
+    Ids are looked up only where a result names a cell.  The view is
+    made per call and never stored on the complex, which may change.
+    """
 
-def validate_complex(X: SquareComplex) -> None:
-    for e in X.edges.values():
-        for endpoint in (e.tail, e.head):
-            if endpoint not in X.vertices:
-                raise ComplexFormatError(
-                    f"edges[{e.id!r}]: unknown vertex {endpoint!r}"
-                )
-    for s in X.squares.values():
-        if len(s.boundary) != 4:
-            raise ComplexFormatError(
-                f"squares[{s.id!r}].boundary: expected 4 sides, got {len(s.boundary)}"
-            )
-        for n, (eid, d) in enumerate(s.boundary):
-            if eid not in X.edges:
-                raise ComplexFormatError(
-                    f"squares[{s.id!r}].boundary[{n}].edge: unknown edge {eid!r}"
-                )
-            if d not in ("+", "-"):
-                raise ComplexFormatError(
-                    f"squares[{s.id!r}].boundary[{n}].dir: expected '+' or '-', got {d!r}"
-                )
-        ends = [_side_endpoints(X, side) for side in s.boundary]
+    vertex_ids: list[str]
+    edge_ids: list[str]
+    square_ids: list[str]
+    tail: list[int]  # edge index -> vertex index
+    head: list[int]
+    sides: array  # four per square, 2*e + direction bit, held unboxed
+    height: list[Optional[int]]  # vertex index -> height
+
+    def ends(self) -> list[int]:
+        """Vertex of every edge end: head of e at ``2*e``, tail at ``2*e + 1``."""
+        out = [0] * (2 * len(self.edge_ids))
+        out[0::2] = self.head
+        out[1::2] = self.tail
+        return out
+
+    def next_sides(self) -> list[int]:
+        """``sides`` turned within each square: entry 4*s + n is side (n + 1) % 4."""
+        sides = self.sides
+        out = [0] * len(sides)
         for n in range(4):
-            here, there = ends[n][1], ends[(n + 1) % 4][0]
-            if here != there:
-                raise ComplexFormatError(
-                    f"squares[{s.id!r}].boundary: walk does not close "
-                    f"(side {n} ends at {here!r}, side {(n + 1) % 4} starts at {there!r})"
-                )
+            out[n::4] = sides[(n + 1) % 4::4]
+        return out
+
+    def node(self, x: int) -> list[str]:
+        """An edge end named as in documents: [edge id, "head" | "tail"]."""
+        return [self.edge_ids[x >> 1], "tail" if x & 1 else "head"]
+
+
+_DIR_BIT = {"+": 0, "-": 1}
+
+
+def _check_sides(s: Square, e_index: dict[str, int]) -> None:
+    """Raise on the first malformed side of a square boundary, in order."""
+    if len(s.boundary) != 4:
+        raise ComplexFormatError(
+            f"squares[{s.id!r}].boundary: expected 4 sides, got {len(s.boundary)}"
+        )
+    for n, (eid, d) in enumerate(s.boundary):
+        if e_index.get(eid) is None:
+            raise ComplexFormatError(
+                f"squares[{s.id!r}].boundary[{n}].edge: unknown edge {eid!r}"
+            )
+        if d not in ("+", "-"):
+            raise ComplexFormatError(
+                f"squares[{s.id!r}].boundary[{n}].dir: expected '+' or '-', got {d!r}"
+            )
+
+
+def validate_complex(X: SquareComplex) -> ComplexIndex:
+    """Check the incidences of a complex and return its integer view.
+
+    Every edge endpoint must be a vertex; every square boundary must have
+    four sides on known edges, each with direction '+' or '-', that walk
+    a closed loop.  Edges are checked before squares, each in insertion
+    order, and the first fault raises ``ComplexFormatError`` naming its
+    path.  The view (see ``ComplexIndex``) numbers the cells in sorted-id
+    order.
+    """
+    vertex_ids, edge_ids, square_ids = sorted(X.vertices), sorted(X.edges), sorted(X.squares)
+    v_index = {v: n for n, v in enumerate(vertex_ids)}
+    e_index = {e: n for n, e in enumerate(edge_ids)}
+    s_index = {s: n for n, s in enumerate(square_ids)}
+    tail, head = [0] * len(edge_ids), [0] * len(edge_ids)
+    for eid, e in X.edges.items():
+        t, h = v_index.get(e.tail), v_index.get(e.head)
+        if t is None or h is None:
+            raise ComplexFormatError(
+                f"edges[{e.id!r}]: unknown vertex {e.tail if t is None else e.head!r}"
+            )
+        n = e_index[eid]
+        tail[n], head[n] = t, h
+    sides = array("l", [0]) * (4 * len(square_ids))
+    heights = [X.vertices[v].height for v in vertex_ids]
+    ix = ComplexIndex(vertex_ids, edge_ids, square_ids, tail, head, sides, heights)
+    ends = ix.ends()
+    for sid, s in X.squares.items():
+        try:
+            (e0, d0), (e1, d1), (e2, d2), (e3, d3) = s.boundary
+            walk = (
+                2 * e_index[e0] + _DIR_BIT[d0],
+                2 * e_index[e1] + _DIR_BIT[d1],
+                2 * e_index[e2] + _DIR_BIT[d2],
+                2 * e_index[e3] + _DIR_BIT[d3],
+            )
+        except (ValueError, KeyError, TypeError):
+            _check_sides(s, e_index)  # raises the first fault with its path
+            raise
+        w0, w1, w2, w3 = walk
+        stops = (ends[w0], ends[w1], ends[w2], ends[w3])
+        starts = (ends[w1 ^ 1], ends[w2 ^ 1], ends[w3 ^ 1], ends[w0 ^ 1])
+        if stops != starts:
+            n = next(n for n in range(4) if stops[n] != starts[n])
+            raise ComplexFormatError(
+                f"squares[{s.id!r}].boundary: walk does not close "
+                f"(side {n} ends at {vertex_ids[stops[n]]!r}, side {(n + 1) % 4} "
+                f"starts at {vertex_ids[starts[n]]!r})"
+            )
+        at = 4 * s_index[sid]
+        sides[at], sides[at + 1], sides[at + 2], sides[at + 3] = walk
+    return ix
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +305,15 @@ def _translation(params: GroupParams, t: Elem) -> list[int]:
     return table
 
 
-def check_size_cap(params: GroupParams, size_cap: int) -> None:
-    """Raise ``SizeCapError`` when the coefficient group order exceeds the cap."""
+def check_size_cap(
+    params: GroupParams, size_cap: int, what: str = "coefficient group order"
+) -> None:
+    """Raise ``SizeCapError`` when the group order k^m exceeds the cap.
+
+    ``what`` names the work that would take k^m steps.
+    """
     if params.order > size_cap:
-        raise SizeCapError(
-            f"coefficient group order {params.order} exceeds size cap {size_cap}"
-        )
+        raise SizeCapError(f"{what} {params.order} exceeds size cap {size_cap}")
 
 
 def build_quotient_complex(
@@ -362,27 +432,20 @@ def parse_edge_ids(X: SquareComplex, eids: Iterable[str]) -> dict[str, EdgeRef]:
 # links and curvature
 
 
-LinkNode = tuple[str, str]  # (edge id, "tail" | "head"): the end at the vertex
-LinkCorner = tuple[LinkNode, LinkNode, str, int]  # (in end, out end, square, corner)
-
-
-def link_corners(X: SquareComplex) -> dict[str, list[LinkCorner]]:
-    """Square corners of every vertex link, in one pass over the squares.
+def link_corners(ix: ComplexIndex) -> list[list[int]]:
+    """Square corners of every vertex link, by vertex index.
 
     The link of v has the edge ends at v as nodes and one adjacency per
-    square corner at v, joining the end of the side that enters the
-    corner to the end of the side that leaves it.  Corners are listed in
-    sorted square order, then by corner position.
+    square corner at v.  Corner c = 4*s + n follows side n of square s:
+    it joins node ``sides[c]``, the end where side n stops, to node
+    ``next_sides()[c] ^ 1``, the end where the next side starts.  Each
+    vertex lists its corners in ascending c: sorted square order, then
+    corner position.
     """
-    corners: dict[str, list[LinkCorner]] = {v: [] for v in X.vertices}
-    for sid in sorted(X.squares):
-        b = X.squares[sid].boundary
-        for n in range(4):
-            (e_in, d_in), (e_out, d_out) = b[n], b[(n + 1) % 4]
-            node_in = (e_in, "head" if d_in == "+" else "tail")
-            node_out = (e_out, "tail" if d_out == "+" else "head")
-            shared = _side_endpoints(X, b[n])[1]
-            corners[shared].append((node_in, node_out, sid, n))
+    ends = ix.ends()
+    corners: list[list[int]] = [[] for _ in ix.vertex_ids]
+    for c, side in enumerate(ix.sides):
+        corners[ends[side]].append(c)
     return corners
 
 
@@ -395,54 +458,59 @@ class NpcReport:
         return {"passed": self.passed, "failures": self.failures}
 
 
-def check_npc(X: SquareComplex) -> NpcReport:
+def check_npc(ix: ComplexIndex) -> NpcReport:
     """Nonpositive curvature: every vertex link simple with girth >= 4.
 
     Failures are reported, never raised: self-adjacencies, repeated
-    adjacencies between the same two ends, and link triangles.
+    adjacencies between the same two ends, and link triangles.  Vertices
+    come in sorted order; within one, the first two kinds in corner
+    order, then the triangles in sorted node order.
     """
     failures: list[dict] = []
-    corners_by_vertex = link_corners(X)
-    for v in sorted(X.vertices):
-        seen: dict[tuple[LinkNode, LinkNode], str] = {}
-        neighbours: dict[LinkNode, set[LinkNode]] = {}
-        for na, nb, sid, _ in corners_by_vertex[v]:
+    sides, after = ix.sides, ix.next_sides()
+    n_nodes = 2 * len(ix.edge_ids)
+    for v, corners in enumerate(link_corners(ix)):
+        seen: dict[int, int] = {}  # packed node pair -> first square
+        neighbours: dict[int, set[int]] = {}
+        for c in corners:
+            na, nb = sides[c], after[c] ^ 1
             if na == nb:
                 failures.append(
                     {
                         "kind": "self_adjacency",
-                        "vertex": v,
-                        "node": list(na),
-                        "square": sid,
+                        "vertex": ix.vertex_ids[v],
+                        "node": ix.node(na),
+                        "square": ix.square_ids[c >> 2],
                     }
                 )
                 continue
-            key = tuple(sorted((na, nb)))
+            key = na * n_nodes + nb if na < nb else nb * n_nodes + na
             if key in seen:
+                squares = sorted({seen[key], c >> 2})
                 failures.append(
                     {
                         "kind": "double_adjacency",
-                        "vertex": v,
-                        "nodes": [list(na), list(nb)],
-                        "squares": sorted({seen[key], sid}),
+                        "vertex": ix.vertex_ids[v],
+                        "nodes": [ix.node(na), ix.node(nb)],
+                        "squares": [ix.square_ids[s] for s in squares],
                     }
                 )
             else:
-                seen[key] = sid
+                seen[key] = c >> 2
             neighbours.setdefault(na, set()).add(nb)
             neighbours.setdefault(nb, set()).add(na)
         for na in sorted(neighbours):
-            for nb in sorted(neighbours[na]):
+            around = neighbours[na]
+            for nb in sorted(around):
                 if nb <= na:
                     continue
-                common = neighbours[na] & neighbours[nb]
-                for nc in sorted(common):
+                for nc in sorted(around & neighbours[nb]):
                     if nc > nb:
                         failures.append(
                             {
                                 "kind": "triangle",
-                                "vertex": v,
-                                "nodes": [list(na), list(nb), list(nc)],
+                                "vertex": ix.vertex_ids[v],
+                                "nodes": [ix.node(na), ix.node(nb), ix.node(nc)],
                             }
                         )
     return NpcReport(not failures, failures)

@@ -1,187 +1,216 @@
 """Hyperplanes, sidedness, crossing/osculation relations, specialness report.
 
+Every kernel runs on the integer view of a complex (``ComplexIndex``),
+with cells numbered in sorted-id order, and names cells by id only in
+the violations it reports.
+
 Hyperplanes are the equivalence classes of edges under elementary
 parallelism (opposite sides of a square).  The closure is a union-find
-with an orientation parity bit: uniting two opposite sides traversed in
-the same direction along the boundary cycle flips the transverse
-orientation, so a class is one-sided exactly when some parallelism cycle
-has odd parity.
+over edge indices with an orientation parity bit (Tarjan, JACM 1975):
+uniting two opposite sides traversed in the same direction along the
+boundary cycle flips the transverse orientation, so a class is one-sided
+exactly when some parallelism cycle has odd parity.  A class is named by
+its least member edge.
 
 Osculation is evaluated on pairs of distinct edges sharing a vertex, and
 the exempting "adjacent in some square" clause is checked globally over
 all squares.  A pair of edges sharing both endpoints is flagged; each
-shared vertex counts as an independent witness.
+shared vertex counts as an independent witness.  Edge pairs and class
+pairs are packed as ``a * E + b`` with a <= b, for E edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from cubespec.complex_model import SquareComplex
+from cubespec.complex_model import ComplexIndex
 
 
 @dataclass
 class HyperplanePartition:
-    class_of: dict[str, str]  # edge id -> class id (lex-least member edge)
-    parity: dict[str, int]  # edge id -> orientation bit relative to class rep
-    one_sided: frozenset[str]
-    classes: dict[str, tuple[str, ...]]  # class id -> sorted members
-    one_sided_witness: dict[str, tuple[str, str, str]]  # class -> (e, f, square)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
+    rep: list[int]  # edge index -> its class, the least member edge
+    parity: bytearray  # edge index -> orientation bit relative to its class
+    one_sided: dict[int, tuple[int, int, int]]  # class -> (e, f, square), ascending
+    n_classes: int
 
 
-class _UnionFind:
-    """Union-find over edge ids carrying parity bits to the parent."""
-
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-        self.par = {x: 0 for x in items}
-        self.rank = {x: 0 for x in items}
-        self.conflicts: dict[str, tuple[str, str, str]] = {}
-
-    def find(self, x: str) -> tuple[str, int]:
-        chain = []
-        p = 0
-        while self.parent[x] != x:
-            chain.append((x, p))
-            p ^= self.par[x]
-            x = self.parent[x]
-        root, root_p = x, p
-        for node, seen in chain:
-            self.parent[node] = root
-            self.par[node] = root_p ^ seen
-        return root, root_p
-
-    def union(self, a: str, b: str, parity: int, witness: str) -> None:
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            if pa ^ pb != parity and ra not in self.conflicts:
-                self.conflicts[ra] = (a, b, witness)
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-            pa, pb = pb, pa
-        self.parent[rb] = ra
-        self.par[rb] = pa ^ pb ^ parity
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        if rb in self.conflicts:
-            self.conflicts.setdefault(ra, self.conflicts.pop(rb))
-
-
-def compute_hyperplanes(X: SquareComplex) -> HyperplanePartition:
+def compute_hyperplanes(ix: ComplexIndex) -> HyperplanePartition:
     """Union-find closure of elementary parallelism with orientation parity.
 
     Opposite sides are boundary positions (0, 2) and (1, 3); a pair
-    traversed with equal direction flags unites at parity 1.  Processing
-    order is sorted, so the result is deterministic, and the class id is
-    the lexicographically least member edge.
+    traversed with equal direction flags unites at parity 1.  Squares are
+    processed in sorted order with union by rank, so the result is
+    deterministic.  A one-sided class keeps the first conflicting union
+    its root saw, carried over when the root is absorbed.
     """
-    uf = _UnionFind(sorted(X.edges))
-    for sid in sorted(X.squares):
-        sides = X.squares[sid].boundary
+    n = len(ix.edge_ids)
+    parent = list(range(n))
+    par = bytearray(n)  # parity to the parent
+    rank = bytearray(n)
+    conflicts: dict[int, tuple[int, int, int]] = {}
+
+    def find(x: int) -> tuple[int, int]:
+        chain = []
+        p = 0
+        while parent[x] != x:
+            chain.append((x, p))
+            p ^= par[x]
+            x = parent[x]
+        for node, seen in chain:
+            parent[node] = x
+            par[node] = p ^ seen
+        return x, p
+
+    sides = ix.sides
+    for at in range(0, len(sides), 4):
         for i, j in ((0, 2), (1, 3)):
-            (e1, d1), (e2, d2) = sides[i], sides[j]
-            uf.union(e1, e2, 1 if d1 == d2 else 0, sid)
-    groups: dict[str, list[str]] = {}
-    parity_to_root: dict[str, int] = {}
-    for e in X.edges:
-        root, p = uf.find(e)
-        groups.setdefault(root, []).append(e)
-        parity_to_root[e] = p
-    class_of: dict[str, str] = {}
-    parity: dict[str, int] = {}
-    classes: dict[str, tuple[str, ...]] = {}
-    one_sided = set()
-    witnesses: dict[str, tuple[str, str, str]] = {}
-    for root, members in groups.items():
-        members.sort()
-        rep = members[0]
-        classes[rep] = tuple(members)
-        for e in members:
-            class_of[e] = rep
-            parity[e] = parity_to_root[e] ^ parity_to_root[rep]
-        if root in uf.conflicts:
-            one_sided.add(rep)
-            witnesses[rep] = uf.conflicts[root]
-    return HyperplanePartition(
-        class_of, parity, frozenset(one_sided), classes, witnesses
-    )
+            s1, s2 = sides[at + i], sides[at + j]
+            a, b = s1 >> 1, s2 >> 1
+            parity = 1 ^ ((s1 ^ s2) & 1)
+            ra, pa = find(a)
+            rb, pb = find(b)
+            if ra == rb:
+                if pa ^ pb != parity and ra not in conflicts:
+                    conflicts[ra] = (a, b, at >> 2)
+                continue
+            if rank[ra] < rank[rb]:
+                ra, rb = rb, ra
+                pa, pb = pb, pa
+            parent[rb] = ra
+            par[rb] = pa ^ pb ^ parity
+            if rank[ra] == rank[rb]:
+                rank[ra] += 1
+            if rb in conflicts:
+                conflicts.setdefault(ra, conflicts.pop(rb))
+    rep = [0] * n
+    parity_out = bytearray(n)
+    least = [-1] * n  # root -> least member
+    to_root = bytearray(n)
+    n_classes = 0
+    for e in range(n):
+        root, p = find(e)
+        to_root[e] = p
+        first = least[root]
+        if first < 0:
+            least[root] = first = e
+            n_classes += 1
+        rep[e] = first
+        parity_out[e] = p ^ to_root[first]
+    one_sided = dict(sorted((least[root], w) for root, w in conflicts.items()))
+    return HyperplanePartition(rep, parity_out, one_sided, n_classes)
+
+
+# ---------------------------------------------------------------------------
+# core edges
+
+
+class Core:
+    """Edges whose top height lies in ``span``, as a mask over edge indices.
+
+    Its length is the number of core edges.
+    """
+
+    def __init__(self, span: tuple[int, int], mask: bytearray):
+        self.span = span
+        self.mask = mask
+        self.size = mask.count(1)
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def core_edges(ix: ComplexIndex, h_lo: int, h_hi: int) -> Core:
+    """Edges whose top height lies in [h_lo, h_hi]; needs height metadata."""
+    height = ix.height
+    mask = bytearray(len(ix.edge_ids))
+    for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
+        ht, hh = height[t], height[h]
+        if ht is None or hh is None:
+            raise ValueError(f"edge {ix.edge_ids[e]}: missing height metadata on endpoints")
+        if h_lo <= (ht if ht > hh else hh) <= h_hi:
+            mask[e] = 1
+    return Core((h_lo, h_hi), mask)
 
 
 # ---------------------------------------------------------------------------
 # interactions
 
 
-def square_corner_pairs(X: SquareComplex) -> set[tuple[str, str]]:
-    """Unordered edge pairs adjacent at some square corner, by edge id."""
-    pairs = set()
-    for s in X.squares.values():
-        b = s.boundary
-        for n in range(4):
-            e1, e2 = b[n][0], b[(n + 1) % 4][0]
-            if e1 != e2:
-                pairs.add((e1, e2) if e1 <= e2 else (e2, e1))
-    return pairs
+def _pair(a: int, b: int, n: int) -> int:
+    """Unordered pair of indices below n, packed."""
+    return a * n + b if a <= b else b * n + a
 
 
-def _bigon_lower_ends(X: SquareComplex) -> dict[tuple[str, str], str]:
-    """Lower shared vertex of each pair of distinct edges with the same ends.
+def square_corner_pairs(ix: ComplexIndex) -> set[int]:
+    """Distinct edge pairs adjacent at some square corner, packed."""
+    n = len(ix.edge_ids)
+    return {
+        _pair(a >> 1, b >> 1, n) for a, b in zip(ix.sides, ix.next_sides()) if a >> 1 != b >> 1
+    }
 
-    Only such a pair can osculate at two vertices.  The corner exemption
-    and core membership do not depend on the vertex, so the pair
-    osculates at both of its ends or at neither.  Keys are (e, f) with
-    e < f, as ``iter_osculations`` yields them; "lower" is in the sorted
-    vertex order of its walk.
+
+def _bigon_pairs(
+    ix: ComplexIndex, corner_pairs: set[int], core: Optional[Core]
+) -> list[list[str]]:
+    """[e, f, lower, higher] for each pair of edges e < f that osculate at
+    both of their two ends, both in the core if one is given.
+
+    Only distinct edges with the same two ends can, and the corner
+    exemption and core membership do not depend on the vertex, so such
+    a pair osculates at both ends or at neither.  Sorted by (higher, e,
+    f), the order in which ``iter_osculations`` meets the higher end.
     """
-    by_ends: dict[tuple[str, str], list[str]] = {}
-    for e in X.edges.values():
-        if e.tail != e.head:
-            ends = (e.tail, e.head) if e.tail < e.head else (e.head, e.tail)
-            by_ends.setdefault(ends, []).append(e.id)
-    lower: dict[tuple[str, str], str] = {}
-    for ends, edges in by_ends.items():
-        edges.sort()
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                lower[edges[i], edges[j]] = ends[0]
-    return lower
+    n, n_v = len(ix.edge_ids), len(ix.vertex_ids)
+    parallel: dict[int, list[int]] = {}  # packed ends -> edges, ascending
+    for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
+        if t != h and (core is None or core.mask[e]):
+            parallel.setdefault(_pair(t, h, n_v), []).append(e)
+    found = []
+    for ends, edges in parallel.items():
+        lower, higher = divmod(ends, n_v)
+        for i, e in enumerate(edges):
+            for f in edges[i + 1:]:
+                if e * n + f not in corner_pairs:
+                    found.append((higher, e, f, lower))
+    found.sort()
+    eids, vids = ix.edge_ids, ix.vertex_ids
+    return [[eids[e], eids[f], vids[lo], vids[hi]] for hi, e, f, lo in found]
 
 
 def iter_osculations(
-    X: SquareComplex,
-    corner_pairs: Optional[set[tuple[str, str]]] = None,
-    core: Optional[frozenset[str]] = None,
-) -> Iterator[tuple[str, str, str]]:
-    """Yield (edge, edge, shared vertex) for every osculating pair witness.
+    ix: ComplexIndex,
+    corner_pairs: Optional[set[int]] = None,
+    core: Optional[Core] = None,
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (edge, edge, shared vertex) indices for every osculating witness.
 
     Pairs of distinct incident edges osculate unless some square contains
     them as adjacent sides.  With ``core`` given, only pairs with both
-    edges in the core are produced.  Deterministic order.
+    edges in the core are produced.  Vertices come in ascending order,
+    and at each vertex the pairs (e, f), e < f, in ascending order.
     """
     if corner_pairs is None:
-        corner_pairs = square_corner_pairs(X)
-    incident = X.incident_edges()
-    for v in sorted(X.vertices):
-        edges = incident[v]
-        if core is not None:
-            edges = [e for e in edges if e in core]
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                pair = (edges[i], edges[j])
-                if pair not in corner_pairs:
-                    yield edges[i], edges[j], v
+        corner_pairs = square_corner_pairs(ix)
+    n = len(ix.edge_ids)
+    incident: list[list[int]] = [[] for _ in ix.vertex_ids]
+    for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
+        if core is None or core.mask[e]:
+            incident[t].append(e)
+            if h != t:
+                incident[h].append(e)
+    for v, edges in enumerate(incident):
+        for i, e in enumerate(edges):
+            base = e * n
+            for f in edges[i + 1:]:
+                if base + f not in corner_pairs:
+                    yield e, f, v
 
 
 @dataclass
 class InteractionReport:
-    crossings: dict[tuple[str, ...], str]  # sorted class tuple -> witness square
-    osculations: dict[tuple[str, ...], tuple[str, str, str]]
+    crossings: dict[int, int]  # packed class pair -> first crossing square
+    osculations: dict[int, tuple[int, int, int]]  # packed class pair -> first witness
     violations: dict[str, list[dict]]
     bigon_pairs: list[list[str]]
     core: Optional[tuple[int, int]] = None
@@ -190,15 +219,8 @@ class InteractionReport:
         return sum(len(v) for v in self.violations.values())
 
 
-def _class_pair(c1: str, c2: str) -> tuple[str, ...]:
-    return (c1,) if c1 == c2 else ((c1, c2) if c1 < c2 else (c2, c1))
-
-
 def interaction_report(
-    X: SquareComplex,
-    H: HyperplanePartition,
-    core: Optional[frozenset[str]] = None,
-    core_span: Optional[tuple[int, int]] = None,
+    ix: ComplexIndex, H: HyperplanePartition, core: Optional[Core] = None
 ) -> InteractionReport:
     """Crossing and osculation relations plus the four violation lists.
 
@@ -208,78 +230,67 @@ def interaction_report(
     1), one-sided classes (2), same-class osculation (3), and class pairs
     that both cross and osculate (4).
     """
-    violations: dict[str, list[dict]] = {
-        "self_cross": [],
-        "one_sided": [],
-        "self_osc": [],
-        "inter_osc": [],
-    }
-    crossings: dict[tuple[str, ...], str] = {}
-    for sid in sorted(X.squares):
-        sides = X.squares[sid].boundary
-        if core is not None and any(e not in core for e, _ in sides):
+    n = len(ix.edge_ids)
+    eids, vids, sids = ix.edge_ids, ix.vertex_ids, ix.square_ids
+    rep = H.rep
+    mask = None if core is None else core.mask
+    self_cross: list[dict] = []
+    one_sided: list[dict] = []
+    self_osc: list[dict] = []
+    inter_osc: list[dict] = []
+    crossings: dict[int, int] = {}
+    sides = ix.sides
+    for s, (a, b, c, d) in enumerate(zip(*(sides[i::4] for i in range(4)))):
+        if mask is not None and not (mask[a >> 1] and mask[b >> 1] and mask[c >> 1] and mask[d >> 1]):
             continue
-        c1 = H.class_of[sides[0][0]]
-        c2 = H.class_of[sides[1][0]]
-        pair = _class_pair(c1, c2)
-        crossings.setdefault(pair, sid)
+        c1, c2 = rep[a >> 1], rep[b >> 1]
+        crossings.setdefault(_pair(c1, c2, n), s)
         if c1 == c2:
-            violations["self_cross"].append({"class": c1, "square": sid})
-    for cls in sorted(H.one_sided):
-        e, f, sid = H.one_sided_witness[cls]
-        if core is not None and (e not in core or f not in core):
+            self_cross.append({"class": eids[c1], "square": sids[s]})
+    for cls, (e, f, s) in H.one_sided.items():
+        if mask is not None and not (mask[e] and mask[f]):
             continue
-        violations["one_sided"].append(
-            {"class": cls, "edges": sorted({e, f}), "square": sid}
-        )
-    corner_pairs = square_corner_pairs(X)
-    osculations: dict[tuple[str, ...], tuple[str, str, str]] = {}
-    bigon_lower = _bigon_lower_ends(X)
-    bigons: list[list[str]] = []
-    for e, f, v in iter_osculations(X, corner_pairs, core):
-        ce, cf = H.class_of[e], H.class_of[f]
-        pair = _class_pair(ce, cf)
-        osculations.setdefault(pair, (e, f, v))
-        lower = bigon_lower.get((e, f))
-        if lower is not None and lower != v:
-            bigons.append([e, f, lower, v])
+        cited = [eids[x] for x in sorted({e, f})]
+        one_sided.append({"class": eids[cls], "edges": cited, "square": sids[s]})
+    corner_pairs = square_corner_pairs(ix)
+    osculations: dict[int, tuple[int, int, int]] = {}
+    for e, f, v in iter_osculations(ix, corner_pairs, core):
+        ce, cf = rep[e], rep[f]
+        pair = ce * n + cf if ce <= cf else cf * n + ce  # _pair, inlined per witness
+        if pair not in osculations:
+            osculations[pair] = (e, f, v)
         if ce == cf:
-            violations["self_osc"].append(
-                {"class": ce, "edges": [e, f], "vertex": v}
-            )
+            self_osc.append({"class": eids[ce], "edges": [eids[e], eids[f]], "vertex": vids[v]})
         elif pair in crossings:
-            violations["inter_osc"].append(
+            inter_osc.append(
                 {
-                    "classes": list(pair),
-                    "square": crossings[pair],
-                    "edges": [e, f],
-                    "vertex": v,
+                    "classes": [eids[x] for x in divmod(pair, n)],
+                    "square": sids[crossings[pair]],
+                    "edges": [eids[e], eids[f]],
+                    "vertex": vids[v],
                 }
             )
-    return InteractionReport(
-        crossings, osculations, violations, bigons, core_span
-    )
-
-
-# ---------------------------------------------------------------------------
-# core edges
-
-
-def core_edges(X: SquareComplex, h_lo: int, h_hi: int) -> frozenset[str]:
-    """Edges whose top height lies in [h_lo, h_hi]; needs height metadata."""
-    return frozenset(
-        e for e in X.edges if h_lo <= X.edge_top_height(e) <= h_hi
-    )
+    violations = {
+        "self_cross": self_cross,
+        "one_sided": one_sided,
+        "self_osc": self_osc,
+        "inter_osc": inter_osc,
+    }
+    span = None if core is None else core.span
+    bigons = _bigon_pairs(ix, corner_pairs, core)
+    return InteractionReport(crossings, osculations, violations, bigons, span)
 
 
 # ---------------------------------------------------------------------------
 # serialisation
 
 
-def report_to_json(H: HyperplanePartition, report: InteractionReport) -> dict:
+def report_to_json(
+    ix: ComplexIndex, H: HyperplanePartition, report: InteractionReport
+) -> dict:
     doc = {
         "classes": H.n_classes,
-        "one_sided": sorted(H.one_sided),
+        "one_sided": [ix.edge_ids[c] for c in H.one_sided],
         "violations": {
             key: report.violations[key]
             for key in ("self_cross", "one_sided", "self_osc", "inter_osc")
@@ -293,20 +304,16 @@ def report_to_json(H: HyperplanePartition, report: InteractionReport) -> dict:
     return doc
 
 
-def dot_export(report: InteractionReport) -> str:
+def dot_export(ix: ComplexIndex, report: InteractionReport) -> str:
     """Interaction graph in DOT: solid for crossing, dashed for osculation."""
+    n, eids = len(ix.edge_ids), ix.edge_ids
     lines = ["graph interactions {", "  node [shape=box];"]
-    names = sorted(
-        {c for pair in report.crossings for c in pair}
-        | {c for pair in report.osculations for c in pair}
-    )
-    for c in names:
-        lines.append(f'  "{c}";')
-    for pair in sorted(report.crossings):
-        a, b = pair[0], pair[-1]
-        lines.append(f'  "{a}" -- "{b}" [style=solid];')
-    for pair in sorted(report.osculations):
-        a, b = pair[0], pair[-1]
-        lines.append(f'  "{a}" -- "{b}" [style=dashed];')
+    classes = {c for pair in (*report.crossings, *report.osculations) for c in divmod(pair, n)}
+    for c in sorted(classes):
+        lines.append(f'  "{eids[c]}";')
+    for pairs, style in ((report.crossings, "solid"), (report.osculations, "dashed")):
+        for pair in sorted(pairs):
+            a, b = divmod(pair, n)
+            lines.append(f'  "{eids[a]}" -- "{eids[b]}" [style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -52,9 +52,10 @@ from cubespec.complex_model import (
     check_size_cap,
     parse_edge_ids,
     square_boundary,
+    validate_complex,
 )
 from cubespec.hyperplane_engine import (
-    _class_pair,
+    _pair,
     compute_hyperplanes,
     core_edges,
     interaction_report,
@@ -131,6 +132,7 @@ def _certify_family(
     quantifiers: str,
     left_desc: str,
     right_desc: str,
+    search_cap: int,
 ) -> CaseCertificate:
     pairs = [pair_fn(t) for t in tuples]
     witnesses = []
@@ -143,6 +145,8 @@ def _certify_family(
     named_valid = separates(named, pairs) if named is not None and pairs else None
     separating = named if named_valid else None
     if separating is None and empty and pairs:
+        what = f"{case_id} j={j}: fallback separating-character search over k^m ="
+        check_size_cap(pairs[0][0].params, search_cap, what)
         separating = find_separating_character(pairs)
     sub_left = pairs[0][0].sub.generator.exps if pairs else None
     sub_right = pairs[0][1].sub.generator.exps if pairs else None
@@ -163,7 +167,9 @@ def _certify_family(
     )
 
 
-def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
+def check_self_osculation_cases(
+    params: GroupParams, search_cap: int = DEFAULT_SIZE_CAP
+) -> list[CaseCertificate]:
     """Same-type edge pairs at a shared vertex: the four height cases.
 
     The pair sits at heights (a, b) with b in {a-1, a, a+1}; membership
@@ -197,6 +203,7 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
                 "a in [0,k); c in [0,k)",
                 "d(a-1)^c * P(j-1)",
                 "P(j) * <u(j-1)u(j)>",
+                search_cap,
             )
         )
 
@@ -218,6 +225,7 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
                 "a in [0,k); c in [0,k)",
                 "d(a)^c * P(j-1)^-1",
                 "P(j)^-1 * <u(j-1)u(j)>",
+                search_cap,
             )
         )
 
@@ -237,6 +245,7 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
                 "a in [1,k); c in [1,k)",
                 "d(a)^c",
                 "<u(j-1)u(j)>",
+                search_cap,
             )
         )
 
@@ -256,6 +265,7 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
                 "a in [0,k), a-1 not 0 mod k; c in [1,k)",
                 "d(a-1)^c",
                 "<u(j-1)u(j)>",
+                search_cap,
             )
         )
     return out
@@ -338,7 +348,9 @@ def _inter_pair_builders(params: GroupParams, j: int):
     return shapes, descs
 
 
-def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
+def check_inter_osculation_cases(
+    params: GroupParams, search_cap: int = DEFAULT_SIZE_CAP
+) -> list[CaseCertificate]:
     """Adjacent-type pairs at a shared vertex: eight sub-case families.
 
     A crossing pair mixes types j and j+1 (cyclically); osculation
@@ -376,6 +388,7 @@ def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
                     quantifiers,
                     descs[sub][0],
                     descs[sub][1],
+                    search_cap,
                 )
             )
     return out
@@ -497,13 +510,18 @@ class VerifyReport:
         }
 
 
-def verify_all(params: GroupParams, size_cap: int = DEFAULT_SIZE_CAP) -> VerifyReport:
+def verify_all(params: GroupParams, size_cap: Optional[int] = None) -> VerifyReport:
     """Run every check for one parameter pair, without building a complex.
 
-    ``size_cap`` bounds the coefficient group order as it bounds a build:
-    a larger order raises ``SizeCapError``.
+    Nothing here walks the k^m coefficients except the fallback
+    separating-character search, so without ``size_cap`` the group order
+    is not bounded and that search is bounded by ``DEFAULT_SIZE_CAP``.
+    A given ``size_cap`` bounds both, as it bounds a build: a larger
+    order raises ``SizeCapError``.
     """
-    check_size_cap(params, size_cap)
+    search_cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
+    if size_cap is not None:
+        check_size_cap(params, size_cap)
     stab_checks = []
     for j in range(1, params.m + 1):
         derived = derive_stabilizer_from_loops(params, j)
@@ -518,8 +536,8 @@ def verify_all(params: GroupParams, size_cap: int = DEFAULT_SIZE_CAP) -> VerifyR
         )
     certificates = (
         check_structural_conditions(params)
-        + check_self_osculation_cases(params)
-        + check_inter_osculation_cases(params)
+        + check_self_osculation_cases(params, search_cap)
+        + check_inter_osculation_cases(params, search_cap)
     )
     return VerifyReport(params, params.order, stab_checks, certificates)
 
@@ -719,54 +737,59 @@ def cross_validate(
     params = X.params
     if not certificates:
         raise ValueError("cross validation needs the case certificates, got none")
-    heights = [v.height for v in X.vertices.values()]
+    ix = validate_complex(X)
+    heights = ix.height
     if not heights or None in heights:
         raise ValueError("cross validation needs a height on every vertex")
     h_min, h_max = min(heights), max(heights)
     h_lo, h_hi = h_min + margin, h_max - margin
-    core = core_edges(X, h_lo, h_hi)
+    core = core_edges(ix, h_lo, h_hi)
     if not core:
         raise ValueError(
             f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]"
         )
-    refs = parse_edge_ids(X, core)
-    H = compute_hyperplanes(X)
+    n, eids, vids = len(ix.edge_ids), ix.edge_ids, ix.vertex_ids
+    core_ix = [e for e in range(n) if core.mask[e]]
+    refs = parse_edge_ids(X, [eids[e] for e in core_ix])
+    H = compute_hyperplanes(ix)
 
-    by_class: dict[str, set] = {}
+    by_class: dict[int, set] = {}
     by_key: dict[tuple, set] = {}
-    for e, ref in refs.items():
+    for e in core_ix:
+        ref = refs[eids[e]]
         key = (ref.type_j, climb_coset(params, ref.type_j, ref.coeff, ref.height).rep.exps)
-        by_class.setdefault(H.class_of[e], set()).add(key)
-        by_key.setdefault(key, set()).add(H.class_of[e])
+        by_class.setdefault(H.rep[e], set()).add(key)
+        by_key.setdefault(key, set()).add(H.rep[e])
     mismatches = [
-        {"class": cls, "cosets": sorted(str(k) for k in ks)}
+        {"class": eids[cls], "cosets": sorted(str(k) for k in ks)}
         for cls, ks in sorted(by_class.items())
         if len(ks) > 1
     ]
     inconclusive = [
-        {"coset": str(key), "classes": sorted(cs)}
+        {"coset": str(key), "classes": [eids[c] for c in sorted(cs)]}
         for key, cs in sorted(by_key.items(), key=lambda kv: str(kv[0]))
         if len(cs) > 1
     ]
 
     findings = []
     case_matches: dict[str, int] = {}
-    report = interaction_report(X, H, core=core, core_span=(h_lo, h_hi))
-    for pair, sid in sorted(report.crossings.items()):
-        t1 = refs[X.squares[sid].boundary[0][0]].type_j
-        t2 = refs[X.squares[sid].boundary[1][0]].type_j
+    report = interaction_report(ix, H, core)
+    for _, s in sorted(report.crossings.items()):
+        t1 = refs[eids[ix.sides[4 * s] >> 1]].type_j
+        t2 = refs[eids[ix.sides[4 * s + 1] >> 1]].type_j
         if (t1 - t2) % params.m not in (1, params.m - 1):
             findings.append(
-                {"kind": "crossing_types", "square": sid, "types": [t1, t2]}
+                {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}
             )
-    for e, f, v in iter_osculations(X, core=core):
-        got = classify_osculation(X, refs, e, f, v)
+    for e, f, v in iter_osculations(ix, core=core):
+        got = classify_osculation(X, refs, eids[e], eids[f], vids[v])
         if got["case_id"] == "unmatched":
             findings.append({"kind": "osculation", **got})
         elif got["case_id"] == "benign_nonadjacent":
-            if _class_pair(H.class_of[e], H.class_of[f]) in report.crossings:
+            if _pair(H.rep[e], H.rep[f], n) in report.crossings:
                 findings.append(
-                    {"kind": "nonadjacent_crossing_pair", "edges": [e, f], "vertex": v}
+                    {"kind": "nonadjacent_crossing_pair", "edges": [eids[e], eids[f]],
+                     "vertex": vids[v]}
                 )
             case_matches["benign_nonadjacent"] = (
                 case_matches.get("benign_nonadjacent", 0) + 1

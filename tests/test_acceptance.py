@@ -16,7 +16,7 @@ from cubespec.algebra_tools import (
 )
 from cubespec.cli import main as cli_main
 from cubespec.coeff_group import GroupParams, edge_type_stabilizer, unit
-from cubespec.complex_model import check_npc, complex_from_json
+from cubespec.complex_model import check_npc, complex_from_json, validate_complex
 from cubespec.hyperplane_engine import compute_hyperplanes, core_edges, interaction_report
 from cubespec.verifier import (
     check_inter_osculation_cases,
@@ -28,7 +28,7 @@ from cubespec.verifier import (
 )
 
 from conftest import ACCEPTANCE_PAIRS
-from reference_impl import revalidate_one_sided, revalidate_osculation
+from reference_impl import named_partition, revalidate_one_sided, revalidate_osculation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
 
@@ -51,10 +51,10 @@ def test_criterion_1_specialness(acceptance_builds):
             params = GroupParams(m, k)
             report = verify_all(params)
             assert report.all_empty, (m, k)
-            X = acceptance_builds[(m, k)]
-            H = compute_hyperplanes(X)
-            core = core_edges(X, -(k + 2), k + 2)
-            irep = interaction_report(X, H, core=core)
+            ix = validate_complex(acceptance_builds[(m, k)])
+            H = compute_hyperplanes(ix)
+            core = core_edges(ix, -(k + 2), k + 2)
+            irep = interaction_report(ix, H, core=core)
             for key in ("self_cross", "one_sided", "self_osc", "inter_osc"):
                 assert irep.violations[key] == [], (m, k, key)
             elapsed = time.time() - t0
@@ -132,14 +132,16 @@ def test_criterion_7_negative_controls():
     with criterion(7, "negative controls with re-validated witnesses"):
         with open(FIXTURES / "klein_bottle.json") as fh:
             klein = complex_from_json(json.load(fh))
-        H = compute_hyperplanes(klein)
+        ix = validate_complex(klein)
+        H = named_partition(ix, compute_hyperplanes(ix))
         assert H.one_sided == frozenset({"a"})
         assert revalidate_one_sided(klein, "a")
 
         with open(FIXTURES / "osculating_wedge.json") as fh:
             wedge = complex_from_json(json.load(fh))
-        H = compute_hyperplanes(wedge)
-        rep = interaction_report(wedge, H)
+        ix = validate_complex(wedge)
+        rep = interaction_report(ix, compute_hyperplanes(ix))
+        H = named_partition(ix, compute_hyperplanes(ix))
         self_osc = rep.violations["self_osc"]
         assert len(self_osc) == 1
         witness = self_osc[0]
@@ -148,7 +150,7 @@ def test_criterion_7_negative_controls():
 
         with open(FIXTURES / "link_triangle.json") as fh:
             triangle = complex_from_json(json.load(fh))
-        npc = check_npc(triangle)
+        npc = check_npc(validate_complex(triangle))
         assert not npc.passed
         kinds = {f["kind"] for f in npc.failures}
         assert kinds == {"triangle"}
@@ -167,9 +169,9 @@ def test_criterion_8_structural_conditions(acceptance_builds):
             for sid, sq in X.squares.items():
                 types = [X.edges[e].type for e, _ in sq.boundary]
                 assert all(types[n] != types[n - 1] for n in range(4)), (m, k, sid)
-            H = compute_hyperplanes(X)
-            assert set(H.parity.values()) == {0}, (m, k)
-            assert H.one_sided == frozenset(), (m, k)
+            H = compute_hyperplanes(validate_complex(X))
+            assert set(H.parity) == {0}, (m, k)
+            assert not H.one_sided, (m, k)
 
 
 def test_criterion_9_determinism(tmp_path, capsys):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cubespec import cli
 from cubespec.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -189,6 +190,18 @@ class TestCheck:
         assert "--margin" in err
         assert "violations" not in stdout
 
+    def test_margin_checked_before_any_kernel(self, tmp_path, capsys, monkeypatch):
+        path = self.build_complex(tmp_path, capsys, lo="-3", hi="3")
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran before the core was checked")
+
+        for name in ("check_npc", "compute_hyperplanes", "interaction_report"):
+            monkeypatch.setattr(cli, name, kernel)
+        code, _, err = run(capsys, "check", str(path), "--margin", "4")
+        assert code == 2
+        assert "--margin 4 leaves no core edges" in err
+
     def test_non_integer_params_rejected(self, tmp_path, capsys):
         path = self.build_complex(tmp_path, capsys, lo="0", hi="2")
         doc = json.loads(path.read_text())
@@ -261,6 +274,21 @@ class TestVerify:
         assert "size cap 10" in err
         code, _, _ = run(capsys, "verify", "--m", "4", "--k", "3", "--cap", "81")
         assert code == 0
+
+    def test_order_past_the_default_cap(self, capsys):
+        # 7^6 = 117649 > 65536: verify builds nothing, so without --cap or
+        # the environment variable the group order is not bounded
+        code, stdout, _ = run(capsys, "verify", "--m", "6", "--k", "7", "--json")
+        assert code == 0
+        assert json.loads(stdout)["all_empty"] is True
+        # the cross-validation build keeps the default cap, checked up front
+        code, stdout, err = run(
+            capsys, "verify", "--m", "6", "--k", "7", "--cross-validate",
+            "--hmin", "-9", "--hmax", "9", "--json",
+        )
+        assert code == 3
+        assert stdout == ""
+        assert "size cap 65536" in err
 
     def test_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CUBESPEC_SIZE_CAP", "10")

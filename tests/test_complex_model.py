@@ -48,6 +48,24 @@ def make_complex(vertices, edges, squares):
     return X
 
 
+def named_links(X):
+    """``link_corners`` of X by vertex id, each corner named (in node, out
+    node, square id, corner), and the sorted distinct edges at each vertex."""
+    ix = validate_complex(X)
+    after = ix.next_sides()
+    corners = {
+        ix.vertex_ids[v]: [
+            (tuple(ix.node(ix.sides[c])), tuple(ix.node(after[c] ^ 1)), ix.square_ids[c >> 2], c % 4)
+            for c in cs
+        ]
+        for v, cs in enumerate(link_corners(ix))
+    }
+    incident = {
+        v: sorted(e.id for e in X.edges.values() if v in (e.tail, e.head)) for v in X.vertices
+    }
+    return corners, incident
+
+
 def half_link(X, corners, incident, v, end):
     """Link of v restricted to the edge ends of one kind ("head" or "tail")."""
     nodes = [(e, end) for e in incident[v] if getattr(X.edges[e], end) == v]
@@ -370,7 +388,7 @@ def _coeff_of_vertex(vid, params):
 class TestLinks:
     def test_descending_cycles(self):
         X = build_quotient_complex(P42, -2, 2)
-        corners, incident = link_corners(X), X.incident_edges()
+        corners, incident = named_links(X)
         for vid, v in X.vertices.items():
             if v.height < 0:  # descending needs squares on the layer below
                 continue
@@ -384,7 +402,7 @@ class TestLinks:
 
     def test_ascending_cycles(self):
         X = build_quotient_complex(P43, -1, 3)
-        corners, incident = link_corners(X), X.incident_edges()
+        corners, incident = named_links(X)
         for vid, v in X.vertices.items():
             if not -1 <= v.height <= 1:
                 continue
@@ -395,7 +413,7 @@ class TestLinks:
 
     def test_every_corner_joins_ends_at_its_vertex(self):
         X = build_quotient_complex(P42, -2, 2)
-        corners = link_corners(X)
+        corners, _ = named_links(X)
         assert sum(len(cs) for cs in corners.values()) == 4 * len(X.squares)
         for vid, cs in corners.items():
             for (ea, end_a), (eb, end_b), sid, n in cs:
@@ -407,7 +425,7 @@ class TestLinks:
 
 class TestNpc:
     def test_built_truncation_passes(self):
-        assert check_npc(build_quotient_complex(P42, -2, 2)).passed
+        assert check_npc(validate_complex(build_quotient_complex(P42, -2, 2))).passed
 
     def test_double_adjacency_detected(self):
         X = make_complex(
@@ -425,7 +443,7 @@ class TestNpc:
                 ("S2", [("a", "+"), ("b", "+"), ("c2", "-"), ("d2", "-")]),
             ],
         )
-        report = check_npc(X)
+        report = check_npc(validate_complex(X))
         assert not report.passed
         kinds = {f["kind"] for f in report.failures}
         assert "double_adjacency" in kinds
@@ -453,7 +471,7 @@ class TestNpc:
                 ("Sq3", [("r", "+"), ("z1", "+"), ("z2", "-"), ("p", "-")]),
             ],
         )
-        report = check_npc(X)
+        report = check_npc(validate_complex(X))
         assert not report.passed
         triangles = [f for f in report.failures if f["kind"] == "triangle"]
         assert len(triangles) == 1
@@ -461,7 +479,7 @@ class TestNpc:
 
     def test_m3_build_fails_npc(self):
         # descending links of length 3 are triangles; honesty outside m >= 4
-        report = check_npc(build_quotient_complex(GroupParams(3, 2), -2, 2))
+        report = check_npc(validate_complex(build_quotient_complex(GroupParams(3, 2), -2, 2)))
         assert not report.passed
         assert all(f["kind"] == "triangle" for f in report.failures)
 

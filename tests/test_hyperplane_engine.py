@@ -23,7 +23,14 @@ from cubespec.hyperplane_engine import (
     report_to_json,
 )
 
-from reference_impl import revalidate_crossing, revalidate_one_sided, revalidate_osculation
+from reference_impl import (
+    named_core,
+    named_partition,
+    named_report,
+    revalidate_crossing,
+    revalidate_one_sided,
+    revalidate_osculation,
+)
 
 P42 = GroupParams(4, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
@@ -39,6 +46,20 @@ def make_complex(vertices, edges, squares):
         X.squares[sid] = Square(sid, tuple(boundary))
     validate_complex(X)
     return X
+
+
+def partition(X):
+    """The view of X and its hyperplane partition, named by id."""
+    ix = validate_complex(X)
+    return ix, named_partition(ix, compute_hyperplanes(ix))
+
+
+def report(X, core_span=None):
+    """The partition and interaction report of X, named by id."""
+    ix = validate_complex(X)
+    H = compute_hyperplanes(ix)
+    core = None if core_span is None else core_edges(ix, *core_span)
+    return named_partition(ix, H), named_report(ix, interaction_report(ix, H, core))
 
 
 def free_square():
@@ -87,41 +108,41 @@ def osculating_wedge():
 
 class TestPartition:
     def test_free_square(self):
-        H = compute_hyperplanes(free_square())
+        _, H = partition(free_square())
         assert H.n_classes == 2
         assert H.classes == {"a": ("a", "c"), "b": ("b", "d")}
         assert not H.one_sided
         assert all(p == 0 for p in H.parity.values())
 
     def test_torus_two_sided(self):
-        H = compute_hyperplanes(torus())
+        _, H = partition(torus())
         assert H.n_classes == 2
         assert not H.one_sided
         assert H.parity == {"a": 0, "b": 0}
 
     def test_klein_bottle_one_sided(self):
-        H = compute_hyperplanes(klein_bottle())
+        _, H = partition(klein_bottle())
         assert H.class_of["a"] == "a"
         assert H.one_sided == frozenset({"a"})
         assert revalidate_one_sided(klein_bottle(), "a")
 
     def test_idempotent_and_deterministic(self):
         X = build_quotient_complex(P42, -2, 2)
-        H1 = compute_hyperplanes(X)
-        H2 = compute_hyperplanes(X)
-        assert H1.class_of == H2.class_of
+        H1 = compute_hyperplanes(validate_complex(X))
+        H2 = compute_hyperplanes(validate_complex(X))
+        assert H1.rep == H2.rep
         assert H1.parity == H2.parity
         assert H1.one_sided == H2.one_sided
 
     def test_built_complex_all_parities_zero(self):
         X = build_quotient_complex(GroupParams(4, 3), -2, 2)
-        H = compute_hyperplanes(X)
+        H = compute_hyperplanes(validate_complex(X))
         assert not H.one_sided
-        assert set(H.parity.values()) == {0}
+        assert set(H.parity) == {0}
 
     def test_classes_preserve_type(self):
         X = build_quotient_complex(P42, -2, 2)
-        H = compute_hyperplanes(X)
+        _, H = partition(X)
         for members in H.classes.values():
             types = {X.edges[e].type for e in members}
             assert len(types) == 1
@@ -129,33 +150,26 @@ class TestPartition:
 
 class TestInteractions:
     def test_single_square_report(self):
-        X = free_square()
-        H = compute_hyperplanes(X)
-        rep = interaction_report(X, H)
+        _, rep = report(free_square())
         assert list(rep.crossings) == [("a", "b")]
         assert rep.osculations == {}
         assert rep.violation_count() == 0
 
     def test_torus_exempts_adjacent_loops(self):
-        X = torus()
-        H = compute_hyperplanes(X)
-        rep = interaction_report(X, H)
+        _, rep = report(torus())
         assert list(rep.crossings) == [("a", "b")]
         assert rep.osculations == {}
         assert rep.violation_count() == 0
 
     def test_klein_bottle_violation(self):
-        X = klein_bottle()
-        H = compute_hyperplanes(X)
-        rep = interaction_report(X, H)
+        _, rep = report(klein_bottle())
         assert len(rep.violations["one_sided"]) == 1
         assert rep.violations["one_sided"][0]["class"] == "a"
 
     def test_wedge_self_osculation(self):
         X = osculating_wedge()
-        H = compute_hyperplanes(X)
+        H, rep = report(X)
         assert H.classes["a1"] == ("a1", "b2", "e")
-        rep = interaction_report(X, H)
         self_osc = rep.violations["self_osc"]
         assert len(self_osc) == 1
         assert self_osc[0]["edges"] == ["a1", "b2"]
@@ -169,14 +183,12 @@ class TestInteractions:
             assert revalidate_crossing(X, H, *v["classes"], v["square"])
 
     def test_wedge_flags_bigon(self):
-        X = osculating_wedge()
-        rep = interaction_report(X, compute_hyperplanes(X))
+        _, rep = report(osculating_wedge())
         assert rep.bigon_pairs == [["a2", "b1", "C", "E"]]
 
     def test_all_witnesses_revalidate(self):
         X = osculating_wedge()
-        H = compute_hyperplanes(X)
-        rep = interaction_report(X, H)
+        H, rep = report(X)
         for pair, (e, f, v) in rep.osculations.items():
             assert revalidate_osculation(X, e, f, v)
         for pair, sid in rep.crossings.items():
@@ -186,8 +198,7 @@ class TestInteractions:
 class TestBuiltComplexChecks:
     def test_crossings_only_between_adjacent_types(self):
         X = build_quotient_complex(P42, -2, 2)
-        H = compute_hyperplanes(X)
-        rep = interaction_report(X, H)
+        _, rep = report(X)
         m = 4
         for pair in rep.crossings:
             assert len(pair) == 2
@@ -197,20 +208,19 @@ class TestBuiltComplexChecks:
 
     def test_core_report_clean_but_boundary_noisy(self):
         X = build_quotient_complex(P42, -3, 3)
-        H = compute_hyperplanes(X)
-        full = interaction_report(X, H)
+        _, full = report(X)
         # truncation artefacts: exempting squares past the boundary are missing
         assert len(full.violations["inter_osc"]) > 0
         assert len(full.violations["self_osc"]) == 0
         assert len(full.violations["self_cross"]) == 0
-        rep = interaction_report(X, H, core=core_edges(X, -1, 1))
+        _, rep = report(X, core_span=(-1, 1))
         assert rep.violation_count() == 0
 
     def test_core_classes_match_transport_cosets(self):
         X = build_quotient_complex(P42, -3, 3)
-        H = compute_hyperplanes(X)
+        ix, H = partition(X)
         params = X.params
-        core = core_edges(X, -1, 1)
+        core = named_core(ix, core_edges(ix, -1, 1))
         keys = {}
         for e, ref in parse_edge_ids(X, core).items():
             keys[e] = (ref.type_j, climb_coset(params, ref.type_j, ref.coeff, ref.height))
@@ -224,35 +234,36 @@ class TestBuiltComplexChecks:
 
     def test_full_range_filter_is_identity(self):
         X = build_quotient_complex(P42, -2, 2)
-        H = compute_hyperplanes(X)
-        full = interaction_report(X, H)
-        core = core_edges(X, -2, 2)
-        assert core == frozenset(H.class_of)
-        rep = interaction_report(X, H, core=core)
+        ix, H = partition(X)
+        _, full = report(X)
+        core = core_edges(ix, -2, 2)
+        assert named_core(ix, core) == frozenset(H.class_of)
+        assert len(core) == len(H.class_of)
+        _, rep = report(X, core_span=(-2, 2))
         assert rep.crossings == full.crossings
         assert rep.osculations == full.osculations
 
     def test_empty_core_range(self):
         X = build_quotient_complex(P42, -2, 2)
-        H = compute_hyperplanes(X)
-        core = core_edges(X, 5, 7)
-        assert core == frozenset()
-        rep = interaction_report(X, H, core=core)
+        ix = validate_complex(X)
+        core = core_edges(ix, 5, 7)
+        assert named_core(ix, core) == frozenset()
+        assert len(core) == 0 and not core
+        _, rep = report(X, core_span=(5, 7))
         assert rep.crossings == {}
         assert rep.osculations == {}
         assert rep.violation_count() == 0
 
     def test_core_needs_heights(self):
-        X = osculating_wedge()
+        ix = validate_complex(osculating_wedge())
         with pytest.raises(ValueError, match="height"):
-            core_edges(X, 0, 1)
+            core_edges(ix, 0, 1)
 
     def test_built_multi_edges_flagged_as_bigons(self):
         # consecutive branching heights (k = 3) give parallel partner edges
         # sharing both endpoints; each shared vertex is its own witness
         X = build_quotient_complex(GroupParams(4, 3), -1, 3)
-        H = compute_hyperplanes(X)
-        rep = interaction_report(X, H)
+        _, rep = report(X)
         assert rep.bigon_pairs
         for e, f, v1, v2 in rep.bigon_pairs:
             assert v1 != v2
@@ -264,8 +275,7 @@ class TestBuiltComplexChecks:
 
     def test_built_witnesses_revalidate(self):
         X = build_quotient_complex(P42, -2, 2)
-        H = compute_hyperplanes(X)
-        rep = interaction_report(X, H)
+        H, rep = report(X)
         sample = sorted(rep.osculations.items())[::7]
         assert sample
         for _, (e, f, v) in sample:
@@ -310,23 +320,24 @@ class TestBigons:
     @pytest.mark.parametrize("margin", [0, 2])
     def test_built_bigons_match_brute_force(self, m, k, h, margin):
         X = build_quotient_complex(GroupParams(m, k), -h, h)
-        core = core_edges(X, -h + margin, h - margin) if margin else None
-        rep = interaction_report(X, compute_hyperplanes(X), core=core)
-        expected = brute_force_bigons(X, core)
+        ix = validate_complex(X)
+        core = core_edges(ix, -h + margin, h - margin) if margin else None
+        rep = interaction_report(ix, compute_hyperplanes(ix), core=core)
+        expected = brute_force_bigons(X, None if core is None else named_core(ix, core))
         assert expected
         assert rep.bigon_pairs == expected
 
     def test_double_glue_fixture(self):
         X = complex_from_json(json.loads((FIXTURES / "double_glue.json").read_text()))
-        rep = interaction_report(X, compute_hyperplanes(X))
+        _, rep = report(X)
         assert rep.bigon_pairs == brute_force_bigons(X, None)
 
 
 class TestSerialisation:
     def test_report_json_shape(self):
-        X = klein_bottle()
-        H = compute_hyperplanes(X)
-        doc = report_to_json(H, interaction_report(X, H))
+        ix = validate_complex(klein_bottle())
+        H = compute_hyperplanes(ix)
+        doc = report_to_json(ix, H, interaction_report(ix, H))
         assert doc["classes"] == 2
         assert doc["one_sided"] == ["a"]
         assert set(doc["violations"]) == {
@@ -338,9 +349,9 @@ class TestSerialisation:
         json.dumps(doc)
 
     def test_dot_export(self):
-        X = osculating_wedge()
-        H = compute_hyperplanes(X)
-        dot = dot_export(interaction_report(X, H))
+        ix = validate_complex(osculating_wedge())
+        H = compute_hyperplanes(ix)
+        dot = dot_export(ix, interaction_report(ix, H))
         assert dot.startswith("graph interactions {")
         assert '"a1" -- "a2" [style=solid];' in dot
         assert "[style=dashed];" in dot
@@ -349,7 +360,8 @@ class TestSerialisation:
         X = build_quotient_complex(P42, -2, 2)
         outs = set()
         for _ in range(2):
-            H = compute_hyperplanes(X)
-            rep = interaction_report(X, H)
-            outs.add(json.dumps(report_to_json(H, rep), sort_keys=True))
+            ix = validate_complex(X)
+            H = compute_hyperplanes(ix)
+            rep = interaction_report(ix, H)
+            outs.add(json.dumps(report_to_json(ix, H, rep), sort_keys=True))
         assert len(outs) == 1

@@ -1,0 +1,199 @@
+"""The kernels on the integer view against the id-keyed reference kernels.
+
+``validate_complex`` must raise the reference's first fault, message for
+message, on corrupted complexes.  ``check_npc``, ``compute_hyperplanes``, ``core_edges`` and
+``interaction_report`` run on the integer view of a complex;
+``tests/reference_impl.py`` keeps the id-keyed versions they replaced.
+Once the program's indices are named, every field must agree, dict
+order included, with and without a core.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_impl as ref
+from cubespec.coeff_group import GroupParams
+from cubespec.complex_model import (
+    ComplexFormatError,
+    Edge,
+    Square,
+    SquareComplex,
+    Vertex,
+    build_quotient_complex,
+    check_npc,
+    complex_from_json,
+    validate_complex,
+)
+from cubespec.hyperplane_engine import compute_hyperplanes, core_edges, interaction_report
+
+from test_complex_model import complexes
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
+
+
+def assert_like_reference(X: SquareComplex, span=None) -> None:
+    ix = validate_complex(X)
+    assert check_npc(ix).failures == ref.check_npc(X).failures
+    H = compute_hyperplanes(ix)
+    want_H = ref.compute_hyperplanes(X)
+    got_H = ref.named_partition(ix, H)
+    assert got_H.class_of == want_H.class_of
+    assert got_H.parity == want_H.parity
+    assert got_H.one_sided == want_H.one_sided
+    assert got_H.classes == want_H.classes
+    assert got_H.one_sided_witness == want_H.one_sided_witness
+    assert H.n_classes == want_H.n_classes
+    core = want_core = None
+    if span is not None:
+        core, want_core = core_edges(ix, *span), ref.core_edges(X, *span)
+        assert ref.named_core(ix, core) == want_core
+        assert len(core) == len(want_core)
+    got = ref.named_report(ix, interaction_report(ix, H, core))
+    want = ref.interaction_report(X, want_H, core=want_core, core_span=span)
+    assert list(got.crossings.items()) == list(want.crossings.items())
+    assert list(got.osculations.items()) == list(want.osculations.items())
+    assert got.violations == want.violations
+    assert got.bigon_pairs == want.bigon_pairs
+    assert got.core == want.core
+
+
+def heights_span(X: SquareComplex, data):
+    """A drawn core span over the heights of X, or None without heights."""
+    heights = [v.height for v in X.vertices.values()]
+    if not heights or None in heights:
+        return None
+    lo = data.draw(st.integers(min(heights) - 1, max(heights) + 1))
+    return lo, data.draw(st.integers(lo - 1, max(heights) + 1))
+
+
+names = st.text(alphabet="abAB/0é", max_size=3)
+
+
+@st.composite
+def glued_complexes(draw, min_squares=0) -> SquareComplex:
+    """Complexes on few vertices whose squares reuse edges: loops, repeated
+    sides within one square, parallel edges and squares glued along sides."""
+    vids = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    X = SquareComplex()
+    for vid in vids:
+        X.vertices[vid] = Vertex(vid, draw(st.one_of(st.none(), st.integers(-3, 3))))
+    eids = iter(draw(st.lists(names, min_size=24, max_size=24, unique=True)))
+    sids = draw(st.lists(names, min_size=min_squares, max_size=4, unique=True))
+    for sid in sids:
+        corners = [draw(st.sampled_from(vids)) for _ in range(4)]
+        boundary = []
+        for n in range(4):
+            a, b = corners[n], corners[(n + 1) % 4]
+            reuse = [(e.id, "+") for e in X.edges.values() if (e.tail, e.head) == (a, b)]
+            reuse += [(e.id, "-") for e in X.edges.values() if (e.tail, e.head) == (b, a)]
+            if reuse and draw(st.booleans()):
+                boundary.append(draw(st.sampled_from(reuse)))
+            else:
+                eid, d = next(eids), draw(st.sampled_from("+-"))
+                X.edges[eid] = Edge(eid, *((a, b) if d == "+" else (b, a)))
+                boundary.append((eid, d))
+        X.squares[sid] = Square(sid, tuple(boundary))
+    for _ in range(draw(st.integers(0, 3))):
+        eid = next(eids)
+        X.edges[eid] = Edge(eid, draw(st.sampled_from(vids)), draw(st.sampled_from(vids)))
+    return X
+
+
+@st.composite
+def corrupted_complexes(draw) -> SquareComplex:
+    """Complexes with up to three faults: unknown endpoints, unknown or
+    repeated edges, bad directions, flipped sides, wrong side counts."""
+    X = draw(st.one_of(glued_complexes(min_squares=1), complexes()))
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(["flip", "edge", "dir", "count", "tail", "head"]))
+        if fault in ("tail", "head"):
+            if X.edges:
+                edge = draw(st.sampled_from(list(X.edges.values())))
+                setattr(edge, fault, draw(names))
+        elif X.squares:
+            square = draw(st.sampled_from(list(X.squares.values())))
+            sides = list(square.boundary)
+            n = draw(st.integers(0, len(sides) - 1)) if sides else 0
+            if fault == "count":
+                sides = sides[:n] if draw(st.booleans()) else sides + sides[:1]
+            elif sides:
+                eid, d = sides[n]
+                if fault == "edge":
+                    sides[n] = (draw(st.one_of(names, st.sampled_from(list(X.edges)))), d)
+                elif fault == "dir":
+                    sides[n] = (eid, draw(st.sampled_from(["", "x", "++", None])))
+                else:
+                    sides[n] = (eid, "-" if d == "+" else "+")
+            square.boundary = tuple(sides)
+    return X
+
+
+def first_fault(validate, X):
+    try:
+        validate(X)
+    except ComplexFormatError as exc:
+        return str(exc)
+    return None
+
+
+def corrupt_built(*faults) -> SquareComplex:
+    """A (4,2) build with each (fault, n) put in its n-th edge or square,
+    its cells inserted in reverse id order."""
+    X = build_quotient_complex(GroupParams(4, 2), -1, 2)
+    X.edges = dict(reversed(X.edges.items()))
+    X.squares = dict(reversed(X.squares.items()))
+    edges, squares = list(X.edges.values()), list(X.squares.values())
+    for fault, n in faults:
+        square = squares[n]
+        eid, d = square.boundary[1]
+        if fault in ("tail", "head"):
+            setattr(edges[n], fault, "v/9/9")
+        elif fault == "count":
+            square.boundary = square.boundary[:3]
+        else:
+            side = {"edge": ("e/9/9", d), "dir": (eid, "x"), "flip": (eid, "+-"[d == "+"])}
+            square.boundary = square.boundary[:1] + (side[fault],) + square.boundary[2:]
+    return X
+
+
+class TestAgainstReference:
+    @given(corrupted_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_validation_faults(self, X):
+        assert first_fault(validate_complex, X) == first_fault(ref.validate_complex, X)
+
+    @pytest.mark.parametrize("fault", ["tail", "head", "edge", "dir", "flip", "count"])
+    def test_each_fault_in_insertion_order(self, fault):
+        # edges are checked before squares, and each in insertion order
+        for faults in [[(fault, 5)], [(fault, 5), ("flip", 40)], [("head", 40), (fault, 5)]]:
+            X = corrupt_built(*faults)
+            want = first_fault(ref.validate_complex, X)
+            assert want is not None
+            assert first_fault(validate_complex, X) == want
+
+    @given(st.one_of(complexes(), glued_complexes()), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hand_made(self, X, data):
+        assert_like_reference(X)
+        span = heights_span(X, data)
+        if span is not None:
+            assert_like_reference(X, span)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["double_glue", "klein_bottle", "link_triangle", "osculating_wedge",
+         "same_type_corner", "torus"],
+    )
+    def test_fixture(self, name):
+        X = complex_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+        assert_like_reference(X)
+
+    @pytest.mark.parametrize("m, k", [(4, 2), (3, 3), (4, 4), (5, 3)])
+    def test_build(self, m, k):
+        X = build_quotient_complex(GroupParams(m, k), -(k + 2), k + 2)
+        assert_like_reference(X)
+        assert_like_reference(X, (-k, k))

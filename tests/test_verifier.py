@@ -17,6 +17,8 @@ from cubespec.coeff_group import (
     unit_character,
 )
 from cubespec.complex_model import (
+    DEFAULT_SIZE_CAP,
+    SizeCapError,
     SquareComplex,
     SquareRef,
     Vertex,
@@ -25,6 +27,7 @@ from cubespec.complex_model import (
     complex_to_json,
     parse_edge_ids,
     square_boundary,
+    validate_complex,
 )
 from cubespec.hyperplane_engine import compute_hyperplanes
 from cubespec.verifier import (
@@ -39,7 +42,7 @@ from cubespec.verifier import (
     verify_all,
 )
 
-from reference_impl import built_square_refs
+from reference_impl import built_square_refs, named_core
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
@@ -206,8 +209,8 @@ class TestStructuralConditions:
             assert cond1.enumerated == 4 * params.m * params.k
             assert cond2.enumerated == 2 * params.m * params.k
             # and the union-find on a build agrees
-            H = compute_hyperplanes(build_quotient_complex(params, -2, 2))
-            assert set(H.parity.values()) == {0} and H.one_sided == frozenset()
+            H = compute_hyperplanes(validate_complex(build_quotient_complex(params, -2, 2)))
+            assert set(H.parity) == {0} and not H.one_sided
 
     @pytest.mark.parametrize("m,k", [(3, 3), (4, 2), (4, 4), (5, 3)])
     def test_shapes_match_built_squares(self, m, k):
@@ -270,6 +273,29 @@ class TestVerifyAll:
         assert not rep.all_empty
         assert not rep.params.hypotheses_met
 
+    def test_order_unbounded_without_cap(self):
+        params = GroupParams(6, 7)
+        assert params.order > DEFAULT_SIZE_CAP
+        assert verify_all(params).all_empty
+        with pytest.raises(SizeCapError, match="coefficient group order 117649"):
+            verify_all(params, size_cap=DEFAULT_SIZE_CAP)
+
+    def test_fallback_search_bounded_by_cap(self):
+        # without a named character an empty family falls back to the
+        # search over all k^m characters, which the cap bounds
+        stab = edge_type_stabilizer(P42, 1)
+        pair = (coset(identity(P42), stab), coset(unit(P42, 1), stab))
+
+        def certify(search_cap):
+            return verifier._certify_family(
+                "case", 1, [()], lambda t: pair, None, "q", "l", "r", search_cap
+            )
+
+        with pytest.raises(SizeCapError, match="case j=1: fallback separating-character search"):
+            certify(P42.order - 1)
+        cert = certify(P42.order)
+        assert cert.empty and cert.separating_character is not None
+
 
 def run_cross_validation(params, h_min, h_max, margin):
     X = build_quotient_complex(params, h_min, h_max)
@@ -326,11 +352,16 @@ class TestCrossValidation:
         from cubespec.hyperplane_engine import core_edges, iter_osculations
 
         X = build_quotient_complex(P43, -5, 5)
-        core = core_edges(X, -2, 2)
-        refs = parse_edge_ids(X, core)
-        for e, f, v in iter_osculations(X, core=core):
+        ix = validate_complex(X)
+        core = core_edges(ix, -2, 2)
+        refs = parse_edge_ids(X, named_core(ix, core))
+        witnesses = 0
+        for e, f, v in iter_osculations(ix, core=core):
+            e, f, v = ix.edge_ids[e], ix.edge_ids[f], ix.vertex_ids[v]
             got = classify_osculation(X, refs, e, f, v)
             assert got["case_id"] != "unmatched", (e, f, v, got)
+            witnesses += 1
+        assert witnesses
 
     @pytest.mark.parametrize("m, k, span", [(4, 2, 6), (3, 3, 8)])
     def test_reloaded_document_cross_validates_like_the_build(self, m, k, span):
