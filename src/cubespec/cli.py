@@ -35,7 +35,6 @@ from cubespec.complex_model import (
     check_size_cap,
     complex_from_json,
     complex_to_json,
-    validate_complex,
 )
 from cubespec.hyperplane_engine import (
     compute_hyperplanes,
@@ -87,9 +86,9 @@ def _size_cap(args, default: Optional[int]) -> Optional[int]:
     env = os.environ.get(SIZE_CAP_ENV)
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{SIZE_CAP_ENV} must be an integer, got {env!r}") from exc
+            return _at_least(1)(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{SIZE_CAP_ENV}: {exc}") from None
     return default
 
 
@@ -127,8 +126,7 @@ def cmd_check(args) -> int:
             raise ComplexFormatError(f"invalid JSON: {exc}") from exc
     X = complex_from_json(doc)
     del doc
-    ix = validate_complex(X)
-    built = X.params is not None
+    ix, built = X.index, X.params is not None
     del X  # the view holds the ids; the cell records can go
     heights = ix.height
     margin = args.margin
@@ -305,14 +303,18 @@ def _add_common_output(sub) -> None:
     _add_output(sub)
 
 
-def _margin(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_params(sub) -> None:
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(b)
     b.add_argument("--hmin", type=int, required=True)
     b.add_argument("--hmax", type=int, required=True)
-    b.add_argument("--cap", type=int, help=f"size cap override (or ${SIZE_CAP_ENV})")
+    b.add_argument("--cap", type=_at_least(1), help=f"size cap override (or ${SIZE_CAP_ENV})")
     _add_output(b)
     b.set_defaults(fn=cmd_build)
 
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input", help="complex JSON file")
     c.add_argument(
         "--margin",
-        type=_margin,
+        type=_at_least(0),
         help="restrict witnesses to heights this far from the truncation boundary "
         f"(default {BUILT_MARGIN} for a built document, with params and a height "
         "on every vertex; 0 otherwise)",
@@ -360,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--hmax", type=int, help="highest height of the cross-validation build")
     v.add_argument(
         "--margin",
-        type=_margin,
+        type=_at_least(0),
         help=f"core margin of the cross-validation (default {BUILT_MARGIN})",
     )
     v.add_argument(
         "--cap",
-        type=int,
+        type=_at_least(1),
         help=f"size cap (or ${SIZE_CAP_ENV}); unbounded by default, "
         f"{DEFAULT_SIZE_CAP} for the fallback character search and the "
         "cross-validation build",

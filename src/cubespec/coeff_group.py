@@ -314,16 +314,3 @@ def find_separating_character(
             return chi
     return None
 
-
-def climb_coset(params: GroupParams, j: int, coeff: Elem, height: int) -> Coset:
-    """Climb coset coeff * P(j)^height * Stab(j), with P(j) = prefix(j).
-
-    It keys the hyperplane of the type-j edge with coefficient ``coeff``
-    and head at ``height``: moving an edge up one layer through a square
-    multiplies its coefficient by P(j)^-1 modulo Stab(j), so parallel
-    edges share the coset.  With the identity coefficient and height
-    a - b it is the coset reached by moving a type-j edge from height a
-    to b; only the height mod k matters.
-    """
-    stab = edge_type_stabilizer(params, j)
-    return coset(coeff * prefix(params, j) ** height, stab)

@@ -155,7 +155,8 @@ class SquareComplex:
     ``params`` is set, every vertex has a height and every edge a type,
     and the ids are the only naming of a built cell.  ``parse_edge_ids``
     reads an edge's ref back from its id.  Hand-made complexes have
-    ``params`` None.
+    ``params`` None.  A loaded complex keeps in ``index`` the integer view
+    it was validated into, which describes the cells as loaded.
     """
 
     vertices: dict[str, Vertex] = field(default_factory=dict)
@@ -163,6 +164,7 @@ class SquareComplex:
     squares: dict[str, Square] = field(default_factory=dict)
     params: Optional[GroupParams] = None
     extra: dict = field(default_factory=dict)
+    index: Optional[ComplexIndex] = field(default=None, repr=False, compare=False)
 
     def counts(self) -> dict[str, int]:
         return {
@@ -182,7 +184,8 @@ class ComplexIndex(NamedTuple):
     "tail").  Side n of square s is ``sides[4*s + n] = 2*e + (dir ==
     "-")``: read as a node, that is the end of e where the side stops.
     Ids are looked up only where a result names a cell.  The view is
-    made per call and never stored on the complex, which may change.
+    made per call; only a loaded complex keeps the one it was validated
+    into (``SquareComplex.index``).
     """
 
     vertex_ids: list[str]
@@ -694,5 +697,5 @@ def complex_from_json(doc: dict) -> SquareComplex:
             extra={k: v for k, v in rec.items() if k not in _SQUARE_KEYS},
         )
     X.extra = {k: v for k, v in doc.items() if k not in _TOP_KEYS}
-    validate_complex(X)
+    X.index = validate_complex(X)
     return X

@@ -18,12 +18,19 @@ one identity square per type and height residue.
 ``cross_validate`` ties this symbolic route to the geometric engine: the
 union-find classes must match the climb cosets on the core, and every
 core interaction witness must land inside some enumerated configuration.
+It computes on coefficient indices, the base-k numbering of the builder:
+a core edge is a (height, type, coefficient index) triple, each fixed
+translation of the group is an index table made once per run, a climb
+coset is keyed by its least index, and the discrete log of a constant
+vector is one lookup per height residue.  Every witness is still
+classified on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from cubespec.coeff_group import (
     Character,
@@ -31,7 +38,6 @@ from cubespec.coeff_group import (
     Elem,
     GroupParams,
     Subgroup,
-    climb_coset,
     constant,
     coset,
     coset_intersection,
@@ -46,15 +52,17 @@ from cubespec.coeff_group import (
 )
 from cubespec.complex_model import (
     DEFAULT_SIZE_CAP,
-    EdgeRef,
+    ComplexIndex,
     SquareComplex,
     SquareRef,
+    _translation,
     check_size_cap,
     parse_edge_ids,
     square_boundary,
     validate_complex,
 )
 from cubespec.hyperplane_engine import (
+    Core,
     _pair,
     compute_hyperplanes,
     core_edges,
@@ -98,25 +106,20 @@ class CaseCertificate:
     witnesses: tuple = ()
 
     def to_json(self) -> dict:
+        def listed(t):
+            return None if t is None else list(t)
+
         return {
             "case_id": self.case_id,
             "j": self.j,
             "quantifiers": self.quantifiers,
             "left": self.left,
             "right": self.right,
-            "left_subgroup": list(self.left_subgroup)
-            if self.left_subgroup is not None
-            else None,
-            "right_subgroup": list(self.right_subgroup)
-            if self.right_subgroup is not None
-            else None,
+            "left_subgroup": listed(self.left_subgroup),
+            "right_subgroup": listed(self.right_subgroup),
             "empty": self.empty,
-            "separating_character": list(self.separating_character)
-            if self.separating_character is not None
-            else None,
-            "named_character": list(self.named_character)
-            if self.named_character is not None
-            else None,
+            "separating_character": listed(self.separating_character),
+            "named_character": listed(self.named_character),
             "named_character_valid": self.named_character_valid,
             "enumerated": self.enumerated,
             "witnesses": [list(w) for w in self.witnesses],
@@ -584,133 +587,185 @@ class CrossValidation:
         }
 
 
-def _discrete_log(params: GroupParams, base_height: int, r: Elem) -> Optional[int]:
-    """Exponent c with d(base_height)^c = r, else None."""
-    d = constant(params, base_height)
-    cur = identity(params)
-    for c in range(params.k):
-        if cur == r:
-            return c
-        cur = cur * d
-    return None
+class CoreCoefficients(NamedTuple):
+    """The core edges of a built truncation on coefficient indices.
+
+    A coefficient's index reads its exponents base k, first exponent most
+    significant, as the builder numbers them.  Core edge e is (``height[e]``,
+    ``type_j[e]``, ``coeff[e]``), read at the ascending core ``edges``.  The
+    tables are made once per run: ``up[i]`` maps g to g * P(i) for i in
+    [0, m], where P(m) = d(1); ``diag`` maps g to the least index in its
+    coset of the diagonal subgroup <d(1)>; ``log[b][r]`` is the least c in
+    [0, k) with c * b = r mod k, or None.
+    """
+
+    ix: ComplexIndex
+    params: GroupParams
+    edges: list[int]
+    height: list[int]
+    type_j: list[int]
+    coeff: list[int]
+    up: list[list[int]]
+    diag: list[int]
+    log: list[list[Optional[int]]]
 
 
-def classify_osculation(
-    X: SquareComplex, refs: dict[str, EdgeRef], e: str, f: str, v: str
-) -> dict:
-    """Map a geometric osculation witness onto an enumerated configuration.
+def _coset_floor(params: GroupParams, gen: Elem) -> list[int]:
+    """Least coefficient index of the coset g * <gen>, for every index g.
 
-    ``refs`` holds the refs of both edges, as ``parse_edge_ids`` reads
-    them off the ids of the built complex ``X``.  Returns a dict with a
-    ``case_id`` (or ``benign_nonadjacent``) and the residues recovered
-    from the two coefficients, or ``unmatched`` with a reason when the
-    witness fits no configuration.  Unmatched witnesses are findings:
-    they would mean the case split misses a source.
+    In ascending order the first index met in a coset is its least, and
+    walking the coset by ``gen`` labels the rest.
+    """
+    step = _translation(params, gen)
+    least = [-1] * params.order
+    for x in range(params.order):
+        y = x
+        while least[y] < 0:
+            least[y] = x
+            y = step[y]
+    return least
+
+
+def core_coefficients(X: SquareComplex, ix: ComplexIndex, core: Core) -> CoreCoefficients:
+    """Index the core edges of the built complex ``X`` and make the tables.
+
+    The refs come from the edge ids, so a reloaded document indexes like
+    the build.
     """
     params = X.params
-    k, m = params.k, params.m
-    re_, rf = refs[e], refs[f]
-    ee, ef = X.edges[e], X.edges[f]
-    e_end = "tail" if ee.tail == v else "head"
-    f_end = "tail" if ef.tail == v else "head"
+    m, k, n = params.m, params.k, len(ix.edge_ids)
+    edges = [e for e in range(n) if core.mask[e]]
+    refs = parse_edge_ids(X, [ix.edge_ids[e] for e in edges])
+    index_of = {exps: c for c, exps in enumerate(itertools.product(range(k), repeat=m))}
+    height, type_j, coeff = [0] * n, [0] * n, [0] * n
+    for e in edges:
+        ref = refs[ix.edge_ids[e]]
+        height[e], type_j[e], coeff[e] = ref.height, ref.type_j, index_of[ref.coeff.exps]
+    return CoreCoefficients(
+        ix, params, edges, height, type_j, coeff,
+        up=[_translation(params, prefix(params, i)) for i in range(m + 1)],
+        diag=_coset_floor(params, constant(params, 1)),
+        log=[
+            [next((c for c in range(k) if c * b % k == r), None) for r in range(k)]
+            for b in range(k)
+        ],
+    )
 
-    def fail(reason):
-        return {"case_id": "unmatched", "reason": reason, "edges": [e, f], "vertex": v}
 
-    if re_.type_j == rf.type_j:
-        j = re_.type_j
-        if rf.height == re_.height - 1:
-            a = re_.height
-            r = rf.coeff * (re_.coeff * prefix(params, j - 1)).inverse()
-            c = _discrete_log(params, a - 1, r)
+def _climb_keys(cc: CoreCoefficients) -> list[int]:
+    """Climb-coset key of each core edge: the least index in g * P(j)^h * Stab(j).
+
+    The climb coset of a type-j edge with coefficient g and head height h
+    keys its hyperplane: climbing a layer through a square multiplies the
+    coefficient by P(j)^-1 modulo Stab(j).  Only h mod k matters, so an
+    edge reads the P(j)^h table of its type and height residue, then the
+    least-in-coset table of Stab(j).
+    """
+    params, k = cc.params, cc.params.k
+    residues = {(cc.type_j[e], cc.height[e] % k) for e in cc.edges}
+    least = {j: _coset_floor(params, edge_type_stabilizer(params, j).generator) for j, _ in residues}
+    shift = {(j, r): _translation(params, prefix(params, j) ** r) for j, r in residues}
+    tables = {(j, r): [least[j][x] for x in shift[j, r]] for j, r in residues}
+    return [tables[cc.type_j[e], cc.height[e] % k][cc.coeff[e]] for e in cc.edges]
+
+
+def _log(cc: CoreCoefficients, x: int, y: int, base: int, offset: int = 0) -> Optional[int]:
+    """Least c in [0, k) with x * y^-1 = d(base)^c * d(offset), else None.
+
+    The ratio is constant exactly when x and y share their diagonal
+    coset, and is then the difference of their first exponents.
+    """
+    if cc.diag[x] != cc.diag[y]:
+        return None
+    k, top = cc.params.k, len(cc.diag) // cc.params.k  # top: the weight of the first exponent
+    return cc.log[base % k][(x // top - y // top - offset) % k]
+
+
+def _unmatched(cc: CoreCoefficients, reason: str, e: int, f: int, v: int) -> dict:
+    eids, vertex = cc.ix.edge_ids, cc.ix.vertex_ids[v]
+    return {"case_id": "unmatched", "reason": reason, "edges": [eids[e], eids[f]], "vertex": vertex}
+
+
+def classify_osculation(cc: CoreCoefficients, e: int, f: int, v: int) -> dict:
+    """Map a geometric osculation witness onto an enumerated configuration.
+
+    ``e`` and ``f`` are core edges of ``cc`` meeting at vertex ``v``, by
+    index.  Returns a dict with a ``case_id`` (or ``benign_nonadjacent``)
+    and the residues recovered from the two coefficients, or ``unmatched``
+    with a reason when the witness fits no configuration.  Unmatched
+    witnesses are findings: they would mean the case split misses a source.
+
+    Each case asks whether a ratio x * y^-1 is a twist d(b)^c, where x
+    and y are the two coefficient indices after the case's shifts by
+    prefixes, one ``up`` lookup each (a unit u(j) is P(j) * P(j-1)^-1).
+    The ratio is a constant vector exactly when x and y have the same
+    least index modulo the diagonal subgroup; then c is one lookup in
+    the discrete-log table of the height residue b mod k, at the
+    difference of their first exponents, which a factor d(b+1) shifts.
+    """
+    k, m, up = cc.params.k, cc.params.m, cc.up
+    he, je, g = cc.height[e], cc.type_j[e], cc.coeff[e]
+    hf, jf, g2 = cc.height[f], cc.type_j[f], cc.coeff[f]
+    e_tail, f_tail = cc.ix.tail[e] == v, cc.ix.tail[f] == v
+
+    if je == jf:
+        j, a = je, he
+        if hf == a - 1 or hf == a + 1:
+            drop = hf == a - 1
+            c = _log(cc, g2, up[j - 1][g], a - 1) if drop else _log(cc, up[j - 1][g2], g, a)
             if c is None:
-                return fail("same-type height-drop pair off the stabiliser coset")
-            return {"case_id": "selfosc_b_eq_a_minus_1", "j": j, "a": a % k, "c": c}
-        if rf.height == re_.height + 1:
-            a = re_.height
-            r = rf.coeff * (re_.coeff * prefix(params, j - 1).inverse()).inverse()
-            c = _discrete_log(params, a, r)
-            if c is None:
-                return fail("same-type height-rise pair off the stabiliser coset")
-            return {"case_id": "selfosc_b_eq_a_plus_1", "j": j, "a": a % k, "c": c}
-        if rf.height == re_.height:
-            a = re_.height
-            r = rf.coeff * re_.coeff.inverse()
-            if e_end == "head" and f_end == "head":
-                c = _discrete_log(params, a, r)
-                if c is None or c % k == 0 or a % k == 0:
-                    return fail("level same-type pair with trivial or missing twist")
-                return {"case_id": "selfosc_b_eq_a_at_a", "j": j, "a": a % k, "c": c}
-            if e_end == "tail" and f_end == "tail":
-                c = _discrete_log(params, a - 1, r)
-                if c is None or c % k == 0 or (a - 1) % k == 0:
-                    return fail("level same-type pair with trivial or missing twist")
-                return {
-                    "case_id": "selfosc_b_eq_a_at_a_minus_1",
-                    "j": j,
-                    "a": a % k,
-                    "c": c,
-                }
-            return fail("level same-type pair with mixed ends")
-        return fail("same-type pair at height gap > 1")
+                reason = f"same-type height-{'drop' if drop else 'rise'} pair off the stabiliser coset"
+                return _unmatched(cc, reason, e, f, v)
+            case_id = "selfosc_b_eq_a_minus_1" if drop else "selfosc_b_eq_a_plus_1"
+            return {"case_id": case_id, "j": j, "a": a % k, "c": c}
+        if hf != a:
+            return _unmatched(cc, "same-type pair at height gap > 1", e, f, v)
+        if e_tail != f_tail:
+            return _unmatched(cc, "level same-type pair with mixed ends", e, f, v)
+        base = a - 1 if e_tail else a
+        c = _log(cc, g2, g, base)
+        if c is None or c == 0 or base % k == 0:
+            return _unmatched(cc, "level same-type pair with trivial or missing twist", e, f, v)
+        case_id = "selfosc_b_eq_a_at_a_minus_1" if e_tail else "selfosc_b_eq_a_at_a"
+        return {"case_id": case_id, "j": j, "a": a % k, "c": c}
 
-    if params.type_index(rf.type_j - 1) == re_.type_j:
-        pass  # e carries the lower type already
-    elif params.type_index(re_.type_j - 1) == rf.type_j:
-        re_, rf = rf, re_
-        e_end, f_end = f_end, e_end
+    if je - jf in (1, 1 - m):  # f carries the lower type: read the pair from f
+        he, je, g, e_tail, hf, jf, g2, f_tail = hf, jf, g2, f_tail, he, je, g, e_tail
+    elif jf - je not in (1, 1 - m):
+        return {"case_id": "benign_nonadjacent", "types": sorted((je, jf))}
+    j, wraps = je, je == m
+    # for j = m the type-1 partner carries d(b) on the square corner, and
+    # g2 * u(m) * g^-1 carries d(b+1): both turn the twist around
+    if e_tail == f_tail and he == hf:
+        if e_tail:
+            sub, b = 2, he - 1
+            c = _log(cc, up[j][g2], up[j - 1][g], b, b + 1 if wraps else 0)
+        else:
+            sub, b = 1, he
+            c = _log(cc, g2, g, b)
+        if wraps and c is not None:
+            c = (1 - c if sub == 1 else -c) % k
+    elif e_tail and not f_tail and he == hf + 1:
+        b = hf
+        if wraps:
+            sub, c = 4, _log(cc, up[j][g2], up[j - 1][g], b, b + 1)
+            c = None if c is None else -c % k
+        else:
+            sub, c = 3, _log(cc, up[j - 1][g], g2, b)
+    elif f_tail and not e_tail and hf == he + 1:
+        b = he
+        if wraps:
+            sub, c = 3, _log(cc, g2, g, b)
+            c = None if c is None else (1 - c) % k
+        else:
+            sub, c = 4, _log(cc, up[j][g2], g, b)
     else:
-        return {
-            "case_id": "benign_nonadjacent",
-            "types": sorted((re_.type_j, rf.type_j)),
-        }
-    j = re_.type_j
-    case_family = 1 if j < m else 2
-    g, g2 = re_.coeff, rf.coeff
-
-    def solved(sub, b, c):
-        if c is None:
-            return fail(f"adjacent-type corner pair off the stabiliser coset")
-        if b % k == 0 or c % k == 0:
-            return fail("adjacent-type pair with trivial twist survived exemption")
-        return {
-            "case_id": f"interosc_{case_family}_{sub}",
-            "j": j,
-            "b": b % k,
-            "c": c % k,
-        }
-
-    if e_end == "head" and f_end == "head" and re_.height == rf.height:
-        b = re_.height
-        if case_family == 1:
-            return solved(1, b, _discrete_log(params, b, g2 * g.inverse()))
-        # type-1 partner carries d(b) on the square corner itself
-        c_shift = _discrete_log(params, b, g2 * g.inverse())
-        return solved(1, b, None if c_shift is None else (1 - c_shift) % k)
-    if e_end == "tail" and f_end == "tail" and re_.height == rf.height:
-        b = re_.height - 1
-        if case_family == 1:
-            r = g2 * unit(params, j) * g.inverse()
-            return solved(2, b, _discrete_log(params, b, r))
-        r = g2 * unit(params, m) * (g * constant(params, b + 1)).inverse()
-        c_neg = _discrete_log(params, b, r)
-        return solved(2, b, None if c_neg is None else (-c_neg) % k)
-    if e_end == "tail" and f_end == "head" and re_.height == rf.height + 1:
-        b = rf.height
-        if case_family == 1:
-            r = g * g2.inverse() * prefix(params, j - 1)
-            return solved(3, b, _discrete_log(params, b, r))
-        r = g2 * unit(params, m) * (g * constant(params, b + 1)).inverse()
-        c_neg = _discrete_log(params, b, r)
-        return solved(4, b, None if c_neg is None else (-c_neg) % k)
-    if e_end == "head" and f_end == "tail" and rf.height == re_.height + 1:
-        b = re_.height
-        if case_family == 1:
-            r = g2 * prefix(params, j) * g.inverse()
-            return solved(4, b, _discrete_log(params, b, r))
-        c_shift = _discrete_log(params, b, g2 * g.inverse())
-        return solved(3, b, None if c_shift is None else (1 - c_shift) % k)
-    return fail("adjacent-type pair in an unrecognised relative position")
+        return _unmatched(cc, "adjacent-type pair in an unrecognised relative position", e, f, v)
+    if c is None:
+        return _unmatched(cc, "adjacent-type corner pair off the stabiliser coset", e, f, v)
+    if b % k == 0 or c == 0:
+        return _unmatched(cc, "adjacent-type pair with trivial twist survived exemption", e, f, v)
+    return {"case_id": f"interosc_{2 if wraps else 1}_{sub}", "j": j, "b": b % k, "c": c}
 
 
 def cross_validate(
@@ -745,29 +800,30 @@ def cross_validate(
     h_lo, h_hi = h_min + margin, h_max - margin
     core = core_edges(ix, h_lo, h_hi)
     if not core:
-        raise ValueError(
-            f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]"
-        )
+        raise ValueError(f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]")
     n, eids, vids = len(ix.edge_ids), ix.edge_ids, ix.vertex_ids
-    core_ix = [e for e in range(n) if core.mask[e]]
-    refs = parse_edge_ids(X, [eids[e] for e in core_ix])
+    cc = core_coefficients(X, ix, core)
     H = compute_hyperplanes(ix)
 
     by_class: dict[int, set] = {}
     by_key: dict[tuple, set] = {}
-    for e in core_ix:
-        ref = refs[eids[e]]
-        key = (ref.type_j, climb_coset(params, ref.type_j, ref.coeff, ref.height).rep.exps)
+    for e, c in zip(cc.edges, _climb_keys(cc)):
+        key = (cc.type_j[e], c)
         by_class.setdefault(H.rep[e], set()).add(key)
         by_key.setdefault(key, set()).add(H.rep[e])
+
+    def named(key: tuple[int, int]) -> str:  # as (type, exponents of the least member)
+        j, c = key
+        return str((j, tuple(c // params.k**i % params.k for i in reversed(range(params.m)))))
+
     mismatches = [
-        {"class": eids[cls], "cosets": sorted(str(k) for k in ks)}
+        {"class": eids[cls], "cosets": sorted(named(key) for key in ks)}
         for cls, ks in sorted(by_class.items())
         if len(ks) > 1
     ]
     inconclusive = [
-        {"coset": str(key), "classes": [eids[c] for c in sorted(cs)]}
-        for key, cs in sorted(by_key.items(), key=lambda kv: str(kv[0]))
+        {"coset": named(key), "classes": [eids[c] for c in sorted(cs)]}
+        for key, cs in sorted(by_key.items(), key=lambda kv: named(kv[0]))
         if len(cs) > 1
     ]
 
@@ -775,37 +831,26 @@ def cross_validate(
     case_matches: dict[str, int] = {}
     report = interaction_report(ix, H, core)
     for _, s in sorted(report.crossings.items()):
-        t1 = refs[eids[ix.sides[4 * s] >> 1]].type_j
-        t2 = refs[eids[ix.sides[4 * s + 1] >> 1]].type_j
+        t1 = cc.type_j[ix.sides[4 * s] >> 1]
+        t2 = cc.type_j[ix.sides[4 * s + 1] >> 1]
         if (t1 - t2) % params.m not in (1, params.m - 1):
             findings.append(
                 {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}
             )
     for e, f, v in iter_osculations(ix, core=core):
-        got = classify_osculation(X, refs, eids[e], eids[f], vids[v])
-        if got["case_id"] == "unmatched":
+        got = classify_osculation(cc, e, f, v)
+        case_id = got["case_id"]
+        if case_id == "unmatched":
             findings.append({"kind": "osculation", **got})
-        elif got["case_id"] == "benign_nonadjacent":
-            if _pair(H.rep[e], H.rep[f], n) in report.crossings:
-                findings.append(
-                    {"kind": "nonadjacent_crossing_pair", "edges": [eids[e], eids[f]],
-                     "vertex": vids[v]}
-                )
-            case_matches["benign_nonadjacent"] = (
-                case_matches.get("benign_nonadjacent", 0) + 1
+            continue
+        if case_id == "benign_nonadjacent" and _pair(H.rep[e], H.rep[f], n) in report.crossings:
+            findings.append(
+                {"kind": "nonadjacent_crossing_pair", "edges": [eids[e], eids[f]], "vertex": vids[v]}
             )
-        else:
-            case_matches[got["case_id"]] = case_matches.get(got["case_id"], 0) + 1
-    certificates_empty = all(c.empty for c in certificates)
+        case_matches[case_id] = case_matches.get(case_id, 0) + 1
     return CrossValidation(
-        params=params,
-        span=(h_min, h_max),
-        margin=margin,
-        core_edge_count=len(core),
-        class_mismatches=mismatches,
-        inconclusive=inconclusive,
-        witness_findings=findings,
-        case_matches=case_matches,
-        violations_zero=report.violation_count() == 0,
-        certificates_empty=certificates_empty,
+        params=params, span=(h_min, h_max), margin=margin, core_edge_count=len(core),
+        class_mismatches=mismatches, inconclusive=inconclusive, witness_findings=findings,
+        case_matches=case_matches, violations_zero=report.violation_count() == 0,
+        certificates_empty=all(c.empty for c in certificates),
     )

@@ -5,7 +5,10 @@ or shortcuts: cell ids from refs, the vertex stabiliser in closed form,
 the square ref of a built square, from-scratch re-checks of single
 interaction witnesses, and the incidence validation, curvature check,
 parallelism union-find and interaction report keyed by id strings, as they ran before the
-program moved to the integer view of a complex.  ``named_partition``,
+program moved to the integer view of a complex.  The climb coset and
+the osculation classifier compute with ``Elem`` arithmetic and a k-step
+discrete log, as they ran before the program moved to coefficient
+indices.  ``named_partition``,
 ``named_report`` and ``named_core`` turn the program's index-keyed
 results into the id-keyed form of these references.
 """
@@ -15,7 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from cubespec.coeff_group import Elem, GroupParams, Subgroup, constant, subgroup_cyclic
+from cubespec.coeff_group import (
+    Coset,
+    Elem,
+    GroupParams,
+    Subgroup,
+    constant,
+    coset,
+    edge_type_stabilizer,
+    identity,
+    prefix,
+    subgroup_cyclic,
+    unit,
+)
 from cubespec.complex_model import (
     ComplexFormatError,
     ComplexIndex,
@@ -519,3 +534,149 @@ def named_report(ix: ComplexIndex, report: engine.InteractionReport) -> Interact
 
 def named_core(ix: ComplexIndex, core: engine.Core) -> frozenset[str]:
     return frozenset(e for e, inside in zip(ix.edge_ids, core.mask) if inside)
+
+
+# ---------------------------------------------------------------------------
+# climb cosets and the osculation classifier on ``Elem``s
+
+
+def climb_coset(params: GroupParams, j: int, coeff: Elem, height: int) -> Coset:
+    """Climb coset coeff * P(j)^height * Stab(j), with P(j) = prefix(j).
+
+    It keys the hyperplane of the type-j edge with coefficient ``coeff``
+    and head at ``height``: moving an edge up one layer through a square
+    multiplies its coefficient by P(j)^-1 modulo Stab(j), so parallel
+    edges share the coset.  With the identity coefficient and height
+    a - b it is the coset reached by moving a type-j edge from height a
+    to b; only the height mod k matters.
+    """
+    stab = edge_type_stabilizer(params, j)
+    return coset(coeff * prefix(params, j) ** height, stab)
+
+
+def _discrete_log(params: GroupParams, base_height: int, r: Elem) -> Optional[int]:
+    """Exponent c with d(base_height)^c = r, else None."""
+    d = constant(params, base_height)
+    cur = identity(params)
+    for c in range(params.k):
+        if cur == r:
+            return c
+        cur = cur * d
+    return None
+
+
+def classify_osculation(
+    X: SquareComplex, refs: dict[str, EdgeRef], e: str, f: str, v: str
+) -> dict:
+    """Map an osculation witness onto an enumerated configuration.
+
+    ``refs`` holds the refs of both edges, as ``parse_edge_ids`` reads
+    them off the ids of the built complex ``X``.  Returns a dict with a
+    ``case_id`` (or ``benign_nonadjacent``) and the residues recovered
+    from the two coefficients, or ``unmatched`` with a reason when the
+    witness fits no configuration.
+    """
+    params = X.params
+    k, m = params.k, params.m
+    re_, rf = refs[e], refs[f]
+    ee, ef = X.edges[e], X.edges[f]
+    e_end = "tail" if ee.tail == v else "head"
+    f_end = "tail" if ef.tail == v else "head"
+
+    def fail(reason):
+        return {"case_id": "unmatched", "reason": reason, "edges": [e, f], "vertex": v}
+
+    if re_.type_j == rf.type_j:
+        j = re_.type_j
+        if rf.height == re_.height - 1:
+            a = re_.height
+            r = rf.coeff * (re_.coeff * prefix(params, j - 1)).inverse()
+            c = _discrete_log(params, a - 1, r)
+            if c is None:
+                return fail("same-type height-drop pair off the stabiliser coset")
+            return {"case_id": "selfosc_b_eq_a_minus_1", "j": j, "a": a % k, "c": c}
+        if rf.height == re_.height + 1:
+            a = re_.height
+            r = rf.coeff * (re_.coeff * prefix(params, j - 1).inverse()).inverse()
+            c = _discrete_log(params, a, r)
+            if c is None:
+                return fail("same-type height-rise pair off the stabiliser coset")
+            return {"case_id": "selfosc_b_eq_a_plus_1", "j": j, "a": a % k, "c": c}
+        if rf.height == re_.height:
+            a = re_.height
+            r = rf.coeff * re_.coeff.inverse()
+            if e_end == "head" and f_end == "head":
+                c = _discrete_log(params, a, r)
+                if c is None or c % k == 0 or a % k == 0:
+                    return fail("level same-type pair with trivial or missing twist")
+                return {"case_id": "selfosc_b_eq_a_at_a", "j": j, "a": a % k, "c": c}
+            if e_end == "tail" and f_end == "tail":
+                c = _discrete_log(params, a - 1, r)
+                if c is None or c % k == 0 or (a - 1) % k == 0:
+                    return fail("level same-type pair with trivial or missing twist")
+                return {
+                    "case_id": "selfosc_b_eq_a_at_a_minus_1",
+                    "j": j,
+                    "a": a % k,
+                    "c": c,
+                }
+            return fail("level same-type pair with mixed ends")
+        return fail("same-type pair at height gap > 1")
+
+    if params.type_index(rf.type_j - 1) == re_.type_j:
+        pass  # e carries the lower type already
+    elif params.type_index(re_.type_j - 1) == rf.type_j:
+        re_, rf = rf, re_
+        e_end, f_end = f_end, e_end
+    else:
+        return {
+            "case_id": "benign_nonadjacent",
+            "types": sorted((re_.type_j, rf.type_j)),
+        }
+    j = re_.type_j
+    case_family = 1 if j < m else 2
+    g, g2 = re_.coeff, rf.coeff
+
+    def solved(sub, b, c):
+        if c is None:
+            return fail(f"adjacent-type corner pair off the stabiliser coset")
+        if b % k == 0 or c % k == 0:
+            return fail("adjacent-type pair with trivial twist survived exemption")
+        return {
+            "case_id": f"interosc_{case_family}_{sub}",
+            "j": j,
+            "b": b % k,
+            "c": c % k,
+        }
+
+    if e_end == "head" and f_end == "head" and re_.height == rf.height:
+        b = re_.height
+        if case_family == 1:
+            return solved(1, b, _discrete_log(params, b, g2 * g.inverse()))
+        # type-1 partner carries d(b) on the square corner itself
+        c_shift = _discrete_log(params, b, g2 * g.inverse())
+        return solved(1, b, None if c_shift is None else (1 - c_shift) % k)
+    if e_end == "tail" and f_end == "tail" and re_.height == rf.height:
+        b = re_.height - 1
+        if case_family == 1:
+            r = g2 * unit(params, j) * g.inverse()
+            return solved(2, b, _discrete_log(params, b, r))
+        r = g2 * unit(params, m) * (g * constant(params, b + 1)).inverse()
+        c_neg = _discrete_log(params, b, r)
+        return solved(2, b, None if c_neg is None else (-c_neg) % k)
+    if e_end == "tail" and f_end == "head" and re_.height == rf.height + 1:
+        b = rf.height
+        if case_family == 1:
+            r = g * g2.inverse() * prefix(params, j - 1)
+            return solved(3, b, _discrete_log(params, b, r))
+        r = g2 * unit(params, m) * (g * constant(params, b + 1)).inverse()
+        c_neg = _discrete_log(params, b, r)
+        return solved(4, b, None if c_neg is None else (-c_neg) % k)
+    if e_end == "head" and f_end == "tail" and rf.height == re_.height + 1:
+        b = re_.height
+        if case_family == 1:
+            r = g2 * prefix(params, j) * g.inverse()
+            return solved(4, b, _discrete_log(params, b, r))
+        c_shift = _discrete_log(params, b, g2 * g.inverse())
+        return solved(3, b, None if c_shift is None else (1 - c_shift) % k)
+    return fail("adjacent-type pair in an unrecognised relative position")

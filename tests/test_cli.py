@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cubespec import cli
+from cubespec import cli, complex_model
 from cubespec.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -71,6 +71,20 @@ class TestBuild:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "build", "--m", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_cap_below_one_rejected(self, cap, capsys, tmp_path, monkeypatch):
+        # a cap below 1 is bad input, not a resource limit
+        out = tmp_path / "x.json"
+        argv = ("build", "--m", "4", "--k", "2", "--hmin", "0", "--hmax", "2", "-o", str(out))
+        code, _, err = run(capsys, *argv, f"--cap={cap}")
+        assert code == 2
+        assert f"argument --cap: must be at least 1, got {cap}" in err
+        monkeypatch.setenv("CUBESPEC_SIZE_CAP", cap)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"CUBESPEC_SIZE_CAP: must be at least 1, got {cap}" in err
+        assert not out.exists()
 
     BUILD_42 = ("build", "--m", "4", "--k", "2", "--hmin", "-3", "--hmax", "3")
 
@@ -211,6 +225,18 @@ class TestCheck:
         assert code == 2
         assert "params: m must be an integer" in err
 
+    def test_document_indexed_once(self, tmp_path, capsys, monkeypatch):
+        # the loader's validation hands its integer view to the kernels
+        path = self.build_complex(tmp_path, capsys, lo="-3", hi="3")
+        calls = []
+        view = complex_model.ComplexIndex
+        monkeypatch.setattr(
+            complex_model, "ComplexIndex", lambda *fields: calls.append(1) or view(*fields)
+        )
+        code, _, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_malformed_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": [], "edges": []}')
@@ -274,6 +300,20 @@ class TestVerify:
         assert "size cap 10" in err
         code, _, _ = run(capsys, "verify", "--m", "4", "--k", "3", "--cap", "81")
         assert code == 0
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    @pytest.mark.parametrize("cross_validate", [False, True])
+    def test_cap_below_one_rejected(self, cap, cross_validate, capsys, monkeypatch):
+        argv = ["verify", "--m", "4", "--k", "3", "--json"]
+        if cross_validate:
+            argv += ["--cross-validate", "--hmin", "-5", "--hmax", "5"]
+        code, stdout, err = run(capsys, *argv, "--cap", cap)
+        assert (code, stdout) == (2, "")
+        assert f"argument --cap: must be at least 1, got {cap}" in err
+        monkeypatch.setenv("CUBESPEC_SIZE_CAP", cap)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert f"CUBESPEC_SIZE_CAP: must be at least 1, got {cap}" in err
 
     def test_order_past_the_default_cap(self, capsys):
         # 7^6 = 117649 > 65536: verify builds nothing, so without --cap or

@@ -10,7 +10,6 @@ from cubespec.coeff_group import (
     GroupParams,
     ParameterMismatchError,
     all_characters,
-    climb_coset,
     constant,
     coset,
     coset_intersection,
@@ -24,7 +23,7 @@ from cubespec.coeff_group import (
     unit_character,
 )
 
-from reference_impl import vertex_stabilizer
+from reference_impl import climb_coset, vertex_stabilizer
 
 P43 = GroupParams(4, 3)
 P42 = GroupParams(4, 2)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cubespec.coeff_group import GroupParams, climb_coset
+from cubespec.coeff_group import GroupParams
 from cubespec.complex_model import (
     Edge,
     Square,
@@ -24,6 +24,7 @@ from cubespec.hyperplane_engine import (
 )
 
 from reference_impl import (
+    climb_coset,
     named_core,
     named_partition,
     named_report,
