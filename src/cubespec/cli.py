@@ -124,14 +124,12 @@ def cmd_check(args) -> int:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ComplexFormatError(f"invalid JSON: {exc}") from exc
-    X = complex_from_json(doc)
-    del doc
-    ix, built = X.index, X.params is not None
-    del X  # the view holds the ids; the cell records can go
+    ix = complex_from_json(doc)
+    del doc  # the integer view holds all that the kernels read
     heights = ix.height
     margin = args.margin
     if margin is None:
-        margin = BUILT_MARGIN if built and heights and None not in heights else 0
+        margin = BUILT_MARGIN if ix.params is not None and heights and None not in heights else 0
     core = None
     if margin:
         if None in heights:

@@ -2,9 +2,10 @@
 
 A generic square complex is a set of vertices, directed edges and
 squares whose boundaries are closed walks of four directed edges, keyed
-by id.  ``validate_complex`` checks the incidences and returns the
-complex's integer view, a ``ComplexIndex``, on which the curvature check
-and the kernels of ``hyperplane_engine`` run.  The builder materialises
+by id.  The curvature check and the kernels of ``hyperplane_engine`` run
+on its integer view, a ``ComplexIndex``, which ``complex_from_json``
+validates a document straight into and ``validate_complex`` makes of a
+``SquareComplex``.  The builder materialises
 finite height-truncations of the quotient complex for parameters
 (m, k): one vertex orbit per height (coefficients reduced modulo the
 height's stabiliser), m free edge orbits per height and m free square
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _enc
@@ -149,14 +151,13 @@ class Square:
 
 @dataclass
 class SquareComplex:
-    """Cells keyed by id, the group parameters and unknown top-level fields.
+    """Cells keyed by id, the group parameters and unknown fields.
 
-    A built complex is no different from one loaded from its document:
-    ``params`` is set, every vertex has a height and every edge a type,
-    and the ids are the only naming of a built cell.  ``parse_edge_ids``
+    A built complex names its cells only by id: ``params`` is set, every
+    vertex has a height and every edge a type, and ``parse_edge_ids``
     reads an edge's ref back from its id.  Hand-made complexes have
-    ``params`` None.  A loaded complex keeps in ``index`` the integer view
-    it was validated into, which describes the cells as loaded.
+    ``params`` None.  ``complex_to_json`` writes the records and their
+    unknown fields; ``complex_from_json`` makes no records.
     """
 
     vertices: dict[str, Vertex] = field(default_factory=dict)
@@ -164,7 +165,6 @@ class SquareComplex:
     squares: dict[str, Square] = field(default_factory=dict)
     params: Optional[GroupParams] = None
     extra: dict = field(default_factory=dict)
-    index: Optional[ComplexIndex] = field(default=None, repr=False, compare=False)
 
     def counts(self) -> dict[str, int]:
         return {
@@ -175,7 +175,8 @@ class SquareComplex:
 
 
 class ComplexIndex(NamedTuple):
-    """Integer view of a complex, made by ``validate_complex``.
+    """Integer view of a complex, made by ``complex_from_json`` from a
+    document or by ``validate_complex`` from a ``SquareComplex``.
 
     Vertices, edges and squares are numbered in sorted-id order, so a
     lexicographic tie-break on ids is a comparison of indices.  An edge
@@ -183,9 +184,7 @@ class ComplexIndex(NamedTuple):
     ``2*e + 1`` for its tail, which keeps the order (edge id, "head" <
     "tail").  Side n of square s is ``sides[4*s + n] = 2*e + (dir ==
     "-")``: read as a node, that is the end of e where the side stops.
-    Ids are looked up only where a result names a cell.  The view is
-    made per call; only a loaded complex keeps the one it was validated
-    into (``SquareComplex.index``).
+    Ids are looked up only where a result names a cell.
     """
 
     vertex_ids: list[str]
@@ -195,6 +194,7 @@ class ComplexIndex(NamedTuple):
     head: list[int]
     sides: array  # four per square, 2*e + direction bit, held unboxed
     height: list[Optional[int]]  # vertex index -> height
+    params: Optional[GroupParams]
 
     def ends(self) -> list[int]:
         """Vertex of every edge end: head of e at ``2*e``, tail at ``2*e + 1``."""
@@ -219,21 +219,53 @@ class ComplexIndex(NamedTuple):
 _DIR_BIT = {"+": 0, "-": 1}
 
 
-def _check_sides(s: Square, e_index: dict[str, int]) -> None:
-    """Raise on the first malformed side of a square boundary, in order."""
-    if len(s.boundary) != 4:
-        raise ComplexFormatError(
-            f"squares[{s.id!r}].boundary: expected 4 sides, got {len(s.boundary)}"
+def _indexed(params, vertex_ids, heights, edge_ids, tails, heads, square_ids, boundaries, side):
+    """Check the incidences of cells with unique ids and number them.
+
+    The lists give the cells in insertion order, and ``side`` holds the
+    getters of a side's edge id and dir.  One pass in sorted-id order
+    checks everything; when it fails, the ordered checks raise the first
+    fault: edges before squares, each in insertion order.
+    """
+    v_order, e_order, s_order = (
+        sorted(range(len(ids)), key=ids.__getitem__) for ids in (vertex_ids, edge_ids, square_ids)
+    )
+    v_ids, e_ids = [vertex_ids[i] for i in v_order], [edge_ids[i] for i in e_order]
+    v_index = dict(zip(v_ids, range(len(v_ids))))
+    node = dict(zip(e_ids, range(0, 2 * len(e_ids), 2)))  # edge id -> 2*e, its head end
+    try:
+        tail = [v_index[tails[i]] for i in e_order]
+        head = [v_index[heads[i]] for i in e_order]
+    except KeyError:
+        eid, end = next(
+            (e, v) for e, *ends in zip(edge_ids, tails, heads) for v in ends if v not in v_index
         )
-    for n, (eid, d) in enumerate(s.boundary):
-        if e_index.get(eid) is None:
-            raise ComplexFormatError(
-                f"squares[{s.id!r}].boundary[{n}].edge: unknown edge {eid!r}"
-            )
-        if d not in ("+", "-"):
-            raise ComplexFormatError(
-                f"squares[{s.id!r}].boundary[{n}].dir: expected '+' or '-', got {d!r}"
-            )
+        raise ComplexFormatError(f"edges[{eid!r}]: unknown vertex {end!r}") from None
+    s_ids, v_heights = [square_ids[i] for i in s_order], [heights[i] for i in v_order]
+    ix = ComplexIndex(v_ids, e_ids, s_ids, tail, head, array("l"), v_heights, params)
+    ends, (edge_of, dir_of) = ix.ends(), side
+    try:
+        if {4}.issuperset(map(len, boundaries)):
+            flat = list(itertools.chain.from_iterable([boundaries[i] for i in s_order]))
+            nodes = map(node.__getitem__, map(edge_of, flat))
+            ix.sides.extend(map(operator.add, nodes, map(_DIR_BIT.__getitem__, map(dir_of, flat))))
+            if [ends[w] for w in ix.sides] == [ends[w ^ 1] for w in ix.next_sides()]:
+                return ix
+    except (KeyError, TypeError):
+        pass
+    for sid, boundary in zip(square_ids, boundaries):
+        path = f"squares[{sid!r}].boundary"
+        _require(len(boundary) == 4, path, f"expected 4 sides, got {len(boundary)}")
+        for n, (eid, d) in enumerate(zip(map(edge_of, boundary), map(dir_of, boundary))):
+            _require(eid in node, f"{path}[{n}].edge", f"unknown edge {eid!r}")
+            _require(d in ("+", "-"), f"{path}[{n}].dir", f"expected '+' or '-', got {d!r}")
+        stops = [ends[node[edge_of(x)] + _DIR_BIT[dir_of(x)]] for x in boundary]
+        starts = [ends[node[edge_of(x)] + 1 - _DIR_BIT[dir_of(x)]] for x in boundary]
+        for n in range(4):
+            stop, start = stops[n], starts[(n + 1) % 4]
+            where = f"side {n} ends at {v_ids[stop]!r}, side {(n + 1) % 4} starts at"
+            _require(stop == start, path, f"walk does not close ({where} {v_ids[start]!r})")
+    raise AssertionError("the ordered checks found no fault")
 
 
 def validate_complex(X: SquareComplex) -> ComplexIndex:
@@ -243,51 +275,13 @@ def validate_complex(X: SquareComplex) -> ComplexIndex:
     four sides on known edges, each with direction '+' or '-', that walk
     a closed loop.  Edges are checked before squares, each in insertion
     order, and the first fault raises ``ComplexFormatError`` naming its
-    path.  The view (see ``ComplexIndex``) numbers the cells in sorted-id
-    order.
+    path.  The view carries ``X.params``.
     """
-    vertex_ids, edge_ids, square_ids = sorted(X.vertices), sorted(X.edges), sorted(X.squares)
-    v_index = {v: n for n, v in enumerate(vertex_ids)}
-    e_index = {e: n for n, e in enumerate(edge_ids)}
-    s_index = {s: n for n, s in enumerate(square_ids)}
-    tail, head = [0] * len(edge_ids), [0] * len(edge_ids)
-    for eid, e in X.edges.items():
-        t, h = v_index.get(e.tail), v_index.get(e.head)
-        if t is None or h is None:
-            raise ComplexFormatError(
-                f"edges[{e.id!r}]: unknown vertex {e.tail if t is None else e.head!r}"
-            )
-        n = e_index[eid]
-        tail[n], head[n] = t, h
-    sides = array("l", [0]) * (4 * len(square_ids))
-    heights = [X.vertices[v].height for v in vertex_ids]
-    ix = ComplexIndex(vertex_ids, edge_ids, square_ids, tail, head, sides, heights)
-    ends = ix.ends()
-    for sid, s in X.squares.items():
-        try:
-            (e0, d0), (e1, d1), (e2, d2), (e3, d3) = s.boundary
-            walk = (
-                2 * e_index[e0] + _DIR_BIT[d0],
-                2 * e_index[e1] + _DIR_BIT[d1],
-                2 * e_index[e2] + _DIR_BIT[d2],
-                2 * e_index[e3] + _DIR_BIT[d3],
-            )
-        except (ValueError, KeyError, TypeError):
-            _check_sides(s, e_index)  # raises the first fault with its path
-            raise
-        w0, w1, w2, w3 = walk
-        stops = (ends[w0], ends[w1], ends[w2], ends[w3])
-        starts = (ends[w1 ^ 1], ends[w2 ^ 1], ends[w3 ^ 1], ends[w0 ^ 1])
-        if stops != starts:
-            n = next(n for n in range(4) if stops[n] != starts[n])
-            raise ComplexFormatError(
-                f"squares[{s.id!r}].boundary: walk does not close "
-                f"(side {n} ends at {vertex_ids[stops[n]]!r}, side {(n + 1) % 4} "
-                f"starts at {vertex_ids[starts[n]]!r})"
-            )
-        at = 4 * s_index[sid]
-        sides[at], sides[at + 1], sides[at + 2], sides[at + 3] = walk
-    return ix
+    vs, es = X.vertices.values(), X.edges.values()
+    return _indexed(
+        X.params, list(X.vertices), [v.height for v in vs], list(X.edges), [e.tail for e in es],
+        [e.head for e in es], list(X.squares), [s.boundary for s in X.squares.values()], _PAIR,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +517,6 @@ def check_npc(ix: ComplexIndex) -> NpcReport:
 # JSON round trip
 
 
-_VERTEX_KEYS = {"id", "height"}
-_EDGE_KEYS = {"id", "tail", "head", "type"}
-_SQUARE_KEYS = {"id", "boundary"}
 _TOP_KEYS = {"params", "vertices", "edges", "squares"}
 
 
@@ -617,15 +608,73 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ComplexFormatError(f"{path}: {message}")
 
 
-def _opt_int(value, path: str) -> Optional[int]:
-    if value is None:
-        return None
-    _require(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer or null")
-    return value
+# section -> record kind, its string fields (the id first), its optional integer field
+_SCHEMA = {
+    "vertices": ("vertex", ("id",), "height"),
+    "edges": ("edge", ("id", "tail", "head"), "type"),
+    "squares": ("square", ("id",), None),
+}
+# getters of a side's edge id and dir: in a document, and in a ``Square`` boundary
+_SIDE = (operator.itemgetter("edge"), operator.itemgetter("dir"))
+_PAIR = (operator.itemgetter(0), operator.itemgetter(1))
 
 
-def complex_from_json(doc: dict) -> SquareComplex:
-    """Parse and validate a complex document; unknown fields are preserved."""
+def _fields(doc: dict, section: str) -> list[list]:
+    """The fields of a section's records, one list each in record order.
+
+    The string fields come first, then the optional integer or, for
+    squares, the boundaries.  One sweep reads and checks all records;
+    when one is malformed, the ordered checks raise the first fault with
+    its path.
+    """
+    kind, strings, optional = _SCHEMA[section]
+    recs = doc[section]
+    try:
+        cols = [[rec[key] for rec in recs] for key in strings]
+        last = [rec.get(optional) if optional else rec["boundary"] for rec in recs]
+        ok = {str}.issuperset(map(type, itertools.chain(*cols))) and len(set(cols[0])) == len(recs)
+        if optional:
+            ok = ok and {int, type(None)}.issuperset(map(type, last))
+        else:
+            ok = ok and {list}.issuperset(map(type, last)) and {4}.issuperset(map(len, last))
+            sides = list(itertools.chain.from_iterable(last)) if ok else []
+            ok = ok and {str}.issuperset(map(type, map(_SIDE[0], sides)))
+            ok = ok and {"+", "-"}.issuperset(map(_SIDE[1], sides))
+    except (TypeError, KeyError):
+        ok = False
+    seen = set()
+    for n, rec in enumerate([] if ok else recs):
+        path = f"{section}[{n}]"
+        _require(isinstance(rec, dict), path, "expected an object")
+        for key in strings:
+            _require(isinstance(rec.get(key), str), path, f"missing string {key!r}")
+        _require(rec["id"] not in seen, path, f"duplicate {kind} id {rec['id']!r}")
+        seen.add(rec["id"])
+        value = rec.get(optional or "boundary")
+        if optional:
+            integer = value is None or isinstance(value, int) and not isinstance(value, bool)
+            _require(integer, f"{path}.{optional}", "expected an integer or null")
+            continue
+        _require(isinstance(value, list), f"{path}.boundary", "expected a list")
+        _require(len(value) == 4, f"{path}.boundary", f"expected 4 sides, got {len(value)}")
+        for sn, side in enumerate(value):
+            spath = f"{path}.boundary[{sn}]"
+            _require(isinstance(side, dict), spath, "expected an object")
+            _require(isinstance(side.get("edge"), str), spath, "missing string 'edge'")
+            _require(side.get("dir") in ("+", "-"), f"{spath}.dir", "expected '+' or '-'")
+    return cols + [last]
+
+
+def complex_from_json(doc: dict) -> ComplexIndex:
+    """Validate a complex document straight into its integer view.
+
+    The top level and ``params`` are checked first, then the records of
+    the vertices, edges and squares, each in document order, and then
+    the incidences, as ``validate_complex`` checks them; the first fault
+    raises ``ComplexFormatError`` naming its path.  No cell records are
+    made: edge types are checked and dropped, and unknown fields are
+    ignored.
+    """
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     for key in ("vertices", "edges", "squares"):
         _require(key in doc, "$", f"missing key {key!r}")
@@ -640,62 +689,9 @@ def complex_from_json(doc: dict) -> SquareComplex:
             params = GroupParams(raw_params["m"], raw_params["k"])
         except (TypeError, ValueError) as exc:
             raise ComplexFormatError(f"params: {exc}") from exc
-    X = SquareComplex(params=params)
-    for n, rec in enumerate(doc["vertices"]):
-        path = f"vertices[{n}]"
-        _require(isinstance(rec, dict), path, "expected an object")
-        _require("id" in rec and isinstance(rec["id"], str), path, "missing string 'id'")
-        _require(rec["id"] not in X.vertices, path, f"duplicate vertex id {rec['id']!r}")
-        X.vertices[rec["id"]] = Vertex(
-            rec["id"],
-            height=_opt_int(rec.get("height"), f"{path}.height"),
-            extra={k: v for k, v in rec.items() if k not in _VERTEX_KEYS},
-        )
-    for n, rec in enumerate(doc["edges"]):
-        path = f"edges[{n}]"
-        _require(isinstance(rec, dict), path, "expected an object")
-        for key in ("id", "tail", "head"):
-            _require(
-                key in rec and isinstance(rec[key], str), path, f"missing string {key!r}"
-            )
-        _require(rec["id"] not in X.edges, path, f"duplicate edge id {rec['id']!r}")
-        X.edges[rec["id"]] = Edge(
-            rec["id"],
-            rec["tail"],
-            rec["head"],
-            type=_opt_int(rec.get("type"), f"{path}.type"),
-            extra={k: v for k, v in rec.items() if k not in _EDGE_KEYS},
-        )
-    for n, rec in enumerate(doc["squares"]):
-        path = f"squares[{n}]"
-        _require(isinstance(rec, dict), path, "expected an object")
-        _require("id" in rec and isinstance(rec["id"], str), path, "missing string 'id'")
-        _require(rec["id"] not in X.squares, path, f"duplicate square id {rec['id']!r}")
-        raw_boundary = rec.get("boundary")
-        _require(isinstance(raw_boundary, list), f"{path}.boundary", "expected a list")
-        _require(
-            len(raw_boundary) == 4,
-            f"{path}.boundary",
-            f"expected 4 sides, got {len(raw_boundary)}",
-        )
-        sides = []
-        for sn, side in enumerate(raw_boundary):
-            spath = f"{path}.boundary[{sn}]"
-            _require(isinstance(side, dict), spath, "expected an object")
-            _require(
-                "edge" in side and isinstance(side["edge"], str),
-                spath,
-                "missing string 'edge'",
-            )
-            _require(
-                side.get("dir") in ("+", "-"), f"{spath}.dir", "expected '+' or '-'"
-            )
-            sides.append((side["edge"], side["dir"]))
-        X.squares[rec["id"]] = Square(
-            rec["id"],
-            tuple(sides),
-            extra={k: v for k, v in rec.items() if k not in _SQUARE_KEYS},
-        )
-    X.extra = {k: v for k, v in doc.items() if k not in _TOP_KEYS}
-    X.index = validate_complex(X)
-    return X
+    vertex_ids, heights = _fields(doc, "vertices")
+    edge_ids, tails, heads, _ = _fields(doc, "edges")
+    square_ids, boundaries = _fields(doc, "squares")
+    return _indexed(
+        params, vertex_ids, heights, edge_ids, tails, heads, square_ids, boundaries, _SIDE
+    )

@@ -220,7 +220,7 @@ class InteractionReport:
 
 
 def interaction_report(
-    ix: ComplexIndex, H: HyperplanePartition, core: Optional[Core] = None
+    ix: ComplexIndex, H: HyperplanePartition, core: Optional[Core] = None, corner_pairs=None
 ) -> InteractionReport:
     """Crossing and osculation relations plus the four violation lists.
 
@@ -228,7 +228,8 @@ def interaction_report(
     the core are considered; parallelism and the adjacency exemption stay
     global.  Violations: per-square equal transverse classes (condition
     1), one-sided classes (2), same-class osculation (3), and class pairs
-    that both cross and osculate (4).
+    that both cross and osculate (4).  ``corner_pairs`` may pass in
+    ``square_corner_pairs(ix)``, for a caller that walks again.
     """
     n = len(ix.edge_ids)
     eids, vids, sids = ix.edge_ids, ix.vertex_ids, ix.square_ids
@@ -252,7 +253,7 @@ def interaction_report(
             continue
         cited = [eids[x] for x in sorted({e, f})]
         one_sided.append({"class": eids[cls], "edges": cited, "square": sids[s]})
-    corner_pairs = square_corner_pairs(ix)
+    corner_pairs = square_corner_pairs(ix) if corner_pairs is None else corner_pairs
     osculations: dict[int, tuple[int, int, int]] = {}
     for e, f, v in iter_osculations(ix, corner_pairs, core):
         ce, cf = rep[e], rep[f]

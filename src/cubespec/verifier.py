@@ -68,6 +68,7 @@ from cubespec.hyperplane_engine import (
     core_edges,
     interaction_report,
     iter_osculations,
+    square_corner_pairs,
 )
 
 SELF_OSC_CASES = (
@@ -629,8 +630,8 @@ def _coset_floor(params: GroupParams, gen: Elem) -> list[int]:
 def core_coefficients(X: SquareComplex, ix: ComplexIndex, core: Core) -> CoreCoefficients:
     """Index the core edges of the built complex ``X`` and make the tables.
 
-    The refs come from the edge ids, so a reloaded document indexes like
-    the build.
+    The refs come from the edge ids, so a complex rebuilt from the
+    records of its document indexes like the build.
     """
     params = X.params
     m, k, n = params.m, params.k, len(ix.edge_ids)
@@ -773,7 +774,7 @@ def cross_validate(
 ) -> CrossValidation:
     """Compare the geometric and symbolic routes on one truncation.
 
-    ``X`` is a built truncation, in memory or reloaded from its document:
+    ``X`` is a built truncation, in memory or rebuilt from its document:
     its ``params`` give the group, its vertex heights the span, and its
     edge ids the refs of the core edges.  The core is the edges whose top
     height lies ``margin`` inside either end of the span.
@@ -829,7 +830,8 @@ def cross_validate(
 
     findings = []
     case_matches: dict[str, int] = {}
-    report = interaction_report(ix, H, core)
+    corner_pairs = square_corner_pairs(ix)  # one exemption set for both walks
+    report = interaction_report(ix, H, core, corner_pairs)
     for _, s in sorted(report.crossings.items()):
         t1 = cc.type_j[ix.sides[4 * s] >> 1]
         t2 = cc.type_j[ix.sides[4 * s + 1] >> 1]
@@ -837,7 +839,7 @@ def cross_validate(
             findings.append(
                 {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}
             )
-    for e, f, v in iter_osculations(ix, core=core):
+    for e, f, v in iter_osculations(ix, corner_pairs, core):
         got = classify_osculation(cc, e, f, v)
         case_id = got["case_id"]
         if case_id == "unmatched":

@@ -5,7 +5,11 @@ or shortcuts: cell ids from refs, the vertex stabiliser in closed form,
 the square ref of a built square, from-scratch re-checks of single
 interaction witnesses, and the incidence validation, curvature check,
 parallelism union-find and interaction report keyed by id strings, as they ran before the
-program moved to the integer view of a complex.  The climb coset and
+program moved to the integer view of a complex.  ``complex_from_json``
+is the document loader that builds ``Vertex``/``Edge``/``Square``
+records and keeps unknown fields, as it ran before the program loaded a
+document straight into its integer view; it does not validate the
+incidences.  The climb coset and
 the osculation classifier compute with ``Elem`` arithmetic and a k-step
 discrete log, as they ran before the program moved to coefficient
 indices.  ``named_partition``,
@@ -34,10 +38,13 @@ from cubespec.coeff_group import (
 from cubespec.complex_model import (
     ComplexFormatError,
     ComplexIndex,
+    Edge,
     EdgeRef,
     NpcReport,
+    Square,
     SquareComplex,
     SquareRef,
+    Vertex,
     VertexRef,
     parse_edge_ids,
 )
@@ -680,3 +687,101 @@ def classify_osculation(
         c_shift = _discrete_log(params, b, g2 * g.inverse())
         return solved(3, b, None if c_shift is None else (1 - c_shift) % k)
     return fail("adjacent-type pair in an unrecognised relative position")
+
+
+# ---------------------------------------------------------------------------
+# the record-building document loader
+
+
+_VERTEX_KEYS = {"id", "height"}
+_EDGE_KEYS = {"id", "tail", "head", "type"}
+_SQUARE_KEYS = {"id", "boundary"}
+_TOP_KEYS = {"params", "vertices", "edges", "squares"}
+
+
+def _require(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise ComplexFormatError(f"{path}: {message}")
+
+
+def _opt_int(value, path: str) -> Optional[int]:
+    if value is None:
+        return None
+    _require(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer or null")
+    return value
+
+
+def complex_from_json(doc: dict) -> SquareComplex:
+    """Parse a complex document into records; unknown fields are preserved."""
+    _require(isinstance(doc, dict), "$", "expected a JSON object")
+    for key in ("vertices", "edges", "squares"):
+        _require(key in doc, "$", f"missing key {key!r}")
+        _require(isinstance(doc[key], list), key, "expected a list")
+    params = None
+    raw_params = doc.get("params")
+    if raw_params is not None:
+        _require(isinstance(raw_params, dict), "params", "expected an object or null")
+        for key in ("m", "k"):
+            _require(key in raw_params, "params", f"missing key {key!r}")
+        try:
+            params = GroupParams(raw_params["m"], raw_params["k"])
+        except (TypeError, ValueError) as exc:
+            raise ComplexFormatError(f"params: {exc}") from exc
+    X = SquareComplex(params=params)
+    for n, rec in enumerate(doc["vertices"]):
+        path = f"vertices[{n}]"
+        _require(isinstance(rec, dict), path, "expected an object")
+        _require("id" in rec and isinstance(rec["id"], str), path, "missing string 'id'")
+        _require(rec["id"] not in X.vertices, path, f"duplicate vertex id {rec['id']!r}")
+        X.vertices[rec["id"]] = Vertex(
+            rec["id"],
+            height=_opt_int(rec.get("height"), f"{path}.height"),
+            extra={k: v for k, v in rec.items() if k not in _VERTEX_KEYS},
+        )
+    for n, rec in enumerate(doc["edges"]):
+        path = f"edges[{n}]"
+        _require(isinstance(rec, dict), path, "expected an object")
+        for key in ("id", "tail", "head"):
+            _require(
+                key in rec and isinstance(rec[key], str), path, f"missing string {key!r}"
+            )
+        _require(rec["id"] not in X.edges, path, f"duplicate edge id {rec['id']!r}")
+        X.edges[rec["id"]] = Edge(
+            rec["id"],
+            rec["tail"],
+            rec["head"],
+            type=_opt_int(rec.get("type"), f"{path}.type"),
+            extra={k: v for k, v in rec.items() if k not in _EDGE_KEYS},
+        )
+    for n, rec in enumerate(doc["squares"]):
+        path = f"squares[{n}]"
+        _require(isinstance(rec, dict), path, "expected an object")
+        _require("id" in rec and isinstance(rec["id"], str), path, "missing string 'id'")
+        _require(rec["id"] not in X.squares, path, f"duplicate square id {rec['id']!r}")
+        raw_boundary = rec.get("boundary")
+        _require(isinstance(raw_boundary, list), f"{path}.boundary", "expected a list")
+        _require(
+            len(raw_boundary) == 4,
+            f"{path}.boundary",
+            f"expected 4 sides, got {len(raw_boundary)}",
+        )
+        sides = []
+        for sn, side in enumerate(raw_boundary):
+            spath = f"{path}.boundary[{sn}]"
+            _require(isinstance(side, dict), spath, "expected an object")
+            _require(
+                "edge" in side and isinstance(side["edge"], str),
+                spath,
+                "missing string 'edge'",
+            )
+            _require(
+                side.get("dir") in ("+", "-"), f"{spath}.dir", "expected '+' or '-'"
+            )
+            sides.append((side["edge"], side["dir"]))
+        X.squares[rec["id"]] = Square(
+            rec["id"],
+            tuple(sides),
+            extra={k: v for k, v in rec.items() if k not in _SQUARE_KEYS},
+        )
+    X.extra = {k: v for k, v in doc.items() if k not in _TOP_KEYS}
+    return X

@@ -28,6 +28,7 @@ from cubespec.verifier import (
 )
 
 from conftest import ACCEPTANCE_PAIRS
+from reference_impl import complex_from_json as record_complex_from_json
 from reference_impl import named_partition, revalidate_one_sided, revalidate_osculation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
@@ -130,16 +131,17 @@ def test_criterion_6_torsion_probe():
 
 def test_criterion_7_negative_controls():
     with criterion(7, "negative controls with re-validated witnesses"):
+        # the program's view for the kernels, records for the re-validation
         with open(FIXTURES / "klein_bottle.json") as fh:
-            klein = complex_from_json(json.load(fh))
-        ix = validate_complex(klein)
+            doc = json.load(fh)
+        ix, klein = complex_from_json(doc), record_complex_from_json(doc)
         H = named_partition(ix, compute_hyperplanes(ix))
         assert H.one_sided == frozenset({"a"})
         assert revalidate_one_sided(klein, "a")
 
         with open(FIXTURES / "osculating_wedge.json") as fh:
-            wedge = complex_from_json(json.load(fh))
-        ix = validate_complex(wedge)
+            doc = json.load(fh)
+        ix, wedge = complex_from_json(doc), record_complex_from_json(doc)
         rep = interaction_report(ix, compute_hyperplanes(ix))
         H = named_partition(ix, compute_hyperplanes(ix))
         self_osc = rep.violations["self_osc"]
@@ -149,8 +151,7 @@ def test_criterion_7_negative_controls():
         assert revalidate_osculation(wedge, *witness["edges"], witness["vertex"])
 
         with open(FIXTURES / "link_triangle.json") as fh:
-            triangle = complex_from_json(json.load(fh))
-        npc = check_npc(validate_complex(triangle))
+            npc = check_npc(complex_from_json(json.load(fh)))
         assert not npc.passed
         kinds = {f["kind"] for f in npc.failures}
         assert kinds == {"triangle"}

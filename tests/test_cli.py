@@ -237,6 +237,37 @@ class TestCheck:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("source", ["same_type_corner", "osculating_wedge", "built"])
+    def test_no_cell_records(self, source, tmp_path, capsys, monkeypatch):
+        # the loader reads a document straight into its integer view
+        if source == "built":
+            path = self.build_complex(tmp_path, capsys, k="3", lo="-3", hi="3")
+        else:
+            path = FIXTURES / f"{source}.json"
+        code, want, _ = run(capsys, "check", str(path), "--json")
+
+        def record(*args, **kwargs):
+            raise AssertionError("check made a cell record")
+
+        for name in ("Vertex", "Edge", "Square"):
+            monkeypatch.setattr(complex_model, name, record)
+        assert run(capsys, "check", str(path), "--json")[:2] == (code, want)
+
+    def test_unknown_fields_change_nothing(self, tmp_path, capsys):
+        path = self.build_complex(tmp_path, capsys, k="3", lo="-3", hi="3")
+        code, want, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        doc = json.loads(path.read_text())
+        doc["provenance"] = {"note": "hello", "edges": []}
+        for section in ("vertices", "edges", "squares"):
+            for rec in doc[section][::7]:
+                rec["colour"] = ["red", {"depth": None}]
+        for rec in doc["squares"][::5]:
+            rec["boundary"][1]["weight"] = 1.5
+        path.write_text(json.dumps(doc))
+        code, got, _ = run(capsys, "check", str(path), "--json")
+        assert (code, got) == (0, want)
+
     def test_malformed_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": [], "edges": []}')

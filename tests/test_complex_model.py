@@ -31,6 +31,7 @@ from cubespec.complex_model import (
 )
 
 from reference_impl import built_square_refs, edge_id, square_id, vertex_id, vertex_stabilizer
+from reference_impl import complex_from_json as record_complex_from_json
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
@@ -487,7 +488,9 @@ class TestNpc:
 class TestJsonRoundTrip:
     def test_round_trip_built(self):
         X = build_quotient_complex(P42, -1, 1)
-        Y = complex_from_json(json.loads(complex_to_json(X)))
+        doc = json.loads(complex_to_json(X))
+        assert complex_from_json(doc) == validate_complex(X)
+        Y = record_complex_from_json(doc)
         assert list(Y.vertices) == list(X.vertices)
         assert list(Y.edges) == list(X.edges)
         assert list(Y.squares) == list(X.squares)
@@ -550,7 +553,7 @@ class TestJsonRoundTrip:
         doc = json.loads(complex_to_json(build_quotient_complex(P42, 0, 2)))
         doc["provenance"] = {"note": "hello"}
         doc["vertices"][0]["colour"] = "red"
-        X = complex_from_json(doc)
+        X = record_complex_from_json(doc)
         out = json.loads(complex_to_json(X))
         assert out["provenance"] == {"note": "hello"}
         assert out["vertices"][0]["colour"] == "red"
@@ -641,7 +644,8 @@ class TestWriter:
     def test_text_equals_old_dump_and_round_trips(self, X):
         text = complex_to_json(X)
         assert text == old_text(X)
-        Y = complex_from_json(json.loads(text))
+        assert complex_from_json(json.loads(text)) == validate_complex(X)
+        Y = record_complex_from_json(json.loads(text))
         assert list(Y.vertices.values()) == list(X.vertices.values())
         assert list(Y.edges.values()) == list(X.edges.values())
         assert list(Y.squares.values()) == list(X.squares.values())

@@ -1,0 +1,228 @@
+"""The document loader against the record-building reference loader.
+
+``complex_from_json`` reads a document straight into its integer view.
+``reference_impl.complex_from_json`` builds the ``Vertex``/``Edge``/
+``Square`` records it replaced, and ``validate_complex`` then indexes
+them.  On every document the two must agree: the same view, ``params``
+included, or the same ``ComplexFormatError`` message, and the program
+loader must raise nothing else.  Documents are built truncations and
+hand-made complexes, whole or with up to three faults put in.
+"""
+
+import copy
+import functools
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_impl as ref
+from cubespec.coeff_group import GroupParams
+from cubespec.complex_model import (
+    ComplexFormatError,
+    build_quotient_complex,
+    complex_from_json,
+    complex_to_json,
+    validate_complex,
+)
+
+from test_complex_model import complexes
+from test_integer_kernels import glued_complexes
+
+SECTIONS = ("vertices", "edges", "squares")
+FIELDS = {
+    "vertices": ("id", "height"),
+    "edges": ("id", "tail", "head", "type"),
+    "squares": ("id", "boundary"),
+}
+BUILDS = [(4, 2, -1, 1), (3, 3, 0, 2), (4, 3, -1, 1), (3, 2, -2, 1)]
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2), st.text("ab+-", max_size=2)
+)
+json_values = st.one_of(
+    scalars, st.lists(scalars, max_size=2), st.dictionaries(st.text("ab", max_size=1), scalars, max_size=2)
+)
+non_dicts = st.one_of(scalars, st.lists(scalars, max_size=2))
+
+
+@functools.lru_cache(maxsize=None)
+def built_text(m, k, lo, hi):
+    return complex_to_json(build_quotient_complex(GroupParams(m, k), lo, hi))
+
+
+@st.composite
+def documents(draw) -> dict:
+    """A valid document: a small build, or a hand-made complex written out."""
+    source = draw(st.sampled_from(["built", "built", "hand", "glued"]))
+    if source == "built":
+        return json.loads(built_text(*draw(st.sampled_from(BUILDS))))
+    X = draw(complexes() if source == "hand" else glued_complexes())
+    return json.loads(complex_to_json(X))
+
+
+def records(doc, section):
+    """The section's records that are still objects, when the section is a list."""
+    recs = doc.get(section) if isinstance(doc, dict) else None
+    return [r for r in recs if isinstance(r, dict)] if isinstance(recs, list) else []
+
+
+def sides(doc):
+    return [
+        side
+        for rec in records(doc, "squares")
+        if isinstance(rec.get("boundary"), list)
+        for side in rec["boundary"]
+        if isinstance(side, dict)
+    ]
+
+
+def mutate(draw, doc) -> None:
+    """Put one drawn fault into ``doc``, where it has a place for it."""
+    kind = draw(
+        st.sampled_from(
+            ["drop", "retype", "bool_float", "duplicate", "dangle", "dir", "count",
+             "non_dict", "flip", "swap_edge", "params", "section"]
+        )
+    )
+    section = draw(st.sampled_from(SECTIONS + ("squares",)))  # squares have the most fields
+    recs = records(doc, section)
+    rec = draw(st.sampled_from(recs)) if recs else None
+    all_sides = sides(doc)
+    side = draw(st.sampled_from(all_sides)) if all_sides else None
+    if kind == "drop" and rec is not None:
+        if side is not None and draw(st.booleans()):
+            side.pop(draw(st.sampled_from(["edge", "dir"])), None)
+        else:
+            rec.pop(draw(st.sampled_from(FIELDS[section])), None)
+    elif kind == "retype" and rec is not None:
+        if side is not None and draw(st.booleans()):
+            side[draw(st.sampled_from(["edge", "dir"]))] = draw(json_values)
+        else:
+            rec[draw(st.sampled_from(FIELDS[section]))] = draw(json_values)
+    elif kind == "bool_float" and section != "squares" and rec is not None:
+        key = "height" if section == "vertices" else "type"
+        rec[key] = draw(st.sampled_from([True, False, 1.5, 0.0, -2.0]))
+    elif kind == "duplicate" and len(recs) > 1:
+        a, b = draw(st.lists(st.sampled_from(recs), min_size=2, max_size=2, unique_by=id))
+        if "id" in b:
+            a["id"] = b["id"]
+    elif kind == "dangle":
+        to = draw(st.sampled_from(["nowhere", "v/9/9", *[r.get("id") for r in recs[:3]]]))
+        edges = records(doc, "edges")
+        if side is not None and draw(st.booleans()):
+            side["edge"] = to
+        elif edges:
+            draw(st.sampled_from(edges))[draw(st.sampled_from(["tail", "head"]))] = to
+    elif kind == "dir" and side is not None:
+        side["dir"] = draw(st.sampled_from(["x", "", "+-", "++", None, 1, True, ["+"]]))
+    elif kind == "count":
+        squares = records(doc, "squares")
+        if squares:
+            square = draw(st.sampled_from(squares))
+            boundary = square.get("boundary")
+            if isinstance(boundary, list) and boundary and draw(st.booleans()):
+                square["boundary"] = boundary[:-1] if draw(st.booleans()) else boundary + boundary[:1]
+            else:
+                square["boundary"] = draw(st.sampled_from(["abcd", "", {}, None, 4]))
+    elif kind == "non_dict":
+        target = doc.get(section) if isinstance(doc, dict) else None
+        squares = records(doc, "squares")
+        if squares and draw(st.booleans()):
+            boundary = draw(st.sampled_from(squares)).get("boundary")
+            if isinstance(boundary, list) and boundary:
+                boundary[draw(st.integers(0, len(boundary) - 1))] = draw(non_dicts)
+        elif isinstance(target, list) and target:
+            target[draw(st.integers(0, len(target) - 1))] = draw(non_dicts)
+    elif kind == "flip" and side is not None and side.get("dir") in ("+", "-"):
+        side["dir"] = "-" if side["dir"] == "+" else "+"
+    elif kind == "swap_edge" and side is not None:
+        edges = records(doc, "edges")
+        if edges:
+            side["edge"] = draw(st.sampled_from(edges)).get("id")
+    elif kind == "params" and isinstance(doc, dict):
+        params = doc.get("params")
+        if isinstance(params, dict) and draw(st.booleans()):
+            key = draw(st.sampled_from(["m", "k"]))
+            if draw(st.booleans()):
+                params.pop(key, None)
+            else:
+                params[key] = draw(st.one_of(json_values, st.integers(-1, 3)))
+        else:
+            doc["params"] = draw(st.one_of(json_values, st.just({"m": 4})))
+    elif kind == "section" and isinstance(doc, dict):
+        if draw(st.booleans()):
+            doc.pop(section, None)
+        else:
+            doc[section] = draw(st.one_of(scalars, st.dictionaries(st.text("a", max_size=1), scalars, max_size=1)))
+
+
+@st.composite
+def mutated_documents(draw, faults) -> dict:
+    doc = draw(documents())
+    for _ in range(faults):
+        mutate(draw, doc)
+    return doc
+
+
+def outcome(load, doc):
+    """The view a loader returns, or the message of its ComplexFormatError."""
+    try:
+        return load(doc)
+    except ComplexFormatError as exc:
+        return str(exc)
+
+
+def reference(doc):
+    return validate_complex(ref.complex_from_json(doc))
+
+
+class TestAgainstReferenceLoader:
+    @given(mutated_documents(faults=1))
+    @settings(max_examples=400, deadline=None)
+    def test_one_fault(self, doc):
+        want = outcome(reference, copy.deepcopy(doc))
+        assert outcome(complex_from_json, doc) == want
+
+    @given(st.integers(2, 3).flatmap(lambda n: mutated_documents(faults=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_several_faults(self, doc):
+        # the first fault in the reference's order wins
+        want = outcome(reference, copy.deepcopy(doc))
+        assert outcome(complex_from_json, doc) == want
+
+    @given(documents())
+    @settings(max_examples=150, deadline=None)
+    def test_valid_documents(self, doc):
+        got = complex_from_json(doc)
+        assert got == reference(doc)
+        assert got.params == (None if doc["params"] is None else GroupParams(**doc["params"]))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("vertices", 3, "height"), True, r"^vertices\[3\]\.height: expected an integer"),
+            (("edges", 2, "type"), 1.5, r"^edges\[2\]\.type: expected an integer"),
+            (("edges", 4, "id"), "e/1/1/0,0,0,0", r"^edges\[4\]: duplicate edge id"),
+            (("edges", 1, "head"), "v/9/9", r"^edges\['e/1/1/[01,]+'\]: unknown vertex 'v/9/9'"),
+            (("squares", 5, "boundary", 2, "edge"), "e/9/9", r"\.boundary\[2\]\.edge: unknown edge"),
+            (("squares", 5, "boundary", 1, "dir"), "x", r"^squares\[5\]\.boundary\[1\]\.dir: "),
+            (("squares", 0, "boundary"), "abcd", r"^squares\[0\]\.boundary: expected a list"),
+            (("squares", 3, "boundary", 0), ["e", "+"], r"^squares\[3\]\.boundary\[0\]: expected an object"),
+            (("vertices", 0), "v", r"^vertices\[0\]: expected an object"),
+            (("squares", 2, "boundary", 0, "dir"), "-", r"walk does not close"),
+        ],
+    )
+    def test_each_fault_kind(self, path, value, message):
+        # every kind of fault is reachable, with the reference's message
+        doc = json.loads(built_text(4, 2, 0, 2))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        want = outcome(reference, copy.deepcopy(doc))
+        assert isinstance(want, str)
+        assert outcome(complex_from_json, doc) == want
+        assert re.search(message, want)

@@ -11,7 +11,6 @@ from cubespec.complex_model import (
     SquareComplex,
     Vertex,
     build_quotient_complex,
-    complex_from_json,
     parse_edge_ids,
     validate_complex,
 )
@@ -32,6 +31,7 @@ from reference_impl import (
     revalidate_one_sided,
     revalidate_osculation,
 )
+from reference_impl import complex_from_json as record_complex_from_json
 
 P42 = GroupParams(4, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
@@ -329,7 +329,7 @@ class TestBigons:
         assert rep.bigon_pairs == expected
 
     def test_double_glue_fixture(self):
-        X = complex_from_json(json.loads((FIXTURES / "double_glue.json").read_text()))
+        X = record_complex_from_json(json.loads((FIXTURES / "double_glue.json").read_text()))
         _, rep = report(X)
         assert rep.bigon_pairs == brute_force_bigons(X, None)
 

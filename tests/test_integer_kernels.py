@@ -25,7 +25,6 @@ from cubespec.complex_model import (
     Vertex,
     build_quotient_complex,
     check_npc,
-    complex_from_json,
     validate_complex,
 )
 from cubespec.hyperplane_engine import compute_hyperplanes, core_edges, interaction_report
@@ -189,7 +188,7 @@ class TestAgainstReference:
          "same_type_corner", "torus"],
     )
     def test_fixture(self, name):
-        X = complex_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+        X = ref.complex_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
         assert_like_reference(X)
 
     @pytest.mark.parametrize("m, k", [(4, 2), (3, 3), (4, 4), (5, 3)])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from cubespec import verifier
+from cubespec import hyperplane_engine, verifier
 from cubespec.coeff_group import (
     Character,
     Elem,
@@ -23,7 +23,6 @@ from cubespec.complex_model import (
     SquareRef,
     Vertex,
     build_quotient_complex,
-    complex_from_json,
     complex_to_json,
     square_boundary,
     validate_complex,
@@ -43,6 +42,7 @@ from cubespec.verifier import (
 )
 
 from reference_impl import built_square_refs
+from reference_impl import complex_from_json as record_complex_from_json
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
@@ -348,6 +348,21 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="certificates"):
             cross_validate(X, 2, [])
 
+    def test_square_corner_pairs_made_once(self, monkeypatch):
+        # the report's walk and the classifying walk share one exemption set
+        calls = []
+        made = hyperplane_engine.square_corner_pairs
+
+        def counted(ix):
+            calls.append(1)
+            return made(ix)
+
+        for module in (hyperplane_engine, verifier):
+            monkeypatch.setattr(module, "square_corner_pairs", counted)
+        cv = run_cross_validation(P43, -5, 5, 2)
+        assert cv.agreement and sum(cv.case_matches.values()) > 0
+        assert len(calls) == 1
+
     def test_every_core_witness_classifies(self):
         from cubespec.hyperplane_engine import core_edges, iter_osculations
 
@@ -367,7 +382,7 @@ class TestCrossValidation:
         # the edge ids carry everything cross-validation reads off a build
         params = GroupParams(m, k)
         X = build_quotient_complex(params, -span, span)
-        Y = complex_from_json(json.loads(complex_to_json(X)))
+        Y = record_complex_from_json(json.loads(complex_to_json(X)))
         certificates = verify_all(params).certificates
         want = cross_validate(X, 2, certificates).to_json()
         assert cross_validate(Y, 2, certificates).to_json() == want
