@@ -9,21 +9,12 @@ unless ``--stamp`` opts in.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
 from typing import Optional
 
 from cubespec import __version__
-from cubespec.algebra_tools import (
-    IntMatrix,
-    abelianization_invariants,
-    canonical_order_sequence,
-    crossing_orbit_growth,
-    is_periodic,
-    smith_normal_form,
-)
 from cubespec.coeff_group import GroupParams, ParameterMismatchError
 from cubespec.complex_model import (
     DEFAULT_SIZE_CAP,
@@ -43,7 +34,10 @@ from cubespec.hyperplane_engine import (
     interaction_report,
     report_to_json,
 )
-from cubespec.verifier import cross_validate, verify_all
+
+# verifier, algebra_tools and datetime are imported inside the commands
+# that use them: each command is its own process, and build and check
+# need none of them.
 
 SIZE_CAP_ENV = "CUBESPEC_SIZE_CAP"
 
@@ -62,6 +56,8 @@ def _dump(doc: dict) -> str:
 
 
 def _stamp() -> dict:
+    import datetime
+
     return {
         "tool": f"cubespec {__version__}",
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -164,6 +160,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from cubespec.verifier import cross_validate, verify_all
+
     params = _params(args)
     size_cap = _size_cap(args, None)
     margin = args.margin if args.margin is not None else BUILT_MARGIN
@@ -218,7 +216,9 @@ def cmd_verify(args) -> int:
     return EXIT_CLEAN if ok else EXIT_FINDINGS
 
 
-def _read_matrix(path: str) -> IntMatrix:
+def _read_matrix(path: str):
+    from cubespec.algebra_tools import IntMatrix
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -238,6 +238,8 @@ def _read_matrix(path: str) -> IntMatrix:
 
 
 def cmd_snf(args) -> int:
+    from cubespec.algebra_tools import smith_normal_form
+
     result = smith_normal_form(_read_matrix(args.matrix))
     _emit(result.to_json(), args)
     if not args.json:
@@ -246,6 +248,8 @@ def cmd_snf(args) -> int:
 
 
 def cmd_abelianize(args) -> int:
+    from cubespec.algebra_tools import abelianization_invariants
+
     params = _params(args)
     torsion, rank = abelianization_invariants(params)
     desc = " x ".join([f"C{d}" for d in torsion] + [f"Z^{rank}"])
@@ -256,6 +260,8 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from cubespec.algebra_tools import crossing_orbit_growth
+
     params = _params(args)
     count = crossing_orbit_growth(params, args.radius)
     _emit(
@@ -272,6 +278,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_torsion_probe(args) -> int:
+    from cubespec.algebra_tools import canonical_order_sequence, is_periodic
+
     params = _params(args)
     window = args.window if args.window is not None else 4 * params.k
     seq = canonical_order_sequence(params, range(0, window))
@@ -387,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = subs.add_parser("growth", help="crossing orbit count within a radius")
     _add_params(g)
-    g.add_argument("--radius", type=int, required=True)
+    g.add_argument("--radius", type=_at_least(0), required=True)
     _add_common_output(g)
     g.set_defaults(fn=cmd_growth)
 
@@ -395,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         "torsion-probe", help="order sequence of the canonical images and its period"
     )
     _add_params(t)
-    t.add_argument("--window", type=int, help="sample width (default 4k)")
+    t.add_argument("--window", type=_at_least(0), help="sample width (default 4k)")
     _add_common_output(t)
     t.set_defaults(fn=cmd_torsion_probe)
 

@@ -5,6 +5,11 @@ exponent vectors; a character value is the exponent of a fixed primitive
 k-th root of unity, so character comparisons are exact residue
 comparisons in Z/k and no floating point appears anywhere.
 
+Cosets are never normalised to a representative: two cosets x * H_l and
+y * H_r meet exactly when x * y^-1 lies in H_l * H_r, so ``coset_meet``
+makes that product set (the sumset of the exponent tuples) once for a
+subgroup pair and decides each pair of exponent tuples with one lookup.
+
 Type indices j live in 1..m and wrap cyclically (j = m + 1 means 1).
 """
 
@@ -12,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class ParameterMismatchError(ValueError):
@@ -234,83 +240,55 @@ def edge_type_stabilizer(params: GroupParams, j: int) -> Subgroup:
     return subgroup_cyclic(unit(params, j - 1) * unit(params, j))
 
 
-@dataclass(frozen=True)
-class Coset:
-    """Coset rep * sub with rep normalised to the lex-smallest member.
+def coset_meet(
+    left: Subgroup, right: Subgroup
+) -> Callable[[tuple[int, ...], tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """The decider for cosets x * left and y * right, on exponent tuples.
 
-    Build instances through :func:`coset` so that equality of cosets is
-    plain field equality of the canonical representative.
+    The returned ``meet(x, y)`` gives the least member (lex order on
+    exponents) of the intersection, or None when the cosets are disjoint.
+    They meet exactly when x * y^-1 lies in left * right, which is made
+    once here as at most |left| * |right| exponent tuples, so deciding a
+    pair is one set lookup and only a meeting pair enumerates members.
+    No member of either coset is singled out as its representative.
     """
+    _check_params(left.params, right.params)
+    k = left.params.k
+    left_exps = [s.exps for s in left.elements]
+    right_exps = [s.exps for s in right.elements]
+    sums = {tuple((a + b) % k for a, b in zip(g, h)) for g in left_exps for h in right_exps}
 
-    rep: Elem
-    sub: Subgroup
+    def meet(x: tuple[int, ...], y: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        if tuple((a - b) % k for a, b in zip(x, y)) not in sums:
+            return None
+        inside = {tuple((a + b) % k for a, b in zip(y, h)) for h in right_exps}
+        members = (tuple((a + b) % k for a, b in zip(x, g)) for g in left_exps)
+        return min(e for e in members if e in inside)
 
-    @property
-    def params(self) -> GroupParams:
-        return self.rep.params
-
-    def __contains__(self, e: Elem) -> bool:
-        return e * self.rep.inverse() in self.sub
-
-    def elements(self) -> frozenset[Elem]:
-        return frozenset(self.rep * s for s in self.sub.elements)
-
-    def to_json(self) -> dict:
-        return {
-            "rep": self.rep.to_json(),
-            "subgroup_generator": self.sub.generator.to_json(),
-        }
-
-
-def _member_exps(rep: Elem, sub: Subgroup) -> list[tuple[int, ...]]:
-    """Exponent tuples of rep * s over the subgroup, made without ``Elem``s."""
-    k = rep.params.k
-    return [tuple((a + b) % k for a, b in zip(rep.exps, s.exps)) for s in sub.elements]
-
-
-def coset(rep: Elem, sub: Subgroup) -> Coset:
-    _check_params(rep.params, sub.params)
-    return Coset(Elem(rep.params, min(_member_exps(rep, sub))), sub)
-
-
-def coset_intersection(c1: Coset, c2: Coset) -> frozenset[Elem]:
-    """Exact intersection of two cosets, enumerated as exponent tuples."""
-    _check_params(c1.params, c2.params)
-    small, large = (c1, c2) if len(c1.sub) <= len(c2.sub) else (c2, c1)
-    inside = set(_member_exps(large.rep, large.sub))
-    return frozenset(
-        Elem(c1.params, e) for e in _member_exps(small.rep, small.sub) if e in inside
-    )
-
-
-def separates(chi: Character, pairs: Sequence[tuple[Coset, Coset]]) -> bool:
-    """True when chi certifies every coset pair disjoint.
-
-    The character must take exponent 0 on both subgroups of a pair and
-    different values on its two representatives; then no element can lie
-    in both cosets.
-    """
-    for left, right in pairs:
-        if chi(left.sub.generator) != 0 or chi(right.sub.generator) != 0:
-            return False
-        if chi(left.rep) == chi(right.rep):
-            return False
-    return True
+    return meet
 
 
 def find_separating_character(
-    pairs: Sequence[tuple[Coset, Coset]],
+    left: Elem, right: Elem, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
 ) -> Optional[Character]:
-    """First character (lex order on duals) that separates every pair.
+    """First character (lex order on duals) that separates a whole family.
 
-    Returning a character proves every intersection empty; None means no
-    single character certifies them all, which for one pair of cosets of
-    one subgroup happens exactly when they meet.
+    The family is the coset pairs x * <left> and y * <right>, one for each
+    pair (x, y) of exponent tuples.  A character separates it when it takes
+    exponent 0 on both generators, so it is constant on every coset, and
+    different values on x and y of every pair; then no element lies in
+    both cosets of any pair.  Returning a character proves every
+    intersection empty; None means no single character certifies them
+    all, which for one pair of cosets of one subgroup happens exactly when
+    they meet.
     """
     if not pairs:
         raise ValueError("need at least one coset pair")
-    for chi in all_characters(pairs[0][0].params):
-        if separates(chi, pairs):
+    k = left.params.k
+    ratios = {tuple((a - b) % k for a, b in zip(x, y)) for x, y in pairs}
+    for chi in all_characters(left.params):
+        if chi(left) == 0 and chi(right) == 0 and all(
+            sum(map(operator.mul, chi.dual, r)) % k for r in ratios
+        ):
             return chi
     return None
-

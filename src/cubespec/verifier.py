@@ -2,18 +2,24 @@
 
 Every way two edges of the quotient complex can share a vertex reduces,
 by translation, to finitely many residue configurations.  Each
-configuration asks whether a coefficient coset intersection is empty;
-a linear character that kills both subgroups and splits the two
+configuration asks whether two coefficient cosets x * H_l and y * H_r
+meet; a linear character that kills both subgroups and splits the two
 representatives certifies emptiness exactly.
 
 The checkers enumerate every configuration exhaustively (only residues
-mod k matter, which the complex's height periodicity guarantees) and
-attach the expected character of each case family, falling back to a
-full lexicographic character search when that one fails.  Emptiness is
-always decided by the enumeration itself, so parameter choices outside
-the guarantee (m = 3, composite k) yield honest non-empty certificates
-rather than errors.  Nothing is built: conditions 1 and 2 are read off
-one identity square per type and height residue.
+mod k matter, which the complex's height periodicity guarantees).  A
+case family uses one subgroup pair for all its tuples, so the sumset
+H_l * H_r is made once per family and each tuple is decided by one set
+lookup of x * y^-1, with x and y computed as exponent tuples; only a
+tuple whose cosets meet enumerates their intersection, for its least
+member.  Each family carries its expected character, checked on the
+two generators once and on each tuple's representatives by residue dot
+products, and falls back to a full lexicographic character search when
+that one fails.  Emptiness is always decided by the enumeration itself,
+so parameter choices outside the guarantee (m = 3, composite k) yield
+honest non-empty certificates rather than errors.  Nothing is built:
+conditions 1 and 2 are read off one identity square per type and
+height residue.
 
 ``cross_validate`` ties this symbolic route to the geometric engine: the
 union-find classes must match the climb cosets on the core, and every
@@ -30,22 +36,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from cubespec.coeff_group import (
     Character,
-    Coset,
     Elem,
     GroupParams,
     Subgroup,
     constant,
-    coset,
-    coset_intersection,
+    coset_meet,
     edge_type_stabilizer,
     find_separating_character,
     identity,
     prefix,
-    separates,
     subgroup_cyclic,
     unit,
     unit_character,
@@ -86,10 +90,13 @@ INTER_OSC_CASES = tuple(
 class CaseCertificate:
     """Outcome of one exhaustively enumerated configuration family.
 
-    ``empty`` is decided purely by enumeration.  When a separating
-    character is present, it takes exponent 0 on both subgroups and
-    different values on the two coset representatives of every
-    enumerated tuple, which re-certifies emptiness independently.
+    ``empty`` is decided purely by enumeration.  Each witness is a
+    quantified tuple followed by the exponents of the least member of
+    its two cosets' intersection; no output depends on which member
+    represents a coset.  When a separating character is present, it
+    takes exponent 0 on both subgroup generators and different values on
+    the two coset representatives of every enumerated tuple, which
+    re-certifies emptiness independently.
     """
 
     case_id: str
@@ -127,41 +134,60 @@ class CaseCertificate:
         }
 
 
+def _twist(k: int, s: int, shape: tuple[int, ...], n: int = 1) -> tuple[int, ...]:
+    """Exponents of d(s) * V^n, for V with exponent tuple ``shape``."""
+    return tuple((s + n * v) % k for v in shape)
+
+
 def _certify_family(
     case_id: str,
     j: int,
     tuples: Sequence[tuple],
-    pair_fn: Callable[[tuple], tuple[Coset, Coset]],
+    subgroups: tuple[Subgroup, Subgroup],
+    reps: Callable[..., tuple[tuple[int, ...], tuple[int, ...]]],
     named: Optional[Character],
     quantifiers: str,
     left_desc: str,
     right_desc: str,
     search_cap: int,
 ) -> CaseCertificate:
-    pairs = [pair_fn(t) for t in tuples]
+    """Decide one family: the cosets x * H_l and y * H_r for (x, y) = reps(*t).
+
+    One ``coset_meet`` lookup decides each tuple.  A character that kills
+    both subgroups is constant on each coset, so the named character is
+    checked against the generators once and then compared on the two
+    representatives of each tuple by residue dot products.
+    """
+    left, right = subgroups
+    meet = coset_meet(left, right)
+    pairs = [reps(*t) for t in tuples]
     witnesses = []
-    for t, (left, right) in zip(tuples, pairs):
-        hits = coset_intersection(left, right)
-        if hits:
-            member = min(hits, key=lambda e: e.exps)
-            witnesses.append(tuple(t) + (tuple(member.exps),))
+    for t, (x, y) in zip(tuples, pairs):
+        member = meet(x, y)
+        if member is not None:
+            witnesses.append(t + (member,))
     empty = not witnesses
-    named_valid = separates(named, pairs) if named is not None and pairs else None
+    named_valid = None
+    if named is not None:
+        k, dual = left.params.k, named.dual
+        named_valid = (
+            named(left.generator) == 0
+            and named(right.generator) == 0
+            and all((sum(map(mul, dual, x)) - sum(map(mul, dual, y))) % k for x, y in pairs)
+        )
     separating = named if named_valid else None
-    if separating is None and empty and pairs:
+    if separating is None and empty:
         what = f"{case_id} j={j}: fallback separating-character search over k^m ="
-        check_size_cap(pairs[0][0].params, search_cap, what)
-        separating = find_separating_character(pairs)
-    sub_left = pairs[0][0].sub.generator.exps if pairs else None
-    sub_right = pairs[0][1].sub.generator.exps if pairs else None
+        check_size_cap(left.params, search_cap, what)
+        separating = find_separating_character(left.generator, right.generator, pairs)
     return CaseCertificate(
         case_id=case_id,
         j=j,
         quantifiers=quantifiers,
         left=left_desc,
         right=right_desc,
-        left_subgroup=sub_left,
-        right_subgroup=sub_right,
+        left_subgroup=left.generator.exps,
+        right_subgroup=right.generator.exps,
         empty=empty,
         separating_character=separating.dual if separating else None,
         named_character=named.dual if named is not None else None,
@@ -183,173 +209,123 @@ def check_self_osculation_cases(
     intersection.  Expected characters: D(j-1) * D(j)^-1 for the mixed
     heights, D(j+1) for the equal heights.
     """
-    k = params.k
+    m, k = params.m, params.k
     trivial = subgroup_cyclic(identity(params))
+    zero = identity(params).exps
+    mixed = [(a, c) for a in range(k) for c in range(k)]
     out = []
-    for j in range(1, params.m + 1):
-        stab = edge_type_stabilizer(params, j)
+    for j in range(1, m + 1):
+        subs = (trivial, edge_type_stabilizer(params, j))
         chi_mixed = unit_character(params, j - 1) * unit_character(params, j).inverse()
         chi_equal = unit_character(params, j + 1)
-
-        def below(t, j=j, stab=stab, trivial=trivial):
-            a, c = t
-            left = coset(constant(params, a - 1) ** c * prefix(params, j - 1), trivial)
-            right = coset(prefix(params, j), stab)
-            return left, right
-
-        out.append(
-            _certify_family(
+        p_prev, p_j = prefix(params, j - 1).exps, prefix(params, j).exps
+        p_j_inv = prefix(params, j).inverse().exps
+        families = (
+            (
                 "selfosc_b_eq_a_minus_1",
-                j,
-                [(a, c) for a in range(k) for c in range(k)],
-                below,
+                mixed,
+                lambda a, c: (_twist(k, (a - 1) * c, p_prev), p_j),
                 chi_mixed,
                 "a in [0,k); c in [0,k)",
                 "d(a-1)^c * P(j-1)",
                 "P(j) * <u(j-1)u(j)>",
-                search_cap,
-            )
-        )
-
-        def above(t, j=j, stab=stab, trivial=trivial):
-            a, c = t
-            left = coset(
-                constant(params, a) ** c * prefix(params, j - 1).inverse(), trivial
-            )
-            right = coset(prefix(params, j).inverse(), stab)
-            return left, right
-
-        out.append(
-            _certify_family(
+            ),
+            (
                 "selfosc_b_eq_a_plus_1",
-                j,
-                [(a, c) for a in range(k) for c in range(k)],
-                above,
+                mixed,
+                lambda a, c: (_twist(k, a * c, p_prev, -1), p_j_inv),
                 chi_mixed,
                 "a in [0,k); c in [0,k)",
                 "d(a)^c * P(j-1)^-1",
                 "P(j)^-1 * <u(j-1)u(j)>",
-                search_cap,
-            )
-        )
-
-        def level_top(t, j=j, stab=stab, trivial=trivial):
-            a, c = t
-            return coset(constant(params, a) ** c, trivial), coset(
-                identity(params), stab
-            )
-
-        out.append(
-            _certify_family(
+            ),
+            (
                 "selfosc_b_eq_a_at_a",
-                j,
                 [(a, c) for a in range(1, k) for c in range(1, k)],
-                level_top,
+                lambda a, c: (_twist(k, a * c, zero), zero),
                 chi_equal,
                 "a in [1,k); c in [1,k)",
                 "d(a)^c",
                 "<u(j-1)u(j)>",
-                search_cap,
-            )
-        )
-
-        def level_bottom(t, j=j, stab=stab, trivial=trivial):
-            a, c = t
-            return coset(constant(params, a - 1) ** c, trivial), coset(
-                identity(params), stab
-            )
-
-        out.append(
-            _certify_family(
+            ),
+            (
                 "selfosc_b_eq_a_at_a_minus_1",
-                j,
                 [(a, c) for a in range(k) if (a - 1) % k for c in range(1, k)],
-                level_bottom,
+                lambda a, c: (_twist(k, (a - 1) * c, zero), zero),
                 chi_equal,
                 "a in [0,k), a-1 not 0 mod k; c in [1,k)",
                 "d(a-1)^c",
                 "<u(j-1)u(j)>",
-                search_cap,
-            )
+            ),
         )
+        for case_id, tuples, reps, named, quantifiers, left, right in families:
+            out.append(
+                _certify_family(
+                    case_id, j, tuples, subs, reps, named, quantifiers, left, right, search_cap
+                )
+            )
     return out
 
 
-def _inter_pair_builders(params: GroupParams, j: int):
+def _inter_families(params: GroupParams, j: int):
     """The four coset pairs per crossing corner, after translation.
 
-    For j < m the crossing mixes types j and j+1; for j = m it mixes
-    types m and 1 and the transported cosets absorb the extra constant
-    factors, leaving the same four shapes in terms of u(1) powers.
+    The crossing mixes types j and j+1, read cyclically, so for j = m it
+    mixes types m and 1 and the transported cosets absorb the extra
+    constant factors, leaving the same four shapes in terms of u(1)
+    powers.  Each sub-case gives its two subgroups and the exponent
+    tuples of its two representatives for a tuple (a, b, c).
     """
-    stab_j = edge_type_stabilizer(params, j)
+    k = params.k
+    nxt = params.type_index(j + 1)
+    lo, hi = edge_type_stabilizer(params, j), edge_type_stabilizer(params, nxt)
+    u_j, u_next = unit(params, j).exps, unit(params, nxt).exps
+    zero = identity(params).exps
     if j < params.m:
-        stab_next = edge_type_stabilizer(params, j + 1)
-        u_next = unit(params, j + 1)
-        u_j = unit(params, j)
-
-        def shapes(t):
-            a, b, c = t
-            d_bc = constant(params, b) ** c
-            return {
-                1: (
-                    coset(identity(params), stab_j),
-                    coset(d_bc * u_next ** (b - a), stab_next),
-                ),
-                2: (
-                    coset(u_j, stab_j),
-                    coset(d_bc * u_next ** (b - a + 1), stab_next),
-                ),
-                3: (
-                    coset(d_bc * u_j, stab_j),
-                    coset(u_next ** (b - a), stab_next),
-                ),
-                4: (
-                    coset(d_bc * u_next ** (b - a + 1), stab_next),
-                    coset(identity(params), stab_j),
-                ),
-            }
-
-        descs = {
-            1: ("<u(j-1)u(j)>", "d(b)^c * u(j+1)^(b-a) * <u(j)u(j+1)>"),
-            2: ("u(j) * <u(j-1)u(j)>", "d(b)^c * u(j+1)^(b-a+1) * <u(j)u(j+1)>"),
-            3: ("d(b)^c * u(j) * <u(j-1)u(j)>", "u(j+1)^(b-a) * <u(j)u(j+1)>"),
-            4: ("d(b)^c * u(j+1)^(b-a+1) * <u(j)u(j+1)>", "<u(j-1)u(j)>"),
-        }
-        return shapes, descs
-    stab_one = edge_type_stabilizer(params, 1)
-    u_one = unit(params, 1)
-    u_m = unit(params, params.m)
-
-    def shapes(t):
-        a, b, c = t
-        d_bc = constant(params, b) ** c
         return {
             1: (
-                coset(u_one ** (b - a), stab_one),
-                coset(d_bc, stab_j),
+                (lo, hi),
+                lambda a, b, c: (zero, _twist(k, b * c, u_next, b - a)),
+                ("<u(j-1)u(j)>", "d(b)^c * u(j+1)^(b-a) * <u(j)u(j+1)>"),
             ),
             2: (
-                coset(d_bc * u_m, stab_j),
-                coset(u_one ** (b - a + 1), stab_one),
+                (lo, hi),
+                lambda a, b, c: (u_j, _twist(k, b * c, u_next, b - a + 1)),
+                ("u(j) * <u(j-1)u(j)>", "d(b)^c * u(j+1)^(b-a+1) * <u(j)u(j+1)>"),
             ),
             3: (
-                coset(u_one ** (b - a + 1), stab_one),
-                coset(d_bc, stab_j),
+                (lo, hi),
+                lambda a, b, c: (_twist(k, b * c, u_j), _twist(k, 0, u_next, b - a)),
+                ("d(b)^c * u(j) * <u(j-1)u(j)>", "u(j+1)^(b-a) * <u(j)u(j+1)>"),
             ),
             4: (
-                coset(d_bc * u_m, stab_j),
-                coset(u_one ** (b - a), stab_one),
+                (hi, lo),
+                lambda a, b, c: (_twist(k, b * c, u_next, b - a + 1), zero),
+                ("d(b)^c * u(j+1)^(b-a+1) * <u(j)u(j+1)>", "<u(j-1)u(j)>"),
             ),
         }
-
-    descs = {
-        1: ("u(1)^(b-a) * <u(m)u(1)>", "d(b)^c * <u(m-1)u(m)>"),
-        2: ("d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a+1) * <u(m)u(1)>"),
-        3: ("u(1)^(b-a+1) * <u(m)u(1)>", "d(b)^c * <u(m-1)u(m)>"),
-        4: ("d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a) * <u(m)u(1)>"),
+    return {
+        1: (
+            (hi, lo),
+            lambda a, b, c: (_twist(k, 0, u_next, b - a), _twist(k, b * c, zero)),
+            ("u(1)^(b-a) * <u(m)u(1)>", "d(b)^c * <u(m-1)u(m)>"),
+        ),
+        2: (
+            (lo, hi),
+            lambda a, b, c: (_twist(k, b * c, u_j), _twist(k, 0, u_next, b - a + 1)),
+            ("d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a+1) * <u(m)u(1)>"),
+        ),
+        3: (
+            (hi, lo),
+            lambda a, b, c: (_twist(k, 0, u_next, b - a + 1), _twist(k, b * c, zero)),
+            ("u(1)^(b-a+1) * <u(m)u(1)>", "d(b)^c * <u(m-1)u(m)>"),
+        ),
+        4: (
+            (lo, hi),
+            lambda a, b, c: (_twist(k, b * c, u_j), _twist(k, 0, u_next, b - a)),
+            ("d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a) * <u(m)u(1)>"),
+        ),
     }
-    return shapes, descs
 
 
 def check_inter_osculation_cases(
@@ -379,19 +355,18 @@ def check_inter_osculation_cases(
             if case_family == 1
             else unit_character(params, 2)
         )
-        shapes, descs = _inter_pair_builders(params, j)
-        pairs = {t: shapes(t) for t in tuples}  # all four sub-cases at once
-        for sub in (1, 2, 3, 4):
+        for sub, (subs, reps, (left, right)) in _inter_families(params, j).items():
             out.append(
                 _certify_family(
                     f"interosc_{case_family}_{sub}",
                     j,
                     tuples,
-                    lambda t, sub=sub, pairs=pairs: pairs[t][sub],
+                    subs,
+                    reps,
                     named,
                     quantifiers,
-                    descs[sub][0],
-                    descs[sub][1],
+                    left,
+                    right,
                     search_cap,
                 )
             )

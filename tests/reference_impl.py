@@ -20,15 +20,15 @@ results into the id-keyed form of these references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from cubespec.coeff_group import (
-    Coset,
+    Character,
     Elem,
     GroupParams,
+    ParameterMismatchError,
     Subgroup,
     constant,
-    coset,
     edge_type_stabilizer,
     identity,
     prefix,
@@ -541,6 +541,129 @@ def named_report(ix: ComplexIndex, report: engine.InteractionReport) -> Interact
 
 def named_core(ix: ComplexIndex, core: engine.Core) -> frozenset[str]:
     return frozenset(e for e, inside in zip(ix.edge_ids, core.mask) if inside)
+
+
+# ---------------------------------------------------------------------------
+# cosets and the certificate families on ``Elem``s
+
+
+@dataclass(frozen=True)
+class Coset:
+    """Coset rep * sub with rep normalised to the lex-smallest member.
+
+    Build instances through :func:`coset` so that equality of cosets is
+    plain field equality of the canonical representative.
+    """
+
+    rep: Elem
+    sub: Subgroup
+
+    @property
+    def params(self) -> GroupParams:
+        return self.rep.params
+
+    def __contains__(self, e: Elem) -> bool:
+        return e * self.rep.inverse() in self.sub
+
+    def elements(self) -> frozenset[Elem]:
+        return frozenset(self.rep * s for s in self.sub.elements)
+
+    def to_json(self) -> dict:
+        return {
+            "rep": self.rep.to_json(),
+            "subgroup_generator": self.sub.generator.to_json(),
+        }
+
+
+def _member_exps(rep: Elem, sub: Subgroup) -> list[tuple[int, ...]]:
+    """Exponent tuples of rep * s over the subgroup, made without ``Elem``s."""
+    k = rep.params.k
+    return [tuple((a + b) % k for a, b in zip(rep.exps, s.exps)) for s in sub.elements]
+
+
+def coset(rep: Elem, sub: Subgroup) -> Coset:
+    if rep.params != sub.params:
+        raise ParameterMismatchError(f"parameter mismatch: {rep.params} vs {sub.params}")
+    return Coset(Elem(rep.params, min(_member_exps(rep, sub))), sub)
+
+
+def coset_intersection(c1: Coset, c2: Coset) -> frozenset[Elem]:
+    """Exact intersection of two cosets, enumerated as exponent tuples."""
+    if c1.params != c2.params:
+        raise ParameterMismatchError(f"parameter mismatch: {c1.params} vs {c2.params}")
+    small, large = (c1, c2) if len(c1.sub) <= len(c2.sub) else (c2, c1)
+    inside = set(_member_exps(large.rep, large.sub))
+    return frozenset(
+        Elem(c1.params, e) for e in _member_exps(small.rep, small.sub) if e in inside
+    )
+
+
+def separates(chi: Character, pairs: Sequence[tuple[Coset, Coset]]) -> bool:
+    """True when chi certifies every coset pair disjoint.
+
+    The character must take exponent 0 on both subgroups of a pair and
+    different values on its two representatives; then no element can lie
+    in both cosets.
+    """
+    for left, right in pairs:
+        if chi(left.sub.generator) != 0 or chi(right.sub.generator) != 0:
+            return False
+        if chi(left.rep) == chi(right.rep):
+            return False
+    return True
+
+
+def family_cosets(params: GroupParams, case_id: str, j: int, t: tuple) -> tuple[Coset, Coset]:
+    """The two cosets of one quantified tuple of a certificate family.
+
+    ``t`` is (a, c) for the self-osculation families and (a, b, c) for
+    the inter-osculation ones, as in the certificate's witnesses.  Each
+    coset is restated from its ``left`` or ``right`` description with
+    ``Elem`` arithmetic; ``Stab(j)`` is ``<u(j-1)u(j)>``.
+    """
+    def stab(i: int) -> Subgroup:
+        return edge_type_stabilizer(params, params.type_index(i))
+
+    def d(i: int) -> Elem:
+        return constant(params, i)
+
+    def u(i: int) -> Elem:
+        return unit(params, i)
+
+    one = identity(params)
+    trivial = subgroup_cyclic(one)
+    if case_id.startswith("selfosc"):
+        a, c = t
+        return {
+            "selfosc_b_eq_a_minus_1": (
+                coset(d(a - 1) ** c * prefix(params, j - 1), trivial),
+                coset(prefix(params, j), stab(j)),
+            ),
+            "selfosc_b_eq_a_plus_1": (
+                coset(d(a) ** c * prefix(params, j - 1).inverse(), trivial),
+                coset(prefix(params, j).inverse(), stab(j)),
+            ),
+            "selfosc_b_eq_a_at_a": (coset(d(a) ** c, trivial), coset(one, stab(j))),
+            "selfosc_b_eq_a_at_a_minus_1": (coset(d(a - 1) ** c, trivial), coset(one, stab(j))),
+        }[case_id]
+    a, b, c = t
+    twist = d(b) ** c
+    if j < params.m:
+        return {
+            "interosc_1_1": (coset(one, stab(j)), coset(twist * u(j + 1) ** (b - a), stab(j + 1))),
+            "interosc_1_2": (
+                coset(u(j), stab(j)),
+                coset(twist * u(j + 1) ** (b - a + 1), stab(j + 1)),
+            ),
+            "interosc_1_3": (coset(twist * u(j), stab(j)), coset(u(j + 1) ** (b - a), stab(j + 1))),
+            "interosc_1_4": (coset(twist * u(j + 1) ** (b - a + 1), stab(j + 1)), coset(one, stab(j))),
+        }[case_id]
+    return {
+        "interosc_2_1": (coset(u(1) ** (b - a), stab(1)), coset(twist, stab(j))),
+        "interosc_2_2": (coset(twist * u(j), stab(j)), coset(u(1) ** (b - a + 1), stab(1))),
+        "interosc_2_3": (coset(u(1) ** (b - a + 1), stab(1)), coset(twist, stab(j))),
+        "interosc_2_4": (coset(twist * u(j), stab(j)), coset(u(1) ** (b - a), stab(1))),
+    }[case_id]
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,18 @@ class TestVerify:
         assert stdout == ""
         assert "size cap 65536" in err
 
+    @pytest.mark.parametrize("m, k", [(5, 11), (4, 13)])
+    def test_regime_pairs_past_the_cap(self, m, k, capsys):
+        # 11^5 and 13^4 exceed the default cap: every family is empty and
+        # its named character certifies it, so no fallback search runs
+        code, stdout, _ = run(capsys, "verify", "--m", str(m), "--k", str(k), "--json")
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["all_empty"] is True
+        families = [c for c in doc["certificates"] if c["named_character"] is not None]
+        assert len(families) == 8 * m
+        assert all(c["named_character_valid"] is True for c in families)
+
     def test_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CUBESPEC_SIZE_CAP", "10")
         code, _, err = run(capsys, "verify", "--m", "4", "--k", "3")
@@ -452,6 +464,18 @@ class TestAlgebraCommands:
     def test_growth_m3_rejected(self, capsys):
         code, _, _ = run(capsys, "growth", "--m", "3", "--k", "2", "--radius", "5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("torsion-probe", "--m", "4", "--k", "3", "--window", "-2"), "--window"),
+            (("growth", "--m", "4", "--k", "3", "--radius", "-1"), "--radius"),
+        ],
+    )
+    def test_negative_width_names_the_argument(self, argv, flag, capsys):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert f"argument {flag}: must be at least 0, got {argv[-1]}" in err
 
     def test_torsion_probe(self, capsys, tmp_path):
         out = tmp_path / "probe.json"
@@ -545,3 +569,26 @@ def test_python_m_cubespec_runs_the_cli():
         timeout=60,
     )
     assert proc.returncode == 2
+
+
+def test_build_and_check_import_no_verifier():
+    # each command is its own process: build and check load neither the
+    # symbolic route nor the algebra tools
+    script = (
+        "import sys, tempfile, os\n"
+        "from cubespec.cli import main\n"
+        "path = os.path.join(tempfile.mkdtemp(), 'x.json')\n"
+        "seen = []\n"
+        "for argv in (['build', '--m', '4', '--k', '2', '--hmin', '-3', '--hmax', '3', '-o', path],\n"
+        "             ['check', path, '--json']):\n"
+        "    assert main(argv) == 0\n"
+        "    seen += [m for m in ('cubespec.verifier', 'cubespec.algebra_tools') if m in sys.modules]\n"
+        "print(seen)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -11,19 +11,17 @@ from cubespec.coeff_group import (
     ParameterMismatchError,
     all_characters,
     constant,
-    coset,
-    coset_intersection,
+    coset_meet,
     edge_type_stabilizer,
     find_separating_character,
     identity,
     prefix,
-    separates,
     subgroup_cyclic,
     unit,
     unit_character,
 )
 
-from reference_impl import climb_coset, vertex_stabilizer
+from reference_impl import climb_coset, coset, coset_intersection, separates, vertex_stabilizer
 
 P43 = GroupParams(4, 3)
 P42 = GroupParams(4, 2)
@@ -55,7 +53,11 @@ def cosets(params, sub=None):
 
 elem_strategy = elems(P43)
 coset_pair_lists = st.sampled_from([P42, P43]).flatmap(
-    lambda p: st.lists(st.tuples(cosets(p), cosets(p)), min_size=1, max_size=4)
+    lambda p: st.tuples(subgroups(p), subgroups(p)).flatmap(
+        lambda subs: st.lists(
+            st.tuples(cosets(p, subs[0]), cosets(p, subs[1])), min_size=1, max_size=4
+        )
+    )
 )
 same_subgroup_pair_lists = st.sampled_from([P42, P43]).flatmap(
     lambda p: subgroups(p).flatmap(
@@ -241,6 +243,41 @@ class TestCosets:
                 assert coset_intersection(c1, c2) == brute
 
 
+@st.composite
+def family_coset_pairs(draw):
+    """Representatives x, y and a subgroup pair of the certificate families.
+
+    The subgroups are drawn from the trivial one, Stab(j) and Stab(j +- 1);
+    half the draws make y = x * g * h with g in the left subgroup and h in
+    the right one, so the two cosets meet.
+    """
+    params = GroupParams(draw(st.integers(3, 6)), draw(st.integers(2, 9)))
+    m, k = params.m, params.k
+    j = draw(st.integers(1, m))
+    subs = [subgroup_cyclic(identity(params))] + [
+        edge_type_stabilizer(params, params.type_index(i)) for i in (j - 1, j, j + 1)
+    ]
+    left, right = draw(st.sampled_from(subs)), draw(st.sampled_from(subs))
+    x = draw(elems(params))
+    if draw(st.booleans()):
+        p, q = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        y = x * left.generator ** p * right.generator ** q
+    else:
+        y = draw(elems(params))
+    return left, right, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_coset_pairs())
+def test_coset_meet_matches_reference_intersection(args):
+    # the sumset lookup decides the pair, and a hit gives the least common
+    # member of the exact intersection
+    left, right, x, y = args
+    hits = coset_intersection(coset(x, left), coset(y, right))
+    want = min((e.exps for e in hits), default=None)
+    assert coset_meet(left, right)(x.exps, y.exps) == want
+
+
 def reference_subgroups(params):
     """The trivial group, the edge stabilisers and the vertex stabilisers."""
     return st.sampled_from(
@@ -286,31 +323,37 @@ def brute_force_separator(pairs):
     return None
 
 
+def search(pairs):
+    """The program's search over coset pairs that share one subgroup pair."""
+    (left, right), = {(l.sub, r.sub) for l, r in pairs}
+    return find_separating_character(
+        left.generator, right.generator, [(l.rep.exps, r.rep.exps) for l, r in pairs]
+    )
+
+
 class TestSeparatingCharacter:
     def test_named_case_instance(self):
         sub = edge_type_stabilizer(P43, 2)
-        chi = find_separating_character(
-            [(coset(identity(P43), sub), coset(unit(P43, 1), sub))]
-        )
+        chi = search([(coset(identity(P43), sub), coset(unit(P43, 1), sub))])
         assert chi is not None
         assert chi.dual == (1, 2, 0, 0)
 
     def test_equal_cosets_unseparable(self):
         c = coset(unit(P43, 3), edge_type_stabilizer(P43, 4))
-        assert find_separating_character([(c, c)]) is None
+        assert search([(c, c)]) is None
 
     def test_cross_subgroup_search(self):
         # exhaustive search over the 16 duals of (m=4, k=2)
         c1 = coset(identity(P42), edge_type_stabilizer(P42, 2))
         c2 = coset(constant(P42, 1), edge_type_stabilizer(P42, 3))
-        chi = find_separating_character([(c1, c2)])
+        chi = search([(c1, c2)])
         assert chi is not None
         assert chi.dual == (0, 0, 0, 1)
 
     def test_separator_certifies_emptiness(self):
         c1 = coset(identity(P42), edge_type_stabilizer(P42, 2))
         c2 = coset(constant(P42, 1), edge_type_stabilizer(P42, 3))
-        chi = find_separating_character([(c1, c2)])
+        chi = search([(c1, c2)])
         assert coset_intersection(c1, c2) == frozenset()
         assert chi(c1.sub.generator) == 0 and chi(c2.sub.generator) == 0
         assert chi(c1.rep) != chi(c2.rep)
@@ -322,7 +365,7 @@ class TestSeparatingCharacter:
         for r1, r2 in itertools.product(all_elems(P42), repeat=2):
             c1, c2 = coset(r1, sub), coset(r2, sub)
             empty = not coset_intersection(c1, c2)
-            found = find_separating_character([(c1, c2)]) is not None
+            found = search([(c1, c2)]) is not None
             assert empty == found
 
     def test_disjoint_pairs_without_common_separator(self):
@@ -332,17 +375,17 @@ class TestSeparatingCharacter:
         reps = [unit(P42, 1), unit(P42, 3), unit(P42, 1) * unit(P42, 3)]
         pairs = [(coset(identity(P42), sub), coset(r, sub)) for r in reps]
         assert all(not coset_intersection(a, b) for a, b in pairs)
-        assert all(find_separating_character([p]) is not None for p in pairs)
-        assert find_separating_character(pairs) is None
+        assert all(search([p]) is not None for p in pairs)
+        assert search(pairs) is None
 
     def test_needs_a_pair(self):
         with pytest.raises(ValueError):
-            find_separating_character([])
+            find_separating_character(identity(P42), identity(P42), [])
 
     @given(coset_pair_lists)
     @settings(max_examples=150, deadline=None)
     def test_search_matches_brute_force(self, pairs):
-        chi = find_separating_character(pairs)
+        chi = search(pairs)
         assert chi == brute_force_separator(pairs)
         if chi is not None:
             for left, right in pairs:
@@ -357,7 +400,7 @@ class TestSeparatingCharacter:
     @settings(max_examples=100, deadline=None)
     def test_meeting_pair_blocks_separation(self, pairs):
         if any(coset_intersection(left, right) for left, right in pairs):
-            assert find_separating_character(pairs) is None
+            assert search(pairs) is None
 
 
 class TestClimbCoset:

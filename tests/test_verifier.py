@@ -9,8 +9,6 @@ from cubespec.coeff_group import (
     Elem,
     GroupParams,
     constant,
-    coset,
-    coset_intersection,
     edge_type_stabilizer,
     identity,
     unit,
@@ -41,7 +39,7 @@ from cubespec.verifier import (
     verify_all,
 )
 
-from reference_impl import built_square_refs
+from reference_impl import built_square_refs, coset, coset_intersection, family_cosets, separates
 from reference_impl import complex_from_json as record_complex_from_json
 
 P42 = GroupParams(4, 2)
@@ -200,6 +198,51 @@ class TestSoundnessSpotCheck:
                     assert chi(left.rep) != chi(right.rep), (a, b, c_)
 
 
+QUANTIFIED_TUPLES = {
+    "a in [0,k); c in [0,k)": lambda k: [(a, c) for a in range(k) for c in range(k)],
+    "a in [1,k); c in [1,k)": lambda k: [(a, c) for a in range(1, k) for c in range(1, k)],
+    "a in [0,k), a-1 not 0 mod k; c in [1,k)": lambda k: [
+        (a, c) for a in range(k) if (a - 1) % k for c in range(1, k)
+    ],
+    "a in [0,k); b in [1,k); c in [1,k)": lambda k: [
+        (a, b, c) for a in range(k) for b in range(1, k) for c in range(1, k)
+    ],
+}
+
+
+@pytest.mark.parametrize("m, k", [(3, 3), (3, 5), (3, 7), (4, 4)])
+def test_witnesses_recheck_against_elem_cosets(m, k):
+    # every osculation family against its cosets restated with Elem
+    # arithmetic: a witness lies in both cosets of its tuple and is their
+    # least common member, a tuple without one has disjoint cosets, and
+    # the named and separating characters agree with the coset pairs
+    params = GroupParams(m, k)
+    families = [c for c in verify_all(params).certificates if c.named_character is not None]
+    assert len(families) == 8 * m and any(not c.empty for c in families)
+    for cert in families:
+        tuples = QUANTIFIED_TUPLES[cert.quantifiers](k)
+        assert cert.enumerated == len(tuples)
+        pairs = [family_cosets(params, cert.case_id, cert.j, t) for t in tuples]
+        assert {(l.sub.generator.exps, r.sub.generator.exps) for l, r in pairs} == {
+            (cert.left_subgroup, cert.right_subgroup)
+        }
+        by_tuple = {w[:-1]: Elem(params, w[-1]) for w in cert.witnesses}
+        for t, (left, right) in zip(tuples, pairs):
+            common = [e.exps for e in left.elements() if e in right]
+            if t in by_tuple:
+                member = by_tuple[t]
+                assert member in left and member in right, (cert.case_id, cert.j, t)
+                assert member.exps == min(common), (cert.case_id, cert.j, t)
+            else:
+                assert common == [], (cert.case_id, cert.j, t)
+        assert [w[:-1] for w in cert.witnesses] == [t for t in tuples if t in by_tuple]
+        assert cert.named_character_valid == separates(
+            Character(params, cert.named_character), pairs
+        )
+        if cert.separating_character is not None:
+            assert separates(Character(params, cert.separating_character), pairs)
+
+
 class TestStructuralConditions:
     def test_built_complexes_pass(self):
         for params in (P42, GroupParams(5, 3)):
@@ -284,11 +327,11 @@ class TestVerifyAll:
         # without a named character an empty family falls back to the
         # search over all k^m characters, which the cap bounds
         stab = edge_type_stabilizer(P42, 1)
-        pair = (coset(identity(P42), stab), coset(unit(P42, 1), stab))
+        pair = (identity(P42).exps, unit(P42, 1).exps)
 
         def certify(search_cap):
             return verifier._certify_family(
-                "case", 1, [()], lambda t: pair, None, "q", "l", "r", search_cap
+                "case", 1, [()], (stab, stab), lambda: pair, None, "q", "l", "r", search_cap
             )
 
         with pytest.raises(SizeCapError, match="case j=1: fallback separating-character search"):
@@ -392,6 +435,17 @@ class TestCrossValidation:
         X = build_quotient_complex(P42, -3, 3)
         with pytest.raises(ValueError, match="margin 4"):
             cross_validate(X, 4, verify_all(P42).certificates)
+
+
+@pytest.mark.slow
+def test_regime_sweep_all_empty():
+    # the reproduction's headline: m in 4..10 over prime k <= 13, 42 pairs,
+    # 21 of them past the default cap; about 4 s in all
+    for m in range(4, 11):
+        for k in (2, 3, 5, 7, 11, 13):
+            report = verify_all(GroupParams(m, k))
+            assert report.all_empty, (m, k)
+            assert all(c.named_character_valid is not False for c in report.certificates)
 
 
 COMPOSITE_K = pytest.mark.xfail(
