@@ -27,17 +27,10 @@ from cubespec.complex_model import (
     complex_from_json,
     complex_to_json,
 )
-from cubespec.hyperplane_engine import (
-    compute_hyperplanes,
-    core_edges,
-    dot_export,
-    interaction_report,
-    report_to_json,
-)
 
-# verifier, algebra_tools and datetime are imported inside the commands
-# that use them: each command is its own process, and build and check
-# need none of them.
+# hyperplane_engine, verifier, algebra_tools and datetime are imported
+# inside the commands that use them: each command is its own process,
+# and build needs none of them.
 
 SIZE_CAP_ENV = "CUBESPEC_SIZE_CAP"
 
@@ -98,7 +91,6 @@ def cmd_build(args) -> int:
     X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
     if args.stamp:
         X.extra["stamp"] = _stamp()
-    text = complex_to_json(X)
     counts = X.counts()
     summary = (
         f"vertices={counts['vertices']} edges={counts['edges']} "
@@ -106,22 +98,25 @@ def cmd_build(args) -> int:
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            complex_to_json(X, fh)
         print(summary)
     else:
-        sys.stdout.write(text)
+        complex_to_json(X, sys.stdout)
         print(summary, file=sys.stderr)
     return EXIT_CLEAN
 
 
 def cmd_check(args) -> int:
+    from cubespec.hyperplane_engine import (
+        compute_hyperplanes,
+        core_edges,
+        dot_export,
+        interaction_report,
+        report_to_json,
+    )
+
     with open(args.input, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ComplexFormatError(f"invalid JSON: {exc}") from exc
-    ix = complex_from_json(doc)
-    del doc  # the integer view holds all that the kernels read
+        ix = complex_from_json(fh.read())  # the loader drops the text once it is read
     heights = ix.height
     margin = args.margin
     if margin is None:
@@ -282,6 +277,9 @@ def cmd_torsion_probe(args) -> int:
 
     params = _params(args)
     window = args.window if args.window is not None else 4 * params.k
+    if window < 3 * params.k:
+        # three periods of the longest candidate, k, must fit in the sample
+        raise ValueError(f"--window {window} is too short: need at least 3k = {3 * params.k}")
     seq = canonical_order_sequence(params, range(0, window))
     period = is_periodic(seq, params.k)
     ones_ok = all(
@@ -403,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         "torsion-probe", help="order sequence of the canonical images and its period"
     )
     _add_params(t)
-    t.add_argument("--window", type=_at_least(0), help="sample width (default 4k)")
+    t.add_argument("--window", type=_at_least(0), help="sample width, at least 3k (default 4k)")
     _add_common_output(t)
     t.set_defaults(fn=cmd_torsion_probe)
 

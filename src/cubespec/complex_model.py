@@ -24,10 +24,12 @@ import itertools
 import json
 import math
 import operator
+import re
 from array import array
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _enc
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 
@@ -571,7 +573,41 @@ def _square_record(s: Square) -> str:
     return f'    {{\n      "id": {_enc(s.id)},\n      "boundary": [\n{sides}\n      ]\n    }}'
 
 
-def complex_to_json(X: SquareComplex) -> str:
+_BATCH = 1024  # records per chunk of the document text
+
+
+def _chunks(X: SquareComplex) -> Iterator[str]:
+    """The document text of ``X`` in pieces, a batch of records at a time."""
+    params = None if X.params is None else {"m": X.params.m, "k": X.params.k}
+    yield "{\n"
+    yield _members({"params": X.extra.get("params", params)})
+    sections = (
+        ("vertices", _vertex_record, X.vertices),
+        ("edges", _edge_record, X.edges),
+        ("squares", _square_record, X.squares),
+    )
+    for key, record, cells in sections:
+        yield ",\n"
+        if key in X.extra:
+            yield _members({key: X.extra[key]})
+        elif cells:
+            yield f'  "{key}": [\n'
+            texts = map(record, cells.values())
+            yield ",\n".join(itertools.islice(texts, _BATCH))
+            while batch := list(itertools.islice(texts, _BATCH)):
+                yield ",\n"
+                yield ",\n".join(batch)
+            yield "\n  ]"
+        else:
+            yield f'  "{key}": []'
+    rest = {key: X.extra[key] for key in sorted(X.extra) if key not in _TOP_KEYS}
+    if rest:
+        yield ",\n"
+        yield _members(rest)
+    yield "\n}\n"
+
+
+def complex_to_json(X: SquareComplex, out: Optional[TextIO] = None) -> Optional[str]:
     """The complex document as JSON text, written record by record.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of the object with
@@ -580,27 +616,15 @@ def complex_to_json(X: SquareComplex) -> str:
     Plain records come from templates with ids quoted as ``json.dumps``
     quotes them; records with extra fields, an empty boundary or
     non-int heights or types go through ``json.dumps`` itself.
+
+    Without ``out`` the text is returned.  With a text stream ``out``
+    the same text is written to it a batch of records at a time, so the
+    whole document is never held, and None is returned.
     """
-    params = None if X.params is None else {"m": X.params.m, "k": X.params.k}
-    chunks = ["{\n", _members({"params": X.extra.get("params", params)})]
-    sections = (
-        ("vertices", _vertex_record, X.vertices),
-        ("edges", _edge_record, X.edges),
-        ("squares", _square_record, X.squares),
-    )
-    for key, record, cells in sections:
-        chunks.append(",\n")
-        if key in X.extra:
-            chunks.append(_members({key: X.extra[key]}))
-        elif cells:
-            chunks += [f'  "{key}": [\n', ",\n".join(map(record, cells.values())), "\n  ]"]
-        else:
-            chunks.append(f'  "{key}": []')
-    rest = {key: X.extra[key] for key in sorted(X.extra) if key not in _TOP_KEYS}
-    if rest:
-        chunks += [",\n", _members(rest)]
-    chunks.append("\n}\n")
-    return "".join(chunks)
+    if out is None:
+        return "".join(_chunks(X))
+    out.writelines(_chunks(X))
+    return None
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -619,6 +643,27 @@ _SIDE = (operator.itemgetter("edge"), operator.itemgetter("dir"))
 _PAIR = (operator.itemgetter(0), operator.itemgetter(1))
 
 
+def _sweep(cols: list[list], last: list, optional: Optional[str], side) -> bool:
+    """The set-based checks of one section's columns, over all records at once.
+
+    ``cols`` are the string fields, the ids first; ``last`` holds the
+    optional integers or, for squares, the boundaries as sequences of
+    sides read by the ``side`` getters.  True when every string field is
+    a string, the ids are unique, and every optional field is an int or
+    None or every boundary has four sides, each with a string edge and
+    a dir of '+' or '-'.  A side the getters cannot read raises.
+    """
+    ok = {str}.issuperset(map(type, itertools.chain(*cols))) and len(set(cols[0])) == len(last)
+    if optional:
+        return ok and {int, type(None)}.issuperset(map(type, last))
+    if not (ok and {4}.issuperset(map(len, last))):
+        return False
+    sides = list(itertools.chain.from_iterable(last))
+    return {str}.issuperset(map(type, map(side[0], sides))) and {"+", "-"}.issuperset(
+        map(side[1], sides)
+    )
+
+
 def _fields(doc: dict, section: str) -> list[list]:
     """The fields of a section's records, one list each in record order.
 
@@ -632,14 +677,8 @@ def _fields(doc: dict, section: str) -> list[list]:
     try:
         cols = [[rec[key] for rec in recs] for key in strings]
         last = [rec.get(optional) if optional else rec["boundary"] for rec in recs]
-        ok = {str}.issuperset(map(type, itertools.chain(*cols))) and len(set(cols[0])) == len(recs)
-        if optional:
-            ok = ok and {int, type(None)}.issuperset(map(type, last))
-        else:
-            ok = ok and {list}.issuperset(map(type, last)) and {4}.issuperset(map(len, last))
-            sides = list(itertools.chain.from_iterable(last)) if ok else []
-            ok = ok and {str}.issuperset(map(type, map(_SIDE[0], sides)))
-            ok = ok and {"+", "-"}.issuperset(map(_SIDE[1], sides))
+        lists = optional or {list}.issuperset(map(type, last))
+        ok = lists and _sweep(cols, last, optional, _SIDE)
     except (TypeError, KeyError):
         ok = False
     seen = set()
@@ -665,30 +704,161 @@ def _fields(doc: dict, section: str) -> list[list]:
     return cols + [last]
 
 
-def complex_from_json(doc: dict) -> ComplexIndex:
+def _params(raw) -> Optional[GroupParams]:
+    """The ``params`` of a document: null, or an object with a valid m and k."""
+    if raw is None:
+        return None
+    _require(isinstance(raw, dict), "params", "expected an object or null")
+    for key in ("m", "k"):
+        _require(key in raw, "params", f"missing key {key!r}")
+    try:
+        return GroupParams(raw["m"], raw["k"])
+    except (TypeError, ValueError) as exc:
+        raise ComplexFormatError(f"params: {exc}") from exc
+
+
+_DECODER = json.JSONDecoder()
+_WS = json.decoder.WHITESPACE.match
+_NEXT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|(\]))").match
+
+
+class _Unread(Exception):
+    """Text that the streamed reader leaves to ``json.loads``."""
+
+
+def _square_row(rec: dict, share) -> tuple:
+    """A square's id and its sides as (edge, dir) pairs, each edge id shared."""
+    a, b, c, d = rec["boundary"]  # raises unless four sides, which the sweep needs
+    ea, eb, ec, ed = a["edge"], b["edge"], c["edge"], d["edge"]
+    return rec["id"], (
+        (share(ea, ea), a["dir"]),
+        (share(eb, eb), b["dir"]),
+        (share(ec, ec), c["dir"]),
+        (share(ed, ed), d["dir"]),
+    )
+
+
+# section -> the fields of one record that the loader reads, the ids first
+_ROW = {
+    "vertices": lambda rec, share: (rec["id"], rec.get("height")),
+    "edges": lambda rec, share: (rec["id"], rec["tail"], rec["head"], rec.get("type")),
+    "squares": _square_row,
+}
+
+
+def _read_section(text: str, pos: int, section: str, names: dict) -> tuple[list[list], int]:
+    """The fields of the records in the array at ``pos`` and the position past it.
+
+    Records are decoded one at a time, and only their fields are kept,
+    a square's sides as (edge, dir) pairs.  The names of vertices and
+    edges, which other records repeat, are held once, as the string
+    that ``names`` maps each to.  Raises ``_Unread`` when the value is
+    not an array or its records fail the sweep.
+    """
+    _, strings, optional = _SCHEMA[section]
+    if text[pos : pos + 1] != "[":
+        raise _Unread
+    row, share, scan, rows = _ROW[section], names.setdefault, _DECODER.scan_once, []
+    pos = _WS(text, pos + 1).end()
+    if text[pos : pos + 1] == "]":
+        pos += 1
+    else:
+        while True:
+            rec, pos = scan(text, pos)
+            rows.append(row(rec, share))
+            after = _NEXT(text, pos)  # a comma or the closing bracket
+            if after is None:
+                raise _Unread
+            pos = after.end()
+            if after.lastindex:
+                break
+    cols = [list(col) for col in zip(*rows)] or [[] for _ in range(len(strings) + 1)]
+    del rows
+    if not _sweep(cols[:-1], cols[-1], optional, _PAIR):
+        raise _Unread
+    if section != "squares":
+        cols[:-1] = [list(map(share, col, col)) for col in cols[:-1]]
+    return cols, pos
+
+
+def _read_columns(text: str) -> Optional[tuple]:
+    """The arguments of ``_indexed`` for a document text, or None.
+
+    The top level is walked key by key and each section record by
+    record, so no record outlives the reading of its fields.  None when
+    the text is not taken: a top level that is not an object, a repeated
+    top-level key, a missing section or one that is not a list, invalid
+    ``params``, a record that fails the sweep, trailing data, a BOM, or
+    any decode error.
+    """
+    found: dict = {}
+    names: dict = {}
+    try:
+        pos = _WS(text, 0).end()
+        if text[pos : pos + 1] != "{":
+            return None
+        pos = _WS(text, pos + 1).end()
+        while True:
+            if text[pos : pos + 1] != '"':
+                return None
+            key, pos = scanstring(text, pos + 1)
+            pos = _WS(text, pos).end()
+            if key in found or text[pos : pos + 1] != ":":
+                return None
+            pos = _WS(text, pos + 1).end()
+            if key in _SCHEMA:
+                found[key], pos = _read_section(text, pos, key, names)
+            else:
+                found[key], pos = _DECODER.scan_once(text, pos)
+            pos = _WS(text, pos).end()
+            if text[pos : pos + 1] != ",":
+                break
+            pos = _WS(text, pos + 1).end()
+        if text[pos : pos + 1] != "}" or _WS(text, pos + 1).end() != len(text):
+            return None
+        if not found.keys() >= _SCHEMA.keys():
+            return None
+        params = _params(found.get("params"))
+    except (_Unread, StopIteration, ValueError, TypeError, KeyError, RecursionError):
+        return None
+    (vertex_ids, heights), (edge_ids, tails, heads, _), (square_ids, boundaries) = (
+        found[key] for key in _SCHEMA
+    )
+    return params, vertex_ids, heights, edge_ids, tails, heads, square_ids, boundaries, _PAIR
+
+
+def complex_from_json(doc: dict | str) -> ComplexIndex:
     """Validate a complex document straight into its integer view.
 
-    The top level and ``params`` are checked first, then the records of
-    the vertices, edges and squares, each in document order, and then
-    the incidences, as ``validate_complex`` checks them; the first fault
+    ``doc`` is a parsed document or, as a str, its JSON text.  The top
+    level and ``params`` are checked first, then the records of the
+    vertices, edges and squares, each in document order, and then the
+    incidences, as ``validate_complex`` checks them; the first fault
     raises ``ComplexFormatError`` naming its path.  No cell records are
     made: edge types are checked and dropped, and unknown fields are
     ignored.
+
+    Text is read one record at a time into the fields that the view is
+    made of, with the same sweep over them as a parsed document gets.
+    Text that this reader does not take is parsed whole by
+    ``json.loads`` and checked as a parsed document, so every message is
+    the same either way; invalid JSON raises ``ComplexFormatError``
+    "invalid JSON: ...".
     """
+    if isinstance(doc, str):
+        columns = _read_columns(doc)
+        if columns is not None:
+            del doc  # the text is dropped before the view is made
+            return _indexed(*columns)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise ComplexFormatError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     for key in ("vertices", "edges", "squares"):
         _require(key in doc, "$", f"missing key {key!r}")
         _require(isinstance(doc[key], list), key, "expected a list")
-    params = None
-    raw_params = doc.get("params")
-    if raw_params is not None:
-        _require(isinstance(raw_params, dict), "params", "expected an object or null")
-        for key in ("m", "k"):
-            _require(key in raw_params, "params", f"missing key {key!r}")
-        try:
-            params = GroupParams(raw_params["m"], raw_params["k"])
-        except (TypeError, ValueError) as exc:
-            raise ComplexFormatError(f"params: {exc}") from exc
+    params = _params(doc.get("params"))
     vertex_ids, heights = _fields(doc, "vertices")
     edge_ids, tails, heads, _ = _fields(doc, "edges")
     square_ids, boundaries = _fields(doc, "squares")

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from cubespec.coeff_group import (
     Character,
@@ -65,15 +65,9 @@ from cubespec.complex_model import (
     square_boundary,
     validate_complex,
 )
-from cubespec.hyperplane_engine import (
-    Core,
-    _pair,
-    compute_hyperplanes,
-    core_edges,
-    interaction_report,
-    iter_osculations,
-    square_corner_pairs,
-)
+
+if TYPE_CHECKING:
+    from cubespec.hyperplane_engine import Core
 
 SELF_OSC_CASES = (
     "selfosc_b_eq_a_minus_1",
@@ -765,6 +759,17 @@ def cross_validate(
     without ``params`` or heights, and an empty core raise
     ``ValueError`` instead of passing vacuously.
     """
+    # the geometric route is imported here, so that a plain ``verify``,
+    # which runs the certificates alone, does not load it
+    from cubespec.hyperplane_engine import (
+        _pair,
+        compute_hyperplanes,
+        core_edges,
+        interaction_report,
+        iter_osculations,
+        square_corner_pairs,
+    )
+
     params = X.params
     if not certificates:
         raise ValueError("cross validation needs the case certificates, got none")

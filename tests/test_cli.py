@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cubespec import cli, complex_model
+from cubespec import cli, complex_model, hyperplane_engine
 from cubespec.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -210,8 +210,9 @@ class TestCheck:
         def kernel(*args, **kwargs):
             raise AssertionError("a kernel ran before the core was checked")
 
-        for name in ("check_npc", "compute_hyperplanes", "interaction_report"):
-            monkeypatch.setattr(cli, name, kernel)
+        monkeypatch.setattr(cli, "check_npc", kernel)
+        for name in ("compute_hyperplanes", "interaction_report"):
+            monkeypatch.setattr(hyperplane_engine, name, kernel)
         code, _, err = run(capsys, "check", str(path), "--margin", "4")
         assert code == 2
         assert "--margin 4 leaves no core edges" in err
@@ -477,6 +478,19 @@ class TestAlgebraCommands:
         assert (code, stdout) == (2, "")
         assert f"argument {flag}: must be at least 0, got {argv[-1]}" in err
 
+    @pytest.mark.parametrize("window", ["0", "1", "8"])
+    def test_window_below_3k_names_the_flag(self, window, capsys):
+        code, stdout, err = run(
+            capsys, "torsion-probe", "--m", "4", "--k", "3", "--window", window
+        )
+        assert (code, stdout) == (2, "")
+        assert f"--window {window} is too short: need at least 3k = 9" in err
+
+    def test_window_of_3k_accepted(self, capsys):
+        code, stdout, _ = run(capsys, "torsion-probe", "--m", "4", "--k", "3", "--window", "9")
+        assert code == 0
+        assert "period=3" in stdout
+
     def test_torsion_probe(self, capsys, tmp_path):
         out = tmp_path / "probe.json"
         code, stdout, _ = run(
@@ -583,6 +597,28 @@ def test_build_and_check_import_no_verifier():
         "             ['check', path, '--json']):\n"
         "    assert main(argv) == 0\n"
         "    seen += [m for m in ('cubespec.verifier', 'cubespec.algebra_tools') if m in sys.modules]\n"
+        "print(seen)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_and_plain_verify_import_no_hyperplane_engine():
+    # the geometric route is loaded by `check` and `verify --cross-validate`
+    # only: importing the CLI and a plain `verify` leave it out
+    script = (
+        "import sys, io, contextlib\n"
+        "import cubespec.cli\n"
+        "seen = ['import'] if 'cubespec.hyperplane_engine' in sys.modules else []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cubespec.cli.main(['verify', '--m', '4', '--k', '3', '--json'])\n"
+        "assert code == 0 and 'cubespec.verifier' in sys.modules\n"
+        "seen += ['verify'] if 'cubespec.hyperplane_engine' in sys.modules else []\n"
         "print(seen)\n"
     )
     env = dict(os.environ)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import re
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 from cubespec.complex_model import (
+    _BATCH,
     ComplexFormatError,
     Edge,
     EdgeRef,
@@ -667,3 +669,37 @@ class TestWriter:
         X.squares["s"] = Square("s", ())
         X.extra = {"vertices": {"replaced": True}, "stamp": {"tool": "t"}, "a": []}
         assert complex_to_json(X) == old_text(X)
+
+    @given(complexes())
+    @settings(max_examples=100, deadline=None)
+    def test_stream_gets_the_returned_text(self, X):
+        out = io.StringIO()
+        assert complex_to_json(X, out) is None
+        assert out.getvalue() == complex_to_json(X)
+
+    def test_stream_gets_the_records_off_the_templates(self):
+        X = make_complex([("a", 0), ("b", 1)], [("e", "a", "b", 1)], [])
+        X.vertices["b"].extra = {"id": "renamed"}
+        X.squares["s"] = Square("s", ())
+        X.extra = {"edges": {"replaced": True}, "stamp": {"tool": "t"}}
+        out = io.StringIO()
+        complex_to_json(X, out)
+        assert out.getvalue() == complex_to_json(X) == old_text(X)
+
+    @pytest.mark.parametrize("m, k, h_min, h_max", [(4, 2, -2, 2), (3, 3, 0, 2), (4, 3, -4, 4)])
+    def test_stream_writes_a_build_in_pieces(self, m, k, h_min, h_max):
+        X = build_quotient_complex(GroupParams(m, k), h_min, h_max)
+        X.extra["stamp"] = {"tool": "t"}
+        chunks = []
+
+        class Recorder(io.StringIO):
+            def write(self, chunk):
+                chunks.append(chunk)
+                return super().write(chunk)
+
+        out = Recorder()
+        complex_to_json(X, out)
+        text = complex_to_json(X)
+        assert out.getvalue() == text == old_text(X)
+        if len(X.edges) > _BATCH:  # more than one batch of records
+            assert max(map(len, chunks)) < len(text) / 2

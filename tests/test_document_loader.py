@@ -11,14 +11,18 @@ hand-made complexes, whole or with up to three faults put in.
 
 import copy
 import functools
+import hashlib
+import io
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
+from cubespec import complex_model
 from cubespec.coeff_group import GroupParams
 from cubespec.complex_model import (
     ComplexFormatError,
@@ -226,3 +230,155 @@ class TestAgainstReferenceLoader:
         assert isinstance(want, str)
         assert outcome(complex_from_json, doc) == want
         assert re.search(message, want)
+
+
+# ---------------------------------------------------------------------------
+# the text reader against the parsed document
+
+
+def text_outcome(text):
+    """What ``complex_from_json`` makes of a text: a view or a message."""
+    return outcome(complex_from_json, text)
+
+
+def parsed_outcome(text):
+    """The same text parsed whole and checked by the reference loader."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc}"
+    return outcome(reference, doc)
+
+
+class TestTextReader:
+    @given(st.integers(0, 3).flatmap(lambda n: mutated_documents(faults=n)), st.sampled_from([2, None]))
+    @settings(max_examples=400, deadline=None)
+    def test_text_reads_as_the_parsed_document(self, doc, indent):
+        text = json.dumps(doc, indent=indent)
+        assert text_outcome(text) == outcome(complex_from_json, doc)
+
+    @given(documents(), st.sampled_from([2, None]))
+    @settings(max_examples=100, deadline=None)
+    def test_valid_documents_are_read_record_by_record(self, doc, indent):
+        # the reader takes every valid document itself, with no json.loads
+        text = json.dumps(doc, indent=indent)
+        assert complex_model._read_columns(text) is not None
+        assert text_outcome(text) == reference(doc)
+
+
+BUILT = built_text(4, 2, 0, 2)
+
+
+def _edited(edit) -> str:
+    """The text of the small build after ``edit`` of its parsed document."""
+    doc = json.loads(BUILT)
+    edit(doc)
+    return json.dumps(doc, indent=2)
+
+
+def _text(*members) -> str:
+    """A document text with ``members`` in this order: keys of the small
+    build, valued as in it, or (key, value) pairs."""
+    doc = json.loads(BUILT)
+    pairs = [(m, doc[m]) if isinstance(m, str) else m for m in members]
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+
+
+TAKEN = {
+    "params after the sections": _text("vertices", "edges", "squares", "params"),
+    "sections in reverse": _text("squares", "edges", "vertices", "params"),
+    "unknown keys around": _text(("a", [1, {"b": None}]), "squares", "edges", "vertices", ("z", "x")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKEN))
+def test_reader_takes_any_member_order(name):
+    text = TAKEN[name]
+    assert complex_model._read_columns(text) is not None
+    assert complex_from_json(text) == complex_from_json(json.loads(text))
+
+
+FALLBACK = {
+    "top level a list": "[]",
+    "top level a string": '"vertices"',
+    "empty object": "{}",
+    "repeated top-level key": _text("params", "vertices", "edges", "squares", ("vertices", [])),
+    "repeated unknown key": _text(("a", 1), ("a", 2), "params", "vertices", "edges", "squares"),
+    "missing section": json.dumps({"params": None, "vertices": [], "edges": []}),
+    "section not a list": json.dumps({"params": None, "vertices": [], "edges": {}, "squares": []}),
+    "params not an object": _edited(lambda doc: doc.update(params=[4, 2])),
+    "params out of range": _edited(lambda doc: doc.update(params={"m": 2, "k": 2})),
+    "record not an object": _edited(lambda doc: doc["vertices"].append("v")),
+    "record with a bool height": _edited(lambda doc: doc["vertices"][1].update(height=True)),
+    "three sides": _edited(lambda doc: doc["squares"][0]["boundary"].pop()),
+    "sides as a string": _edited(lambda doc: doc["squares"][1].update(boundary="abcd")),
+    "side not an object": _edited(lambda doc: doc["squares"][1]["boundary"].__setitem__(2, [])),
+    "unhashable dir": _edited(lambda doc: doc["squares"][1]["boundary"][2].update(dir=["+"])),
+    "unknown edge": BUILT.replace('"edge": "e/1/1/0,0,0,0"', '"edge": "e/9/9"', 1),
+    "trailing data": BUILT + "x",
+    "a second document": BUILT + BUILT,
+    "BOM": "\ufeff" + BUILT,
+    "truncated": BUILT[: len(BUILT) // 2],
+    "trailing comma in a section": BUILT.replace("}\n  ],", "},\n  ],", 1),
+    "trailing comma at the top": BUILT.rstrip()[:-1] + ",}",
+    "missing colon": BUILT.replace('"params":', '"params"', 1),
+    "NaN height": _edited(lambda doc: doc["vertices"][0].update(height=float("nan"))),
+    "empty text": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK))
+def test_fallback_gives_the_parsed_documents_message(name):
+    # a repeated key in valid JSON still makes a view: json.loads keeps the last
+    text = FALLBACK[name]
+    assert text != BUILT
+    assert text_outcome(text) == parsed_outcome(text)
+    if name != "unknown edge":  # the sweep passes; the incidence check raises
+        assert complex_model._read_columns(text) is None
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def _peak(fn) -> int:
+    """Bytes of the highest traced allocation above the start while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_build():
+    return build_quotient_complex(GroupParams(4, 3), -8, 8)
+
+
+def test_streamed_load_peaks_below_half_of_a_whole_parse():
+    text = complex_to_json(_guard_build())
+    streamed = _peak(lambda: complex_from_json(text))
+    whole = _peak(lambda: complex_from_json(json.loads(text)))
+    assert streamed < whole / 2, (streamed, whole)
+
+
+def test_streamed_write_peaks_below_the_document():
+    X = _guard_build()
+    size = len(complex_to_json(X))
+
+    class Sink(io.TextIOBase):
+        def __init__(self):
+            self.digest, self.chars = hashlib.sha256(), 0
+
+        def write(self, chunk):
+            self.digest.update(chunk.encode())
+            self.chars += len(chunk)
+            return len(chunk)
+
+    sink = Sink()
+    peak = _peak(lambda: complex_to_json(X, sink))
+    assert sink.chars == size
+    assert sink.digest.hexdigest() == hashlib.sha256(complex_to_json(X).encode()).hexdigest()
+    assert peak < size, (peak, size)

@@ -138,3 +138,20 @@ def test_documents_outside_structural_certificates_unchanged(pair, produced):
         for name in WITHOUT_STRUCTURAL[pair]
     }
     assert got == WITHOUT_STRUCTURAL[pair]
+
+
+# the doc-pipeline benchmark workload: build (4,5) over +-12, then check it
+WORKLOAD_BUILD = "139e88bd31ca6d2cda26623606349feb90a58febe9677568722d4ef1d58481ab"
+WORKLOAD_CHECK = "3a158878b11724d55be94fd9c251cdaf8635d42bc15be928b478e62fe342a4a2"
+
+
+@pytest.mark.slow
+def test_workload_scale_documents_match(tmp_path, capsys):
+    # the streamed writer and reader at the size of the doc-pipeline workload
+    doc = tmp_path / "doc.json"
+    build = ["build", "--m", "4", "--k", "5", "--hmin", "-12", "--hmax", "12", "-o", str(doc)]
+    assert main(build) == 0
+    capsys.readouterr()
+    assert _sha256(doc.read_bytes()) == WORKLOAD_BUILD
+    assert main(["check", str(doc), "--margin", "5", "--json"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == WORKLOAD_CHECK

@@ -400,8 +400,7 @@ class TestCrossValidation:
             calls.append(1)
             return made(ix)
 
-        for module in (hyperplane_engine, verifier):
-            monkeypatch.setattr(module, "square_corner_pairs", counted)
+        monkeypatch.setattr(hyperplane_engine, "square_corner_pairs", counted)
         cv = run_cross_validation(P43, -5, 5, 2)
         assert cv.agreement and sum(cv.case_matches.values()) > 0
         assert len(calls) == 1
