@@ -26,6 +26,7 @@ from cubespec.complex_model import (
     check_size_cap,
     complex_from_json,
     complex_to_json,
+    validate_complex,
 )
 
 # hyperplane_engine, verifier, algebra_tools and datetime are imported
@@ -88,20 +89,20 @@ def _params(args) -> GroupParams:
 def cmd_build(args) -> int:
     params = _params(args)
     size_cap = _size_cap(args, DEFAULT_SIZE_CAP)
-    X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
-    if args.stamp:
-        X.extra["stamp"] = _stamp()
-    counts = X.counts()
+    cells = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
+    validate_complex(cells)  # the incidences are checked before the document is written
+    stamp = _stamp() if args.stamp else None
+    counts = cells.counts()
     summary = (
         f"vertices={counts['vertices']} edges={counts['edges']} "
         f"squares={counts['squares']}"
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            complex_to_json(X, fh)
+            complex_to_json(cells, fh, stamp)
         print(summary)
     else:
-        complex_to_json(X, sys.stdout)
+        complex_to_json(cells, sys.stdout, stamp)
         print(summary, file=sys.stderr)
     return EXIT_CLEAN
 
@@ -178,8 +179,10 @@ def cmd_verify(args) -> int:
     doc = report.to_json()
     ok = report.all_empty
     if args.cross_validate:
-        X = build_quotient_complex(params, args.hmin, args.hmax, size_cap=build_cap)
-        cv = cross_validate(X, margin, report.certificates)
+        ix = validate_complex(
+            build_quotient_complex(params, args.hmin, args.hmax, size_cap=build_cap)
+        )
+        cv = cross_validate(ix, margin, report.certificates)
         doc["cross_validation"] = cv.to_json()
         ok = ok and cv.agreement
     _emit(doc, args)

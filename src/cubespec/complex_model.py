@@ -1,16 +1,22 @@
-"""Combinatorial square complexes and the quotient-complex builder.
+"""Square complexes as document-order columns, their integer view, and the builder.
 
-A generic square complex is a set of vertices, directed edges and
-squares whose boundaries are closed walks of four directed edges, keyed
-by id.  The curvature check and the kernels of ``hyperplane_engine`` run
-on its integer view, a ``ComplexIndex``, which ``complex_from_json``
-validates a document straight into and ``validate_complex`` makes of a
-``SquareComplex``.  The builder materialises
-finite height-truncations of the quotient complex for parameters
-(m, k): one vertex orbit per height (coefficients reduced modulo the
-height's stabiliser), m free edge orbits per height and m free square
-orbits per layer, glued according to the fundamental-domain incidence
-rules.
+A square complex is a set of vertices, directed edges and squares whose
+boundaries are closed walks of four directed edges, keyed by id.  It
+comes in two forms.  ``Cells`` lists it in document order, one column
+per field: ``build_quotient_complex`` makes it, ``complex_to_json``
+writes it, and ``complex_from_json`` reads it back out of a document.
+``validate_complex`` checks the incidences of the columns once and
+numbers the cells in sorted-id order.  That gives the ``ComplexIndex``
+on which the curvature check and the kernels of ``hyperplane_engine``
+run.  The two orders differ: a build lists its cells by (height, type,
+coefficient index), but as strings ``v/-1/..`` sorts before
+``v/-10/..``, and an exponent 10 before an exponent 2.
+
+The builder materialises finite height-truncations of the quotient
+complex for parameters (m, k): one vertex orbit per height (coefficients
+reduced modulo the height's stabiliser), m free edge orbits per height
+and m free square orbits per layer, glued according to the
+fundamental-domain incidence rules.
 
 Every built edge points upwards (head one height above tail).  Edge and
 square coefficients are never reduced: those cells are in free orbit,
@@ -26,10 +32,10 @@ import math
 import operator
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _enc
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
+from typing import Iterator, NamedTuple, Optional, TextIO
 
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 
@@ -125,60 +131,37 @@ def square_boundary(ref: SquareRef) -> tuple[tuple[EdgeRef, str], ...]:
 
 
 # ---------------------------------------------------------------------------
-# generic complex
+# the two forms of a complex
 
 
-@dataclass
-class Vertex:
-    id: str
-    height: Optional[int] = None
-    extra: dict = field(default_factory=dict)
+class Cells(NamedTuple):
+    """A complex as columns, one per field, with its cells in document order.
 
-
-@dataclass
-class Edge:
-    id: str
-    tail: str
-    head: str
-    type: Optional[int] = None
-    extra: dict = field(default_factory=dict)
-
-
-@dataclass
-class Square:
-    id: str
-    boundary: tuple[tuple[str, str], ...]  # four (edge id, "+"/"-") sides
-    extra: dict = field(default_factory=dict)
-
-
-@dataclass
-class SquareComplex:
-    """Cells keyed by id, the group parameters and unknown fields.
-
-    A built complex names its cells only by id: ``params`` is set, every
-    vertex has a height and every edge a type, and ``parse_edge_ids``
-    reads an edge's ref back from its id.  Hand-made complexes have
-    ``params`` None.  ``complex_to_json`` writes the records and their
-    unknown fields; ``complex_from_json`` makes no records.
+    A built complex has ``params``, an int height on every vertex and an
+    int type on every edge; a document may have null for any of them.
+    Each boundary is four (edge id, dir) sides.
     """
 
-    vertices: dict[str, Vertex] = field(default_factory=dict)
-    edges: dict[str, Edge] = field(default_factory=dict)
-    squares: dict[str, Square] = field(default_factory=dict)
-    params: Optional[GroupParams] = None
-    extra: dict = field(default_factory=dict)
+    params: Optional[GroupParams]
+    vertex_ids: list[str]
+    heights: list[Optional[int]]
+    edge_ids: list[str]
+    tails: list[str]
+    heads: list[str]
+    types: list[Optional[int]]
+    square_ids: list[str]
+    boundaries: list[tuple[tuple[str, str], ...]]
 
     def counts(self) -> dict[str, int]:
         return {
-            "vertices": len(self.vertices),
-            "edges": len(self.edges),
-            "squares": len(self.squares),
+            "vertices": len(self.vertex_ids),
+            "edges": len(self.edge_ids),
+            "squares": len(self.square_ids),
         }
 
 
 class ComplexIndex(NamedTuple):
-    """Integer view of a complex, made by ``complex_from_json`` from a
-    document or by ``validate_complex`` from a ``SquareComplex``.
+    """Integer view of a complex, made by ``validate_complex``.
 
     Vertices, edges and squares are numbered in sorted-id order, so a
     lexicographic tie-break on ids is a comparison of indices.  An edge
@@ -196,6 +179,7 @@ class ComplexIndex(NamedTuple):
     head: list[int]
     sides: array  # four per square, 2*e + direction bit, held unboxed
     height: list[Optional[int]]  # vertex index -> height
+    type: list[Optional[int]]  # edge index -> type
     params: Optional[GroupParams]
 
     def ends(self) -> list[int]:
@@ -219,16 +203,21 @@ class ComplexIndex(NamedTuple):
 
 
 _DIR_BIT = {"+": 0, "-": 1}
+_EDGE_OF, _DIR_OF = operator.itemgetter(0), operator.itemgetter(1)
 
 
-def _indexed(params, vertex_ids, heights, edge_ids, tails, heads, square_ids, boundaries, side):
-    """Check the incidences of cells with unique ids and number them.
+def validate_complex(cells: Cells) -> ComplexIndex:
+    """Check the incidences of a complex and return its integer view.
 
-    The lists give the cells in insertion order, and ``side`` holds the
-    getters of a side's edge id and dir.  One pass in sorted-id order
-    checks everything; when it fails, the ordered checks raise the first
-    fault: edges before squares, each in insertion order.
+    Every edge endpoint must be a vertex; every square boundary must have
+    four sides on known edges, each with direction '+' or '-', that walk
+    a closed loop.  The ids of each kind must be unique, as the loader
+    checks and the builder makes them.  One pass in sorted-id order
+    checks everything; when it fails, the ordered checks raise
+    ``ComplexFormatError`` for the first fault, naming its path: edges
+    before squares, each in document order.
     """
+    vertex_ids, edge_ids, square_ids = cells.vertex_ids, cells.edge_ids, cells.square_ids
     v_order, e_order, s_order = (
         sorted(range(len(ids)), key=ids.__getitem__) for ids in (vertex_ids, edge_ids, square_ids)
     )
@@ -236,21 +225,26 @@ def _indexed(params, vertex_ids, heights, edge_ids, tails, heads, square_ids, bo
     v_index = dict(zip(v_ids, range(len(v_ids))))
     node = dict(zip(e_ids, range(0, 2 * len(e_ids), 2)))  # edge id -> 2*e, its head end
     try:
-        tail = [v_index[tails[i]] for i in e_order]
-        head = [v_index[heads[i]] for i in e_order]
+        tail = [v_index[cells.tails[i]] for i in e_order]
+        head = [v_index[cells.heads[i]] for i in e_order]
     except KeyError:
         eid, end = next(
-            (e, v) for e, *ends in zip(edge_ids, tails, heads) for v in ends if v not in v_index
+            (e, v)
+            for e, *ends in zip(edge_ids, cells.tails, cells.heads)
+            for v in ends
+            if v not in v_index
         )
         raise ComplexFormatError(f"edges[{eid!r}]: unknown vertex {end!r}") from None
-    s_ids, v_heights = [square_ids[i] for i in s_order], [heights[i] for i in v_order]
-    ix = ComplexIndex(v_ids, e_ids, s_ids, tail, head, array("l"), v_heights, params)
-    ends, (edge_of, dir_of) = ix.ends(), side
+    ix = ComplexIndex(
+        v_ids, e_ids, [square_ids[i] for i in s_order], tail, head, array("l"),
+        [cells.heights[i] for i in v_order], [cells.types[i] for i in e_order], cells.params,
+    )
+    ends, boundaries = ix.ends(), cells.boundaries
     try:
         if {4}.issuperset(map(len, boundaries)):
             flat = list(itertools.chain.from_iterable([boundaries[i] for i in s_order]))
-            nodes = map(node.__getitem__, map(edge_of, flat))
-            ix.sides.extend(map(operator.add, nodes, map(_DIR_BIT.__getitem__, map(dir_of, flat))))
+            nodes = map(node.__getitem__, map(_EDGE_OF, flat))
+            ix.sides.extend(map(operator.add, nodes, map(_DIR_BIT.__getitem__, map(_DIR_OF, flat))))
             if [ends[w] for w in ix.sides] == [ends[w ^ 1] for w in ix.next_sides()]:
                 return ix
     except (KeyError, TypeError):
@@ -258,32 +252,16 @@ def _indexed(params, vertex_ids, heights, edge_ids, tails, heads, square_ids, bo
     for sid, boundary in zip(square_ids, boundaries):
         path = f"squares[{sid!r}].boundary"
         _require(len(boundary) == 4, path, f"expected 4 sides, got {len(boundary)}")
-        for n, (eid, d) in enumerate(zip(map(edge_of, boundary), map(dir_of, boundary))):
+        for n, (eid, d) in enumerate(boundary):
             _require(eid in node, f"{path}[{n}].edge", f"unknown edge {eid!r}")
             _require(d in ("+", "-"), f"{path}[{n}].dir", f"expected '+' or '-', got {d!r}")
-        stops = [ends[node[edge_of(x)] + _DIR_BIT[dir_of(x)]] for x in boundary]
-        starts = [ends[node[edge_of(x)] + 1 - _DIR_BIT[dir_of(x)]] for x in boundary]
+        stops = [ends[node[eid] + _DIR_BIT[d]] for eid, d in boundary]
+        starts = [ends[node[eid] + 1 - _DIR_BIT[d]] for eid, d in boundary]
         for n in range(4):
             stop, start = stops[n], starts[(n + 1) % 4]
             where = f"side {n} ends at {v_ids[stop]!r}, side {(n + 1) % 4} starts at"
             _require(stop == start, path, f"walk does not close ({where} {v_ids[start]!r})")
     raise AssertionError("the ordered checks found no fault")
-
-
-def validate_complex(X: SquareComplex) -> ComplexIndex:
-    """Check the incidences of a complex and return its integer view.
-
-    Every edge endpoint must be a vertex; every square boundary must have
-    four sides on known edges, each with direction '+' or '-', that walk
-    a closed loop.  Edges are checked before squares, each in insertion
-    order, and the first fault raises ``ComplexFormatError`` naming its
-    path.  The view carries ``X.params``.
-    """
-    vs, es = X.vertices.values(), X.edges.values()
-    return _indexed(
-        X.params, list(X.vertices), [v.height for v in vs], list(X.edges), [e.tail for e in es],
-        [e.head for e in es], list(X.squares), [s.boundary for s in X.squares.values()], _PAIR,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +298,16 @@ def build_quotient_complex(
     h_min: int,
     h_max: int,
     size_cap: int = DEFAULT_SIZE_CAP,
-) -> SquareComplex:
+) -> Cells:
     """Materialise the height-truncation of the quotient complex.
 
     Vertices appear at every height in [h_min, h_max], edges at every
     height with a layer below, and squares on every layer with room both
     above and below.  Boundary layers simply lack the squares that would
     extend past the truncation; downstream checks compensate with a core
-    margin.  Cell ids are deterministic.
+    margin.  Cell ids are deterministic, and each kind of cell is listed
+    by (height, type, coefficient index); ``validate_complex`` checks
+    and indexes the result.
 
     The incidence rules are equivariant: the cell with coefficient g has
     the faces of the identity cell translated by g.  So the faces of the
@@ -356,7 +336,7 @@ def build_quotient_complex(
             tables[t.exps] = _translation(params, t)
         return tables[t.exps]
 
-    X = SquareComplex(params=params)
+    cells = Cells(params, [], [], [], [], [], [], [], [])
     canon_by_residue: dict[int, list[int]] = {}
     vertex_ids: dict[int, list[str]] = {}  # height -> coefficient index -> id
     for i in range(h_min, h_max + 1):
@@ -366,65 +346,27 @@ def build_quotient_complex(
             ]
         canon = canon_by_residue[i % k]
         ids = {c: f"v/{i}/{exps_strs[c]}" for c in sorted(set(canon))}
-        for vid in ids.values():
-            X.vertices[vid] = Vertex(vid, height=i)
+        cells.vertex_ids.extend(ids.values())
+        cells.heights.extend([i] * len(ids))
         vertex_ids[i] = [ids[c] for c in canon]
     edge_ids: dict[tuple[int, int], list[str]] = {}
     for i in range(h_min + 1, h_max + 1):
         for j in range(1, params.m + 1):
-            eids = [f"e/{i}/{j}/{s}" for s in exps_strs]
-            edge_ids[i, j] = eids
+            eids = edge_ids[i, j] = [f"e/{i}/{j}/{s}" for s in exps_strs]
             tail, head = edge_endpoints(EdgeRef(i, j, one))
-            tails = [vertex_ids[tail.height][x] for x in table(tail.coeff)]
-            heads = [vertex_ids[head.height][x] for x in table(head.coeff)]
-            for eid, t, h in zip(eids, tails, heads):
-                X.edges[eid] = Edge(eid, t, h, type=j)
+            cells.edge_ids.extend(eids)
+            cells.tails.extend([vertex_ids[tail.height][x] for x in table(tail.coeff)])
+            cells.heads.extend([vertex_ids[head.height][x] for x in table(head.coeff)])
+            cells.types.extend([j] * len(eids))
     for i in range(h_min + 1, h_max):
         for j in range(1, params.m + 1):
             sides = [
                 [(edge_ids[er.height, er.type_j][x], d) for x in table(er.coeff)]
                 for er, d in square_boundary(SquareRef(i, j, one))
             ]
-            for s, boundary in zip(exps_strs, zip(*sides)):
-                sid = f"s/{i}/{j}/{s}"
-                X.squares[sid] = Square(sid, boundary)
-    validate_complex(X)
-    return X
-
-
-def parse_edge_ids(X: SquareComplex, eids: Iterable[str]) -> dict[str, EdgeRef]:
-    """Refs of built edges, read back from their ids ``e/<height>/<type>/<exps>``.
-
-    Raises ``ValueError`` naming the id when it does not parse, is not
-    written as the builder writes it, has a type or exponents out of
-    range for ``X.params``, or is not a stored edge with that type and
-    its head at that height.  Equal exponents share one ``Elem``.
-    """
-    params = X.params
-    if params is None:
-        raise ValueError("edge ids name refs only in a built complex; params is null")
-    m, k = params.m, params.k
-    coeffs: dict[str, Elem] = {}
-    refs: dict[str, EdgeRef] = {}
-    for eid in eids:
-        parts = eid.split("/")
-        g = coeffs.get(parts[-1])
-        try:
-            height, type_j = int(parts[1]), int(parts[2])
-            exps = g.exps if g is not None else tuple(map(int, parts[3].split(",")))
-        except (IndexError, ValueError):
-            raise ValueError(f"edge id {eid!r}: expected e/<height>/<type>/<exps>") from None
-        if eid != f"e/{height}/{type_j}/{','.join(map(str, exps))}":
-            raise ValueError(f"edge id {eid!r}: not written as the builder writes ids")
-        if not 1 <= type_j <= m or len(exps) != m or not all(0 <= x < k for x in exps):
-            raise ValueError(f"edge id {eid!r}: type or exponents out of range for {params}")
-        if g is None:
-            g = coeffs[parts[3]] = Elem(params, exps)
-        edge = X.edges.get(eid)
-        if edge is None or edge.type != type_j or X.vertices[edge.head].height != height:
-            raise ValueError(f"edge id {eid!r}: no stored edge of that type and head height")
-        refs[eid] = EdgeRef(height, type_j, g)
-    return refs
+            cells.square_ids.extend([f"s/{i}/{j}/{s}" for s in exps_strs])
+            cells.boundaries.extend(zip(*sides))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -519,111 +461,66 @@ def check_npc(ix: ComplexIndex) -> NpcReport:
 # JSON round trip
 
 
-_TOP_KEYS = {"params", "vertices", "edges", "squares"}
-
-
-def _dumped_record(rec: dict, extra: dict) -> str:
-    """A list record with its extra fields, laid out by ``json.dumps``.
-
-    Exact at any depth because an encoded JSON value never holds a raw
-    newline, so indenting every line break indents every nested line.
-    """
-    text = json.dumps({**rec, **dict(sorted(extra.items()))}, indent=2)
-    return "    " + text.replace("\n", "\n    ")
-
-
 def _members(obj: dict) -> str:
     """Members of a top-level object, laid out by ``json.dumps(indent=2)``."""
     return json.dumps(obj, indent=2)[2:-2]
 
 
-def _plain_int(value) -> Optional[str]:
-    """JSON text of an int or None; None for any other value."""
-    if value is None:
-        return "null"
-    return str(value) if type(value) is int else None
-
-
-def _vertex_record(v: Vertex) -> str:
-    height = _plain_int(v.height)
-    if v.extra or height is None:
-        return _dumped_record({"id": v.id, "height": v.height}, v.extra)
-    return f'    {{\n      "id": {_enc(v.id)},\n      "height": {height}\n    }}'
-
-
-def _edge_record(e: Edge) -> str:
-    type_ = _plain_int(e.type)
-    if e.extra or type_ is None:
-        rec = {"id": e.id, "tail": e.tail, "head": e.head, "type": e.type}
-        return _dumped_record(rec, e.extra)
-    return (
-        f'    {{\n      "id": {_enc(e.id)},\n      "tail": {_enc(e.tail)},\n'
-        f'      "head": {_enc(e.head)},\n      "type": {type_}\n    }}'
-    )
-
-
-def _square_record(s: Square) -> str:
-    if s.extra or not s.boundary:
-        sides = [{"edge": eid, "dir": d} for eid, d in s.boundary]
-        return _dumped_record({"id": s.id, "boundary": sides}, s.extra)
-    sides = ",\n".join(
-        f'        {{\n          "edge": {_enc(eid)},\n          "dir": {_enc(d)}\n        }}'
-        for eid, d in s.boundary
-    )
-    return f'    {{\n      "id": {_enc(s.id)},\n      "boundary": [\n{sides}\n      ]\n    }}'
-
-
+# record templates, laid out as ``json.dumps(indent=2)`` lays out a list item
+_VERTEX = '    {\n      "id": %s,\n      "height": %d\n    }'
+_EDGE = '    {\n      "id": %s,\n      "tail": %s,\n      "head": %s,\n      "type": %d\n    }'
+_SQUARE = '    {\n      "id": %s,\n      "boundary": [\n%s\n      ]\n    }'
+_SIDE = '        {\n          "edge": %s,\n          "dir": %s\n        }'
 _BATCH = 1024  # records per chunk of the document text
 
 
-def _chunks(X: SquareComplex) -> Iterator[str]:
-    """The document text of ``X`` in pieces, a batch of records at a time."""
-    params = None if X.params is None else {"m": X.params.m, "k": X.params.k}
+def _chunks(cells: Cells, stamp: Optional[dict]) -> Iterator[str]:
+    """The document text of ``cells`` in pieces, a batch of records at a time."""
+    params = cells.params
     yield "{\n"
-    yield _members({"params": X.extra.get("params", params)})
+    yield _members({"params": None if params is None else {"m": params.m, "k": params.k}})
     sections = (
-        ("vertices", _vertex_record, X.vertices),
-        ("edges", _edge_record, X.edges),
-        ("squares", _square_record, X.squares),
+        ("vertices", (_VERTEX % (_enc(v), h) for v, h in zip(cells.vertex_ids, cells.heights))),
+        ("edges", (
+            _EDGE % (_enc(e), _enc(t), _enc(h), j)
+            for e, t, h, j in zip(cells.edge_ids, cells.tails, cells.heads, cells.types)
+        )),
+        ("squares", (
+            _SQUARE % (_enc(s), ",\n".join([_SIDE % (_enc(e), _enc(d)) for e, d in sides]))
+            for s, sides in zip(cells.square_ids, cells.boundaries)
+        )),
     )
-    for key, record, cells in sections:
+    for key, texts in sections:
+        batch = list(itertools.islice(texts, _BATCH))
+        yield f',\n  "{key}": [' + ("\n" if batch else "]")
+        while batch:
+            yield ",\n".join(batch)
+            batch = list(itertools.islice(texts, _BATCH))
+            yield ",\n" if batch else "\n  ]"
+    if stamp is not None:
         yield ",\n"
-        if key in X.extra:
-            yield _members({key: X.extra[key]})
-        elif cells:
-            yield f'  "{key}": [\n'
-            texts = map(record, cells.values())
-            yield ",\n".join(itertools.islice(texts, _BATCH))
-            while batch := list(itertools.islice(texts, _BATCH)):
-                yield ",\n"
-                yield ",\n".join(batch)
-            yield "\n  ]"
-        else:
-            yield f'  "{key}": []'
-    rest = {key: X.extra[key] for key in sorted(X.extra) if key not in _TOP_KEYS}
-    if rest:
-        yield ",\n"
-        yield _members(rest)
+        yield _members({"stamp": stamp})
     yield "\n}\n"
 
 
-def complex_to_json(X: SquareComplex, out: Optional[TextIO] = None) -> Optional[str]:
-    """The complex document as JSON text, written record by record.
+def complex_to_json(
+    cells: Cells, out: Optional[TextIO] = None, stamp: Optional[dict] = None
+) -> Optional[str]:
+    """The document of a built complex as JSON text, written record by record.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of the object with
-    keys params, vertices, edges and squares, then the extra top-level
-    keys in sorted order (an extra key named like a section replaces it).
-    Plain records come from templates with ids quoted as ``json.dumps``
-    quotes them; records with extra fields, an empty boundary or
-    non-int heights or types go through ``json.dumps`` itself.
+    keys params, vertices, edges and squares, and then ``stamp`` when it
+    is given.  The records are in column order, each made from a
+    template with its ids quoted as ``json.dumps`` quotes them, so every
+    height and type must be an int, as in a build.
 
     Without ``out`` the text is returned.  With a text stream ``out``
     the same text is written to it a batch of records at a time, so the
     whole document is never held, and None is returned.
     """
     if out is None:
-        return "".join(_chunks(X))
-    out.writelines(_chunks(X))
+        return "".join(_chunks(cells, stamp))
+    out.writelines(_chunks(cells, stamp))
     return None
 
 
@@ -638,20 +535,17 @@ _SCHEMA = {
     "edges": ("edge", ("id", "tail", "head"), "type"),
     "squares": ("square", ("id",), None),
 }
-# getters of a side's edge id and dir: in a document, and in a ``Square`` boundary
-_SIDE = (operator.itemgetter("edge"), operator.itemgetter("dir"))
-_PAIR = (operator.itemgetter(0), operator.itemgetter(1))
 
 
-def _sweep(cols: list[list], last: list, optional: Optional[str], side) -> bool:
+def _sweep(cols: list[list], last: list, optional: Optional[str]) -> bool:
     """The set-based checks of one section's columns, over all records at once.
 
     ``cols`` are the string fields, the ids first; ``last`` holds the
     optional integers or, for squares, the boundaries as sequences of
-    sides read by the ``side`` getters.  True when every string field is
-    a string, the ids are unique, and every optional field is an int or
-    None or every boundary has four sides, each with a string edge and
-    a dir of '+' or '-'.  A side the getters cannot read raises.
+    (edge, dir) sides.  True when every string field is a string, the
+    ids are unique, and every optional field is an int or None or every
+    boundary has four sides, each with a string edge and a dir of '+' or
+    '-'.  An unhashable dir raises ``TypeError``.
     """
     ok = {str}.issuperset(map(type, itertools.chain(*cols))) and len(set(cols[0])) == len(last)
     if optional:
@@ -659,8 +553,8 @@ def _sweep(cols: list[list], last: list, optional: Optional[str], side) -> bool:
     if not (ok and {4}.issuperset(map(len, last))):
         return False
     sides = list(itertools.chain.from_iterable(last))
-    return {str}.issuperset(map(type, map(side[0], sides))) and {"+", "-"}.issuperset(
-        map(side[1], sides)
+    return {str}.issuperset(map(type, map(_EDGE_OF, sides))) and {"+", "-"}.issuperset(
+        map(_DIR_OF, sides)
     )
 
 
@@ -668,9 +562,9 @@ def _fields(doc: dict, section: str) -> list[list]:
     """The fields of a section's records, one list each in record order.
 
     The string fields come first, then the optional integer or, for
-    squares, the boundaries.  One sweep reads and checks all records;
-    when one is malformed, the ordered checks raise the first fault with
-    its path.
+    squares, the boundaries as (edge, dir) sides.  One sweep reads and
+    checks all records; when one is malformed, the ordered checks raise
+    the first fault with its path.
     """
     kind, strings, optional = _SCHEMA[section]
     recs = doc[section]
@@ -678,7 +572,9 @@ def _fields(doc: dict, section: str) -> list[list]:
         cols = [[rec[key] for rec in recs] for key in strings]
         last = [rec.get(optional) if optional else rec["boundary"] for rec in recs]
         lists = optional or {list}.issuperset(map(type, last))
-        ok = lists and _sweep(cols, last, optional, _SIDE)
+        if not optional:  # each {edge, dir} side as an (edge, dir) pair
+            last = [tuple([(side["edge"], side["dir"]) for side in sides]) for sides in last]
+        ok = lists and _sweep(cols, last, optional)
     except (TypeError, KeyError):
         ok = False
     seen = set()
@@ -774,15 +670,15 @@ def _read_section(text: str, pos: int, section: str, names: dict) -> tuple[list[
                 break
     cols = [list(col) for col in zip(*rows)] or [[] for _ in range(len(strings) + 1)]
     del rows
-    if not _sweep(cols[:-1], cols[-1], optional, _PAIR):
+    if not _sweep(cols[:-1], cols[-1], optional):
         raise _Unread
     if section != "squares":
         cols[:-1] = [list(map(share, col, col)) for col in cols[:-1]]
     return cols, pos
 
 
-def _read_columns(text: str) -> Optional[tuple]:
-    """The arguments of ``_indexed`` for a document text, or None.
+def _read_columns(text: str) -> Optional[Cells]:
+    """The columns of a document text, or None.
 
     The top level is walked key by key and each section record by
     record, so no record outlives the reading of its fields.  None when
@@ -821,10 +717,7 @@ def _read_columns(text: str) -> Optional[tuple]:
         params = _params(found.get("params"))
     except (_Unread, StopIteration, ValueError, TypeError, KeyError, RecursionError):
         return None
-    (vertex_ids, heights), (edge_ids, tails, heads, _), (square_ids, boundaries) = (
-        found[key] for key in _SCHEMA
-    )
-    return params, vertex_ids, heights, edge_ids, tails, heads, square_ids, boundaries, _PAIR
+    return Cells(params, *itertools.chain.from_iterable(found[key] for key in _SCHEMA))
 
 
 def complex_from_json(doc: dict | str) -> ComplexIndex:
@@ -833,23 +726,21 @@ def complex_from_json(doc: dict | str) -> ComplexIndex:
     ``doc`` is a parsed document or, as a str, its JSON text.  The top
     level and ``params`` are checked first, then the records of the
     vertices, edges and squares, each in document order, and then the
-    incidences, as ``validate_complex`` checks them; the first fault
-    raises ``ComplexFormatError`` naming its path.  No cell records are
-    made: edge types are checked and dropped, and unknown fields are
-    ignored.
+    incidences by ``validate_complex``; the first fault raises
+    ``ComplexFormatError`` naming its path.  Unknown fields are ignored.
 
-    Text is read one record at a time into the fields that the view is
-    made of, with the same sweep over them as a parsed document gets.
+    Text is read one record at a time into the columns of ``Cells``,
+    with the same sweep over them as a parsed document gets.
     Text that this reader does not take is parsed whole by
     ``json.loads`` and checked as a parsed document, so every message is
     the same either way; invalid JSON raises ``ComplexFormatError``
     "invalid JSON: ...".
     """
     if isinstance(doc, str):
-        columns = _read_columns(doc)
-        if columns is not None:
+        cells = _read_columns(doc)
+        if cells is not None:
             del doc  # the text is dropped before the view is made
-            return _indexed(*columns)
+            return validate_complex(cells)
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
@@ -859,9 +750,4 @@ def complex_from_json(doc: dict | str) -> ComplexIndex:
         _require(key in doc, "$", f"missing key {key!r}")
         _require(isinstance(doc[key], list), key, "expected a list")
     params = _params(doc.get("params"))
-    vertex_ids, heights = _fields(doc, "vertices")
-    edge_ids, tails, heads, _ = _fields(doc, "edges")
-    square_ids, boundaries = _fields(doc, "squares")
-    return _indexed(
-        params, vertex_ids, heights, edge_ids, tails, heads, square_ids, boundaries, _SIDE
-    )
+    return validate_complex(Cells(params, *(col for key in _SCHEMA for col in _fields(doc, key))))

@@ -34,7 +34,6 @@ classified on its own.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
@@ -57,13 +56,10 @@ from cubespec.coeff_group import (
 from cubespec.complex_model import (
     DEFAULT_SIZE_CAP,
     ComplexIndex,
-    SquareComplex,
     SquareRef,
     _translation,
     check_size_cap,
-    parse_edge_ids,
     square_boundary,
-    validate_complex,
 )
 
 if TYPE_CHECKING:
@@ -596,21 +592,41 @@ def _coset_floor(params: GroupParams, gen: Elem) -> list[int]:
     return least
 
 
-def core_coefficients(X: SquareComplex, ix: ComplexIndex, core: Core) -> CoreCoefficients:
-    """Index the core edges of the built complex ``X`` and make the tables.
+def core_coefficients(ix: ComplexIndex, core: Core) -> CoreCoefficients:
+    """Read the core edges of a built complex off their ids and make the tables.
 
-    The refs come from the edge ids, so a complex rebuilt from the
-    records of its document indexes like the build.
+    A built edge's id is ``e/<height>/<type>/<exps>``, so a complex
+    loaded from its document indexes like the build.  Equal exponents
+    are read once.  Raises ``ValueError`` when ``params`` is null, and
+    names the id when it does not parse, is not written as the builder
+    writes it, has a type or exponents out of range for ``params``, or
+    disagrees with its edge's type or head height.
     """
-    params = X.params
+    params = ix.params
+    if params is None:
+        raise ValueError("edge ids name refs only in a built complex; params is null")
     m, k, n = params.m, params.k, len(ix.edge_ids)
     edges = [e for e in range(n) if core.mask[e]]
-    refs = parse_edge_ids(X, [ix.edge_ids[e] for e in edges])
-    index_of = {exps: c for c, exps in enumerate(itertools.product(range(k), repeat=m))}
     height, type_j, coeff = [0] * n, [0] * n, [0] * n
+    index_of: dict[str, int] = {}  # exponents as written -> coefficient index
     for e in edges:
-        ref = refs[ix.edge_ids[e]]
-        height[e], type_j[e], coeff[e] = ref.height, ref.type_j, index_of[ref.coeff.exps]
+        eid = ix.edge_ids[e]
+        parts = eid.split("/")
+        try:
+            h, j, text = int(parts[1]), int(parts[2]), parts[3]
+            c = index_of.get(text)
+            exps = tuple(map(int, text.split(","))) if c is None else ()
+        except (IndexError, ValueError):
+            raise ValueError(f"edge id {eid!r}: expected e/<height>/<type>/<exps>") from None
+        if eid != f"e/{h}/{j}/{text}" or c is None and text != ",".join(map(str, exps)):
+            raise ValueError(f"edge id {eid!r}: not written as the builder writes ids")
+        if not 1 <= j <= m or c is None and (len(exps) != m or not all(0 <= x < k for x in exps)):
+            raise ValueError(f"edge id {eid!r}: type or exponents out of range for {params}")
+        if c is None:
+            c = index_of[text] = sum(x * k**p for p, x in enumerate(reversed(exps)))
+        if ix.type[e] != j or ix.height[ix.head[e]] != h:
+            raise ValueError(f"edge id {eid!r}: no stored edge of that type and head height")
+        height[e], type_j[e], coeff[e] = h, j, c
     return CoreCoefficients(
         ix, params, edges, height, type_j, coeff,
         up=[_translation(params, prefix(params, i)) for i in range(m + 1)],
@@ -739,15 +755,15 @@ def classify_osculation(cc: CoreCoefficients, e: int, f: int, v: int) -> dict:
 
 
 def cross_validate(
-    X: SquareComplex, margin: int, certificates: list[CaseCertificate]
+    ix: ComplexIndex, margin: int, certificates: list[CaseCertificate]
 ) -> CrossValidation:
     """Compare the geometric and symbolic routes on one truncation.
 
-    ``X`` is a built truncation, in memory or rebuilt from its document:
-    its ``params`` give the group, its vertex heights the span, and its
-    edge ids the refs of the core edges.  The core is the edges whose top
-    height lies ``margin`` inside either end of the span.
-    ``certificates`` are the symbolic case certificates for ``X.params``.
+    ``ix`` is the view of a built truncation, in memory or loaded from
+    its document: its ``params`` give the group, its vertex heights the
+    span, and its edge ids the refs of the core edges.  The core is the
+    edges whose top height lies ``margin`` inside either end of the span.
+    ``certificates`` are the symbolic case certificates for ``ix.params``.
 
     (i) On core edges, union-find classes must coincide with the climb
     cosets; classes finer than a coset are boundary artefacts and are
@@ -770,10 +786,9 @@ def cross_validate(
         square_corner_pairs,
     )
 
-    params = X.params
+    params = ix.params
     if not certificates:
         raise ValueError("cross validation needs the case certificates, got none")
-    ix = validate_complex(X)
     heights = ix.height
     if not heights or None in heights:
         raise ValueError("cross validation needs a height on every vertex")
@@ -783,7 +798,7 @@ def cross_validate(
     if not core:
         raise ValueError(f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]")
     n, eids, vids = len(ix.edge_ids), ix.edge_ids, ix.vertex_ids
-    cc = core_coefficients(X, ix, core)
+    cc = core_coefficients(ix, core)
     H = compute_hyperplanes(ix)
 
     by_class: dict[int, set] = {}

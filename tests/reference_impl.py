@@ -5,11 +5,20 @@ or shortcuts: cell ids from refs, the vertex stabiliser in closed form,
 the square ref of a built square, from-scratch re-checks of single
 interaction witnesses, and the incidence validation, curvature check,
 parallelism union-find and interaction report keyed by id strings, as they ran before the
-program moved to the integer view of a complex.  ``complex_from_json``
-is the document loader that builds ``Vertex``/``Edge``/``Square``
-records and keeps unknown fields, as it ran before the program loaded a
-document straight into its integer view; it does not validate the
-incidences.  The climb coset and
+program moved to the integer view of a complex.
+
+They run on ``SquareComplex``, a complex as ``Vertex``/``Edge``/``Square``
+records keyed by id, each with its unknown fields, as the program held
+one before it kept a complex as document-order columns (``Cells``).
+``records`` and ``columns`` turn one form into the other, and
+``indexed`` makes the program's view of a record complex.
+``complex_from_json`` is the document loader that builds records and
+keeps unknown fields, as it ran before the program loaded a document
+straight into its integer view; it does not validate the incidences.
+``complex_to_json`` writes records, their unknown fields, extra
+top-level keys and any height or type through ``json.dumps``.
+``parse_edge_ids`` reads the ``EdgeRef`` of a built edge back from its
+id.  The climb coset and
 the osculation classifier compute with ``Elem`` arithmetic and a k-step
 discrete log, as they ran before the program moved to coefficient
 indices.  ``named_partition``,
@@ -19,7 +28,8 @@ results into the id-keyed form of these references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from cubespec.coeff_group import (
@@ -36,19 +46,141 @@ from cubespec.coeff_group import (
     unit,
 )
 from cubespec.complex_model import (
+    Cells,
     ComplexFormatError,
     ComplexIndex,
-    Edge,
     EdgeRef,
     NpcReport,
-    Square,
-    SquareComplex,
     SquareRef,
-    Vertex,
     VertexRef,
-    parse_edge_ids,
 )
+from cubespec import complex_model
 from cubespec import hyperplane_engine as engine
+
+
+# ---------------------------------------------------------------------------
+# a complex as records
+
+
+@dataclass
+class Vertex:
+    id: str
+    height: Optional[int] = None
+    extra: dict = field(default_factory=dict)
+
+
+@dataclass
+class Edge:
+    id: str
+    tail: str
+    head: str
+    type: Optional[int] = None
+    extra: dict = field(default_factory=dict)
+
+
+@dataclass
+class Square:
+    id: str
+    boundary: tuple[tuple[str, str], ...]  # four (edge id, "+"/"-") sides
+    extra: dict = field(default_factory=dict)
+
+
+@dataclass
+class SquareComplex:
+    """Cells keyed by id, the group parameters and unknown top-level fields."""
+
+    vertices: dict[str, Vertex] = field(default_factory=dict)
+    edges: dict[str, Edge] = field(default_factory=dict)
+    squares: dict[str, Square] = field(default_factory=dict)
+    params: Optional[GroupParams] = None
+    extra: dict = field(default_factory=dict)
+
+
+def records(cells: Cells) -> SquareComplex:
+    """The records of a complex given as columns, inserted in column order."""
+    X = SquareComplex(params=cells.params)
+    for vid, height in zip(cells.vertex_ids, cells.heights):
+        X.vertices[vid] = Vertex(vid, height)
+    for eid, tail, head, type_j in zip(cells.edge_ids, cells.tails, cells.heads, cells.types):
+        X.edges[eid] = Edge(eid, tail, head, type_j)
+    for sid, boundary in zip(cells.square_ids, cells.boundaries):
+        X.squares[sid] = Square(sid, tuple(boundary))
+    return X
+
+
+def columns(X: SquareComplex) -> Cells:
+    """The columns of a record complex, in insertion order; unknown fields are dropped."""
+    vs, es = X.vertices.values(), X.edges.values()
+    return Cells(
+        X.params, list(X.vertices), [v.height for v in vs], list(X.edges),
+        [e.tail for e in es], [e.head for e in es], [e.type for e in es],
+        list(X.squares), [s.boundary for s in X.squares.values()],
+    )
+
+
+def indexed(X: SquareComplex) -> ComplexIndex:
+    """The program's view of a record complex, checked by its ``validate_complex``."""
+    return complex_model.validate_complex(columns(X))
+
+
+def complex_to_json(X: SquareComplex) -> str:
+    """The document of a record complex, laid out by ``json.dumps(indent=2)``.
+
+    Records carry their unknown fields in sorted order; the extra
+    top-level keys follow the sections in sorted order, and one named
+    like a section replaces it in place.
+    """
+    doc = {
+        "params": {"m": X.params.m, "k": X.params.k} if X.params is not None else None,
+        "vertices": [
+            {"id": v.id, "height": v.height, **dict(sorted(v.extra.items()))}
+            for v in X.vertices.values()
+        ],
+        "edges": [
+            {"id": e.id, "tail": e.tail, "head": e.head, "type": e.type,
+             **dict(sorted(e.extra.items()))}
+            for e in X.edges.values()
+        ],
+        "squares": [
+            {"id": s.id, "boundary": [{"edge": eid, "dir": d} for eid, d in s.boundary],
+             **dict(sorted(s.extra.items()))}
+            for s in X.squares.values()
+        ],
+    }
+    for key in sorted(X.extra):
+        doc[key] = X.extra[key]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def parse_edge_ids(X: SquareComplex, eids: Iterable[str]) -> dict[str, EdgeRef]:
+    """Refs of built edges, read back from their ids ``e/<height>/<type>/<exps>``.
+
+    Raises ``ValueError`` naming the id when it does not parse, is not
+    written as the builder writes it, has a type or exponents out of
+    range for ``X.params``, or is not a stored edge with that type and
+    its head at that height.
+    """
+    params = X.params
+    if params is None:
+        raise ValueError("edge ids name refs only in a built complex; params is null")
+    m, k = params.m, params.k
+    refs: dict[str, EdgeRef] = {}
+    for eid in eids:
+        parts = eid.split("/")
+        try:
+            height, type_j = int(parts[1]), int(parts[2])
+            exps = tuple(map(int, parts[3].split(",")))
+        except (IndexError, ValueError):
+            raise ValueError(f"edge id {eid!r}: expected e/<height>/<type>/<exps>") from None
+        if eid != f"e/{height}/{type_j}/{','.join(map(str, exps))}":
+            raise ValueError(f"edge id {eid!r}: not written as the builder writes ids")
+        if not 1 <= type_j <= m or len(exps) != m or not all(0 <= x < k for x in exps):
+            raise ValueError(f"edge id {eid!r}: type or exponents out of range for {params}")
+        edge = X.edges.get(eid)
+        if edge is None or edge.type != type_j or X.vertices[edge.head].height != height:
+            raise ValueError(f"edge id {eid!r}: no stored edge of that type and head height")
+        refs[eid] = EdgeRef(height, type_j, Elem(params, exps))
+    return refs
 
 
 def vertex_stabilizer(params: GroupParams, i: int) -> Subgroup:

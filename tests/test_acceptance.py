@@ -87,7 +87,7 @@ def test_criterion_3_climb_coset_closed_form(acceptance_builds):
             params = GroupParams(m, k)
             certificates = check_self_osculation_cases(params)
             certificates += check_inter_osculation_cases(params)
-            cv = cross_validate(X, k, certificates)
+            cv = cross_validate(validate_complex(X), k, certificates)
             assert cv.class_mismatches == [], (m, k)
             assert cv.inconclusive == [], (m, k)
             assert cv.witness_findings == [], (m, k)
@@ -167,8 +167,9 @@ def test_criterion_8_structural_conditions(acceptance_builds):
             assert cond2.empty and cond2.witnesses == (), (m, k)
             # the built complex itself: every corner, every parity
             X = acceptance_builds[(m, k)]
-            for sid, sq in X.squares.items():
-                types = [X.edges[e].type for e, _ in sq.boundary]
+            type_of = dict(zip(X.edge_ids, X.types))
+            for sid, sides in zip(X.square_ids, X.boundaries):
+                types = [type_of[e] for e, _ in sides]
                 assert all(types[n] != types[n - 1] for n in range(4)), (m, k, sid)
             H = compute_hyperplanes(validate_complex(X))
             assert set(H.parity) == {0}, (m, k)

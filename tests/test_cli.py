@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cubespec import cli, complex_model, hyperplane_engine
+from cubespec import cli, complex_model, hyperplane_engine, verifier
 from cubespec.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -245,14 +245,10 @@ class TestCheck:
             path = self.build_complex(tmp_path, capsys, k="3", lo="-3", hi="3")
         else:
             path = FIXTURES / f"{source}.json"
-        code, want, _ = run(capsys, "check", str(path), "--json")
-
-        def record(*args, **kwargs):
-            raise AssertionError("check made a cell record")
-
-        for name in ("Vertex", "Edge", "Square"):
-            monkeypatch.setattr(complex_model, name, record)
-        assert run(capsys, "check", str(path), "--json")[:2] == (code, want)
+        for name in ("Vertex", "Edge", "Square", "SquareComplex"):
+            assert not hasattr(complex_model, name)  # the records live in the test oracle
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code in (0, 1) and json.loads(out)["npc"]["passed"]
 
     def test_unknown_fields_change_nothing(self, tmp_path, capsys):
         path = self.build_complex(tmp_path, capsys, k="3", lo="-3", hi="3")
@@ -315,6 +311,25 @@ class TestVerify:
         assert doc["cross_validation"]["agreement"] is True
         assert doc["cross_validation"]["class_mismatches"] == []
         assert "cross-validation agreement=True" in stdout
+
+    def test_cross_validate_indexes_its_build_once(self, capsys, monkeypatch):
+        # the build's columns become one view, which cross-validation reads
+        calls = []
+        made = complex_model.validate_complex
+
+        def counted(cells):
+            calls.append(1)
+            return made(cells)
+
+        for module in (complex_model, cli, verifier):
+            monkeypatch.setattr(module, "validate_complex", counted, raising=False)
+        code, _, _ = run(
+            capsys,
+            "verify", "--m", "4", "--k", "2", "--cross-validate",
+            "--hmin", "-4", "--hmax", "4", "--json",
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("margin", ["10", "-2"])
     def test_cross_validate_margin_without_core_rejected(self, margin, capsys):
@@ -591,12 +606,13 @@ def test_build_and_check_import_no_verifier():
     script = (
         "import sys, tempfile, os\n"
         "from cubespec.cli import main\n"
-        "path = os.path.join(tempfile.mkdtemp(), 'x.json')\n"
         "seen = []\n"
-        "for argv in (['build', '--m', '4', '--k', '2', '--hmin', '-3', '--hmax', '3', '-o', path],\n"
-        "             ['check', path, '--json']):\n"
-        "    assert main(argv) == 0\n"
-        "    seen += [m for m in ('cubespec.verifier', 'cubespec.algebra_tools') if m in sys.modules]\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    path = os.path.join(tmp, 'x.json')\n"
+        "    for argv in (['build', '--m', '4', '--k', '2', '--hmin', '-3', '--hmax', '3', '-o', path],\n"
+        "                 ['check', path, '--json']):\n"
+        "        assert main(argv) == 0\n"
+        "        seen += [m for m in ('cubespec.verifier', 'cubespec.algebra_tools') if m in sys.modules]\n"
         "print(seen)\n"
     )
     env = dict(os.environ)

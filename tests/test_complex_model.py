@@ -1,25 +1,22 @@
 import io
 import itertools
 import json
-import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubespec import complex_model
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 from cubespec.complex_model import (
     _BATCH,
+    Cells,
     ComplexFormatError,
-    Edge,
     EdgeRef,
     SizeCapError,
     SpanError,
-    Square,
-    SquareComplex,
     SquareRef,
-    Vertex,
     build_quotient_complex,
     canonical_vertex,
     check_npc,
@@ -27,13 +24,29 @@ from cubespec.complex_model import (
     complex_to_json,
     edge_endpoints,
     link_corners,
-    parse_edge_ids,
     square_boundary,
     validate_complex,
 )
+from cubespec.hyperplane_engine import core_edges
+from cubespec.verifier import core_coefficients
 
-from reference_impl import built_square_refs, edge_id, square_id, vertex_id, vertex_stabilizer
+from reference_impl import (
+    Edge,
+    Square,
+    SquareComplex,
+    Vertex,
+    built_square_refs,
+    columns,
+    edge_id,
+    indexed,
+    parse_edge_ids,
+    records,
+    square_id,
+    vertex_id,
+    vertex_stabilizer,
+)
 from reference_impl import complex_from_json as record_complex_from_json
+from reference_impl import complex_to_json as record_complex_to_json
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
@@ -47,14 +60,19 @@ def make_complex(vertices, edges, squares):
         X.edges[eid] = Edge(eid, tail, head, type=etype)
     for sid, boundary in squares:
         X.squares[sid] = Square(sid, tuple(boundary))
-    validate_complex(X)
+    indexed(X)
     return X
+
+
+def built(params, h_min, h_max):
+    """A build as records, for the tests that look cells up by id."""
+    return records(build_quotient_complex(params, h_min, h_max))
 
 
 def named_links(X):
     """``link_corners`` of X by vertex id, each corner named (in node, out
     node, square id, corner), and the sorted distinct edges at each vertex."""
-    ix = validate_complex(X)
+    ix = indexed(X)
     after = ix.next_sides()
     corners = {
         ix.vertex_ids[v]: [
@@ -178,24 +196,23 @@ class TestSquareBoundary:
 
 class TestBuilder:
     def test_cell_counts(self):
-        X = build_quotient_complex(P42, -2, 2)
-        assert X.counts() == {"vertices": 64, "edges": 256, "squares": 192}
+        cells = build_quotient_complex(P42, -2, 2)
+        assert cells.counts() == {"vertices": 64, "edges": 256, "squares": 192}
         heights = {}
-        for v in X.vertices.values():
-            heights[v.height] = heights.get(v.height, 0) + 1
+        for height in cells.heights:
+            heights[height] = heights.get(height, 0) + 1
         assert heights == {-2: 16, -1: 8, 0: 16, 1: 8, 2: 16}
 
     def test_minimal_span(self):
-        X = build_quotient_complex(P42, 0, 2)
+        X = built(P42, 0, 2)
         assert len(X.squares) == 64
         assert {ref.height for ref in built_square_refs(X).values()} == {1}
 
     def test_boundaries_close(self):
-        X = build_quotient_complex(P43, -1, 2)
-        validate_complex(X)
+        validate_complex(build_quotient_complex(P43, -1, 2))
 
     def test_no_loop_edges_and_unit_steps(self):
-        X = build_quotient_complex(P43, -1, 2)
+        X = built(P43, -1, 2)
         for e in X.edges.values():
             assert X.vertices[e.head].height == X.vertices[e.tail].height + 1
 
@@ -213,7 +230,7 @@ class TestBuilder:
 
     def test_translation_equivariance(self):
         params = GroupParams(3, 2)
-        X = build_quotient_complex(params, -2, 2)
+        X = built(params, -2, 2)
         h = Elem(params, (1, 0, 1))
         refs = parse_edge_ids(X, X.edges)
         edge_map = {}
@@ -247,8 +264,8 @@ class TestBuilder:
 
     def test_height_periodicity(self):
         params = GroupParams(3, 2)
-        X = build_quotient_complex(params, -1, 2)
-        Y = build_quotient_complex(params, 1, 4)
+        X = built(params, -1, 2)
+        Y = built(params, 1, 4)
         shift = {}
         for eid, ref in parse_edge_ids(X, X.edges).items():
             shift[eid] = edge_id(EdgeRef(ref.height + 2, ref.type_j, ref.coeff))
@@ -268,7 +285,7 @@ class TestBuilder:
     def test_cells_match_incidence_rules(self, m, k, h_min, h_max):
         """Cell by cell, the built complex agrees with the per-cell rules."""
         params = GroupParams(m, k)
-        X = build_quotient_complex(params, h_min, h_max)
+        X = built(params, h_min, h_max)
         coeffs = [Elem(params, e) for e in itertools.product(range(k), repeat=m)]
         edge_refs = {}
         for i in range(h_min + 1, h_max + 1):
@@ -304,7 +321,7 @@ class TestBuilder:
 
     def test_composite_k_builds_and_validates(self):
         params = GroupParams(4, 4)
-        X = build_quotient_complex(params, -1, 2)
+        X = built(params, -1, 2)
         by_height = {}
         for v in X.vertices.values():
             by_height[v.height] = by_height.get(v.height, 0) + 1
@@ -312,13 +329,42 @@ class TestBuilder:
         assert by_height == {-1: 64, 0: 256, 1: 64, 2: 128}
 
 
+def read_ids(X):
+    """What ``core_coefficients`` reads off every edge id of the record complex X."""
+    ix = indexed(X)
+    heights = [v.height for v in X.vertices.values()]
+    cc = core_coefficients(ix, core_edges(ix, min(heights), max(heights)))
+    return {ix.edge_ids[e]: (cc.height[e], cc.type_j[e], cc.coeff[e]) for e in cc.edges}
+
+
+def id_fault(read, *args):
+    """The message of the ``ValueError`` that ``read`` raises, or None."""
+    try:
+        read(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def edges_of(params, h_min, h_max):
+    """A build as records without its squares: enough for reading edge ids."""
+    X = built(params, h_min, h_max)
+    X.squares.clear()
+    return X
+
+
 class TestParseEdgeIds:
+    """``core_coefficients`` reads each core edge id into (height, type,
+    coefficient index) with the checks and messages of the reference
+    ``parse_edge_ids``, which makes an ``Elem`` of it; both read in
+    sorted-id order here, as the view numbers the edges."""
+
     @pytest.mark.parametrize(
         "m, k, h_min, h_max",
         [(4, 2, -2, 3), (3, 3, -3, 2), (4, 4, -1, 3), (5, 3, 0, 3)],
     )
     def test_every_built_id_parses_to_its_edge(self, m, k, h_min, h_max):
-        X = build_quotient_complex(GroupParams(m, k), h_min, h_max)
+        X = built(GroupParams(m, k), h_min, h_max)
         refs = parse_edge_ids(X, X.edges)
         assert list(refs) == list(X.edges)
         # every type, the wrapping type m included
@@ -329,6 +375,11 @@ class TestParseEdgeIds:
             assert (vertex_id(tail), vertex_id(head)) == (e.tail, e.head)
             assert ref.type_j == e.type
             assert edge_id(ref) == eid
+        index_of = {exps: c for c, exps in enumerate(itertools.product(range(k), repeat=m))}
+        assert read_ids(X) == {
+            eid: (ref.height, ref.type_j, index_of[ref.coeff.exps])
+            for eid, ref in sorted(refs.items())
+        }
 
     @pytest.mark.parametrize(
         "eid, stored_type",
@@ -352,36 +403,42 @@ class TestParseEdgeIds:
     def test_bad_ids_rejected(self, eid, stored_type):
         # stored as an edge with the type it names and its head at height 1,
         # so only the checks on the id itself can reject it
-        X = build_quotient_complex(P42, -2, 2)
+        X = edges_of(P42, -2, 2)
         X.edges[eid] = replace(X.edges["e/1/1/0,0,0,0"], id=eid, type=stored_type)
-        with pytest.raises(ValueError, match=re.escape(repr(eid))):
-            parse_edge_ids(X, ["e/1/1/0,0,0,0", eid])
+        want = id_fault(parse_edge_ids, X, sorted(X.edges))
+        assert want is not None and repr(eid) in want
+        assert id_fault(read_ids, X) == want
 
     def test_id_disagreeing_with_its_edge_rejected(self):
-        X = build_quotient_complex(P42, -2, 2)
+        X = edges_of(P42, -2, 2)
         eid = "e/1/2/0,1,0,0"
         edge = X.edges[eid]
         assert parse_edge_ids(X, [eid])[eid] == EdgeRef(1, 2, Elem(P42, (0, 1, 0, 0)))
-        X.edges[eid] = replace(edge, type=3)
-        with pytest.raises(ValueError, match=re.escape(repr(eid))):
-            parse_edge_ids(X, [eid])
-        # a head one height up
-        X.edges[eid] = replace(edge, head=X.edges["e/2/2/0,1,0,0"].head)
-        with pytest.raises(ValueError, match=re.escape(repr(eid))):
-            parse_edge_ids(X, [eid])
-        # a well-formed id that is not an edge: above the span
-        with pytest.raises(ValueError, match=re.escape(repr("e/3/1/0,0,0,0"))):
-            parse_edge_ids(X, ["e/3/1/0,0,0,0"])
+        assert read_ids(X)[eid] == (1, 2, 0b0100)
+        above = "e/3/1/0,0,0,0"
+        for faulty, wrong in [
+            (eid, replace(edge, type=3)),
+            (eid, replace(edge, head=X.edges["e/2/2/0,1,0,0"].head)),  # a head one height up
+            # a well-formed id above the span, on an edge with its head at the top
+            (above, replace(X.edges["e/2/1/0,0,0,0"], id=above)),
+        ]:
+            X.edges[wrong.id] = wrong
+            want = id_fault(parse_edge_ids, X, sorted(X.edges))
+            assert want is not None and repr(faulty) in want
+            assert id_fault(read_ids, X) == want
+            X.edges[eid] = edge
+        del X.edges[above]
         # four exponents against params with m = 5
-        X.edges[eid] = edge
         X.params = GroupParams(5, 2)
-        with pytest.raises(ValueError, match=re.escape(repr(eid))):
-            parse_edge_ids(X, [eid])
+        want = id_fault(parse_edge_ids, X, sorted(X.edges))
+        assert "out of range for" in want
+        assert id_fault(read_ids, X) == want
 
     def test_hand_made_complex_rejected(self):
         X = make_complex([("v", 0), ("w", 1)], [("e/1/1/0,0,0,0", "v", "w", 1)], [])
-        with pytest.raises(ValueError, match="params"):
-            parse_edge_ids(X, X.edges)
+        want = id_fault(parse_edge_ids, X, X.edges)
+        assert "params" in want
+        assert id_fault(read_ids, X) == want
 
 
 def _coeff_of_vertex(vid, params):
@@ -390,7 +447,7 @@ def _coeff_of_vertex(vid, params):
 
 class TestLinks:
     def test_descending_cycles(self):
-        X = build_quotient_complex(P42, -2, 2)
+        X = built(P42, -2, 2)
         corners, incident = named_links(X)
         for vid, v in X.vertices.items():
             if v.height < 0:  # descending needs squares on the layer below
@@ -404,7 +461,7 @@ class TestLinks:
                 assert len(nodes) == 8
 
     def test_ascending_cycles(self):
-        X = build_quotient_complex(P43, -1, 3)
+        X = built(P43, -1, 3)
         corners, incident = named_links(X)
         for vid, v in X.vertices.items():
             if not -1 <= v.height <= 1:
@@ -415,7 +472,7 @@ class TestLinks:
             assert single_cycle(nodes, adjs), vid
 
     def test_every_corner_joins_ends_at_its_vertex(self):
-        X = build_quotient_complex(P42, -2, 2)
+        X = built(P42, -2, 2)
         corners, _ = named_links(X)
         assert sum(len(cs) for cs in corners.values()) == 4 * len(X.squares)
         for vid, cs in corners.items():
@@ -446,7 +503,7 @@ class TestNpc:
                 ("S2", [("a", "+"), ("b", "+"), ("c2", "-"), ("d2", "-")]),
             ],
         )
-        report = check_npc(validate_complex(X))
+        report = check_npc(indexed(X))
         assert not report.passed
         kinds = {f["kind"] for f in report.failures}
         assert "double_adjacency" in kinds
@@ -474,7 +531,7 @@ class TestNpc:
                 ("Sq3", [("r", "+"), ("z1", "+"), ("z2", "-"), ("p", "-")]),
             ],
         )
-        report = check_npc(validate_complex(X))
+        report = check_npc(indexed(X))
         assert not report.passed
         triangles = [f for f in report.failures if f["kind"] == "triangle"]
         assert len(triangles) == 1
@@ -489,9 +546,9 @@ class TestNpc:
 
 class TestJsonRoundTrip:
     def test_round_trip_built(self):
-        X = build_quotient_complex(P42, -1, 1)
-        doc = json.loads(complex_to_json(X))
-        assert complex_from_json(doc) == validate_complex(X)
+        X = built(P42, -1, 1)
+        doc = json.loads(complex_to_json(build_quotient_complex(P42, -1, 1)))
+        assert complex_from_json(doc) == indexed(X)
         Y = record_complex_from_json(doc)
         assert list(Y.vertices) == list(X.vertices)
         assert list(Y.edges) == list(X.edges)
@@ -552,45 +609,21 @@ class TestJsonRoundTrip:
             complex_from_json(doc)
 
     def test_unknown_fields_preserved(self):
+        # the program's loader ignores unknown fields; the record loader and
+        # writer of the reference keep them
         doc = json.loads(complex_to_json(build_quotient_complex(P42, 0, 2)))
+        want = complex_from_json(doc)
         doc["provenance"] = {"note": "hello"}
         doc["vertices"][0]["colour"] = "red"
+        assert complex_from_json(doc) == want
         X = record_complex_from_json(doc)
-        out = json.loads(complex_to_json(X))
+        out = json.loads(record_complex_to_json(X))
         assert out["provenance"] == {"note": "hello"}
         assert out["vertices"][0]["colour"] == "red"
 
 
 # ---------------------------------------------------------------------------
-# the one-pass writer against the dict it replaced
-
-
-def old_document(X: SquareComplex) -> dict:
-    """The document dict that ``complex_to_json`` used to return."""
-    doc = {
-        "params": {"m": X.params.m, "k": X.params.k} if X.params is not None else None,
-        "vertices": [
-            {"id": v.id, "height": v.height, **dict(sorted(v.extra.items()))}
-            for v in X.vertices.values()
-        ],
-        "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head, "type": e.type,
-             **dict(sorted(e.extra.items()))}
-            for e in X.edges.values()
-        ],
-        "squares": [
-            {"id": s.id, "boundary": [{"edge": eid, "dir": d} for eid, d in s.boundary],
-             **dict(sorted(s.extra.items()))}
-            for s in X.squares.values()
-        ],
-    }
-    for key in sorted(X.extra):
-        doc[key] = X.extra[key]
-    return doc
-
-
-def old_text(X: SquareComplex) -> str:
-    return json.dumps(old_document(X), indent=2) + "\n"
+# the template writer against ``json.dumps`` of the records
 
 
 TRICKY_IDS = ['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é", "日本", "\U0001f600", "\ud83d", ""]
@@ -640,56 +673,65 @@ def complexes(draw) -> SquareComplex:
     return X
 
 
+ints = st.integers(-10**20, 10**20)
+
+
+@st.composite
+def plain_complexes(draw) -> SquareComplex:
+    """Hand-made complexes with what a build has: an int height on every
+    vertex and an int type on every edge, and no unknown fields."""
+    X = draw(complexes())
+    for cell in [*X.vertices.values(), *X.edges.values(), *X.squares.values()]:
+        cell.extra = {}
+    for v in X.vertices.values():
+        v.height = draw(ints)
+    for e in X.edges.values():
+        e.type = draw(ints)
+    X.extra = {}
+    return X
+
+
 class TestWriter:
-    @given(complexes())
+    @given(plain_complexes())
     @settings(max_examples=150, deadline=None)
     def test_text_equals_old_dump_and_round_trips(self, X):
-        text = complex_to_json(X)
-        assert text == old_text(X)
-        assert complex_from_json(json.loads(text)) == validate_complex(X)
-        Y = record_complex_from_json(json.loads(text))
-        assert list(Y.vertices.values()) == list(X.vertices.values())
-        assert list(Y.edges.values()) == list(X.edges.values())
-        assert list(Y.squares.values()) == list(X.squares.values())
-        assert (Y.params, Y.extra) == (X.params, X.extra)
+        cells = columns(X)
+        text = complex_to_json(cells)
+        assert text == record_complex_to_json(X)
+        assert complex_model._read_columns(text) == cells
+        assert complex_from_json(text) == validate_complex(cells)
 
     def test_empty_complex(self):
-        X = SquareComplex()
-        assert complex_to_json(X) == old_text(X)
-        assert '"vertices": []' in complex_to_json(X)
+        cells = Cells(None, [], [], [], [], [], [], [], [])
+        assert complex_to_json(cells) == record_complex_to_json(SquareComplex())
+        assert '"vertices": []' in complex_to_json(cells)
 
-    def test_records_off_the_templates(self):
-        # non-int heights and types, an empty boundary, extras named like
-        # record fields or sections: json.dumps lays these out
+    def test_stamp_member(self):
+        # the stamp is the one member after the sections, laid out by json.dumps
         X = make_complex([("a", 0), ("b", 1)], [("e", "a", "b", 1)], [])
-        X.vertices["a"].height = True
-        X.vertices["b"].height = 1.5
-        X.vertices["b"].extra = {"id": "renamed", "z": [1, {"y": None}]}
-        X.edges["e"].type = "1"
-        X.squares["s"] = Square("s", ())
-        X.extra = {"vertices": {"replaced": True}, "stamp": {"tool": "t"}, "a": []}
-        assert complex_to_json(X) == old_text(X)
+        stamp = {"tool": "t", "z": [1, {"y": None}], "created": "\u00e9"}
+        text = complex_to_json(columns(X), stamp=stamp)
+        X.extra = {"stamp": stamp}
+        assert text == record_complex_to_json(X)
 
-    @given(complexes())
+    @given(plain_complexes())
     @settings(max_examples=100, deadline=None)
     def test_stream_gets_the_returned_text(self, X):
         out = io.StringIO()
-        assert complex_to_json(X, out) is None
-        assert out.getvalue() == complex_to_json(X)
+        assert complex_to_json(columns(X), out) is None
+        assert out.getvalue() == complex_to_json(columns(X))
 
-    def test_stream_gets_the_records_off_the_templates(self):
-        X = make_complex([("a", 0), ("b", 1)], [("e", "a", "b", 1)], [])
-        X.vertices["b"].extra = {"id": "renamed"}
-        X.squares["s"] = Square("s", ())
-        X.extra = {"edges": {"replaced": True}, "stamp": {"tool": "t"}}
+    def test_stream_gets_the_stamp(self):
+        cells = columns(make_complex([("a", 0), ("b", 1)], [("e", "a", "b", 1)], []))
         out = io.StringIO()
-        complex_to_json(X, out)
-        assert out.getvalue() == complex_to_json(X) == old_text(X)
+        complex_to_json(cells, out, {"tool": "t"})
+        assert out.getvalue() == complex_to_json(cells, stamp={"tool": "t"})
+        assert out.getvalue().endswith('  "stamp": {\n    "tool": "t"\n  }\n}\n')
 
     @pytest.mark.parametrize("m, k, h_min, h_max", [(4, 2, -2, 2), (3, 3, 0, 2), (4, 3, -4, 4)])
     def test_stream_writes_a_build_in_pieces(self, m, k, h_min, h_max):
-        X = build_quotient_complex(GroupParams(m, k), h_min, h_max)
-        X.extra["stamp"] = {"tool": "t"}
+        cells = build_quotient_complex(GroupParams(m, k), h_min, h_max)
+        stamp = {"tool": "t"}
         chunks = []
 
         class Recorder(io.StringIO):
@@ -698,8 +740,24 @@ class TestWriter:
                 return super().write(chunk)
 
         out = Recorder()
-        complex_to_json(X, out)
-        text = complex_to_json(X)
-        assert out.getvalue() == text == old_text(X)
-        if len(X.edges) > _BATCH:  # more than one batch of records
+        complex_to_json(cells, out, stamp)
+        text = complex_to_json(cells, stamp=stamp)
+        X = records(cells)
+        X.extra = {"stamp": stamp}
+        assert out.getvalue() == text == record_complex_to_json(X)
+        if len(cells.edge_ids) > _BATCH:  # more than one batch of records
             assert max(map(len, chunks)) < len(text) / 2
+
+    @pytest.mark.parametrize(
+        "m, k, h_min, h_max",
+        [(4, 2, -11, 11), (3, 11, -3, 3)],  # heights past -10; two-digit exponents
+    )
+    def test_build_order_round_trips(self, m, k, h_min, h_max):
+        # a document lists a build's cells in build order, which is not
+        # sorted-id order; the text reads back into exactly the build's columns
+        cells = build_quotient_complex(GroupParams(m, k), h_min, h_max)
+        for ids in (cells.vertex_ids, cells.edge_ids, cells.square_ids):
+            assert ids != sorted(ids)
+        text = complex_to_json(cells)
+        assert text == record_complex_to_json(records(cells))
+        assert complex_model._read_columns(text) == cells

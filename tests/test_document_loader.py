@@ -2,8 +2,8 @@
 
 ``complex_from_json`` reads a document straight into its integer view.
 ``reference_impl.complex_from_json`` builds the ``Vertex``/``Edge``/
-``Square`` records it replaced, and ``validate_complex`` then indexes
-them.  On every document the two must agree: the same view, ``params``
+``Square`` records it replaced, and ``reference_impl.indexed`` then
+indexes them.  On every document the two must agree: the same view, ``params``
 included, or the same ``ComplexFormatError`` message, and the program
 loader must raise nothing else.  Documents are built truncations and
 hand-made complexes, whole or with up to three faults put in.
@@ -29,7 +29,6 @@ from cubespec.complex_model import (
     build_quotient_complex,
     complex_from_json,
     complex_to_json,
-    validate_complex,
 )
 
 from test_complex_model import complexes
@@ -64,7 +63,7 @@ def documents(draw) -> dict:
     if source == "built":
         return json.loads(built_text(*draw(st.sampled_from(BUILDS))))
     X = draw(complexes() if source == "hand" else glued_complexes())
-    return json.loads(complex_to_json(X))
+    return json.loads(ref.complex_to_json(X))
 
 
 def records(doc, section):
@@ -180,7 +179,7 @@ def outcome(load, doc):
 
 
 def reference(doc):
-    return validate_complex(ref.complex_from_json(doc))
+    return ref.indexed(ref.complex_from_json(doc))
 
 
 class TestAgainstReferenceLoader:

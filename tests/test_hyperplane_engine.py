@@ -5,15 +5,7 @@ from pathlib import Path
 import pytest
 
 from cubespec.coeff_group import GroupParams
-from cubespec.complex_model import (
-    Edge,
-    Square,
-    SquareComplex,
-    Vertex,
-    build_quotient_complex,
-    parse_edge_ids,
-    validate_complex,
-)
+from cubespec.complex_model import build_quotient_complex
 from cubespec.hyperplane_engine import (
     compute_hyperplanes,
     core_edges,
@@ -23,10 +15,17 @@ from cubespec.hyperplane_engine import (
 )
 
 from reference_impl import (
+    Edge,
+    Square,
+    SquareComplex,
+    Vertex,
     climb_coset,
+    indexed,
     named_core,
     named_partition,
     named_report,
+    parse_edge_ids,
+    records,
     revalidate_crossing,
     revalidate_one_sided,
     revalidate_osculation,
@@ -45,19 +44,19 @@ def make_complex(vertices, edges, squares):
         X.edges[eid] = Edge(eid, tail, head)
     for sid, boundary in squares:
         X.squares[sid] = Square(sid, tuple(boundary))
-    validate_complex(X)
+    indexed(X)
     return X
 
 
 def partition(X):
     """The view of X and its hyperplane partition, named by id."""
-    ix = validate_complex(X)
+    ix = indexed(X)
     return ix, named_partition(ix, compute_hyperplanes(ix))
 
 
 def report(X, core_span=None):
     """The partition and interaction report of X, named by id."""
-    ix = validate_complex(X)
+    ix = indexed(X)
     H = compute_hyperplanes(ix)
     core = None if core_span is None else core_edges(ix, *core_span)
     return named_partition(ix, H), named_report(ix, interaction_report(ix, H, core))
@@ -128,21 +127,21 @@ class TestPartition:
         assert revalidate_one_sided(klein_bottle(), "a")
 
     def test_idempotent_and_deterministic(self):
-        X = build_quotient_complex(P42, -2, 2)
-        H1 = compute_hyperplanes(validate_complex(X))
-        H2 = compute_hyperplanes(validate_complex(X))
+        X = records(build_quotient_complex(P42, -2, 2))
+        H1 = compute_hyperplanes(indexed(X))
+        H2 = compute_hyperplanes(indexed(X))
         assert H1.rep == H2.rep
         assert H1.parity == H2.parity
         assert H1.one_sided == H2.one_sided
 
     def test_built_complex_all_parities_zero(self):
-        X = build_quotient_complex(GroupParams(4, 3), -2, 2)
-        H = compute_hyperplanes(validate_complex(X))
+        X = records(build_quotient_complex(GroupParams(4, 3), -2, 2))
+        H = compute_hyperplanes(indexed(X))
         assert not H.one_sided
         assert set(H.parity) == {0}
 
     def test_classes_preserve_type(self):
-        X = build_quotient_complex(P42, -2, 2)
+        X = records(build_quotient_complex(P42, -2, 2))
         _, H = partition(X)
         for members in H.classes.values():
             types = {X.edges[e].type for e in members}
@@ -198,7 +197,7 @@ class TestInteractions:
 
 class TestBuiltComplexChecks:
     def test_crossings_only_between_adjacent_types(self):
-        X = build_quotient_complex(P42, -2, 2)
+        X = records(build_quotient_complex(P42, -2, 2))
         _, rep = report(X)
         m = 4
         for pair in rep.crossings:
@@ -208,7 +207,7 @@ class TestBuiltComplexChecks:
             assert (t1 - t2) % m in (1, m - 1)
 
     def test_core_report_clean_but_boundary_noisy(self):
-        X = build_quotient_complex(P42, -3, 3)
+        X = records(build_quotient_complex(P42, -3, 3))
         _, full = report(X)
         # truncation artefacts: exempting squares past the boundary are missing
         assert len(full.violations["inter_osc"]) > 0
@@ -218,7 +217,7 @@ class TestBuiltComplexChecks:
         assert rep.violation_count() == 0
 
     def test_core_classes_match_transport_cosets(self):
-        X = build_quotient_complex(P42, -3, 3)
+        X = records(build_quotient_complex(P42, -3, 3))
         ix, H = partition(X)
         params = X.params
         core = named_core(ix, core_edges(ix, -1, 1))
@@ -234,7 +233,7 @@ class TestBuiltComplexChecks:
         assert all(len(s) == 1 for s in by_key.values())
 
     def test_full_range_filter_is_identity(self):
-        X = build_quotient_complex(P42, -2, 2)
+        X = records(build_quotient_complex(P42, -2, 2))
         ix, H = partition(X)
         _, full = report(X)
         core = core_edges(ix, -2, 2)
@@ -245,8 +244,8 @@ class TestBuiltComplexChecks:
         assert rep.osculations == full.osculations
 
     def test_empty_core_range(self):
-        X = build_quotient_complex(P42, -2, 2)
-        ix = validate_complex(X)
+        X = records(build_quotient_complex(P42, -2, 2))
+        ix = indexed(X)
         core = core_edges(ix, 5, 7)
         assert named_core(ix, core) == frozenset()
         assert len(core) == 0 and not core
@@ -256,14 +255,14 @@ class TestBuiltComplexChecks:
         assert rep.violation_count() == 0
 
     def test_core_needs_heights(self):
-        ix = validate_complex(osculating_wedge())
+        ix = indexed(osculating_wedge())
         with pytest.raises(ValueError, match="height"):
             core_edges(ix, 0, 1)
 
     def test_built_multi_edges_flagged_as_bigons(self):
         # consecutive branching heights (k = 3) give parallel partner edges
         # sharing both endpoints; each shared vertex is its own witness
-        X = build_quotient_complex(GroupParams(4, 3), -1, 3)
+        X = records(build_quotient_complex(GroupParams(4, 3), -1, 3))
         _, rep = report(X)
         assert rep.bigon_pairs
         for e, f, v1, v2 in rep.bigon_pairs:
@@ -275,7 +274,7 @@ class TestBuiltComplexChecks:
             }
 
     def test_built_witnesses_revalidate(self):
-        X = build_quotient_complex(P42, -2, 2)
+        X = records(build_quotient_complex(P42, -2, 2))
         H, rep = report(X)
         sample = sorted(rep.osculations.items())[::7]
         assert sample
@@ -320,8 +319,8 @@ class TestBigons:
     @pytest.mark.parametrize("m, k, h", [(3, 3, 4), (4, 4, 5)])
     @pytest.mark.parametrize("margin", [0, 2])
     def test_built_bigons_match_brute_force(self, m, k, h, margin):
-        X = build_quotient_complex(GroupParams(m, k), -h, h)
-        ix = validate_complex(X)
+        X = records(build_quotient_complex(GroupParams(m, k), -h, h))
+        ix = indexed(X)
         core = core_edges(ix, -h + margin, h - margin) if margin else None
         rep = interaction_report(ix, compute_hyperplanes(ix), core=core)
         expected = brute_force_bigons(X, None if core is None else named_core(ix, core))
@@ -336,7 +335,7 @@ class TestBigons:
 
 class TestSerialisation:
     def test_report_json_shape(self):
-        ix = validate_complex(klein_bottle())
+        ix = indexed(klein_bottle())
         H = compute_hyperplanes(ix)
         doc = report_to_json(ix, H, interaction_report(ix, H))
         assert doc["classes"] == 2
@@ -350,7 +349,7 @@ class TestSerialisation:
         json.dumps(doc)
 
     def test_dot_export(self):
-        ix = validate_complex(osculating_wedge())
+        ix = indexed(osculating_wedge())
         H = compute_hyperplanes(ix)
         dot = dot_export(ix, interaction_report(ix, H))
         assert dot.startswith("graph interactions {")
@@ -358,10 +357,10 @@ class TestSerialisation:
         assert "[style=dashed];" in dot
 
     def test_deterministic_bytes(self):
-        X = build_quotient_complex(P42, -2, 2)
+        X = records(build_quotient_complex(P42, -2, 2))
         outs = set()
         for _ in range(2):
-            ix = validate_complex(X)
+            ix = indexed(X)
             H = compute_hyperplanes(ix)
             rep = interaction_report(ix, H)
             outs.add(json.dumps(report_to_json(ix, H, rep), sort_keys=True))

@@ -23,18 +23,12 @@ from hypothesis import strategies as st
 
 from cubespec import verifier
 from cubespec.coeff_group import GroupParams
-from cubespec.complex_model import (
-    Edge,
-    SquareComplex,
-    Vertex,
-    build_quotient_complex,
-    parse_edge_ids,
-    validate_complex,
-)
+from cubespec.complex_model import build_quotient_complex
 from cubespec.hyperplane_engine import core_edges
 from cubespec.verifier import classify_osculation, core_coefficients
 
 import reference_impl as ref
+from reference_impl import Edge, SquareComplex, Vertex, indexed, parse_edge_ids, records
 
 PAIRS = [(m, k) for m in range(3, 6) for k in range(2, 6)]
 SETTINGS = settings(
@@ -44,9 +38,9 @@ SETTINGS = settings(
 
 @lru_cache(maxsize=4)
 def truncation(m, k, h_min, layers, margin):
-    X = build_quotient_complex(GroupParams(m, k), h_min, h_min + layers)
-    ix = validate_complex(X)
-    cc = core_coefficients(X, ix, core_edges(ix, h_min + margin, h_min + layers - margin))
+    X = records(build_quotient_complex(GroupParams(m, k), h_min, h_min + layers))
+    ix = indexed(X)
+    cc = core_coefficients(ix, core_edges(ix, h_min + margin, h_min + layers - margin))
     refs = parse_edge_ids(X, [ix.edge_ids[e] for e in cc.edges])
     incident = [[] for _ in ix.vertex_ids]  # core edges at each vertex, ascending
     for e in cc.edges:
@@ -116,9 +110,9 @@ def test_arbitrary_witness_matches_the_elem_classifier(witness):
         X.edges[eid] = Edge(eid, tail, head, type=type_j)
         eids.append(eid)
     assume(eids[0] != eids[1])
-    ix = validate_complex(X)
+    ix = indexed(X)
     heights = ix.height
-    cc = core_coefficients(X, ix, core_edges(ix, min(heights), max(heights)))
+    cc = core_coefficients(ix, core_edges(ix, min(heights), max(heights)))
     refs = parse_edge_ids(X, eids)
     e, f = (ix.edge_ids.index(eid) for eid in eids)
     v = ix.vertex_ids.index("v")

@@ -1,8 +1,9 @@
 """The kernels on the integer view against the id-keyed reference kernels.
 
 ``validate_complex`` must raise the reference's first fault, message for
-message, on corrupted complexes.  ``check_npc``, ``compute_hyperplanes``, ``core_edges`` and
-``interaction_report`` run on the integer view of a complex;
+message, on corrupted complexes given as records.  ``check_npc``,
+``compute_hyperplanes``, ``core_edges`` and ``interaction_report`` run
+on the integer view of a complex;
 ``tests/reference_impl.py`` keeps the id-keyed versions they replaced.
 Once the program's indices are named, every field must agree, dict
 order included, with and without a core.
@@ -17,17 +18,10 @@ from hypothesis import strategies as st
 
 import reference_impl as ref
 from cubespec.coeff_group import GroupParams
-from cubespec.complex_model import (
-    ComplexFormatError,
-    Edge,
-    Square,
-    SquareComplex,
-    Vertex,
-    build_quotient_complex,
-    check_npc,
-    validate_complex,
-)
+from cubespec.complex_model import ComplexFormatError, build_quotient_complex, check_npc
 from cubespec.hyperplane_engine import compute_hyperplanes, core_edges, interaction_report
+
+from reference_impl import Edge, Square, SquareComplex, Vertex, indexed, records
 
 from test_complex_model import complexes
 
@@ -35,7 +29,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtur
 
 
 def assert_like_reference(X: SquareComplex, span=None) -> None:
-    ix = validate_complex(X)
+    ix = indexed(X)
     assert check_npc(ix).failures == ref.check_npc(X).failures
     H = compute_hyperplanes(ix)
     want_H = ref.compute_hyperplanes(X)
@@ -142,7 +136,7 @@ def first_fault(validate, X):
 def corrupt_built(*faults) -> SquareComplex:
     """A (4,2) build with each (fault, n) put in its n-th edge or square,
     its cells inserted in reverse id order."""
-    X = build_quotient_complex(GroupParams(4, 2), -1, 2)
+    X = records(build_quotient_complex(GroupParams(4, 2), -1, 2))
     X.edges = dict(reversed(X.edges.items()))
     X.squares = dict(reversed(X.squares.items()))
     edges, squares = list(X.edges.values()), list(X.squares.values())
@@ -163,7 +157,7 @@ class TestAgainstReference:
     @given(corrupted_complexes())
     @settings(max_examples=300, deadline=None)
     def test_validation_faults(self, X):
-        assert first_fault(validate_complex, X) == first_fault(ref.validate_complex, X)
+        assert first_fault(indexed, X) == first_fault(ref.validate_complex, X)
 
     @pytest.mark.parametrize("fault", ["tail", "head", "edge", "dir", "flip", "count"])
     def test_each_fault_in_insertion_order(self, fault):
@@ -172,7 +166,7 @@ class TestAgainstReference:
             X = corrupt_built(*faults)
             want = first_fault(ref.validate_complex, X)
             assert want is not None
-            assert first_fault(validate_complex, X) == want
+            assert first_fault(indexed, X) == want
 
     @given(st.one_of(complexes(), glued_complexes()), st.data())
     @settings(max_examples=300, deadline=None)
@@ -193,6 +187,6 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("m, k", [(4, 2), (3, 3), (4, 4), (5, 3)])
     def test_build(self, m, k):
-        X = build_quotient_complex(GroupParams(m, k), -(k + 2), k + 2)
+        X = records(build_quotient_complex(GroupParams(m, k), -(k + 2), k + 2))
         assert_like_reference(X)
         assert_like_reference(X, (-k, k))

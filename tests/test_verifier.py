@@ -16,11 +16,11 @@ from cubespec.coeff_group import (
 )
 from cubespec.complex_model import (
     DEFAULT_SIZE_CAP,
+    Cells,
     SizeCapError,
-    SquareComplex,
     SquareRef,
-    Vertex,
     build_quotient_complex,
+    complex_from_json,
     complex_to_json,
     square_boundary,
     validate_complex,
@@ -39,8 +39,8 @@ from cubespec.verifier import (
     verify_all,
 )
 
-from reference_impl import built_square_refs, coset, coset_intersection, family_cosets, separates
-from reference_impl import complex_from_json as record_complex_from_json
+from reference_impl import built_square_refs, coset, coset_intersection, family_cosets, records
+from reference_impl import separates
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
@@ -268,7 +268,7 @@ class TestStructuralConditions:
             for j in range(1, m + 1)
             for r in range(k)
         }
-        X = build_quotient_complex(params, -(k + 1), k + 1)
+        X = records(build_quotient_complex(params, -(k + 1), k + 1))
         seen = set()
         for sid, ref in built_square_refs(X).items():
             built = tuple((X.edges[e].type, d) for e, d in X.squares[sid].boundary)
@@ -340,10 +340,13 @@ class TestVerifyAll:
         assert cert.empty and cert.separating_character is not None
 
 
+def built_view(params, h_min, h_max):
+    return validate_complex(build_quotient_complex(params, h_min, h_max))
+
+
 def run_cross_validation(params, h_min, h_max, margin):
-    X = build_quotient_complex(params, h_min, h_max)
     certificates = check_self_osculation_cases(params) + check_inter_osculation_cases(params)
-    return cross_validate(X, margin, certificates)
+    return cross_validate(built_view(params, h_min, h_max), margin, certificates)
 
 
 class TestCrossValidation:
@@ -368,9 +371,9 @@ class TestCrossValidation:
         assert not cv.agreement
 
     def test_reuses_prebuilt_complex(self):
-        X = build_quotient_complex(P42, -4, 4)
+        ix = built_view(P42, -4, 4)
         certificates = verify_all(P42).certificates
-        cv = cross_validate(X, 2, certificates)
+        cv = cross_validate(ix, 2, certificates)
         assert cv.agreement
         assert cv.certificates_empty
 
@@ -380,16 +383,15 @@ class TestCrossValidation:
         assert cv.class_mismatches == [] and cv.inconclusive == []
 
     def test_classification_requires_refs(self):
-        X = SquareComplex()
-        X.vertices["v"] = Vertex("v")
+        ix = validate_complex(Cells(None, ["v"], [None], [], [], [], [], [], []))
         with pytest.raises(ValueError):
-            cross_validate(X, 2, check_self_osculation_cases(P42))
+            cross_validate(ix, 2, check_self_osculation_cases(P42))
 
     def test_empty_certificate_list_rejected(self):
         # an empty symbolic side must not pass as "all certificates empty"
-        X = build_quotient_complex(GroupParams(3, 2), -4, 4)
+        ix = built_view(GroupParams(3, 2), -4, 4)
         with pytest.raises(ValueError, match="certificates"):
-            cross_validate(X, 2, [])
+            cross_validate(ix, 2, [])
 
     def test_square_corner_pairs_made_once(self, monkeypatch):
         # the report's walk and the classifying walk share one exemption set
@@ -408,10 +410,9 @@ class TestCrossValidation:
     def test_every_core_witness_classifies(self):
         from cubespec.hyperplane_engine import core_edges, iter_osculations
 
-        X = build_quotient_complex(P43, -5, 5)
-        ix = validate_complex(X)
+        ix = built_view(P43, -5, 5)
         core = core_edges(ix, -2, 2)
-        cc = core_coefficients(X, ix, core)
+        cc = core_coefficients(ix, core)
         witnesses = 0
         for e, f, v in iter_osculations(ix, core=core):
             got = classify_osculation(cc, e, f, v)
@@ -424,16 +425,16 @@ class TestCrossValidation:
         # the edge ids carry everything cross-validation reads off a build
         params = GroupParams(m, k)
         X = build_quotient_complex(params, -span, span)
-        Y = record_complex_from_json(json.loads(complex_to_json(X)))
+        Y = complex_from_json(complex_to_json(X))
         certificates = verify_all(params).certificates
-        want = cross_validate(X, 2, certificates).to_json()
+        want = cross_validate(validate_complex(X), 2, certificates).to_json()
         assert cross_validate(Y, 2, certificates).to_json() == want
         assert want["span"] == [-span, span] and want["core_edge_count"] > 0
 
     def test_margin_without_core_rejected(self):
-        X = build_quotient_complex(P42, -3, 3)
+        ix = built_view(P42, -3, 3)
         with pytest.raises(ValueError, match="margin 4"):
-            cross_validate(X, 4, verify_all(P42).certificates)
+            cross_validate(ix, 4, verify_all(P42).certificates)
 
 
 @pytest.mark.slow
@@ -470,7 +471,7 @@ COMPOSITE_K = pytest.mark.xfail(
 def test_routes_agree_on_the_grid(m, k):
     # margin 2 clears the truncation-boundary artefacts in every pair
     params = GroupParams(m, k)
-    X = build_quotient_complex(params, -(k + 4), k + 4)
-    cv = cross_validate(X, 2, verify_all(params).certificates)
+    ix = built_view(params, -(k + 4), k + 4)
+    cv = cross_validate(ix, 2, verify_all(params).certificates)
     assert cv.agreement, cv.to_json()
     assert cv.violations_zero and cv.certificates_empty
