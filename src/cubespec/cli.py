@@ -159,7 +159,8 @@ def cmd_verify(args) -> int:
     from cubespec.verifier import cross_validate, verify_all
 
     params = _params(args)
-    size_cap = _size_cap(args, None)
+    # only the cross-validation build walks the k^m coefficients
+    size_cap = _size_cap(args, DEFAULT_SIZE_CAP if args.cross_validate else None)
     margin = args.margin if args.margin is not None else BUILT_MARGIN
     if not args.cross_validate:
         for flag in ("hmin", "hmax", "margin"):
@@ -173,14 +174,14 @@ def cmd_verify(args) -> int:
                 f"--margin {margin} leaves no core in heights "
                 f"[{args.hmin}, {args.hmax}]"
             )
-        build_cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
-        check_size_cap(params, build_cap)
-    report = verify_all(params, size_cap=size_cap)
+    if size_cap is not None:
+        check_size_cap(params, size_cap)
+    report = verify_all(params)
     doc = report.to_json()
     ok = report.all_empty
     if args.cross_validate:
         ix = validate_complex(
-            build_quotient_complex(params, args.hmin, args.hmax, size_cap=build_cap)
+            build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
         )
         cv = cross_validate(ix, margin, report.certificates)
         doc["cross_validation"] = cv.to_json()
@@ -375,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--cap",
         type=_at_least(1),
-        help=f"size cap (or ${SIZE_CAP_ENV}); unbounded by default, "
-        f"{DEFAULT_SIZE_CAP} for the fallback character search and the "
-        "cross-validation build",
+        help=f"size cap on the group order k^m (or ${SIZE_CAP_ENV}); unbounded "
+        f"by default, {DEFAULT_SIZE_CAP} with --cross-validate",
     )
     _add_common_output(v)
     v.set_defaults(fn=cmd_verify)

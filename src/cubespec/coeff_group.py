@@ -15,11 +15,9 @@ Type indices j live in 1..m and wrap cyclically (j = m + 1 means 1).
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 
 class ParameterMismatchError(ValueError):
@@ -126,9 +124,6 @@ class Elem:
         k = self.params.k
         return k // math.gcd(k, *self.exps)
 
-    def to_json(self) -> list[int]:
-        return list(self.exps)
-
 
 def identity(params: GroupParams) -> Elem:
     return Elem(params, (0,) * params.m)
@@ -188,9 +183,6 @@ class Character:
     def inverse(self) -> "Character":
         return self ** (-1)
 
-    def to_json(self) -> list[int]:
-        return list(self.dual)
-
 
 def unit_character(params: GroupParams, j: int) -> Character:
     """Character sending the j-th generator to mu and the rest to 1 (cyclic j)."""
@@ -198,12 +190,6 @@ def unit_character(params: GroupParams, j: int) -> Character:
     return Character(
         params, tuple(1 if i == j - 1 else 0 for i in range(params.m))
     )
-
-
-def all_characters(params: GroupParams) -> Iterator[Character]:
-    """All k^m characters in lexicographic order of their dual vectors."""
-    for dual in itertools.product(range(params.k), repeat=params.m):
-        yield Character(params, dual)
 
 
 @dataclass(frozen=True)
@@ -267,28 +253,3 @@ def coset_meet(
 
     return meet
 
-
-def find_separating_character(
-    left: Elem, right: Elem, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> Optional[Character]:
-    """First character (lex order on duals) that separates a whole family.
-
-    The family is the coset pairs x * <left> and y * <right>, one for each
-    pair (x, y) of exponent tuples.  A character separates it when it takes
-    exponent 0 on both generators, so it is constant on every coset, and
-    different values on x and y of every pair; then no element lies in
-    both cosets of any pair.  Returning a character proves every
-    intersection empty; None means no single character certifies them
-    all, which for one pair of cosets of one subgroup happens exactly when
-    they meet.
-    """
-    if not pairs:
-        raise ValueError("need at least one coset pair")
-    k = left.params.k
-    ratios = {tuple((a - b) % k for a, b in zip(x, y)) for x, y in pairs}
-    for chi in all_characters(left.params):
-        if chi(left) == 0 and chi(right) == 0 and all(
-            sum(map(operator.mul, chi.dual, r)) % k for r in ratios
-        ):
-            return chi
-    return None

@@ -282,15 +282,10 @@ def _translation(params: GroupParams, t: Elem) -> list[int]:
     return table
 
 
-def check_size_cap(
-    params: GroupParams, size_cap: int, what: str = "coefficient group order"
-) -> None:
-    """Raise ``SizeCapError`` when the group order k^m exceeds the cap.
-
-    ``what`` names the work that would take k^m steps.
-    """
+def check_size_cap(params: GroupParams, size_cap: int) -> None:
+    """Raise ``SizeCapError`` when the group order k^m exceeds the cap."""
     if params.order > size_cap:
-        raise SizeCapError(f"{what} {params.order} exceeds size cap {size_cap}")
+        raise SizeCapError(f"coefficient group order {params.order} exceeds size cap {size_cap}")
 
 
 def build_quotient_complex(

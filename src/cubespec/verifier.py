@@ -12,13 +12,13 @@ case family uses one subgroup pair for all its tuples, so the sumset
 H_l * H_r is made once per family and each tuple is decided by one set
 lookup of x * y^-1, with x and y computed as exponent tuples; only a
 tuple whose cosets meet enumerates their intersection, for its least
-member.  Each family carries its expected character, checked on the
-two generators once and on each tuple's representatives by residue dot
-products, and falls back to a full lexicographic character search when
-that one fails.  Emptiness is always decided by the enumeration itself,
-so parameter choices outside the guarantee (m = 3, composite k) yield
-honest non-empty certificates rather than errors.  Nothing is built:
-conditions 1 and 2 are read off one identity square per type and
+member.  Each family names its expected character, checked on the two
+generators once and on each tuple's representatives by residue dot
+products; no other character is searched for, and no certificate
+walks the k^m coefficients.  Emptiness is always decided by the enumeration
+itself, so parameter choices outside the guarantee (m = 3, composite k)
+yield honest non-empty certificates rather than errors.  Nothing is
+built: conditions 1 and 2 are read off one identity square per type and
 height residue.
 
 ``cross_validate`` ties this symbolic route to the geometric engine: the
@@ -46,21 +46,13 @@ from cubespec.coeff_group import (
     constant,
     coset_meet,
     edge_type_stabilizer,
-    find_separating_character,
     identity,
     prefix,
     subgroup_cyclic,
     unit,
     unit_character,
 )
-from cubespec.complex_model import (
-    DEFAULT_SIZE_CAP,
-    ComplexIndex,
-    SquareRef,
-    _translation,
-    check_size_cap,
-    square_boundary,
-)
+from cubespec.complex_model import ComplexIndex, SquareRef, _translation, square_boundary
 
 if TYPE_CHECKING:
     from cubespec.hyperplane_engine import Core
@@ -83,10 +75,11 @@ class CaseCertificate:
     ``empty`` is decided purely by enumeration.  Each witness is a
     quantified tuple followed by the exponents of the least member of
     its two cosets' intersection; no output depends on which member
-    represents a coset.  When a separating character is present, it
-    takes exponent 0 on both subgroup generators and different values on
-    the two coset representatives of every enumerated tuple, which
-    re-certifies emptiness independently.
+    represents a coset.  An osculation family's separating character is
+    its named character when that one is valid: it takes exponent 0 on
+    both subgroup generators and different values on the two coset
+    representatives of every enumerated tuple, which re-certifies
+    emptiness independently.
     """
 
     case_id: str
@@ -135,18 +128,19 @@ def _certify_family(
     tuples: Sequence[tuple],
     subgroups: tuple[Subgroup, Subgroup],
     reps: Callable[..., tuple[tuple[int, ...], tuple[int, ...]]],
-    named: Optional[Character],
+    named: Character,
     quantifiers: str,
     left_desc: str,
     right_desc: str,
-    search_cap: int,
 ) -> CaseCertificate:
     """Decide one family: the cosets x * H_l and y * H_r for (x, y) = reps(*t).
 
     One ``coset_meet`` lookup decides each tuple.  A character that kills
     both subgroups is constant on each coset, so the named character is
     checked against the generators once and then compared on the two
-    representatives of each tuple by residue dot products.
+    representatives of each tuple by residue dot products.  When it fails
+    the family has no separating character; emptiness is still decided by
+    the lookups alone.
     """
     left, right = subgroups
     meet = coset_meet(left, right)
@@ -156,20 +150,12 @@ def _certify_family(
         member = meet(x, y)
         if member is not None:
             witnesses.append(t + (member,))
-    empty = not witnesses
-    named_valid = None
-    if named is not None:
-        k, dual = left.params.k, named.dual
-        named_valid = (
-            named(left.generator) == 0
-            and named(right.generator) == 0
-            and all((sum(map(mul, dual, x)) - sum(map(mul, dual, y))) % k for x, y in pairs)
-        )
-    separating = named if named_valid else None
-    if separating is None and empty:
-        what = f"{case_id} j={j}: fallback separating-character search over k^m ="
-        check_size_cap(left.params, search_cap, what)
-        separating = find_separating_character(left.generator, right.generator, pairs)
+    k, dual = left.params.k, named.dual
+    named_valid = (
+        named(left.generator) == 0
+        and named(right.generator) == 0
+        and all((sum(map(mul, dual, x)) - sum(map(mul, dual, y))) % k for x, y in pairs)
+    )
     return CaseCertificate(
         case_id=case_id,
         j=j,
@@ -178,18 +164,16 @@ def _certify_family(
         right=right_desc,
         left_subgroup=left.generator.exps,
         right_subgroup=right.generator.exps,
-        empty=empty,
-        separating_character=separating.dual if separating else None,
-        named_character=named.dual if named is not None else None,
+        empty=not witnesses,
+        separating_character=dual if named_valid else None,
+        named_character=dual,
         named_character_valid=named_valid,
         enumerated=len(pairs),
         witnesses=tuple(witnesses),
     )
 
 
-def check_self_osculation_cases(
-    params: GroupParams, search_cap: int = DEFAULT_SIZE_CAP
-) -> list[CaseCertificate]:
+def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
     """Same-type edge pairs at a shared vertex: the four height cases.
 
     The pair sits at heights (a, b) with b in {a-1, a, a+1}; membership
@@ -250,9 +234,7 @@ def check_self_osculation_cases(
         )
         for case_id, tuples, reps, named, quantifiers, left, right in families:
             out.append(
-                _certify_family(
-                    case_id, j, tuples, subs, reps, named, quantifiers, left, right, search_cap
-                )
+                _certify_family(case_id, j, tuples, subs, reps, named, quantifiers, left, right)
             )
     return out
 
@@ -318,9 +300,7 @@ def _inter_families(params: GroupParams, j: int):
     }
 
 
-def check_inter_osculation_cases(
-    params: GroupParams, search_cap: int = DEFAULT_SIZE_CAP
-) -> list[CaseCertificate]:
+def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
     """Adjacent-type pairs at a shared vertex: eight sub-case families.
 
     A crossing pair mixes types j and j+1 (cyclically); osculation
@@ -357,7 +337,6 @@ def check_inter_osculation_cases(
                     quantifiers,
                     left,
                     right,
-                    search_cap,
                 )
             )
     return out
@@ -479,18 +458,12 @@ class VerifyReport:
         }
 
 
-def verify_all(params: GroupParams, size_cap: Optional[int] = None) -> VerifyReport:
+def verify_all(params: GroupParams) -> VerifyReport:
     """Run every check for one parameter pair, without building a complex.
 
-    Nothing here walks the k^m coefficients except the fallback
-    separating-character search, so without ``size_cap`` the group order
-    is not bounded and that search is bounded by ``DEFAULT_SIZE_CAP``.
-    A given ``size_cap`` bounds both, as it bounds a build: a larger
-    order raises ``SizeCapError``.
+    Nothing here walks the k^m coefficients, so the group order is not
+    bounded.
     """
-    search_cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
-    if size_cap is not None:
-        check_size_cap(params, size_cap)
     stab_checks = []
     for j in range(1, params.m + 1):
         derived = derive_stabilizer_from_loops(params, j)
@@ -505,8 +478,8 @@ def verify_all(params: GroupParams, size_cap: Optional[int] = None) -> VerifyRep
         )
     certificates = (
         check_structural_conditions(params)
-        + check_self_osculation_cases(params, search_cap)
-        + check_inter_osculation_cases(params, search_cap)
+        + check_self_osculation_cases(params)
+        + check_inter_osculation_cases(params)
     )
     return VerifyReport(params, params.order, stab_checks, certificates)
 

@@ -21,15 +21,20 @@ top-level keys and any height or type through ``json.dumps``.
 id.  The climb coset and
 the osculation classifier compute with ``Elem`` arithmetic and a k-step
 discrete log, as they ran before the program moved to coefficient
-indices.  ``named_partition``,
+indices.  ``find_separating_character`` is the lexicographic search over
+all k^m characters (``all_characters``) that the program ran when a
+family's named character failed, before it kept the named character as
+the only one.  ``named_partition``,
 ``named_report`` and ``named_core`` turn the program's index-keyed
 results into the id-keyed form of these references.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from cubespec.coeff_group import (
@@ -702,8 +707,8 @@ class Coset:
 
     def to_json(self) -> dict:
         return {
-            "rep": self.rep.to_json(),
-            "subgroup_generator": self.sub.generator.to_json(),
+            "rep": list(self.rep.exps),
+            "subgroup_generator": list(self.sub.generator.exps),
         }
 
 
@@ -743,6 +748,38 @@ def separates(chi: Character, pairs: Sequence[tuple[Coset, Coset]]) -> bool:
         if chi(left.rep) == chi(right.rep):
             return False
     return True
+
+
+def all_characters(params: GroupParams) -> Iterator[Character]:
+    """All k^m characters in lexicographic order of their dual vectors."""
+    for dual in itertools.product(range(params.k), repeat=params.m):
+        yield Character(params, dual)
+
+
+def find_separating_character(
+    left: Elem, right: Elem, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> Optional[Character]:
+    """First character (lex order on duals) that separates a whole family.
+
+    The family is the coset pairs x * <left> and y * <right>, one for each
+    pair (x, y) of exponent tuples.  A character separates it when it takes
+    exponent 0 on both generators, so it is constant on every coset, and
+    different values on x and y of every pair; then no element lies in
+    both cosets of any pair.  Returning a character proves every
+    intersection empty; None means no single character certifies them
+    all, which for one pair of cosets of one subgroup happens exactly when
+    they meet.
+    """
+    if not pairs:
+        raise ValueError("need at least one coset pair")
+    k = left.params.k
+    ratios = {tuple((a - b) % k for a, b in zip(x, y)) for x, y in pairs}
+    for chi in all_characters(left.params):
+        if chi(left) == 0 and chi(right) == 0 and all(
+            sum(map(mul, chi.dual, r)) % k for r in ratios
+        ):
+            return chi
+    return None
 
 
 def family_cosets(params: GroupParams, case_id: str, j: int, t: tuple) -> tuple[Coset, Coset]:

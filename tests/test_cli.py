@@ -368,6 +368,10 @@ class TestVerify:
         code, stdout, _ = run(capsys, "verify", "--m", "6", "--k", "7", "--json")
         assert code == 0
         assert json.loads(stdout)["all_empty"] is True
+        # a given cap bounds the order all the same
+        code, stdout, err = run(capsys, "verify", "--m", "6", "--k", "7", "--cap", "65536")
+        assert (code, stdout) == (3, "")
+        assert "coefficient group order 117649 exceeds size cap 65536" in err
         # the cross-validation build keeps the default cap, checked up front
         code, stdout, err = run(
             capsys, "verify", "--m", "6", "--k", "7", "--cross-validate",
@@ -380,7 +384,7 @@ class TestVerify:
     @pytest.mark.parametrize("m, k", [(5, 11), (4, 13)])
     def test_regime_pairs_past_the_cap(self, m, k, capsys):
         # 11^5 and 13^4 exceed the default cap: every family is empty and
-        # its named character certifies it, so no fallback search runs
+        # certified by its named character, the only character verify tries
         code, stdout, _ = run(capsys, "verify", "--m", str(m), "--k", str(k), "--json")
         assert code == 0
         doc = json.loads(stdout)

@@ -41,7 +41,7 @@ def _used_outside_itself(name, module, node, uses):
 
 def test_every_public_definition_is_used_by_the_package():
     definitions, uses = _definitions_and_uses()
-    assert "find_separating_character" in definitions  # the scan sees src
+    assert "coset_meet" in definitions  # the scan sees src
     unused = sorted(
         f"{module}: {name}"
         for name, (module, node) in definitions.items()

@@ -17,7 +17,6 @@ from cubespec.coeff_group import (
 from cubespec.complex_model import (
     DEFAULT_SIZE_CAP,
     Cells,
-    SizeCapError,
     SquareRef,
     build_quotient_complex,
     complex_from_json,
@@ -320,24 +319,21 @@ class TestVerifyAll:
         params = GroupParams(6, 7)
         assert params.order > DEFAULT_SIZE_CAP
         assert verify_all(params).all_empty
-        with pytest.raises(SizeCapError, match="coefficient group order 117649"):
-            verify_all(params, size_cap=DEFAULT_SIZE_CAP)
 
-    def test_fallback_search_bounded_by_cap(self):
-        # without a named character an empty family falls back to the
-        # search over all k^m characters, which the cap bounds
-        stab = edge_type_stabilizer(P42, 1)
-        pair = (identity(P42).exps, unit(P42, 1).exps)
 
-        def certify(search_cap):
-            return verifier._certify_family(
-                "case", 1, [()], (stab, stab), lambda: pair, None, "q", "l", "r", search_cap
-            )
-
-        with pytest.raises(SizeCapError, match="case j=1: fallback separating-character search"):
-            certify(P42.order - 1)
-        cert = certify(P42.order)
-        assert cert.empty and cert.separating_character is not None
+@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("m", range(3, 7))
+def test_named_character_fails_exactly_in_nonempty_families(m, k):
+    # the named character is each family's only character: no empty
+    # family may need another one to certify it
+    families = [
+        c for c in verify_all(GroupParams(m, k)).certificates
+        if c.case_id.startswith(("selfosc_", "interosc_"))
+    ]
+    assert len(families) == 8 * m
+    for c in families:
+        assert c.named_character_valid is c.empty, (c.case_id, c.j)
+        assert c.separating_character == (c.named_character if c.empty else None)
 
 
 def built_view(params, h_min, h_max):
