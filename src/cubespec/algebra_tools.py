@@ -32,10 +32,6 @@ class IntMatrix:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -43,43 +39,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        return IntMatrix(
-            tuple(
-                tuple(
-                    sum(self.entries[i][t] * other.entries[t][j] for t in range(self.cols))
-                    for j in range(other.cols)
-                )
-                for i in range(self.rows)
-            )
-        )
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for t in range(n - 1):
-            if a[t][t] == 0:
-                for i in range(t + 1, n):
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-                a[i][t] = 0
-            prev = a[t][t]
-        return sign * a[n - 1][n - 1]
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

@@ -231,8 +231,16 @@ def _read_matrix(path: str):
         if not rows:
             raise ValueError(f"{path}: empty matrix")
         return IntMatrix.from_rows(rows)
+    except RecursionError:
+        raise ValueError(f"{path}: nesting too deep for the JSON decoder") from None
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError(f"{path}: expected a JSON 2-D integer array")
+    for i, row in enumerate(data):
+        for j, x in enumerate(row):
+            if type(x) is not int:  # int() would truncate a float and take a bool
+                raise ValueError(
+                    f"{path}: entry [{i}][{j}] is {json.dumps(x)}, expected an integer"
+                )
     return IntMatrix.from_rows(data)
 
 

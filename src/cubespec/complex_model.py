@@ -4,7 +4,9 @@ A square complex is a set of vertices, directed edges and squares whose
 boundaries are closed walks of four directed edges, keyed by id.  It
 comes in two forms.  ``Cells`` lists it in document order, one column
 per field: ``build_quotient_complex`` makes it, ``complex_to_json``
-writes it, and ``complex_from_json`` reads it back out of a document.
+writes it to a text stream, and ``complex_from_json`` reads it back out
+of the document text, record by record; ``json.loads`` runs only to
+name the fault of a text that this reader does not take.
 ``validate_complex`` checks the incidences of the columns once and
 numbers the cells in sorted-id order.  That gives the ``ComplexIndex``
 on which the curvature check and the kernels of ``hyperplane_engine``
@@ -498,25 +500,17 @@ def _chunks(cells: Cells, stamp: Optional[dict]) -> Iterator[str]:
     yield "\n}\n"
 
 
-def complex_to_json(
-    cells: Cells, out: Optional[TextIO] = None, stamp: Optional[dict] = None
-) -> Optional[str]:
-    """The document of a built complex as JSON text, written record by record.
+def complex_to_json(cells: Cells, out: TextIO, stamp: Optional[dict] = None) -> None:
+    """Write the document of a built complex to the text stream ``out``.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of the object with
     keys params, vertices, edges and squares, and then ``stamp`` when it
     is given.  The records are in column order, each made from a
     template with its ids quoted as ``json.dumps`` quotes them, so every
-    height and type must be an int, as in a build.
-
-    Without ``out`` the text is returned.  With a text stream ``out``
-    the same text is written to it a batch of records at a time, so the
-    whole document is never held, and None is returned.
+    height and type must be an int, as in a build.  The text is written
+    a batch of records at a time, so the whole document is never held.
     """
-    if out is None:
-        return "".join(_chunks(cells, stamp))
     out.writelines(_chunks(cells, stamp))
-    return None
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -553,27 +547,11 @@ def _sweep(cols: list[list], last: list, optional: Optional[str]) -> bool:
     )
 
 
-def _fields(doc: dict, section: str) -> list[list]:
-    """The fields of a section's records, one list each in record order.
-
-    The string fields come first, then the optional integer or, for
-    squares, the boundaries as (edge, dir) sides.  One sweep reads and
-    checks all records; when one is malformed, the ordered checks raise
-    the first fault with its path.
-    """
+def _check_records(recs: list, section: str) -> None:
+    """Raise the first fault of a section's records, in record order, with its path."""
     kind, strings, optional = _SCHEMA[section]
-    recs = doc[section]
-    try:
-        cols = [[rec[key] for rec in recs] for key in strings]
-        last = [rec.get(optional) if optional else rec["boundary"] for rec in recs]
-        lists = optional or {list}.issuperset(map(type, last))
-        if not optional:  # each {edge, dir} side as an (edge, dir) pair
-            last = [tuple([(side["edge"], side["dir"]) for side in sides]) for sides in last]
-        ok = lists and _sweep(cols, last, optional)
-    except (TypeError, KeyError):
-        ok = False
     seen = set()
-    for n, rec in enumerate([] if ok else recs):
+    for n, rec in enumerate(recs):
         path = f"{section}[{n}]"
         _require(isinstance(rec, dict), path, "expected an object")
         for key in strings:
@@ -592,7 +570,6 @@ def _fields(doc: dict, section: str) -> list[list]:
             _require(isinstance(side, dict), spath, "expected an object")
             _require(isinstance(side.get("edge"), str), spath, "missing string 'edge'")
             _require(side.get("dir") in ("+", "-"), f"{spath}.dir", "expected '+' or '-'")
-    return cols + [last]
 
 
 def _params(raw) -> Optional[GroupParams]:
@@ -614,7 +591,7 @@ _NEXT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|(\]))").match
 
 
 class _Unread(Exception):
-    """Text that the streamed reader leaves to ``json.loads``."""
+    """A section value that the reader cannot make columns of."""
 
 
 def _square_row(rec: dict, share) -> tuple:
@@ -644,7 +621,8 @@ def _read_section(text: str, pos: int, section: str, names: dict) -> tuple[list[
     a square's sides as (edge, dir) pairs.  The names of vertices and
     edges, which other records repeat, are held once, as the string
     that ``names`` maps each to.  Raises ``_Unread`` when the value is
-    not an array or its records fail the sweep.
+    not an array or its records fail the sweep, and ``KeyError``,
+    ``TypeError`` or ``ValueError`` when a record lacks a field.
     """
     _, strings, optional = _SCHEMA[section]
     if text[pos : pos + 1] != "[":
@@ -673,14 +651,16 @@ def _read_section(text: str, pos: int, section: str, names: dict) -> tuple[list[
 
 
 def _read_columns(text: str) -> Optional[Cells]:
-    """The columns of a document text, or None.
+    """The columns of a document text, or None when the text has a fault.
 
     The top level is walked key by key and each section record by
-    record, so no record outlives the reading of its fields.  None when
-    the text is not taken: a top level that is not an object, a repeated
-    top-level key, a missing section or one that is not a list, invalid
-    ``params``, a record that fails the sweep, trailing data, a BOM, or
-    any decode error.
+    record, so no record outlives the reading of its fields.  A repeated
+    key keeps its last value, as in ``json.loads``.  A section value that
+    cannot be made into columns is skipped as unread, so the reader
+    takes every valid document.  None when a section is missing or its
+    last value is unread (not a list, or a record that fails the sweep),
+    for a top level that is not an object, invalid ``params``, trailing
+    data, a BOM, or any decode error.
     """
     found: dict = {}
     names: dict = {}
@@ -694,55 +674,62 @@ def _read_columns(text: str) -> Optional[Cells]:
                 return None
             key, pos = scanstring(text, pos + 1)
             pos = _WS(text, pos).end()
-            if key in found or text[pos : pos + 1] != ":":
+            if text[pos : pos + 1] != ":":
                 return None
             pos = _WS(text, pos + 1).end()
-            if key in _SCHEMA:
-                found[key], pos = _read_section(text, pos, key, names)
-            else:
+            if key not in _SCHEMA:
                 found[key], pos = _DECODER.scan_once(text, pos)
+            else:
+                try:
+                    found[key], pos = _read_section(text, pos, key, names)
+                except (_Unread, KeyError, TypeError, ValueError):
+                    # unread; a decode error raises again in the rescan
+                    found[key], pos = None, _DECODER.scan_once(text, pos)[1]
             pos = _WS(text, pos).end()
             if text[pos : pos + 1] != ",":
                 break
             pos = _WS(text, pos + 1).end()
         if text[pos : pos + 1] != "}" or _WS(text, pos + 1).end() != len(text):
             return None
-        if not found.keys() >= _SCHEMA.keys():
+        if None in map(found.get, _SCHEMA):  # a section missing or unread
             return None
         params = _params(found.get("params"))
-    except (_Unread, StopIteration, ValueError, TypeError, KeyError, RecursionError):
+    except (StopIteration, ValueError, RecursionError):
         return None
     return Cells(params, *itertools.chain.from_iterable(found[key] for key in _SCHEMA))
 
 
-def complex_from_json(doc: dict | str) -> ComplexIndex:
-    """Validate a complex document straight into its integer view.
+def complex_from_json(text: str) -> ComplexIndex:
+    """Validate the text of a complex document straight into its integer view.
 
-    ``doc`` is a parsed document or, as a str, its JSON text.  The top
-    level and ``params`` are checked first, then the records of the
-    vertices, edges and squares, each in document order, and then the
-    incidences by ``validate_complex``; the first fault raises
-    ``ComplexFormatError`` naming its path.  Unknown fields are ignored.
+    The text is read one record at a time into the columns of ``Cells``,
+    and ``validate_complex`` checks their incidences.  Unknown fields
+    are ignored, and a repeated top-level key keeps its last value, as
+    in ``json.loads``.
 
-    Text is read one record at a time into the columns of ``Cells``,
-    with the same sweep over them as a parsed document gets.
-    Text that this reader does not take is parsed whole by
-    ``json.loads`` and checked as a parsed document, so every message is
-    the same either way; invalid JSON raises ``ComplexFormatError``
-    "invalid JSON: ...".
+    The reader takes every valid document, so text it does not take has
+    a fault, and what is left is to name the first one.  The text is
+    parsed whole by ``json.loads`` and checked in order: the top level
+    and ``params``, then the records of the vertices, edges and squares,
+    each in document order.  The first fault raises
+    ``ComplexFormatError`` naming its path; invalid JSON raises
+    "invalid JSON: ...", and nesting too deep for the decoder names $.
     """
-    if isinstance(doc, str):
-        cells = _read_columns(doc)
-        if cells is not None:
-            del doc  # the text is dropped before the view is made
-            return validate_complex(cells)
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ComplexFormatError(f"invalid JSON: {exc}") from exc
+    cells = _read_columns(text)
+    if cells is not None:
+        del text  # the text is dropped before the view is made
+        return validate_complex(cells)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ComplexFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ComplexFormatError("$: nesting too deep for the JSON decoder") from None
     _require(isinstance(doc, dict), "$", "expected a JSON object")
-    for key in ("vertices", "edges", "squares"):
+    for key in _SCHEMA:
         _require(key in doc, "$", f"missing key {key!r}")
         _require(isinstance(doc[key], list), key, "expected a list")
-    params = _params(doc.get("params"))
-    return validate_complex(Cells(params, *(col for key in _SCHEMA for col in _fields(doc, key))))
+    _params(doc.get("params"))
+    for key in _SCHEMA:
+        _check_records(doc[key], key)
+    raise AssertionError("the ordered checks found no fault")

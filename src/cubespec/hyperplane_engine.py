@@ -180,7 +180,7 @@ def _bigon_pairs(
 
 def iter_osculations(
     ix: ComplexIndex,
-    corner_pairs: Optional[set[int]] = None,
+    corner_pairs: set[int],
     core: Optional[Core] = None,
 ) -> Iterator[tuple[int, int, int]]:
     """Yield (edge, edge, shared vertex) indices for every osculating witness.
@@ -190,8 +190,6 @@ def iter_osculations(
     edges in the core are produced.  Vertices come in ascending order,
     and at each vertex the pairs (e, f), e < f, in ascending order.
     """
-    if corner_pairs is None:
-        corner_pairs = square_corner_pairs(ix)
     n = len(ix.edge_ids)
     incident: list[list[int]] = [[] for _ in ix.vertex_ids]
     for e, (t, h) in enumerate(zip(ix.tail, ix.head)):

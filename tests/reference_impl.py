@@ -27,6 +27,8 @@ family's named character failed, before it kept the named character as
 the only one.  ``named_partition``,
 ``named_report`` and ``named_core`` turn the program's index-keyed
 results into the id-keyed form of these references.
+``identity_matrix``, ``matrix_product`` and ``determinant`` check the
+unimodular transforms of a Smith Normal Form.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
+from cubespec.algebra_tools import IntMatrix
 from cubespec.coeff_group import (
     Character,
     Elem,
@@ -1077,3 +1080,47 @@ def complex_from_json(doc: dict) -> SquareComplex:
         )
     X.extra = {k: v for k, v in doc.items() if k not in _TOP_KEYS}
     return X
+
+
+# ---------------------------------------------------------------------------
+# integer matrices
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def matrix_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matrix product")
+    return IntMatrix(
+        tuple(
+            tuple(sum(a.entries[i][t] * b.entries[t][j] for t in range(a.cols)) for j in range(b.cols))
+            for i in range(a.rows)
+        )
+    )
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant requires a square matrix")
+    n = a.rows
+    m = [list(row) for row in a.entries]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if m[t][t] == 0:
+            for i in range(t + 1, n):
+                if m[i][t] != 0:
+                    m[t], m[i] = m[i], m[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
+            m[i][t] = 0
+        prev = m[t][t]
+    return sign * m[n - 1][n - 1]

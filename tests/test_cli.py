@@ -272,6 +272,14 @@ class TestCheck:
         assert code == 2
         assert "squares" in err
 
+    def test_nesting_too_deep_for_the_decoder(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        nested = "[" * 100000 + "]" * 100000
+        deep.write_text(f'{{"params": null, "vertices": [], "edges": [], "squares": [], "a": {nested}}}')
+        code, out, err = run(capsys, "check", str(deep))
+        assert (code, out) == (2, "")
+        assert err == "error: $: nesting too deep for the JSON decoder\n"
+
 
 class TestVerify:
     def test_guarantee_pair_clean(self, capsys, tmp_path):
@@ -468,6 +476,26 @@ class TestAlgebraCommands:
         mat.write_text("2 x\n")
         code, _, _ = run(capsys, "snf", "--matrix", str(mat))
         assert code == 2
+
+    def test_snf_nesting_too_deep(self, capsys, tmp_path):
+        mat = tmp_path / "m.json"
+        mat.write_text("[" * 100000)
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err == f"error: {mat}: nesting too deep for the JSON decoder\n"
+
+    @pytest.mark.parametrize(
+        "rows, entry",
+        [("[[1.5, 2], [3, 4]]", "[0][0] is 1.5"), ("[[1, 2], [3, true]]", "[1][1] is true"),
+         ('[[1, "2"]]', '[0][1] is "2"'), ("[[1, [2]]]", "[0][1] is [2]")],
+    )
+    def test_snf_non_integer_entry_rejected(self, rows, entry, capsys, tmp_path):
+        # int() would truncate 1.5 and take true as 1
+        mat = tmp_path / "m.json"
+        mat.write_text(rows)
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err == f"error: {mat}: entry {entry}, expected an integer\n"
 
     def test_abelianize(self, capsys):
         code, stdout, _ = run(capsys, "abelianize", "--m", "4", "--k", "2")

@@ -1,11 +1,14 @@
 """Guard: no public library code exists only for the tests to call.
 
-Every public module-level function or class in ``src/cubespec`` must be
-used by code somewhere in ``src/cubespec`` other than its own
-definition.  A use is a name or attribute reference in the syntax tree,
-so docstrings, comments and bare imports do not count.  Reference
-implementations that tests compare the program against live in
-``tests/reference_impl.py``.
+Every public module-level function or class in ``src/cubespec``, and
+every public method of a public class, must be used by code somewhere
+in ``src/cubespec`` other than its own definition.  A use is a name or
+attribute reference in the syntax tree, so docstrings, comments and
+bare imports do not count.  The scan goes by name only: a method counts
+as used when anything in the package of the same name is referenced, so
+a method named ``mul`` or ``identity`` would pass on the strength of
+``operator.mul`` or ``coeff_group.identity``.  Reference implementations
+that tests compare the program against live in ``tests/reference_impl.py``.
 """
 
 import ast
@@ -13,16 +16,23 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubespec"
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public(nodes):
+    return [node for node in nodes if isinstance(node, _DEFS) and not node.name.startswith("_")]
+
 
 def _definitions_and_uses():
-    definitions = {}  # name -> (module file, definition node)
+    definitions = []  # (qualified name, module file, definition node)
     uses = []  # (module file, line, name)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    definitions[node.name] = (path.name, node)
+        for node in _public(tree.body):
+            definitions.append((node.name, path.name, node))
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body):
+                    definitions.append((f"{node.name}.{method.name}", path.name, method))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.append((path.name, node.lineno, node.id))
@@ -31,9 +41,9 @@ def _definitions_and_uses():
     return definitions, uses
 
 
-def _used_outside_itself(name, module, node, uses):
+def _used_outside_itself(module, node, uses):
     return any(
-        used == name
+        used == node.name
         and not (where == module and node.lineno <= line <= node.end_lineno)
         for where, line, used in uses
     )
@@ -41,11 +51,11 @@ def _used_outside_itself(name, module, node, uses):
 
 def test_every_public_definition_is_used_by_the_package():
     definitions, uses = _definitions_and_uses()
-    assert "coset_meet" in definitions  # the scan sees src
+    names = {name for name, _, _ in definitions}
+    assert {"coset_meet", "ComplexIndex.next_sides"} <= names  # the scan sees src and methods
     unused = sorted(
         f"{module}: {name}"
-        for name, (module, node) in definitions.items()
-        if not _used_outside_itself(name, module, node, uses)
+        for name, module, node in definitions
+        if not _used_outside_itself(module, node, uses)
     )
     assert unused == []
-

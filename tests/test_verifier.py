@@ -20,7 +20,6 @@ from cubespec.complex_model import (
     SquareRef,
     build_quotient_complex,
     complex_from_json,
-    complex_to_json,
     square_boundary,
     validate_complex,
 )
@@ -40,6 +39,8 @@ from cubespec.verifier import (
 
 from reference_impl import built_square_refs, coset, coset_intersection, family_cosets, records
 from reference_impl import separates
+
+from test_complex_model import written
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
@@ -404,13 +405,13 @@ class TestCrossValidation:
         assert len(calls) == 1
 
     def test_every_core_witness_classifies(self):
-        from cubespec.hyperplane_engine import core_edges, iter_osculations
+        from cubespec.hyperplane_engine import core_edges, iter_osculations, square_corner_pairs
 
         ix = built_view(P43, -5, 5)
         core = core_edges(ix, -2, 2)
         cc = core_coefficients(ix, core)
         witnesses = 0
-        for e, f, v in iter_osculations(ix, core=core):
+        for e, f, v in iter_osculations(ix, square_corner_pairs(ix), core):
             got = classify_osculation(cc, e, f, v)
             assert got["case_id"] != "unmatched", (e, f, v, got)
             witnesses += 1
@@ -421,7 +422,7 @@ class TestCrossValidation:
         # the edge ids carry everything cross-validation reads off a build
         params = GroupParams(m, k)
         X = build_quotient_complex(params, -span, span)
-        Y = complex_from_json(complex_to_json(X))
+        Y = complex_from_json(written(X))
         certificates = verify_all(params).certificates
         want = cross_validate(validate_complex(X), 2, certificates).to_json()
         assert cross_validate(Y, 2, certificates).to_json() == want
