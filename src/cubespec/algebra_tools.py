@@ -10,23 +10,22 @@ periodicity probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from cubespec.coeff_group import Elem, GroupParams, ParameterMismatchError, unit
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple[tuple[int, ...], ...]
+class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        if not entries or not entries[0]:
             raise ValueError("matrix dimensions must be positive")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("matrix rows must have equal length")
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -44,8 +43,7 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     D: IntMatrix
     U: IntMatrix
     V: IntMatrix
@@ -217,8 +215,7 @@ def crossing_orbit_growth(params: GroupParams, r: int) -> int:
     return min(2 * r + 1, period)
 
 
-@dataclass(frozen=True)
-class OrderSeq:
+class OrderSeq(NamedTuple):
     start: int
     values: tuple[int, ...]
 

@@ -15,23 +15,12 @@ import sys
 from typing import Optional
 
 from cubespec import __version__
-from cubespec.coeff_group import GroupParams, ParameterMismatchError
-from cubespec.complex_model import (
-    DEFAULT_SIZE_CAP,
-    ComplexFormatError,
-    SizeCapError,
-    SpanError,
-    build_quotient_complex,
-    check_npc,
-    check_size_cap,
-    complex_from_json,
-    complex_to_json,
-    validate_complex,
-)
+from cubespec.coeff_group import GroupParams
+from cubespec.incidence import DEFAULT_SIZE_CAP, SizeCapError, check_size_cap
 
-# hyperplane_engine, verifier, algebra_tools and datetime are imported
-# inside the commands that use them: each command is its own process,
-# and build needs none of them.
+# complex_model, hyperplane_engine, verifier, algebra_tools and datetime
+# are imported inside the commands that use them: each command is its
+# own process, and a plain verify needs no complex.
 
 SIZE_CAP_ENV = "CUBESPEC_SIZE_CAP"
 
@@ -86,7 +75,18 @@ def _params(args) -> GroupParams:
     return GroupParams(args.m, args.k)
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; a decode error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_build(args) -> int:
+    from cubespec.complex_model import build_quotient_complex, complex_to_json, validate_complex
+
     params = _params(args)
     size_cap = _size_cap(args, DEFAULT_SIZE_CAP)
     cells = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
@@ -108,6 +108,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from cubespec.complex_model import ComplexFormatError, check_npc, complex_from_json
     from cubespec.hyperplane_engine import (
         compute_hyperplanes,
         core_edges,
@@ -116,8 +117,7 @@ def cmd_check(args) -> int:
         report_to_json,
     )
 
-    with open(args.input, "r", encoding="utf-8") as fh:
-        ix = complex_from_json(fh.read())  # the loader drops the text once it is read
+    ix = complex_from_json(_read_text(args.input))  # the loader drops the text once it is read
     heights = ix.height
     margin = args.margin
     if margin is None:
@@ -180,6 +180,8 @@ def cmd_verify(args) -> int:
     doc = report.to_json()
     ok = report.all_empty
     if args.cross_validate:
+        from cubespec.complex_model import build_quotient_complex, validate_complex
+
         ix = validate_complex(
             build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
         )
@@ -218,30 +220,36 @@ def cmd_verify(args) -> int:
 def _read_matrix(path: str):
     from cubespec.algebra_tools import IntMatrix
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
-        data = json.loads(text)
+        rows = json.loads(text)
     except json.JSONDecodeError:
-        rows = [
-            [int(tok) for tok in line.split()]
-            for line in text.splitlines()
-            if line.strip()
-        ]
+        rows = [line.split() for line in text.splitlines() if line.strip()]
         if not rows:
             raise ValueError(f"{path}: empty matrix")
-        return IntMatrix.from_rows(rows)
+        for i, row in enumerate(rows):
+            for j, tok in enumerate(row):
+                try:
+                    row[j] = int(tok)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: entry [{i}][{j}] is {tok!r}, expected an integer"
+                    ) from None
     except RecursionError:
         raise ValueError(f"{path}: nesting too deep for the JSON decoder") from None
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise ValueError(f"{path}: expected a JSON 2-D integer array")
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            if type(x) is not int:  # int() would truncate a float and take a bool
-                raise ValueError(
-                    f"{path}: entry [{i}][{j}] is {json.dumps(x)}, expected an integer"
-                )
-    return IntMatrix.from_rows(data)
+    else:
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError(f"{path}: expected a JSON 2-D integer array")
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if type(x) is not int:  # int() would truncate a float and take a bool
+                    raise ValueError(
+                        f"{path}: entry [{i}][{j}] is {json.dumps(x)}, expected an integer"
+                    )
+    try:
+        return IntMatrix.from_rows(rows)
+    except ValueError as exc:  # ragged rows or an empty row
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_snf(args) -> int:
@@ -430,13 +438,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        SpanError,
-        ComplexFormatError,
-        ParameterMismatchError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,8 +16,7 @@ Type indices j live in 1..m and wrap cyclically (j = m + 1 means 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class ParameterMismatchError(ValueError):
@@ -39,8 +38,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GroupParams:
+# Values are NamedTuples, which need no dataclasses at start-up; a NamedTuple
+# body may not define __new__, so a checked one subclasses its fields.  Each
+# equals any tuple of the same values, so no set or dict mixes value types.
+class GroupParams(NamedTuple("GroupParams", [("m", int), ("k", int)])):
     """Parameters of the coefficient group: m cyclic factors of order k.
 
     Integer m >= 3 and k >= 2 are required.  Composite k and m = 3 are accepted
@@ -48,18 +49,17 @@ class GroupParams:
     report honestly instead of assuming the specialness guarantee.
     """
 
-    m: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("m", "k"):
-            value = getattr(self, name)
+    def __new__(cls, m: int, k: int) -> "GroupParams":
+        for name, value in (("m", m), ("k", k)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.m < 3:
-            raise ValueError(f"need m >= 3, got m={self.m}")
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got k={self.k}")
+        if m < 3:
+            raise ValueError(f"need m >= 3, got m={m}")
+        if k < 2:
+            raise ValueError(f"need k >= 2, got k={k}")
+        return super().__new__(cls, m, k)
 
     @property
     def k_prime(self) -> bool:
@@ -84,21 +84,18 @@ def _check_params(a: GroupParams, b: GroupParams) -> None:
         raise ParameterMismatchError(f"parameter mismatch: {a} vs {b}")
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(NamedTuple("Elem", [("params", GroupParams), ("exps", tuple)])):
     """A group element as a length-m tuple of exponents in [0, k)."""
 
-    params: GroupParams
-    exps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.exps) != self.params.m:
-            raise ValueError(
-                f"expected {self.params.m} exponents, got {len(self.exps)}"
-            )
-        k = self.params.k
-        if any(not 0 <= x < k for x in self.exps):
-            object.__setattr__(self, "exps", tuple(x % k for x in self.exps))
+    def __new__(cls, params: GroupParams, exps: tuple[int, ...]) -> "Elem":
+        if len(exps) != params.m:
+            raise ValueError(f"expected {params.m} exponents, got {len(exps)}")
+        k = params.k
+        if any(not 0 <= x < k for x in exps):
+            exps = tuple(x % k for x in exps)
+        return super().__new__(cls, params, exps)
 
     def __mul__(self, other: "Elem") -> "Elem":
         _check_params(self.params, other.params)
@@ -147,21 +144,18 @@ def prefix(params: GroupParams, j: int) -> Elem:
     return Elem(params, tuple(1 if i < j else 0 for i in range(params.m)))
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple("Character", [("params", GroupParams), ("dual", tuple)])):
     """Linear character as a dual exponent vector; values are mu-exponents."""
 
-    params: GroupParams
-    dual: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.dual) != self.params.m:
-            raise ValueError(
-                f"expected {self.params.m} dual exponents, got {len(self.dual)}"
-            )
-        k = self.params.k
-        if any(not 0 <= x < k for x in self.dual):
-            object.__setattr__(self, "dual", tuple(x % k for x in self.dual))
+    def __new__(cls, params: GroupParams, dual: tuple[int, ...]) -> "Character":
+        if len(dual) != params.m:
+            raise ValueError(f"expected {params.m} dual exponents, got {len(dual)}")
+        k = params.k
+        if any(not 0 <= x < k for x in dual):
+            dual = tuple(x % k for x in dual)
+        return super().__new__(cls, params, dual)
 
     def __call__(self, g: Elem) -> int:
         _check_params(self.params, g.params)
@@ -192,8 +186,7 @@ def unit_character(params: GroupParams, j: int) -> Character:
     )
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """Cyclic subgroup with its full element set materialised."""
 
     generator: Elem

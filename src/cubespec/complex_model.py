@@ -18,7 +18,7 @@ The builder materialises finite height-truncations of the quotient
 complex for parameters (m, k): one vertex orbit per height (coefficients
 reduced modulo the height's stabiliser), m free edge orbits per height
 and m free square orbits per layer, glued according to the
-fundamental-domain incidence rules.
+fundamental-domain incidence rules of ``cubespec.incidence``.
 
 Every built edge points upwards (head one height above tail).  Edge and
 square coefficients are never reduced: those cells are in free orbit,
@@ -30,106 +30,32 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 import re
 from array import array
-from dataclasses import dataclass
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _enc
 from typing import Iterator, NamedTuple, Optional, TextIO
 
-from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
-
-DEFAULT_SIZE_CAP = 65536
+from cubespec.coeff_group import Elem, GroupParams, identity
+from cubespec.incidence import (
+    DEFAULT_SIZE_CAP,
+    EdgeRef,
+    SquareRef,
+    _translation,
+    canonical_vertex,
+    check_size_cap,
+    edge_endpoints,
+    square_boundary,
+)
 
 
 class SpanError(ValueError):
     """Height span too small to hold at least one square layer."""
 
 
-class SizeCapError(RuntimeError):
-    """Requested build exceeds the configured coefficient-group size cap."""
-
-
 class ComplexFormatError(ValueError):
     """A complex document violates the schema; message carries the path."""
-
-
-# ---------------------------------------------------------------------------
-# parameterised cell references
-
-
-@dataclass(frozen=True)
-class VertexRef:
-    height: int
-    coeff: Elem  # canonical form, see canonical_vertex
-
-
-@dataclass(frozen=True)
-class EdgeRef:
-    height: int  # height of the head (top) vertex
-    type_j: int
-    coeff: Elem
-
-
-@dataclass(frozen=True)
-class SquareRef:
-    height: int  # height of the mid layer
-    type_j: int
-    coeff: Elem
-
-
-def canonical_vertex(g: Elem, i: int) -> VertexRef:
-    """Reduce a coefficient modulo the stabiliser of a height-i vertex.
-
-    The stabiliser is generated by the constant vector i, so its elements
-    are the constant vectors with entries in multiples of gcd(i, k).  The
-    canonical representative shifts the first exponent into
-    [0, gcd(i, k)).  For prime k that means first exponent 0 at branching
-    heights (k does not divide i) and no reduction elsewhere.
-    """
-    k = g.params.k
-    step = math.gcd(i % k, k)
-    shift = g.exps[0] - g.exps[0] % step
-    if shift:
-        return VertexRef(i, g * constant(g.params, -shift))
-    return VertexRef(i, g)
-
-
-def edge_endpoints(ref: EdgeRef) -> tuple[VertexRef, VertexRef]:
-    """Tail and head of a built edge; the tail sits one height below."""
-    params = ref.coeff.params
-    tail = canonical_vertex(ref.coeff * prefix(params, ref.type_j - 1), ref.height - 1)
-    head = canonical_vertex(ref.coeff, ref.height)
-    return tail, head
-
-
-def square_boundary(ref: SquareRef) -> tuple[tuple[EdgeRef, str], ...]:
-    """Boundary cycle of a built square, from the bottom vertex.
-
-    Sides come in order bottom-right (up), top-right (up), top-left
-    (down), bottom-left (down); opposite pairs are positions (0, 2)
-    carrying type j and (1, 3) carrying type j+1.  The last type closes
-    up cyclically: squares of type m mix types m and 1, and their two
-    type-1 sides pick up the constant vector of the layer above.
-    """
-    params = ref.coeff.params
-    j, i, g = ref.type_j, ref.height, ref.coeff
-    if not 1 <= j <= params.m:
-        raise ValueError(f"type index must be in [1, m], got {j}")
-    if j < params.m:
-        br = EdgeRef(i, j, g * prefix(params, j))
-        tr = EdgeRef(i + 1, j + 1, g)
-        tl = EdgeRef(i + 1, j, g)
-        bl = EdgeRef(i, j + 1, g * prefix(params, j - 1))
-    else:
-        d_above = constant(params, i + 1)
-        br = EdgeRef(i, params.m, g * prefix(params, params.m))
-        tr = EdgeRef(i + 1, 1, g * d_above)
-        tl = EdgeRef(i + 1, params.m, g)
-        bl = EdgeRef(i, 1, g * d_above * unit(params, params.m).inverse())
-    return ((br, "+"), (tr, "+"), (tl, "-"), (bl, "-"))
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +196,6 @@ def validate_complex(cells: Cells) -> ComplexIndex:
 # builder
 
 
-def _translation(params: GroupParams, t: Elem) -> list[int]:
-    """Index table of g -> g * t over the coefficient index.
-
-    A coefficient's index reads its exponents as a base-k integer, first
-    exponent most significant, so index order is lexicographic order.
-    """
-    k = params.k
-    table = [0]
-    for x in t.exps:
-        digits = [(d + x) % k for d in range(k)]
-        table = [base * k + d for base in table for d in digits]
-    return table
-
-
-def check_size_cap(params: GroupParams, size_cap: int) -> None:
-    """Raise ``SizeCapError`` when the group order k^m exceeds the cap."""
-    if params.order > size_cap:
-        raise SizeCapError(f"coefficient group order {params.order} exceeds size cap {size_cap}")
-
-
 def build_quotient_complex(
     params: GroupParams,
     h_min: int,
@@ -387,8 +293,7 @@ def link_corners(ix: ComplexIndex) -> list[list[int]]:
     return corners
 
 
-@dataclass
-class NpcReport:
+class NpcReport(NamedTuple):
     passed: bool
     failures: list[dict]
 

@@ -21,14 +21,12 @@ pairs are packed as ``a * E + b`` with a <= b, for E edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from cubespec.complex_model import ComplexIndex
 
 
-@dataclass
-class HyperplanePartition:
+class HyperplanePartition(NamedTuple):
     rep: list[int]  # edge index -> its class, the least member edge
     parity: bytearray  # edge index -> orientation bit relative to its class
     one_sided: dict[int, tuple[int, int, int]]  # class -> (e, f, square), ascending
@@ -205,8 +203,7 @@ def iter_osculations(
                     yield e, f, v
 
 
-@dataclass
-class InteractionReport:
+class InteractionReport(NamedTuple):
     crossings: dict[int, int]  # packed class pair -> first crossing square
     osculations: dict[int, tuple[int, int, int]]  # packed class pair -> first witness
     violations: dict[str, list[dict]]

@@ -34,7 +34,6 @@ classified on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -52,9 +51,10 @@ from cubespec.coeff_group import (
     unit,
     unit_character,
 )
-from cubespec.complex_model import ComplexIndex, SquareRef, _translation, square_boundary
+from cubespec.incidence import SquareRef, _translation, square_boundary
 
 if TYPE_CHECKING:
+    from cubespec.complex_model import ComplexIndex
     from cubespec.hyperplane_engine import Core
 
 SELF_OSC_CASES = (
@@ -68,8 +68,7 @@ INTER_OSC_CASES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class CaseCertificate:
+class CaseCertificate(NamedTuple):
     """Outcome of one exhaustively enumerated configuration family.
 
     ``empty`` is decided purely by enumeration.  Each witness is a
@@ -414,8 +413,7 @@ def check_structural_conditions(params: GroupParams) -> list[CaseCertificate]:
 # whole-parameter verification
 
 
-@dataclass
-class StabilizerCheck:
+class StabilizerCheck(NamedTuple):
     j: int
     derived: tuple[int, ...]
     expected: tuple[int, ...]
@@ -430,8 +428,7 @@ class StabilizerCheck:
         }
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     params: GroupParams
     quotient_order: int
     stabilizers: list[StabilizerCheck]
@@ -488,8 +485,7 @@ def verify_all(params: GroupParams) -> VerifyReport:
 # cross-validation of the two routes
 
 
-@dataclass
-class CrossValidation:
+class CrossValidation(NamedTuple):
     params: GroupParams
     span: tuple[int, int]
     margin: int

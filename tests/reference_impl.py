@@ -53,15 +53,8 @@ from cubespec.coeff_group import (
     subgroup_cyclic,
     unit,
 )
-from cubespec.complex_model import (
-    Cells,
-    ComplexFormatError,
-    ComplexIndex,
-    EdgeRef,
-    NpcReport,
-    SquareRef,
-    VertexRef,
-)
+from cubespec.complex_model import Cells, ComplexFormatError, ComplexIndex, NpcReport
+from cubespec.incidence import EdgeRef, SquareRef, VertexRef
 from cubespec import complex_model
 from cubespec import hyperplane_engine as engine
 

@@ -210,7 +210,7 @@ class TestCheck:
         def kernel(*args, **kwargs):
             raise AssertionError("a kernel ran before the core was checked")
 
-        monkeypatch.setattr(cli, "check_npc", kernel)
+        monkeypatch.setattr(complex_model, "check_npc", kernel)
         for name in ("compute_hyperplanes", "interaction_report"):
             monkeypatch.setattr(hyperplane_engine, name, kernel)
         code, _, err = run(capsys, "check", str(path), "--margin", "4")
@@ -279,6 +279,13 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(deep))
         assert (code, out) == (2, "")
         assert err == "error: $: nesting too deep for the JSON decoder\n"
+
+    def test_non_utf8_document_names_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: ") and "utf-8" in err
 
 
 class TestVerify:
@@ -487,15 +494,32 @@ class TestAlgebraCommands:
     @pytest.mark.parametrize(
         "rows, entry",
         [("[[1.5, 2], [3, 4]]", "[0][0] is 1.5"), ("[[1, 2], [3, true]]", "[1][1] is true"),
-         ('[[1, "2"]]', '[0][1] is "2"'), ("[[1, [2]]]", "[0][1] is [2]")],
+         ('[[1, "2"]]', '[0][1] is "2"'), ("[[1, [2]]]", "[0][1] is [2]"),
+         ("2 x\n", "[0][1] is 'x'"), ("2 1.5\n", "[0][1] is '1.5'"),
+         ("1 2\n\n3 y\n", "[1][1] is 'y'")],
     )
     def test_snf_non_integer_entry_rejected(self, rows, entry, capsys, tmp_path):
-        # int() would truncate 1.5 and take true as 1
+        # int() would truncate 1.5 and take true as 1; a grid names its token
         mat = tmp_path / "m.json"
         mat.write_text(rows)
         code, out, err = run(capsys, "snf", "--matrix", str(mat))
         assert (code, out) == (2, "")
         assert err == f"error: {mat}: entry {entry}, expected an integer\n"
+
+    @pytest.mark.parametrize("rows", ["1 2\n3\n", "[[1, 2], [3]]"])
+    def test_snf_ragged_rows_name_the_file(self, rows, capsys, tmp_path):
+        mat = tmp_path / "m.txt"
+        mat.write_text(rows)
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err == f"error: {mat}: matrix rows must have equal length\n"
+
+    def test_snf_non_utf8_matrix_names_the_file(self, capsys, tmp_path):
+        mat = tmp_path / "m.txt"
+        mat.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {mat}: ") and "utf-8" in err
 
     def test_abelianize(self, capsys):
         code, stdout, _ = run(capsys, "abelianize", "--m", "4", "--k", "2")

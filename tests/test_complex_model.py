@@ -13,21 +13,23 @@ from cubespec.complex_model import (
     _BATCH,
     Cells,
     ComplexFormatError,
-    EdgeRef,
-    SizeCapError,
     SpanError,
-    SquareRef,
     build_quotient_complex,
-    canonical_vertex,
     check_npc,
     complex_from_json,
     complex_to_json,
-    edge_endpoints,
     link_corners,
-    square_boundary,
     validate_complex,
 )
 from cubespec.hyperplane_engine import core_edges
+from cubespec.incidence import (
+    EdgeRef,
+    SizeCapError,
+    SquareRef,
+    canonical_vertex,
+    edge_endpoints,
+    square_boundary,
+)
 from cubespec.verifier import core_coefficients
 
 from reference_impl import (

@@ -34,3 +34,15 @@ def test_imports_are_stdlib_or_cubespec():
                 foreign.append(f"{path.relative_to(PACKAGE)}:{line}: {module}")
     assert {"json", "cubespec"} <= seen  # the scan reads the package
     assert foreign == []
+
+
+def test_no_module_imports_dataclasses():
+    # a frozen record is a NamedTuple: importing dataclasses loads inspect,
+    # ast, dis and tokenize into every command's start-up
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, module in _imports(path)
+        if module == "dataclasses"
+    ]
+    assert found == []

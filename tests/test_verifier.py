@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -15,15 +14,13 @@ from cubespec.coeff_group import (
     unit_character,
 )
 from cubespec.complex_model import (
-    DEFAULT_SIZE_CAP,
     Cells,
-    SquareRef,
     build_quotient_complex,
     complex_from_json,
-    square_boundary,
     validate_complex,
 )
 from cubespec.hyperplane_engine import compute_hyperplanes
+from cubespec.incidence import DEFAULT_SIZE_CAP, SquareRef, square_boundary
 from cubespec.verifier import (
     INTER_OSC_CASES,
     SELF_OSC_CASES,
@@ -287,7 +284,7 @@ class TestStructuralConditions:
             if (ref.type_j, ref.height) != (2, 1):
                 return sides
             (br, _), (tr, _), (tl, _), (bl, _) = sides
-            tr, tl = replace(tr, type_j=2), replace(tl, type_j=3)
+            tr, tl = tr._replace(type_j=2), tl._replace(type_j=3)
             return (br, "+"), (tr, "+"), (tl, "+"), (bl, "-")
 
         monkeypatch.setattr(verifier, "square_boundary", bad_boundary)
