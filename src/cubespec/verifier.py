@@ -1,10 +1,12 @@
 """Symbolic specialness verification by finite enumeration with characters.
 
 Every way two edges of the quotient complex can share a vertex reduces,
-by translation, to finitely many residue configurations.  Each
-configuration asks whether two coefficient cosets x * H_l and y * H_r
-meet; a linear character that kills both subgroups and splits the two
-representatives certifies emptiness exactly.
+by translation, to finitely many residue configurations, one family per
+row of ``FAMILIES``: the certificates build their representatives from
+the rows, and ``classify_osculation`` reads a geometric witness back
+through the same rows.  Each configuration asks whether two coefficient
+cosets x * H_l and y * H_r meet; a linear character that kills both
+subgroups and splits the two representatives certifies emptiness exactly.
 
 The checkers enumerate every configuration exhaustively (only residues
 mod k matter, which the complex's height periodicity guarantees).  A
@@ -35,7 +37,7 @@ classified on its own.
 from __future__ import annotations
 
 from operator import mul
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from cubespec.coeff_group import (
     Character,
@@ -56,17 +58,6 @@ from cubespec.incidence import SquareRef, _translation, square_boundary
 if TYPE_CHECKING:
     from cubespec.complex_model import ComplexIndex
     from cubespec.hyperplane_engine import Core
-
-SELF_OSC_CASES = (
-    "selfosc_b_eq_a_minus_1",
-    "selfosc_b_eq_a_plus_1",
-    "selfosc_b_eq_a_at_a",
-    "selfosc_b_eq_a_at_a_minus_1",
-)
-INTER_OSC_CASES = tuple(
-    f"interosc_{n}_{sub}" for n in (1, 2) for sub in (1, 2, 3, 4)
-)
-
 
 class CaseCertificate(NamedTuple):
     """Outcome of one exhaustively enumerated configuration family.
@@ -116,34 +107,120 @@ class CaseCertificate(NamedTuple):
         }
 
 
+class Family(NamedTuple):
+    """One osculation shape: edges e and f meeting at a vertex, e of the lower type.
+
+    Both edges have type j in a self-osculation (``wraps`` None); in an
+    inter-osculation e has type j and f type j+1, read cyclically, and
+    ``wraps`` says whether j = m.  ``e_tail`` and ``f_tail`` say which end
+    of each edge is at the vertex, and the rest follows from them: f's
+    head lies f_tail - e_tail heights above e's, and the vertex height,
+    e's head height minus e_tail, is the base of the twist d(base)^c.
+    ``twist_on_f`` puts the twist on f's representative rather than e's,
+    ``f_left`` puts f's coset on the left, and the texts are the
+    certificate's.
+    """
+
+    case_id: str
+    wraps: Optional[bool]
+    e_tail: int
+    f_tail: int
+    twist_on_f: bool
+    f_left: bool
+    quantifiers: str
+    left: str
+    right: str
+
+
+_MIXED, _ABC = "a in [0,k); c in [0,k)", "a in [0,k); b in [1,k); c in [1,k)"
+FAMILIES = (
+    Family("selfosc_b_eq_a_minus_1", None, 1, 0, False, False, _MIXED,
+           "d(a-1)^c * P(j-1)", "P(j) * <u(j-1)u(j)>"),
+    Family("selfosc_b_eq_a_plus_1", None, 0, 1, False, False, _MIXED,
+           "d(a)^c * P(j-1)^-1", "P(j)^-1 * <u(j-1)u(j)>"),
+    Family("selfosc_b_eq_a_at_a", None, 0, 0, False, False, "a in [1,k); c in [1,k)",
+           "d(a)^c", "<u(j-1)u(j)>"),
+    Family("selfosc_b_eq_a_at_a_minus_1", None, 1, 1, False, False,
+           "a in [0,k), a-1 not 0 mod k; c in [1,k)", "d(a-1)^c", "<u(j-1)u(j)>"),
+    Family("interosc_1_1", False, 0, 0, True, False, _ABC,
+           "<u(j-1)u(j)>", "d(b)^c * u(j+1)^(b-a) * <u(j)u(j+1)>"),
+    Family("interosc_1_2", False, 1, 1, True, False, _ABC,
+           "u(j) * <u(j-1)u(j)>", "d(b)^c * u(j+1)^(b-a+1) * <u(j)u(j+1)>"),
+    Family("interosc_1_3", False, 1, 0, False, False, _ABC,
+           "d(b)^c * u(j) * <u(j-1)u(j)>", "u(j+1)^(b-a) * <u(j)u(j+1)>"),
+    Family("interosc_1_4", False, 0, 1, True, True, _ABC,
+           "d(b)^c * u(j+1)^(b-a+1) * <u(j)u(j+1)>", "<u(j-1)u(j)>"),
+    Family("interosc_2_1", True, 0, 0, False, True, _ABC,
+           "u(1)^(b-a) * <u(m)u(1)>", "d(b)^c * <u(m-1)u(m)>"),
+    Family("interosc_2_2", True, 1, 1, False, False, _ABC,
+           "d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a+1) * <u(m)u(1)>"),
+    Family("interosc_2_3", True, 0, 1, False, True, _ABC,
+           "u(1)^(b-a+1) * <u(m)u(1)>", "d(b)^c * <u(m-1)u(m)>"),
+    Family("interosc_2_4", True, 1, 0, False, False, _ABC,
+           "d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a) * <u(m)u(1)>"),
+)
+_ROWS = {wraps: [row for row in FAMILIES if row.wraps is wraps] for wraps in (None, False, True)}
+SELF_OSC_CASES = tuple(row.case_id for row in _ROWS[None])
+INTER_OSC_CASES = tuple(row.case_id for row in _ROWS[False] + _ROWS[True])
+
+
+def _reading(row: Family) -> tuple:
+    """How ``classify_osculation`` reads a witness of ``row`` back.
+
+    c comes from the ratio of the two coefficients at the vertex, which
+    is d(base)^c: f over e in a self-osculation, and the twist's side over
+    the other in an inter-osculation with j < m.  At j = m the type-1
+    partner carries d(b) on the square corner, so f over e is d(b)^(1-c):
+    with e at its head c is 1 - log(f/e), and with e at its tail
+    -log(f/(e*d(b))).  At composite k these name different members of
+    the same twist, and the ``Elem`` classifier fixes which.
+
+    Gives (case id, residue name, residue minus base, read e over f,
+    sign of c, constant of c, multiples of the base to take off the
+    ratio, reason when there is no c, reason when the twist is trivial),
+    the last None where a trivial twist is allowed.
+    """
+    if row.wraps is None:
+        level = row.e_tail == row.f_tail
+        off = "level same-type pair with trivial or missing twist" if level else (
+            f"same-type height-{'drop' if row.e_tail else 'rise'} pair off the stabiliser coset"
+        )
+        return row.case_id, "a", row.e_tail, False, 1, 0, 0, off, off if level else None
+    c_form = (-1, 1 - row.e_tail, row.e_tail) if row.wraps else (1, 0, 0)
+    return (
+        row.case_id, "b", 0, not (row.wraps or row.twist_on_f), *c_form,
+        "adjacent-type corner pair off the stabiliser coset",
+        "adjacent-type pair with trivial twist survived exemption",
+    )
+
+
+_READ = {(row.wraps, row.e_tail, row.f_tail): _reading(row) for row in FAMILIES}
+
+
 def _twist(k: int, s: int, shape: tuple[int, ...], n: int = 1) -> tuple[int, ...]:
     """Exponents of d(s) * V^n, for V with exponent tuple ``shape``."""
     return tuple((s + n * v) % k for v in shape)
 
 
 def _certify_family(
-    case_id: str,
-    j: int,
-    tuples: Sequence[tuple],
-    subgroups: tuple[Subgroup, Subgroup],
-    reps: Callable[..., tuple[tuple[int, ...], tuple[int, ...]]],
-    named: Character,
-    quantifiers: str,
-    left_desc: str,
-    right_desc: str,
+    row: Family, j: int, tuples: Sequence[tuple], pairs: Sequence[tuple],
+    subgroups: tuple[Subgroup, Subgroup], named: Character,
 ) -> CaseCertificate:
-    """Decide one family: the cosets x * H_l and y * H_r for (x, y) = reps(*t).
+    """Decide one family: does e's coset meet f's, for each tuple?
 
-    One ``coset_meet`` lookup decides each tuple.  A character that kills
-    both subgroups is constant on each coset, so the named character is
-    checked against the generators once and then compared on the two
-    representatives of each tuple by residue dot products.  When it fails
-    the family has no separating character; emptiness is still decided by
-    the lookups alone.
+    ``pairs`` holds e's and f's representatives for each tuple and
+    ``subgroups`` their subgroups; ``row.f_left`` puts f's coset on the
+    left.  One ``coset_meet`` lookup decides each tuple.  A character
+    that kills both subgroups is constant on each coset, so the named
+    character is checked against the generators once and then compared
+    on the two representatives of each tuple by residue dot products.
+    When it fails the family has no separating character; emptiness is
+    still decided by the lookups alone.
     """
+    if row.f_left:
+        pairs, subgroups = [(y, x) for x, y in pairs], subgroups[::-1]
     left, right = subgroups
     meet = coset_meet(left, right)
-    pairs = [reps(*t) for t in tuples]
     witnesses = []
     for t, (x, y) in zip(tuples, pairs):
         member = meet(x, y)
@@ -156,11 +233,11 @@ def _certify_family(
         and all((sum(map(mul, dual, x)) - sum(map(mul, dual, y))) % k for x, y in pairs)
     )
     return CaseCertificate(
-        case_id=case_id,
+        case_id=row.case_id,
         j=j,
-        quantifiers=quantifiers,
-        left=left_desc,
-        right=right_desc,
+        quantifiers=row.quantifiers,
+        left=row.left,
+        right=row.right,
         left_subgroup=left.generator.exps,
         right_subgroup=right.generator.exps,
         empty=not witnesses,
@@ -173,171 +250,70 @@ def _certify_family(
 
 
 def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
-    """Same-type edge pairs at a shared vertex: the four height cases.
+    """Same-type edge pairs at a shared vertex: the four self rows of ``FAMILIES``.
 
     The pair sits at heights (a, b) with b in {a-1, a, a+1}; membership
     of the vertex-stabiliser twisted element in the climb coset would be
-    required for the pair to be parallel.  Singletons are encoded as
-    cosets of the trivial subgroup, so every test is a coset
-    intersection.  Expected characters: D(j-1) * D(j)^-1 for the mixed
-    heights, D(j+1) for the equal heights.
+    required for the pair to be parallel.  With s = e_tail - f_tail the
+    representatives are d(base*c) * P(j-1)^s, for e as a singleton (a
+    coset of the trivial subgroup), and P(j)^s * Stab(j), for f, so
+    every test is a coset intersection.  A level pair needs a non-trivial
+    twist.  Expected characters: D(j-1) * D(j)^-1 for the mixed heights,
+    D(j+1) for the equal heights.
     """
     m, k = params.m, params.k
     trivial = subgroup_cyclic(identity(params))
-    zero = identity(params).exps
-    mixed = [(a, c) for a in range(k) for c in range(k)]
     out = []
     for j in range(1, m + 1):
         subs = (trivial, edge_type_stabilizer(params, j))
         chi_mixed = unit_character(params, j - 1) * unit_character(params, j).inverse()
-        chi_equal = unit_character(params, j + 1)
         p_prev, p_j = prefix(params, j - 1).exps, prefix(params, j).exps
-        p_j_inv = prefix(params, j).inverse().exps
-        families = (
-            (
-                "selfosc_b_eq_a_minus_1",
-                mixed,
-                lambda a, c: (_twist(k, (a - 1) * c, p_prev), p_j),
-                chi_mixed,
-                "a in [0,k); c in [0,k)",
-                "d(a-1)^c * P(j-1)",
-                "P(j) * <u(j-1)u(j)>",
-            ),
-            (
-                "selfosc_b_eq_a_plus_1",
-                mixed,
-                lambda a, c: (_twist(k, a * c, p_prev, -1), p_j_inv),
-                chi_mixed,
-                "a in [0,k); c in [0,k)",
-                "d(a)^c * P(j-1)^-1",
-                "P(j)^-1 * <u(j-1)u(j)>",
-            ),
-            (
-                "selfosc_b_eq_a_at_a",
-                [(a, c) for a in range(1, k) for c in range(1, k)],
-                lambda a, c: (_twist(k, a * c, zero), zero),
-                chi_equal,
-                "a in [1,k); c in [1,k)",
-                "d(a)^c",
-                "<u(j-1)u(j)>",
-            ),
-            (
-                "selfosc_b_eq_a_at_a_minus_1",
-                [(a, c) for a in range(k) if (a - 1) % k for c in range(1, k)],
-                lambda a, c: (_twist(k, (a - 1) * c, zero), zero),
-                chi_equal,
-                "a in [0,k), a-1 not 0 mod k; c in [1,k)",
-                "d(a-1)^c",
-                "<u(j-1)u(j)>",
-            ),
-        )
-        for case_id, tuples, reps, named, quantifiers, left, right in families:
-            out.append(
-                _certify_family(case_id, j, tuples, subs, reps, named, quantifiers, left, right)
-            )
+        for row in _ROWS[None]:
+            s, level = row.e_tail - row.f_tail, row.e_tail == row.f_tail
+            tuples = [
+                (a, c)
+                for a in range(k) if not level or (a - row.e_tail) % k
+                for c in range(level, k)
+            ]
+            f_rep = _twist(k, 0, p_j, s)
+            pairs = [(_twist(k, (a - row.e_tail) * c, p_prev, s), f_rep) for a, c in tuples]
+            named = unit_character(params, j + 1) if level else chi_mixed
+            out.append(_certify_family(row, j, tuples, pairs, subs, named))
     return out
 
 
-def _inter_families(params: GroupParams, j: int):
-    """The four coset pairs per crossing corner, after translation.
-
-    The crossing mixes types j and j+1, read cyclically, so for j = m it
-    mixes types m and 1 and the transported cosets absorb the extra
-    constant factors, leaving the same four shapes in terms of u(1)
-    powers.  Each sub-case gives its two subgroups and the exponent
-    tuples of its two representatives for a tuple (a, b, c).
-    """
-    k = params.k
-    nxt = params.type_index(j + 1)
-    lo, hi = edge_type_stabilizer(params, j), edge_type_stabilizer(params, nxt)
-    u_j, u_next = unit(params, j).exps, unit(params, nxt).exps
-    zero = identity(params).exps
-    if j < params.m:
-        return {
-            1: (
-                (lo, hi),
-                lambda a, b, c: (zero, _twist(k, b * c, u_next, b - a)),
-                ("<u(j-1)u(j)>", "d(b)^c * u(j+1)^(b-a) * <u(j)u(j+1)>"),
-            ),
-            2: (
-                (lo, hi),
-                lambda a, b, c: (u_j, _twist(k, b * c, u_next, b - a + 1)),
-                ("u(j) * <u(j-1)u(j)>", "d(b)^c * u(j+1)^(b-a+1) * <u(j)u(j+1)>"),
-            ),
-            3: (
-                (lo, hi),
-                lambda a, b, c: (_twist(k, b * c, u_j), _twist(k, 0, u_next, b - a)),
-                ("d(b)^c * u(j) * <u(j-1)u(j)>", "u(j+1)^(b-a) * <u(j)u(j+1)>"),
-            ),
-            4: (
-                (hi, lo),
-                lambda a, b, c: (_twist(k, b * c, u_next, b - a + 1), zero),
-                ("d(b)^c * u(j+1)^(b-a+1) * <u(j)u(j+1)>", "<u(j-1)u(j)>"),
-            ),
-        }
-    return {
-        1: (
-            (hi, lo),
-            lambda a, b, c: (_twist(k, 0, u_next, b - a), _twist(k, b * c, zero)),
-            ("u(1)^(b-a) * <u(m)u(1)>", "d(b)^c * <u(m-1)u(m)>"),
-        ),
-        2: (
-            (lo, hi),
-            lambda a, b, c: (_twist(k, b * c, u_j), _twist(k, 0, u_next, b - a + 1)),
-            ("d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a+1) * <u(m)u(1)>"),
-        ),
-        3: (
-            (hi, lo),
-            lambda a, b, c: (_twist(k, 0, u_next, b - a + 1), _twist(k, b * c, zero)),
-            ("u(1)^(b-a+1) * <u(m)u(1)>", "d(b)^c * <u(m-1)u(m)>"),
-        ),
-        4: (
-            (lo, hi),
-            lambda a, b, c: (_twist(k, b * c, u_j), _twist(k, 0, u_next, b - a)),
-            ("d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a) * <u(m)u(1)>"),
-        ),
-    }
-
-
 def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
-    """Adjacent-type pairs at a shared vertex: eight sub-case families.
+    """Adjacent-type pairs at a shared vertex: the eight inter rows of ``FAMILIES``.
 
     A crossing pair mixes types j and j+1 (cyclically); osculation
-    sources sit at the four corners of the defining square.  Quantifiers:
-    a unrestricted, b and c nonzero mod k (a branching vertex and a
-    nontrivial stabiliser twist; trivial twists are square corners, not
-    osculations).  Expected characters: D(j+2) for j < m, D(2) for j = m.
+    sources sit at the four corners of the defining square, four rows for
+    j < m and four for j = m, where the transported cosets absorb the
+    extra constant factors.  The representatives are u(j)^e_tail * Stab(j)
+    for e and u(j+1)^(b-a+f_tail) * Stab(j+1) for f, with the twist
+    d(b)^c on the row's side.  Quantifiers: a unrestricted, b and c
+    nonzero mod k (a branching vertex and a nontrivial stabiliser twist;
+    trivial twists are square corners, not osculations).  Expected
+    characters: D(j+2) for j < m, D(2) for j = m.
     """
-    k = params.k
-    tuples = [
-        (a, b, c)
-        for a in range(k)
-        for b in range(1, k)
-        for c in range(1, k)
-    ]
-    quantifiers = "a in [0,k); b in [1,k); c in [1,k)"
+    m, k = params.m, params.k
+    tuples = [(a, b, c) for a in range(k) for b in range(1, k) for c in range(1, k)]
     out = []
-    for j in range(1, params.m + 1):
-        case_family = 1 if j < params.m else 2
-        named = (
-            unit_character(params, j + 2)
-            if case_family == 1
-            else unit_character(params, 2)
-        )
-        for sub, (subs, reps, (left, right)) in _inter_families(params, j).items():
-            out.append(
-                _certify_family(
-                    f"interosc_{case_family}_{sub}",
-                    j,
-                    tuples,
-                    subs,
-                    reps,
-                    named,
-                    quantifiers,
-                    left,
-                    right,
-                )
-            )
+    for j in range(1, m + 1):
+        subs = (edge_type_stabilizer(params, j), edge_type_stabilizer(params, j % m + 1))
+        u_j, u_next = unit(params, j).exps, unit(params, j + 1).exps
+        named = unit_character(params, j + 2)  # read cyclically: D(2) for j = m
+        f_pows = [_twist(k, 0, u_next, n) for n in range(k)]
+        for row in _ROWS[j == m]:
+            e_tail, f_tail = row.e_tail, row.f_tail
+            if row.twist_on_f:
+                e_rep = _twist(k, 0, u_j, e_tail)
+                pairs = [(e_rep, _twist(k, b * c, u_next, b - a + f_tail)) for a, b, c in tuples]
+            else:
+                pairs = [
+                    (_twist(k, b * c, u_j, e_tail), f_pows[(b - a + f_tail) % k])
+                    for a, b, c in tuples
+                ]
+            out.append(_certify_family(row, j, tuples, pairs, subs, named))
     return out
 
 
@@ -529,7 +505,7 @@ class CoreCoefficients(NamedTuple):
     significant, as the builder numbers them.  Core edge e is (``height[e]``,
     ``type_j[e]``, ``coeff[e]``), read at the ascending core ``edges``.  The
     tables are made once per run: ``up[i]`` maps g to g * P(i) for i in
-    [0, m], where P(m) = d(1); ``diag`` maps g to the least index in its
+    [0, m); ``diag`` maps g to the least index in its
     coset of the diagonal subgroup <d(1)>; ``log[b][r]`` is the least c in
     [0, k) with c * b = r mod k, or None.
     """
@@ -598,7 +574,7 @@ def core_coefficients(ix: ComplexIndex, core: Core) -> CoreCoefficients:
         height[e], type_j[e], coeff[e] = h, j, c
     return CoreCoefficients(
         ix, params, edges, height, type_j, coeff,
-        up=[_translation(params, prefix(params, i)) for i in range(m + 1)],
+        up=[_translation(params, prefix(params, i)) for i in range(m)],
         diag=_coset_floor(params, constant(params, 1)),
         log=[
             [next((c for c in range(k) if c * b % k == r), None) for r in range(k)]
@@ -624,18 +600,6 @@ def _climb_keys(cc: CoreCoefficients) -> list[int]:
     return [tables[cc.type_j[e], cc.height[e] % k][cc.coeff[e]] for e in cc.edges]
 
 
-def _log(cc: CoreCoefficients, x: int, y: int, base: int, offset: int = 0) -> Optional[int]:
-    """Least c in [0, k) with x * y^-1 = d(base)^c * d(offset), else None.
-
-    The ratio is constant exactly when x and y share their diagonal
-    coset, and is then the difference of their first exponents.
-    """
-    if cc.diag[x] != cc.diag[y]:
-        return None
-    k, top = cc.params.k, len(cc.diag) // cc.params.k  # top: the weight of the first exponent
-    return cc.log[base % k][(x // top - y // top - offset) % k]
-
-
 def _unmatched(cc: CoreCoefficients, reason: str, e: int, f: int, v: int) -> dict:
     eids, vertex = cc.ix.edge_ids, cc.ix.vertex_ids[v]
     return {"case_id": "unmatched", "reason": reason, "edges": [eids[e], eids[f]], "vertex": vertex}
@@ -650,77 +614,49 @@ def classify_osculation(cc: CoreCoefficients, e: int, f: int, v: int) -> dict:
     with a reason when the witness fits no configuration.  Unmatched
     witnesses are findings: they would mean the case split misses a source.
 
-    Each case asks whether a ratio x * y^-1 is a twist d(b)^c, where x
-    and y are the two coefficient indices after the case's shifts by
-    prefixes, one ``up`` lookup each (a unit u(j) is P(j) * P(j-1)^-1).
-    The ratio is a constant vector exactly when x and y have the same
-    least index modulo the diagonal subgroup; then c is one lookup in
-    the discrete-log table of the height residue b mod k, at the
-    difference of their first exponents, which a factor d(b+1) shifts.
+    The types, the heights and the ends at ``v`` pick the row of
+    ``FAMILIES``, read back through one dict lookup; a same-type pair one
+    height apart takes its ends from the heights.  Each edge's coefficient
+    at the vertex is its own at its head and one ``up`` lookup at its tail
+    (the tail of a type-j edge is g * P(j-1)).  Their ratio is a constant
+    vector exactly when the two have the same least index modulo the
+    diagonal subgroup; then c is one lookup in the discrete-log table of
+    the base residue, at the difference of their first exponents.
     """
-    k, m, up = cc.params.k, cc.params.m, cc.up
+    m, up = cc.params.m, cc.up
     he, je, g = cc.height[e], cc.type_j[e], cc.coeff[e]
     hf, jf, g2 = cc.height[f], cc.type_j[f], cc.coeff[f]
     e_tail, f_tail = cc.ix.tail[e] == v, cc.ix.tail[f] == v
-
     if je == jf:
-        j, a = je, he
-        if hf == a - 1 or hf == a + 1:
-            drop = hf == a - 1
-            c = _log(cc, g2, up[j - 1][g], a - 1) if drop else _log(cc, up[j - 1][g2], g, a)
-            if c is None:
-                reason = f"same-type height-{'drop' if drop else 'rise'} pair off the stabiliser coset"
-                return _unmatched(cc, reason, e, f, v)
-            case_id = "selfosc_b_eq_a_minus_1" if drop else "selfosc_b_eq_a_plus_1"
-            return {"case_id": case_id, "j": j, "a": a % k, "c": c}
-        if hf != a:
+        wraps, gap = None, hf - he
+        if gap == 1 or gap == -1:  # one height apart: the heights fix the ends
+            e_tail, f_tail = gap < 0, gap > 0
+        elif gap:
             return _unmatched(cc, "same-type pair at height gap > 1", e, f, v)
-        if e_tail != f_tail:
+        elif e_tail != f_tail:
             return _unmatched(cc, "level same-type pair with mixed ends", e, f, v)
-        base = a - 1 if e_tail else a
-        c = _log(cc, g2, g, base)
-        if c is None or c == 0 or base % k == 0:
-            return _unmatched(cc, "level same-type pair with trivial or missing twist", e, f, v)
-        case_id = "selfosc_b_eq_a_at_a_minus_1" if e_tail else "selfosc_b_eq_a_at_a"
-        return {"case_id": case_id, "j": j, "a": a % k, "c": c}
-
-    if je - jf in (1, 1 - m):  # f carries the lower type: read the pair from f
-        he, je, g, e_tail, hf, jf, g2, f_tail = hf, jf, g2, f_tail, he, je, g, e_tail
-    elif jf - je not in (1, 1 - m):
-        return {"case_id": "benign_nonadjacent", "types": sorted((je, jf))}
-    j, wraps = je, je == m
-    # for j = m the type-1 partner carries d(b) on the square corner, and
-    # g2 * u(m) * g^-1 carries d(b+1): both turn the twist around
-    if e_tail == f_tail and he == hf:
-        if e_tail:
-            sub, b = 2, he - 1
-            c = _log(cc, up[j][g2], up[j - 1][g], b, b + 1 if wraps else 0)
-        else:
-            sub, b = 1, he
-            c = _log(cc, g2, g, b)
-        if wraps and c is not None:
-            c = (1 - c if sub == 1 else -c) % k
-    elif e_tail and not f_tail and he == hf + 1:
-        b = hf
-        if wraps:
-            sub, c = 4, _log(cc, up[j][g2], up[j - 1][g], b, b + 1)
-            c = None if c is None else -c % k
-        else:
-            sub, c = 3, _log(cc, up[j - 1][g], g2, b)
-    elif f_tail and not e_tail and hf == he + 1:
-        b = he
-        if wraps:
-            sub, c = 3, _log(cc, g2, g, b)
-            c = None if c is None else (1 - c) % k
-        else:
-            sub, c = 4, _log(cc, up[j][g2], g, b)
     else:
-        return _unmatched(cc, "adjacent-type pair in an unrecognised relative position", e, f, v)
+        if je - jf in (1, 1 - m):  # f carries the lower type: read the pair from f
+            he, je, g, e_tail, hf, jf, g2, f_tail = hf, jf, g2, f_tail, he, je, g, e_tail
+        elif jf - je not in (1, 1 - m):
+            return {"case_id": "benign_nonadjacent", "types": sorted((je, jf))}
+        if hf - he != f_tail - e_tail:
+            return _unmatched(cc, "adjacent-type pair in an unrecognised relative position", e, f, v)
+        wraps = je == m
+    case_id, residue, lift, flip, sign, turn, shift, off, trivial = _READ[wraps, e_tail, f_tail]
+    base, k, diag = he - e_tail, cc.params.k, cc.diag
+    x = up[jf - 1][g2] if f_tail else g2  # f's and e's coefficients at the vertex
+    y = up[je - 1][g] if e_tail else g
+    if flip:
+        x, y = y, x
+    top = len(diag) // k  # the weight of the first exponent
+    c = cc.log[base % k][(x // top - y // top - shift * base) % k] if diag[x] == diag[y] else None
     if c is None:
-        return _unmatched(cc, "adjacent-type corner pair off the stabiliser coset", e, f, v)
-    if b % k == 0 or c == 0:
-        return _unmatched(cc, "adjacent-type pair with trivial twist survived exemption", e, f, v)
-    return {"case_id": f"interosc_{2 if wraps else 1}_{sub}", "j": j, "b": b % k, "c": c}
+        return _unmatched(cc, off, e, f, v)
+    c = (turn + sign * c) % k
+    if trivial and (c == 0 or base % k == 0):
+        return _unmatched(cc, trivial, e, f, v)
+    return {"case_id": case_id, "j": je, residue: (base + lift) % k, "c": c}
 
 
 def cross_validate(

@@ -6,7 +6,9 @@ the ``Elem`` classifier in ``reference_impl``:
 
 * on every pair of distinct core edges at a vertex of a built
   truncation, not only on the osculations that a walk yields, since
-  square-corner pairs reach the trivial-twist branch;
+  square-corner pairs reach the trivial-twist branch, and at every
+  vertex of one composite-k truncation, where each row of the family
+  table is reached;
 * on two edges of arbitrary refs and ends at one vertex, which reach the
   off-coset, mixed-end and height-gap branches that no built truncation
   does.
@@ -129,3 +131,18 @@ def test_climb_keys_are_the_elem_climb_coset_reps(params):
         r = refs[ix.edge_ids[e]]
         want = ref.climb_coset(X.params, r.type_j, r.coeff, r.height).rep.exps
         assert exps[key] == want, ix.edge_ids[e]
+
+
+def test_every_pair_at_every_vertex_of_a_composite_k_truncation_matches_the_elem_classifier():
+    # composite k, where the wrap rows and the inverted ratio of
+    # ``interosc_1_3`` pick other members of a twist than a negated log;
+    # 46,464 ordered pairs reach every row of the family table
+    X, ix, cc, refs, incident, _ = truncation(3, 4, -4, 8, 0)
+    eids, vids = ix.edge_ids, ix.vertex_ids
+    seen = set()
+    for v, edges in enumerate(incident):
+        for e, f in itertools.permutations(edges, 2):
+            got = classify_osculation(cc, e, f, v)
+            assert got == ref.classify_osculation(X, refs, eids[e], eids[f], vids[v]), (e, f, v)
+            seen.add(got["case_id"])
+    assert seen == {row.case_id for row in verifier.FAMILIES} | {"unmatched"}
