@@ -9,6 +9,7 @@ unless ``--stamp`` opts in.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -433,6 +434,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # No command makes reference cycles in proportion to its input, so
+    # the cyclic collector would only rescan the live columns and views.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except SizeCapError as exc:
@@ -441,6 +446,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def console_main() -> None:

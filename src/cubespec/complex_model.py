@@ -308,55 +308,80 @@ def check_npc(ix: ComplexIndex) -> NpcReport:
     adjacencies between the same two ends, and link triangles.  Vertices
     come in sorted order; within one, the first two kinds in corner
     order, then the triangles in sorted node order.
+
+    A link is decided by its neighbour sets.  It is simple exactly when
+    they hold two entries per corner: a self-adjacency adds one, a
+    repeated adjacency none.  A simple link has a triangle exactly when
+    the two ends of some corner share a neighbour.  Only a link that
+    fails is walked corner by corner, to list its failures.
     """
     failures: list[dict] = []
     sides, after = ix.sides, ix.next_sides()
-    n_nodes = 2 * len(ix.edge_ids)
+    far = [x ^ 1 for x in after]
     for v, corners in enumerate(link_corners(ix)):
-        seen: dict[int, int] = {}  # packed node pair -> first square
-        neighbours: dict[int, set[int]] = {}
-        for c in corners:
-            na, nb = sides[c], after[c] ^ 1
-            if na == nb:
-                failures.append(
-                    {
-                        "kind": "self_adjacency",
-                        "vertex": ix.vertex_ids[v],
-                        "node": ix.node(na),
-                        "square": ix.square_ids[c >> 2],
-                    }
-                )
-                continue
-            key = na * n_nodes + nb if na < nb else nb * n_nodes + na
-            if key in seen:
-                squares = sorted({seen[key], c >> 2})
-                failures.append(
-                    {
-                        "kind": "double_adjacency",
-                        "vertex": ix.vertex_ids[v],
-                        "nodes": [ix.node(na), ix.node(nb)],
-                        "squares": [ix.square_ids[s] for s in squares],
-                    }
-                )
-            else:
-                seen[key] = c >> 2
-            neighbours.setdefault(na, set()).add(nb)
-            neighbours.setdefault(nb, set()).add(na)
-        for na in sorted(neighbours):
-            around = neighbours[na]
-            for nb in sorted(around):
-                if nb <= na:
-                    continue
-                for nc in sorted(around & neighbours[nb]):
-                    if nc > nb:
-                        failures.append(
-                            {
-                                "kind": "triangle",
-                                "vertex": ix.vertex_ids[v],
-                                "nodes": [ix.node(na), ix.node(nb), ix.node(nc)],
-                            }
-                        )
+        near_v, far_v = [sides[c] for c in corners], [far[c] for c in corners]
+        neighbours: dict[int, set[int]] = {x: set() for x in (*near_v, *far_v)}
+        for na, nb in zip(near_v, far_v):
+            neighbours[na].add(nb)
+            neighbours[nb].add(na)
+        at = neighbours.__getitem__
+        if sum(map(len, neighbours.values())) != 2 * len(corners) or not all(
+            map(set.isdisjoint, map(at, near_v), map(at, far_v))
+        ):
+            failures.extend(_link_failures(ix, v, corners, sides, far))
     return NpcReport(not failures, failures)
+
+
+def _link_failures(
+    ix: ComplexIndex, v: int, corners: list[int], sides: array, far: list[int]
+) -> list[dict]:
+    """The failures of the link of vertex v, found corner by corner."""
+    failures: list[dict] = []
+    n_nodes = 2 * len(ix.edge_ids)
+    seen: dict[int, int] = {}  # packed node pair -> first square
+    neighbours: dict[int, set[int]] = {}
+    for c in corners:
+        na, nb = sides[c], far[c]
+        if na == nb:
+            failures.append(
+                {
+                    "kind": "self_adjacency",
+                    "vertex": ix.vertex_ids[v],
+                    "node": ix.node(na),
+                    "square": ix.square_ids[c >> 2],
+                }
+            )
+            continue
+        key = na * n_nodes + nb if na < nb else nb * n_nodes + na
+        if key in seen:
+            squares = sorted({seen[key], c >> 2})
+            failures.append(
+                {
+                    "kind": "double_adjacency",
+                    "vertex": ix.vertex_ids[v],
+                    "nodes": [ix.node(na), ix.node(nb)],
+                    "squares": [ix.square_ids[s] for s in squares],
+                }
+            )
+        else:
+            seen[key] = c >> 2
+        neighbours.setdefault(na, set()).add(nb)
+        neighbours.setdefault(nb, set()).add(na)
+    for na in sorted(neighbours):
+        around = neighbours[na]
+        for nb in sorted(around):
+            if nb <= na:
+                continue
+            for nc in sorted(around & neighbours[nb]):
+                if nc > nb:
+                    failures.append(
+                        {
+                            "kind": "triangle",
+                            "vertex": ix.vertex_ids[v],
+                            "nodes": [ix.node(na), ix.node(nb), ix.node(nc)],
+                        }
+                    )
+    return failures
 
 
 # ---------------------------------------------------------------------------

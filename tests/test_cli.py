@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -700,3 +701,80 @@ def test_cli_and_plain_verify_import_no_hyperplane_engine():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestCollector:
+    """Commands run with the cyclic collector off.
+
+    That rests on no command making reference cycles in proportion to its
+    input: the garbage ``gc.collect()`` finds after ``main()`` must not
+    grow with the complex.  The count itself is argparse's and is not
+    pinned.
+    """
+
+    SPANS = [("4", "2", "3"), ("4", "3", "8")]
+
+    @staticmethod
+    def argv(command, m, k, h, doc):
+        span = ("--hmin", f"-{h}", "--hmax", h)
+        if command == "build":
+            return ["build", "--m", m, "--k", k, *span, "-o", doc]
+        if command == "check":
+            return ["check", doc, "--json"]
+        return ["verify", "--m", m, "--k", k, "--cross-validate", *span, "--json"]
+
+    @staticmethod
+    def garbage_after(capsys, argv):
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+        finally:
+            found = gc.collect()
+            gc.enable()
+        capsys.readouterr()
+        return found
+
+    @pytest.mark.parametrize("command", ["build", "check", "cross-validate"])
+    def test_garbage_does_not_grow_with_the_input(self, command, capsys, tmp_path):
+        argvs = []
+        for m, k, h in self.SPANS:
+            doc = str(tmp_path / f"{m}-{k}-{h}.json")
+            assert main(self.argv("build", m, k, h, doc)) == 0
+            argvs.append(self.argv(command, m, k, h, doc))
+        main(argvs[0])  # the first run of a command imports its modules
+        counts = [self.garbage_after(capsys, argv) for argv in argvs]
+        assert counts[0] == counts[1]
+
+    def test_command_runs_without_the_collector(self, capsys, monkeypatch):
+        seen = []
+
+        def verify_all(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        real = verifier.verify_all
+        monkeypatch.setattr(verifier, "verify_all", verify_all)
+        assert gc.isenabled()
+        assert run(capsys, "verify", "--m", "4", "--k", "3")[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "--m", "4", "--k", "3"], 0),
+            (["verify", "--m", "3", "--k", "3"], 1),
+            (["check", "missing.json"], 2),
+            (["build", "--m", "4", "--k", "3", "--hmin", "-2", "--hmax", "2", "--cap", "5"], 3),
+        ],
+    )
+    def test_collector_state_restored(self, argv, code, enabled, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()

@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import json
@@ -546,11 +547,27 @@ class TestNpc:
         assert len(triangles) == 1
         assert triangles[0]["vertex"] == "O"
 
-    def test_m3_build_fails_npc(self):
-        # descending links of length 3 are triangles; honesty outside m >= 4
-        report = check_npc(validate_complex(build_quotient_complex(GroupParams(3, 2), -2, 2)))
+    @pytest.mark.parametrize("k, total", [(2, 464), (3, 1080), (4, 1664), (5, 3000)])
+    def test_m3_build_fails_npc(self, k, total):
+        # descending links of length 3 are triangles; honesty outside m >= 4.
+        # Inside the span they are the links at heights = 0 mod k, where the
+        # vertex stabiliser is trivial: K_{2,2,2}, with its 8 triangles.
+        ix = validate_complex(build_quotient_complex(GroupParams(3, k), -8, 8))
+        report = check_npc(ix)
         assert not report.passed
+        assert len(report.failures) == total
         assert all(f["kind"] == "triangle" for f in report.failures)
+        height = dict(zip(ix.vertex_ids, ix.height))
+        inner = collections.Counter(
+            f["vertex"] for f in report.failures if -8 < height[f["vertex"]] < 8
+        )
+        assert set(inner.values()) == {8}
+        assert set(inner) == {v for v, h in height.items() if -8 < h < 8 and h % k == 0}
+
+    @pytest.mark.parametrize("m, k", [(4, 2), (4, 4), (5, 3)])
+    def test_m_at_least_4_build_passes_npc(self, m, k):
+        report = check_npc(validate_complex(build_quotient_complex(GroupParams(m, k), -8, 8)))
+        assert report == (True, [])
 
 
 class TestJsonRoundTrip:
