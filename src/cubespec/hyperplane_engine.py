@@ -17,6 +17,9 @@ the exempting "adjacent in some square" clause is checked globally over
 all squares.  A pair of edges sharing both endpoints is flagged; each
 shared vertex counts as an independent witness.  Edge pairs and class
 pairs are packed as ``a * E + b`` with a <= b, for E edges.
+
+Each vertex star is decided on bitmasks over the classes; witnesses are
+listed only where a star repeats a class or osculates with a crossing one.
 """
 
 from __future__ import annotations
@@ -148,16 +151,14 @@ def square_corner_pairs(ix: ComplexIndex) -> set[int]:
     }
 
 
-def _bigon_pairs(
-    ix: ComplexIndex, corner_pairs: set[int], core: Optional[Core]
-) -> list[list[str]]:
+def _bigon_pairs(ix: ComplexIndex, adjacent: set[int], core: Optional[Core]) -> list[list[str]]:
     """[e, f, lower, higher] for each pair of edges e < f that osculate at
     both of their two ends, both in the core if one is given.
 
     Only distinct edges with the same two ends can, and the corner
     exemption and core membership do not depend on the vertex, so such
-    a pair osculates at both ends or at neither.  Sorted by (higher, e,
-    f), the order in which ``iter_osculations`` meets the higher end.
+    a pair osculates at both ends or at neither: at neither if it is in
+    ``adjacent``.  Sorted by (higher, e, f), the witness order.
     """
     n, n_v = len(ix.edge_ids), len(ix.vertex_ids)
     parallel: dict[int, list[int]] = {}  # packed ends -> edges, ascending
@@ -169,7 +170,7 @@ def _bigon_pairs(
         lower, higher = divmod(ends, n_v)
         for i, e in enumerate(edges):
             for f in edges[i + 1:]:
-                if e * n + f not in corner_pairs:
+                if e * n + f not in adjacent:
                     found.append((higher, e, f, lower))
     found.sort()
     eids, vids = ix.edge_ids, ix.vertex_ids
@@ -177,18 +178,16 @@ def _bigon_pairs(
 
 
 def iter_osculations(
-    ix: ComplexIndex,
-    corner_pairs: set[int],
-    core: Optional[Core] = None,
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (edge, edge, shared vertex) indices for every osculating witness.
+    ix: ComplexIndex, core: Optional[Core] = None
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield (vertex, its star) for every vertex whose star has two or more edges.
 
-    Pairs of distinct incident edges osculate unless some square contains
-    them as adjacent sides.  With ``core`` given, only pairs with both
-    edges in the core are produced.  Vertices come in ascending order,
-    and at each vertex the pairs (e, f), e < f, in ascending order.
+    The star of v is its incident edges, in the core if one is given,
+    ascending; a loop is in it once.  Vertices come in ascending order.
+    Its osculation witnesses are its pairs e < f that no square has as
+    adjacent sides; ``interaction_report`` decides a star on class masks
+    and lists them, by ``_star_witnesses``, only where the masks fail.
     """
-    n = len(ix.edge_ids)
     incident: list[list[int]] = [[] for _ in ix.vertex_ids]
     for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
         if core is None or core.mask[e]:
@@ -196,11 +195,19 @@ def iter_osculations(
             if h != t:
                 incident[h].append(e)
     for v, edges in enumerate(incident):
-        for i, e in enumerate(edges):
-            base = e * n
-            for f in edges[i + 1:]:
-                if base + f not in corner_pairs:
-                    yield e, f, v
+        if len(edges) > 1:
+            yield v, edges
+
+
+def _star_witnesses(
+    v: int, edges: list[int], corner_pairs: set[int], n: int
+) -> Iterator[tuple[int, int, int]]:
+    """(e, f, v) for each pair e < f of the star at v, ascending, not in ``corner_pairs``."""
+    for i, e in enumerate(edges):
+        base = e * n
+        for f in edges[i + 1:]:
+            if base + f not in corner_pairs:
+                yield e, f, v
 
 
 class InteractionReport(NamedTuple):
@@ -215,7 +222,7 @@ class InteractionReport(NamedTuple):
 
 
 def interaction_report(
-    ix: ComplexIndex, H: HyperplanePartition, core: Optional[Core] = None, corner_pairs=None
+    ix: ComplexIndex, H: HyperplanePartition, core: Optional[Core] = None
 ) -> InteractionReport:
     """Crossing and osculation relations plus the four violation lists.
 
@@ -223,8 +230,15 @@ def interaction_report(
     the core are considered; parallelism and the adjacency exemption stay
     global.  Violations: per-square equal transverse classes (condition
     1), one-sided classes (2), same-class osculation (3), and class pairs
-    that both cross and osculate (4).  ``corner_pairs`` may pass in
-    ``square_corner_pairs(ix)``, for a caller that walks again.
+    that both cross and osculate (4).
+
+    Osculation is decided per vertex on bitmasks over the classes.  An
+    edge end holds the classes of the core edges that meet it at a square
+    corner (for two edges with the same ends, at either end).  Where a
+    star holds each class once, the star less an edge's class and mask is
+    what the edge osculates with; if none of that crosses the edge's
+    class, only the vertex's new class pairs are named.  Other vertices
+    are walked witness by witness, against one ``square_corner_pairs``.
     """
     n = len(ix.edge_ids)
     eids, vids, sids = ix.edge_ids, ix.vertex_ids, ix.square_ids
@@ -248,24 +262,69 @@ def interaction_report(
             continue
         cited = [eids[x] for x in sorted({e, f})]
         one_sided.append({"class": eids[cls], "edges": cited, "square": sids[s]})
-    corner_pairs = square_corner_pairs(ix) if corner_pairs is None else corner_pairs
+    ordinal: dict[int, int] = {}
+    o = [ordinal.setdefault(c, len(ordinal)) for c in rep]  # edge -> ordinal of its class
+    crossed = [0] * len(ordinal)  # class ordinal -> the classes crossing it
+    for pair in crossings:
+        c1, c2 = divmod(pair, n)
+        crossed[o[c1]] |= 1 << o[c2]
+        crossed[o[c2]] |= 1 << o[c1]
+    ends = ix.ends()
+    exempt = [0] * len(ends)  # edge end -> classes met at a corner
+    adjacent: set[int] = set()  # packed pairs of edges with the same ends and a corner
+    for x, after in zip(sides, ix.next_sides()):
+        a, b = x >> 1, after >> 1
+        if mask is not None and not (mask[a] and mask[b]):
+            continue
+        y = after ^ 1  # the corner joins end x of a to end y of b
+        bit_a, bit_b = 1 << o[a], 1 << o[b]
+        exempt[x] |= bit_b
+        exempt[y] |= bit_a
+        if ends[x ^ 1] == ends[y ^ 1]:
+            exempt[x ^ 1] |= bit_b
+            exempt[y ^ 1] |= bit_a
+            adjacent.add(_pair(a, b, n))
+    seen = [0] * len(ordinal)  # class ordinal -> the classes it osculates with so far
     osculations: dict[int, tuple[int, int, int]] = {}
-    for e, f, v in iter_osculations(ix, corner_pairs, core):
-        ce, cf = rep[e], rep[f]
-        pair = ce * n + cf if ce <= cf else cf * n + ce  # _pair, inlined per witness
-        if pair not in osculations:
-            osculations[pair] = (e, f, v)
-        if ce == cf:
-            self_osc.append({"class": eids[ce], "edges": [eids[e], eids[f]], "vertex": vids[v]})
-        elif pair in crossings:
-            inter_osc.append(
-                {
-                    "classes": [eids[x] for x in divmod(pair, n)],
-                    "square": sids[crossings[pair]],
-                    "edges": [eids[e], eids[f]],
-                    "vertex": vids[v],
-                }
-            )
+    corner_pairs = None
+    for v, edges in iter_osculations(ix, core):
+        bits = [1 << o[e] for e in edges]
+        star = sum(bits)  # as many bits as edges exactly when the classes differ
+        if star.bit_count() == len(edges):
+            free = [  # the classes e osculates with at v; a loop has both ends here
+                star & ~(b | (exempt[2 * e] if ends[2 * e] == v else 0)
+                         | (exempt[2 * e + 1] if ends[2 * e + 1] == v else 0))
+                for e, b in zip(edges, bits)
+            ]
+            if not any(w & crossed[o[e]] for e, w in zip(edges, free)):
+                for i, (e, w) in enumerate(zip(edges, free)):
+                    new = w & ~seen[o[e]]
+                    if new:
+                        seen[o[e]] |= new
+                        for f in edges[i + 1:]:
+                            if new >> o[f] & 1:
+                                osculations[_pair(rep[e], rep[f], n)] = (e, f, v)
+                continue
+        if corner_pairs is None:
+            corner_pairs = square_corner_pairs(ix)
+        for e, f, _ in _star_witnesses(v, edges, corner_pairs, n):
+            ce, cf = rep[e], rep[f]
+            pair = ce * n + cf if ce <= cf else cf * n + ce  # _pair, inlined per witness
+            if pair not in osculations:
+                osculations[pair] = (e, f, v)
+                seen[o[e]] |= 1 << o[f]
+                seen[o[f]] |= 1 << o[e]
+            if ce == cf:
+                self_osc.append({"class": eids[ce], "edges": [eids[e], eids[f]], "vertex": vids[v]})
+            elif pair in crossings:
+                inter_osc.append(
+                    {
+                        "classes": [eids[x] for x in divmod(pair, n)],
+                        "square": sids[crossings[pair]],
+                        "edges": [eids[e], eids[f]],
+                        "vertex": vids[v],
+                    }
+                )
     violations = {
         "self_cross": self_cross,
         "one_sided": one_sided,
@@ -273,7 +332,7 @@ def interaction_report(
         "inter_osc": inter_osc,
     }
     span = None if core is None else core.span
-    bigons = _bigon_pairs(ix, corner_pairs, core)
+    bigons = _bigon_pairs(ix, adjacent, core)
     return InteractionReport(crossings, osculations, violations, bigons, span)
 
 

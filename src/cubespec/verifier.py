@@ -684,6 +684,7 @@ def cross_validate(
     # which runs the certificates alone, does not load it
     from cubespec.hyperplane_engine import (
         _pair,
+        _star_witnesses,
         compute_hyperplanes,
         core_edges,
         interaction_report,
@@ -703,8 +704,9 @@ def cross_validate(
     if not core:
         raise ValueError(f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]")
     n, eids, vids = len(ix.edge_ids), ix.edge_ids, ix.vertex_ids
-    cc = core_coefficients(ix, core)
     H = compute_hyperplanes(ix)
+    report = interaction_report(ix, H, core)  # first: its masks are gone before the corner set
+    cc = core_coefficients(ix, core)
 
     by_class: dict[int, set] = {}
     by_key: dict[tuple, set] = {}
@@ -730,8 +732,6 @@ def cross_validate(
 
     findings = []
     case_matches: dict[str, int] = {}
-    corner_pairs = square_corner_pairs(ix)  # one exemption set for both walks
-    report = interaction_report(ix, H, core, corner_pairs)
     for _, s in sorted(report.crossings.items()):
         t1 = cc.type_j[ix.sides[4 * s] >> 1]
         t2 = cc.type_j[ix.sides[4 * s + 1] >> 1]
@@ -739,17 +739,18 @@ def cross_validate(
             findings.append(
                 {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}
             )
-    for e, f, v in iter_osculations(ix, corner_pairs, core):
-        got = classify_osculation(cc, e, f, v)
-        case_id = got["case_id"]
-        if case_id == "unmatched":
-            findings.append({"kind": "osculation", **got})
-            continue
-        if case_id == "benign_nonadjacent" and _pair(H.rep[e], H.rep[f], n) in report.crossings:
-            findings.append(
-                {"kind": "nonadjacent_crossing_pair", "edges": [eids[e], eids[f]], "vertex": vids[v]}
-            )
-        case_matches[case_id] = case_matches.get(case_id, 0) + 1
+    corner_pairs = square_corner_pairs(ix)
+    for star in iter_osculations(ix, core):
+        for e, f, v in _star_witnesses(*star, corner_pairs, n):
+            got = classify_osculation(cc, e, f, v)
+            case_id = got["case_id"]
+            if case_id == "unmatched":
+                findings.append({"kind": "osculation", **got})
+                continue
+            if case_id == "benign_nonadjacent" and _pair(H.rep[e], H.rep[f], n) in report.crossings:
+                witness = {"edges": [eids[e], eids[f]], "vertex": vids[v]}
+                findings.append({"kind": "nonadjacent_crossing_pair", **witness})
+            case_matches[case_id] = case_matches.get(case_id, 0) + 1
     return CrossValidation(
         params=params, span=(h_min, h_max), margin=margin, core_edge_count=len(core),
         class_mismatches=mismatches, inconclusive=inconclusive, witness_findings=findings,

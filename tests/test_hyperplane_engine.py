@@ -31,6 +31,7 @@ from reference_impl import (
     revalidate_osculation,
 )
 from reference_impl import complex_from_json as record_complex_from_json
+from test_integer_kernels import corner_sets_made
 
 P42 = GroupParams(4, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
@@ -253,6 +254,18 @@ class TestBuiltComplexChecks:
         assert rep.crossings == {}
         assert rep.osculations == {}
         assert rep.violation_count() == 0
+
+    @pytest.mark.parametrize("m, k, h, corner_sets", [(4, 3, 8, 0), (3, 3, 6, 1)])
+    def test_clean_core_decided_without_corner_set(self, m, k, h, corner_sets, monkeypatch):
+        # a clean core never reaches the witness walk, so it makes no corner set;
+        # an m = 3 core has findings and makes one, however many vertices hold them
+        ix = indexed(records(build_quotient_complex(GroupParams(m, k), -h, h)))
+        H, core = compute_hyperplanes(ix), core_edges(ix, 2 - h, h - 2)
+        calls = corner_sets_made(monkeypatch)
+        rep = interaction_report(ix, H, core)
+        assert len(calls) == corner_sets
+        assert (rep.violation_count() == 0) == (corner_sets == 0)
+        assert rep.osculations
 
     def test_core_needs_heights(self):
         ix = indexed(osculating_wedge())

@@ -6,7 +6,8 @@ message, on corrupted complexes given as records.  ``check_npc``,
 on the integer view of a complex;
 ``tests/reference_impl.py`` keeps the id-keyed versions they replaced.
 Once the program's indices are named, every field must agree, dict
-order included, with and without a core.
+order included, with and without a core.  The osculation witnesses
+expanded from the vertex stars must be the reference's, in its order.
 """
 
 import json
@@ -19,7 +20,15 @@ from hypothesis import strategies as st
 import reference_impl as ref
 from cubespec.coeff_group import GroupParams
 from cubespec.complex_model import ComplexFormatError, build_quotient_complex, check_npc
-from cubespec.hyperplane_engine import compute_hyperplanes, core_edges, interaction_report
+from cubespec import hyperplane_engine
+from cubespec.hyperplane_engine import (
+    _star_witnesses,
+    compute_hyperplanes,
+    core_edges,
+    interaction_report,
+    iter_osculations,
+    square_corner_pairs,
+)
 
 from reference_impl import Edge, Square, SquareComplex, Vertex, indexed, records
 
@@ -52,6 +61,29 @@ def assert_like_reference(X: SquareComplex, span=None) -> None:
     assert got.violations == want.violations
     assert got.bigon_pairs == want.bigon_pairs
     assert got.core == want.core
+
+
+def corner_sets_made(monkeypatch) -> list:
+    """Calls of ``square_corner_pairs`` from here on, one entry each."""
+    made, calls = hyperplane_engine.square_corner_pairs, []
+
+    def counted(ix):
+        calls.append(1)
+        return made(ix)
+
+    monkeypatch.setattr(hyperplane_engine, "square_corner_pairs", counted)
+    return calls
+
+
+def star_witnesses(ix, core=None) -> list[tuple[str, str, str]]:
+    """The witnesses of every vertex star of ix, named by id, in walk order."""
+    corner_pairs, n = square_corner_pairs(ix), len(ix.edge_ids)
+    eids, vids = ix.edge_ids, ix.vertex_ids
+    return [
+        (eids[e], eids[f], vids[v])
+        for star in iter_osculations(ix, core)
+        for e, f, v in _star_witnesses(*star, corner_pairs, n)
+    ]
 
 
 def heights_span(X: SquareComplex, data):
@@ -188,5 +220,85 @@ class TestAgainstReference:
     @pytest.mark.parametrize("m, k", [(4, 2), (3, 3), (4, 4), (5, 3)])
     def test_build(self, m, k):
         X = records(build_quotient_complex(GroupParams(m, k), -(k + 2), k + 2))
+        assert_like_reference(X)  # with a core: test_build_core
+
+    @pytest.mark.parametrize(
+        "m, k, margin, walked",
+        [(3, 2, 0, 1), (3, 2, 2, 1), (3, 3, 0, 1), (3, 3, 2, 1), (3, 4, 0, 1), (3, 4, 2, 1),
+         (4, 2, 0, 1), (4, 3, 0, 1), (4, 4, 0, 1), (5, 3, 0, 1),
+         (4, 2, 2, 0), (4, 3, 2, 0), (4, 4, 2, 0), (5, 3, 2, 0)],
+    )
+    def test_build_core(self, m, k, margin, walked, monkeypatch):
+        # a core with violations is walked at the vertices that hold them, against
+        # one corner set; a clean core is decided on the class masks alone
+        span = k + 2
+        X = records(build_quotient_complex(GroupParams(m, k), -span, span))
+        calls = corner_sets_made(monkeypatch)
+        assert_like_reference(X, (margin - span, span - margin))
+        assert len(calls) == walked
+
+    def test_parallel_edges_adjacent_at_one_end(self, monkeypatch):
+        # a and b run from u to w and meet at a corner only at u; the clause
+        # exempts them at w too, so they are no bigon.  In the core [0, 1],
+        # the star at w holds two classes and is decided on the masks.
+        X = SquareComplex()
+        for vid, height in (("u", 0), ("w", 1), ("z", 2)):
+            X.vertices[vid] = Vertex(vid, height)
+        for eid, tail, head in (("a", "u", "w"), ("b", "u", "w"), ("c", "w", "z"), ("d", "z", "w")):
+            X.edges[eid] = Edge(eid, tail, head)
+        X.squares["S"] = Square("S", (("b", "-"), ("a", "+"), ("c", "+"), ("d", "+")))
+        calls = corner_sets_made(monkeypatch)
+        assert_like_reference(X, (0, 1))
+        assert calls == []
+        ix = indexed(X)
+        report = interaction_report(ix, compute_hyperplanes(ix), core_edges(ix, 0, 1))
+        assert report.osculations == {} and report.bigon_pairs == []
         assert_like_reference(X)
-        assert_like_reference(X, (-k, k))
+
+    def test_loop_adjacent_at_its_tail_end_only(self, monkeypatch):
+        # the loop e at v meets g at the corner where e stops, its tail end;
+        # the corner where e starts has the side h, outside the core [0, 1]
+        X = SquareComplex()
+        for vid, height in (("v", 0), ("w", 1), ("x", 2)):
+            X.vertices[vid] = Vertex(vid, height)
+        for eid, tail, head in (("e", "v", "v"), ("g", "v", "w"), ("f", "w", "x"), ("h", "x", "v")):
+            X.edges[eid] = Edge(eid, tail, head)
+        X.squares["S"] = Square("S", (("e", "-"), ("g", "+"), ("f", "+"), ("h", "+")))
+        calls = corner_sets_made(monkeypatch)
+        assert_like_reference(X, (0, 1))
+        assert calls == []
+        assert_like_reference(X)
+
+    def test_two_edges_of_one_class_at_a_vertex(self, monkeypatch):
+        # u -a-> w -c-> z -b-> w -d-> u: the opposite sides a and b meet at w,
+        # at no corner, so they self-osculate there
+        X = SquareComplex()
+        for vid in "uwz":
+            X.vertices[vid] = Vertex(vid)
+        for eid, tail, head in (("a", "u", "w"), ("c", "w", "z"), ("b", "z", "w"), ("d", "w", "u")):
+            X.edges[eid] = Edge(eid, tail, head)
+        X.squares["S"] = Square("S", (("a", "+"), ("c", "+"), ("b", "+"), ("d", "+")))
+        calls = corner_sets_made(monkeypatch)
+        assert_like_reference(X)
+        assert len(calls) == 1
+        ix = indexed(X)
+        report = interaction_report(ix, compute_hyperplanes(ix))
+        assert {"class": "a", "edges": ["a", "b"], "vertex": "w"} in report.violations["self_osc"]
+
+    @given(glued_complexes(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_star_witnesses_hand_made(self, X, data):
+        ix = indexed(X)
+        assert star_witnesses(ix) == list(ref.iter_osculations(X))
+        span = heights_span(X, data)
+        if span is not None:
+            want = ref.iter_osculations(X, core=ref.core_edges(X, *span))
+            assert star_witnesses(ix, core_edges(ix, *span)) == list(want)
+
+    @pytest.mark.parametrize("m, k", [(3, 3), (4, 3)])
+    def test_star_witnesses_build(self, m, k):
+        X = records(build_quotient_complex(GroupParams(m, k), -(k + 2), k + 2))
+        ix = indexed(X)
+        assert star_witnesses(ix) == list(ref.iter_osculations(X))
+        want = ref.iter_osculations(X, core=ref.core_edges(X, -k, k))
+        assert star_witnesses(ix, core_edges(ix, -k, k)) == list(want)

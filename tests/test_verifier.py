@@ -388,7 +388,7 @@ class TestCrossValidation:
             cross_validate(ix, 2, [])
 
     def test_square_corner_pairs_made_once(self, monkeypatch):
-        # the report's walk and the classifying walk share one exemption set
+        # the report decides a clean core without the corner set; the classifying walk makes it
         calls = []
         made = hyperplane_engine.square_corner_pairs
 
@@ -402,16 +402,23 @@ class TestCrossValidation:
         assert len(calls) == 1
 
     def test_every_core_witness_classifies(self):
-        from cubespec.hyperplane_engine import core_edges, iter_osculations, square_corner_pairs
+        from cubespec.hyperplane_engine import (
+            _star_witnesses,
+            core_edges,
+            iter_osculations,
+            square_corner_pairs,
+        )
 
         ix = built_view(P43, -5, 5)
         core = core_edges(ix, -2, 2)
         cc = core_coefficients(ix, core)
+        corner_pairs, n = square_corner_pairs(ix), len(ix.edge_ids)
         witnesses = 0
-        for e, f, v in iter_osculations(ix, square_corner_pairs(ix), core):
-            got = classify_osculation(cc, e, f, v)
-            assert got["case_id"] != "unmatched", (e, f, v, got)
-            witnesses += 1
+        for star in iter_osculations(ix, core):
+            for e, f, v in _star_witnesses(*star, corner_pairs, n):
+                got = classify_osculation(cc, e, f, v)
+                assert got["case_id"] != "unmatched", (e, f, v, got)
+                witnesses += 1
         assert witnesses
 
     @pytest.mark.parametrize("m, k, span", [(4, 2, 6), (3, 3, 8)])
