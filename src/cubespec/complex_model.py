@@ -261,12 +261,15 @@ def build_quotient_complex(
             cells.tails.extend([vertex_ids[tail.height][x] for x in table(tail.coeff)])
             cells.heads.extend([vertex_ids[head.height][x] for x in table(head.coeff)])
             cells.types.extend([j] * len(eids))
+    side_of: dict[tuple[int, int, str], list[tuple[str, str]]] = {}  # one per edge end
     for i in range(h_min + 1, h_max):
         for j in range(1, params.m + 1):
-            sides = [
-                [(edge_ids[er.height, er.type_j][x], d) for x in table(er.coeff)]
-                for er, d in square_boundary(SquareRef(i, j, one))
-            ]
+            sides = []
+            for er, d in square_boundary(SquareRef(i, j, one)):
+                key = (er.height, er.type_j, d)
+                if key not in side_of:
+                    side_of[key] = [(eid, d) for eid in edge_ids[er.height, er.type_j]]
+                sides.append(list(map(side_of[key].__getitem__, table(er.coeff))))
             cells.square_ids.extend([f"s/{i}/{j}/{s}" for s in exps_strs])
             cells.boundaries.extend(zip(*sides))
     return cells
@@ -309,24 +312,37 @@ def check_npc(ix: ComplexIndex) -> NpcReport:
     come in sorted order; within one, the first two kinds in corner
     order, then the triangles in sorted node order.
 
-    A link is decided by its neighbour sets.  It is simple exactly when
-    they hold two entries per corner: a self-adjacency adds one, a
-    repeated adjacency none.  A simple link has a triangle exactly when
-    the two ends of some corner share a neighbour.  Only a link that
-    fails is walked corner by corner, to list its failures.
+    The links are decided on bitmasks.  Each edge end has a bit, its rank
+    among the ends at its vertex, and each node the mask of its
+    neighbours in its link, all filled in one pass over the corners.  A
+    link is simple exactly when its masks hold two bits per corner: a
+    self-adjacency adds one, a repeated adjacency none.  A simple link
+    has a triangle exactly when the two ends of some corner share a
+    neighbour.  The masks are summed and met over the whole complex at
+    once; only when that fails is each link tested on its own, and a
+    link that fails walked corner by corner, to list its failures.
     """
+    sides, far = ix.sides, [x ^ 1 for x in ix.next_sides()]
+    ends = ix.ends()
+    rank = [0] * len(ix.vertex_ids)  # vertex -> ends given a bit so far
+    bit = [0] * len(ends)
+    for x, v in enumerate(ends):
+        bit[x] = 1 << rank[v]
+        rank[v] += 1
+    nb = [0] * len(ends)  # node -> its neighbours in its link
+    for a, b in zip(sides, far):
+        nb[a] |= bit[b]
+        nb[b] |= bit[a]
+    at = nb.__getitem__
+    if sum(map(int.bit_count, nb)) == 2 * len(sides) and not any(
+        map(operator.and_, map(at, sides), map(at, far))
+    ):
+        return NpcReport(True, [])
     failures: list[dict] = []
-    sides, after = ix.sides, ix.next_sides()
-    far = [x ^ 1 for x in after]
     for v, corners in enumerate(link_corners(ix)):
         near_v, far_v = [sides[c] for c in corners], [far[c] for c in corners]
-        neighbours: dict[int, set[int]] = {x: set() for x in (*near_v, *far_v)}
-        for na, nb in zip(near_v, far_v):
-            neighbours[na].add(nb)
-            neighbours[nb].add(na)
-        at = neighbours.__getitem__
-        if sum(map(len, neighbours.values())) != 2 * len(corners) or not all(
-            map(set.isdisjoint, map(at, near_v), map(at, far_v))
+        if sum(nb[x].bit_count() for x in {*near_v, *far_v}) != 2 * len(corners) or any(
+            map(operator.and_, map(at, near_v), map(at, far_v))
         ):
             failures.extend(_link_failures(ix, v, corners, sides, far))
     return NpcReport(not failures, failures)
@@ -396,34 +412,55 @@ def _members(obj: dict) -> str:
 # record templates, laid out as ``json.dumps(indent=2)`` lays out a list item
 _VERTEX = '    {\n      "id": %s,\n      "height": %d\n    }'
 _EDGE = '    {\n      "id": %s,\n      "tail": %s,\n      "head": %s,\n      "type": %d\n    }'
-_SQUARE = '    {\n      "id": %s,\n      "boundary": [\n%s\n      ]\n    }'
-_SIDE = '        {\n          "edge": %s,\n          "dir": %s\n        }'
+_SQUARE = (  # the id, then the edge and dir of each of the four sides
+    '    {\n      "id": %s,\n      "boundary": [\n'
+    + ",\n".join(['        {\n          "edge": %s,\n          "dir": %s\n        }'] * 4)
+    + "\n      ]\n    }"
+)
 _BATCH = 1024  # records per chunk of the document text
 
 
+def _interleave(cols: list, count: int) -> tuple:
+    """The fields of ``count`` records, record by record, from one column each."""
+    flat: list = [None] * (len(cols) * count)
+    for n, col in enumerate(cols):
+        flat[n :: len(cols)] = col
+    return tuple(flat)
+
+
+def _fields(cells: Cells, section: str, lo: int, hi: int) -> tuple:
+    """The template fields of records lo..hi-1 of a section, strings quoted."""
+    if section == "vertices":
+        return _interleave([map(_enc, cells.vertex_ids[lo:hi]), cells.heights[lo:hi]], hi - lo)
+    if section == "edges":
+        cols = [cells.edge_ids, cells.tails, cells.heads]
+        return _interleave([*(map(_enc, col[lo:hi]) for col in cols), cells.types[lo:hi]], hi - lo)
+    sides = itertools.chain.from_iterable(itertools.chain.from_iterable(cells.boundaries[lo:hi]))
+    quoted = list(map(_enc, sides))  # edge and dir of side 0, ..., side 3, square by square
+    ids = map(_enc, cells.square_ids[lo:hi])
+    return _interleave([ids, *(quoted[n::8] for n in range(8))], hi - lo)
+
+
 def _chunks(cells: Cells, stamp: Optional[dict]) -> Iterator[str]:
-    """The document text of ``cells`` in pieces, a batch of records at a time."""
+    """The document text of ``cells`` in pieces, a batch of records at a time.
+
+    A batch is laid out by one ``%`` of its records' template, repeated,
+    over the fields of all its records.
+    """
     params = cells.params
     yield "{\n"
     yield _members({"params": None if params is None else {"m": params.m, "k": params.k}})
     sections = (
-        ("vertices", (_VERTEX % (_enc(v), h) for v, h in zip(cells.vertex_ids, cells.heights))),
-        ("edges", (
-            _EDGE % (_enc(e), _enc(t), _enc(h), j)
-            for e, t, h, j in zip(cells.edge_ids, cells.tails, cells.heads, cells.types)
-        )),
-        ("squares", (
-            _SQUARE % (_enc(s), ",\n".join([_SIDE % (_enc(e), _enc(d)) for e, d in sides]))
-            for s, sides in zip(cells.square_ids, cells.boundaries)
-        )),
+        ("vertices", _VERTEX, len(cells.vertex_ids)),
+        ("edges", _EDGE, len(cells.edge_ids)),
+        ("squares", _SQUARE, len(cells.square_ids)),
     )
-    for key, texts in sections:
-        batch = list(itertools.islice(texts, _BATCH))
-        yield f',\n  "{key}": [' + ("\n" if batch else "]")
-        while batch:
-            yield ",\n".join(batch)
-            batch = list(itertools.islice(texts, _BATCH))
-            yield ",\n" if batch else "\n  ]"
+    for key, template, count in sections:
+        yield f',\n  "{key}": [' + ("\n" if count else "]")
+        for lo in range(0, count, _BATCH):
+            hi = min(lo + _BATCH, count)
+            yield ",\n".join([template] * (hi - lo)) % _fields(cells, key, lo, hi)
+            yield ",\n" if hi < count else "\n  ]"
     if stamp is not None:
         yield ",\n"
         yield _members({"stamp": stamp})

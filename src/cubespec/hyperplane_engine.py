@@ -44,53 +44,64 @@ def compute_hyperplanes(ix: ComplexIndex) -> HyperplanePartition:
     processed in sorted order with union by rank, so the result is
     deterministic.  A one-sided class keeps the first conflicting union
     its root saw, carried over when the root is absorbed.
+
+    Find is written out inline.  In the union loop a node two or more
+    steps from its root is walked to the root, for the root and the
+    parity to it, and then its path is compressed: every node on it
+    points at the root.  Compression changes no root, so no union.  The
+    labelling pass after it only walks.
     """
     n = len(ix.edge_ids)
     parent = list(range(n))
     par = bytearray(n)  # parity to the parent
     rank = bytearray(n)
     conflicts: dict[int, tuple[int, int, int]] = {}
-
-    def find(x: int) -> tuple[int, int]:
-        chain = []
-        p = 0
-        while parent[x] != x:
-            chain.append((x, p))
-            p ^= par[x]
-            x = parent[x]
-        for node, seen in chain:
-            parent[node] = x
-            par[node] = p ^ seen
-        return x, p
-
     sides = ix.sides
-    for at in range(0, len(sides), 4):
-        for i, j in ((0, 2), (1, 3)):
-            s1, s2 = sides[at + i], sides[at + j]
-            a, b = s1 >> 1, s2 >> 1
-            parity = 1 ^ ((s1 ^ s2) & 1)
-            ra, pa = find(a)
-            rb, pb = find(b)
-            if ra == rb:
-                if pa ^ pb != parity and ra not in conflicts:
-                    conflicts[ra] = (a, b, at >> 2)
-                continue
-            if rank[ra] < rank[rb]:
-                ra, rb = rb, ra
-                pa, pb = pb, pa
-            parent[rb] = ra
-            par[rb] = pa ^ pb ^ parity
-            if rank[ra] == rank[rb]:
-                rank[ra] += 1
-            if rb in conflicts:
-                conflicts.setdefault(ra, conflicts.pop(rb))
+    near, opposite = [0] * (len(sides) // 2), [0] * (len(sides) // 2)
+    near[0::2], near[1::2] = sides[0::4], sides[1::4]  # opposite pairs in square order:
+    opposite[0::2], opposite[1::2] = sides[2::4], sides[3::4]  # (0, 2), then (1, 3)
+    for q, (s1, s2) in enumerate(zip(near, opposite)):
+        a, b = s1 >> 1, s2 >> 1
+        ra, pa = parent[a], par[a]  # 0 at a root, whose parity is never set
+        if parent[ra] != ra:  # two or more steps from its root: walk, then compress
+            while parent[ra] != ra:
+                pa ^= par[ra]
+                ra = parent[ra]
+            x, p = a, pa
+            while x != ra:
+                parent[x], par[x], x, p = ra, p, parent[x], p ^ par[x]
+        rb, pb = parent[b], par[b]
+        if parent[rb] != rb:
+            while parent[rb] != rb:
+                pb ^= par[rb]
+                rb = parent[rb]
+            x, p = b, pb
+            while x != rb:
+                parent[x], par[x], x, p = rb, p, parent[x], p ^ par[x]
+        parity = 1 ^ ((s1 ^ s2) & 1)
+        if ra == rb:
+            if pa ^ pb != parity and ra not in conflicts:
+                conflicts[ra] = (a, b, q >> 1)
+            continue
+        if rank[ra] < rank[rb]:
+            ra, rb = rb, ra
+            pa, pb = pb, pa
+        parent[rb] = ra
+        par[rb] = pa ^ pb ^ parity
+        if rank[ra] == rank[rb]:
+            rank[ra] += 1
+        if rb in conflicts:
+            conflicts.setdefault(ra, conflicts.pop(rb))
     rep = [0] * n
     parity_out = bytearray(n)
     least = [-1] * n  # root -> least member
     to_root = bytearray(n)
     n_classes = 0
     for e in range(n):
-        root, p = find(e)
+        root, p = e, 0
+        while parent[root] != root:
+            p ^= par[root]
+            root = parent[root]
         to_root[e] = p
         first = least[root]
         if first < 0:

@@ -612,6 +612,86 @@ class TestDeterminism:
         assert doc["stamp"]["tool"].startswith("cubespec")
 
 
+class TestWriter:
+    """Every report is the text of ``json.dumps(doc, indent=2) + "\\n"``.
+
+    ``check`` lays its bigon pairs out from a row template, a batch of
+    1,024 rows at a time, and the rest of a report through ``json.dumps``.
+    """
+
+    # (m, k, h) -> bigon pairs of `check` at the default margin over +-h
+    BUILDS = {(4, 2, 3): 0, (4, 3, 8): 1296, (3, 3, 8): 324}
+
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("writer")
+        paths = {}
+        for m, k, h in self.BUILDS:
+            path = paths[m, k, h] = str(tmp / f"{m}-{k}-{h}.json")
+            assert main(["build", "--m", str(m), "--k", str(k), "--hmin", str(-h),
+                         "--hmax", str(h), "-o", path]) == 0
+        return paths
+
+    @staticmethod
+    def assert_dumps_layout(text: str) -> dict:
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        return doc
+
+    @pytest.mark.parametrize("build, code", [((4, 2, 3), 0), ((4, 3, 8), 0), ((3, 3, 8), 1)])
+    @pytest.mark.parametrize("flags", [[], ["--stamp"]])
+    def test_check_stdout(self, build, code, flags, docs, capsys):
+        got, out, _ = run(capsys, "check", docs[build], "--json", *flags)
+        assert got == code
+        doc = self.assert_dumps_layout(out)
+        assert len(doc["bigon_pairs"]) == self.BUILDS[build]
+        assert list(doc)[-1] == ("stamp" if flags else "clean")
+        assert doc["npc"]["passed"] == (build[0] == 4)
+
+    def test_check_output_file(self, docs, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, "check", docs[4, 3, 8], "-o", str(report), "--stamp")
+        assert code == 0 and "classes=" in out
+        self.assert_dumps_layout(report.read_text())
+        code, out, _ = run(capsys, "check", docs[4, 3, 8], "--json")
+        assert json.loads(report.read_text())["bigon_pairs"] == json.loads(out)["bigon_pairs"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--m", "4", "--k", "3", "--json"],
+            ["verify", "--m", "3", "--k", "3", "--json", "--stamp"],
+            ["verify", "--m", "4", "--k", "2", "--cross-validate", "--hmin", "-4", "--hmax", "4",
+             "--json"],
+        ],
+    )
+    def test_verify(self, argv, capsys):
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        self.assert_dumps_layout(out)
+
+    def test_rows_written_without_a_second_copy(self, tmp_path):
+        # the parent's json.dumps held the whole text and its list of pieces,
+        # about 4.6 times the size of the text; the writer holds one batch
+        import argparse
+        import tracemalloc
+
+        rows = [[f"e/{i}/1/0,0,0", f"e/{i}/2/0,0,0", f"v/{i}/0,0", f"v/{i + 1}/0,é"]
+                for i in range(40000)]
+        doc = {"classes": 1, "bigon_pairs": rows, "clean": True}
+        want = json.dumps(doc, indent=2) + "\n"
+        path = tmp_path / "report.json"
+        args = argparse.Namespace(stamp=False, output=str(path), json=False)
+        tracemalloc.start()
+        try:
+            cli._emit(doc, args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == want
+        assert peak < len(want) / 4
+
+
 class TestFixtureRegression:
     @pytest.mark.parametrize(
         "name",

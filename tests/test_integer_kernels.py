@@ -157,6 +157,44 @@ def corrupted_complexes(draw) -> SquareComplex:
     return X
 
 
+def fan(spokes: int, faults: tuple[str, ...]) -> SquareComplex:
+    """Spokes O -> Pi glued in a cycle by squares O -> Pi -> Ai <- Pi+1 <- O,
+    a loop at O in a square with spoke 0, and a square at O for each of
+    the link faults named (see ``test_link_wider_than_a_machine_word``)."""
+    X = SquareComplex()
+    X.vertices["O"] = Vertex("O")
+
+    def edge(eid, tail, head):
+        for vid in (tail, head):
+            X.vertices.setdefault(vid, Vertex(vid))
+        X.edges[eid] = Edge(eid, tail, head)
+
+    def glue(sid, i, j, apex):
+        # O -> Pi -> apex <- Pj <- O; the corner at O joins the tails of spokes j and i
+        edge(f"x{sid}", f"P{i:02}", apex)
+        edge(f"y{sid}", f"P{j:02}", apex)
+        X.squares[sid] = Square(
+            sid, ((f"e{i:02}", "+"), (f"x{sid}", "+"), (f"y{sid}", "-"), (f"e{j:02}", "-"))
+        )
+
+    for i in range(spokes):
+        edge(f"e{i:02}", "O", f"P{i:02}")
+    for i in range(spokes):
+        glue(f"S{i:02}", i, (i + 1) % spokes, f"A{i:02}")
+    edge("loop", "O", "O")
+    edge("f", "P00", "Z")
+    edge("g", "Z", "O")
+    X.squares["L"] = Square("L", (("loop", "+"), ("e00", "+"), ("f", "+"), ("g", "+")))
+    if "double_adjacency" in faults:
+        glue("D", 2, 3, "B")  # the corner of S02 again
+    if "triangle" in faults:
+        glue("T", 66, 68, "C")
+    if "self_adjacency" in faults:
+        edge("h", "P05", "Q")
+        X.squares["U"] = Square("U", (("e05", "+"), ("h", "+"), ("h", "-"), ("e05", "-")))
+    return X
+
+
 def first_fault(validate, X):
     try:
         validate(X)
@@ -284,6 +322,64 @@ class TestAgainstReference:
         ix = indexed(X)
         report = interaction_report(ix, compute_hyperplanes(ix))
         assert {"class": "a", "edges": ["a", "b"], "vertex": "w"} in report.violations["self_osc"]
+
+    @pytest.mark.parametrize(
+        "faults", [(), ("triangle",), ("double_adjacency", "self_adjacency", "triangle")]
+    )
+    def test_link_wider_than_a_machine_word(self, faults):
+        # the link of O is a cycle on the tails of 70 spokes, with a loop at O
+        # hanging off spoke 0, so O has 73 edge ends and masks past 64 bits.
+        # The faults all sit in that link: spokes 2 and 3 glued twice (a
+        # double adjacency), spoke 5 glued to itself (a self-adjacency) and
+        # spokes 66 and 68 glued (a triangle with 67, on bits past 64).
+        X = fan(70, faults)
+        assert_like_reference(X)
+        report = check_npc(indexed(X))
+        assert {f["kind"] for f in report.failures if f["vertex"] == "O"} == set(faults)
+        assert report.passed == (not faults)
+
+    def test_union_of_two_one_sided_roots(self):
+        # S1 and S2 each make a one-sided class, {a1} and {a2}: opposite sides
+        # on one edge in one direction.  S3 unites a1 with a2, two roots that
+        # both hold a conflict, and the class keeps the first, from S1.
+        X = SquareComplex()
+        for vid in "uv":
+            X.vertices[vid] = Vertex(vid)
+        for eid in ("a1", "a2"):
+            X.edges[eid] = Edge(eid, "u", "v")
+        for eid in ("b1", "b2", "c1", "c2"):
+            X.edges[eid] = Edge(eid, "v", "u")
+        X.squares["S1"] = Square("S1", (("a1", "+"), ("b1", "+"), ("a1", "+"), ("c1", "+")))
+        X.squares["S2"] = Square("S2", (("a2", "+"), ("b2", "+"), ("a2", "+"), ("c2", "+")))
+        X.squares["S3"] = Square("S3", (("a1", "+"), ("b1", "+"), ("a2", "+"), ("c1", "+")))
+        assert_like_reference(X)
+        ix = indexed(X)
+        H = ref.named_partition(ix, compute_hyperplanes(ix))
+        assert H.one_sided_witness == {"a1": ("a1", "a1", "S1")}
+        assert H.class_of["a2"] == "a1"
+
+    def test_path_compression_keeps_the_parity(self):
+        # S1 puts b under a and S2 d under c, each root of rank 1; S3 puts c
+        # under a, so d is two steps from its root, at parity 1.  S4 finds d
+        # in the union loop, which compresses its path to one step.
+        X = SquareComplex()
+        for vid in "uv":
+            X.vertices[vid] = Vertex(vid)
+        for eid in ("a", "b", "c", "g", "f1", "f2", "f3", "f4"):
+            X.edges[eid] = Edge(eid, "u", "v")
+        X.edges["d"] = Edge("d", "v", "u")
+        for sid, (x, dx), (y, dy) in (
+            ("S1", ("a", "+"), ("b", "+")),
+            ("S2", ("c", "+"), ("d", "-")),
+            ("S3", ("a", "+"), ("c", "+")),
+            ("S4", ("d", "-"), ("g", "+")),
+        ):
+            f = (f"f{sid[1]}", "-")
+            X.squares[sid] = Square(sid, ((x, dx), f, (y, dy), f))
+        assert_like_reference(X)
+        ix = indexed(X)
+        H = ref.named_partition(ix, compute_hyperplanes(ix))
+        assert (H.class_of["d"], H.parity["d"]) == ("a", 1)
 
     @given(glued_complexes(), st.data())
     @settings(max_examples=200, deadline=None)
