@@ -1,8 +1,10 @@
+import argparse
 import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -673,9 +675,6 @@ class TestWriter:
     def test_rows_written_without_a_second_copy(self, tmp_path):
         # the parent's json.dumps held the whole text and its list of pieces,
         # about 4.6 times the size of the text; the writer holds one batch
-        import argparse
-        import tracemalloc
-
         rows = [[f"e/{i}/1/0,0,0", f"e/{i}/2/0,0,0", f"v/{i}/0,0", f"v/{i + 1}/0,é"]
                 for i in range(40000)]
         doc = {"classes": 1, "bigon_pairs": rows, "clean": True}

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import reference_impl as ref
 from cubespec.coeff_group import GroupParams
 from cubespec.complex_model import ComplexFormatError, build_quotient_complex, check_npc
-from cubespec import hyperplane_engine
+from cubespec import complex_model, hyperplane_engine
 from cubespec.hyperplane_engine import (
     _star_witnesses,
     compute_hyperplanes,
@@ -326,17 +326,21 @@ class TestAgainstReference:
     @pytest.mark.parametrize(
         "faults", [(), ("triangle",), ("double_adjacency", "self_adjacency", "triangle")]
     )
-    def test_link_wider_than_a_machine_word(self, faults):
+    def test_link_wider_than_a_machine_word(self, faults, monkeypatch):
         # the link of O is a cycle on the tails of 70 spokes, with a loop at O
         # hanging off spoke 0, so O has 73 edge ends and masks past 64 bits.
         # The faults all sit in that link: spokes 2 and 3 glued twice (a
         # double adjacency), spoke 5 glued to itself (a self-adjacency) and
-        # spokes 66 and 68 glued (a triangle with 67, on bits past 64).
+        # spokes 66 and 68 glued (a triangle with 67, on bits past 64).  Only
+        # a complex that fails is split into its links.
         X = fan(70, faults)
         assert_like_reference(X)
+        split, calls = complex_model.link_corners, []
+        monkeypatch.setattr(complex_model, "link_corners", lambda ix: calls.append(1) or split(ix))
         report = check_npc(indexed(X))
         assert {f["kind"] for f in report.failures if f["vertex"] == "O"} == set(faults)
         assert report.passed == (not faults)
+        assert len(calls) == (1 if faults else 0)
 
     def test_union_of_two_one_sided_roots(self):
         # S1 and S2 each make a one-sided class, {a1} and {a2}: opposite sides
