@@ -15,11 +15,12 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _enc
-from typing import Iterator, Optional
+from typing import Optional
 
 from cubespec import __version__
 from cubespec.coeff_group import GroupParams
 from cubespec.incidence import DEFAULT_SIZE_CAP, SizeCapError, check_size_cap
+from cubespec.layout import Rows, pieces
 
 # complex_model, hyperplane_engine, verifier, algebra_tools and datetime
 # are imported inside the commands that use them: each command is its
@@ -37,52 +38,17 @@ EXIT_RESOURCE = 3
 BUILT_MARGIN = 2
 
 
-_ROWS_BATCH = 1024  # rows per piece of a list of string rows
+# one row of the bigon pairs of ``check``: four ids, laid out as a list item
+_BIGON_ROW = "    [\n" + ",\n".join(["      %s"] * 4) + "\n    ]"
 
 
-def _string_rows(value) -> bool:
-    """True for a non-empty list of string rows, all of one non-zero length."""
-    return (
-        type(value) is list
-        and {list}.issuperset(map(type, value))
-        and len(set(map(len, value))) == 1
-        and bool(value[0])
-        and {str}.issuperset(map(type, itertools.chain.from_iterable(value)))
-    )
+def _bigon_rows(pairs: list[list[str]]) -> Rows:
+    """The bigon pairs of ``check`` declared to the writer: rows of four quoted ids."""
 
+    def fields(lo: int, hi: int) -> tuple:
+        return tuple(map(_enc, itertools.chain.from_iterable(pairs[lo:hi])))
 
-def _pieces(doc: dict) -> Iterator[str]:
-    """The text ``json.dumps(doc, indent=2) + "\n"`` in pieces.
-
-    A top-level member whose value is a list of string rows, such as the
-    bigon pairs of ``check``, is laid out a batch of rows at a time from
-    one row template, its strings quoted by ``encode_basestring_ascii``
-    as ``json.dumps`` quotes them.  The rest of the document is one
-    ``json.dumps`` with null in place of each such list, cut where the
-    null stands: ``json.dumps`` escapes every newline inside a string, so
-    a line that starts with two spaces and a key is a top-level member.
-    One pure-Python encoder per document, as before, makes the same
-    garbage whatever the input.
-    """
-    rows = [key for key, value in doc.items() if _string_rows(value)]
-    text = json.dumps({key: None if key in rows else value for key, value in doc.items()}, indent=2)
-    at = 0
-    for key in rows:
-        value, mark = doc[key], f"\n  {_enc(key)}: "
-        cut = text.index(mark + "null", at) + len(mark)
-        yield text[at:cut]
-        yield "[\n"
-        row = "    [\n" + ",\n".join(["      %s"] * len(value[0])) + "\n    ]"
-        for lo in range(0, len(value), _ROWS_BATCH):
-            batch = value[lo : lo + _ROWS_BATCH]
-            yield ",\n" if lo else ""
-            yield ",\n".join([row] * len(batch)) % tuple(
-                map(_enc, itertools.chain.from_iterable(batch))
-            )
-        yield "\n  ]"
-        at = cut + len("null")
-    yield text[at:]
-    yield "\n"
+    return Rows(_BIGON_ROW, len(pairs), fields)
 
 
 def _stamp() -> dict:
@@ -99,9 +65,9 @@ def _emit(doc: dict, args) -> None:
         doc = {**doc, "stamp": _stamp()}
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(_pieces(doc))
+            fh.writelines(pieces(doc))
     elif args.json:
-        sys.stdout.writelines(_pieces(doc))
+        sys.stdout.writelines(pieces(doc))
 
 
 def _size_cap(args, default: Optional[int]) -> Optional[int]:
@@ -185,6 +151,7 @@ def cmd_check(args) -> int:
     report = interaction_report(ix, H, core)
     out = {"npc": npc.to_json()}
     out.update(report_to_json(ix, H, report))
+    out["bigon_pairs"] = _bigon_rows(report.bigon_pairs)
     out["clean"] = npc.passed and report.violation_count() == 0
     _emit(out, args)
     if not args.json:

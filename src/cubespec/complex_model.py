@@ -28,6 +28,7 @@ heights both branch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -35,7 +36,7 @@ import re
 from array import array
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _enc
-from typing import Iterator, NamedTuple, Optional, TextIO
+from typing import NamedTuple, Optional, TextIO
 
 from cubespec.coeff_group import Elem, GroupParams, identity
 from cubespec.incidence import (
@@ -48,6 +49,7 @@ from cubespec.incidence import (
     edge_endpoints,
     square_boundary,
 )
+from cubespec.layout import Rows, pieces
 
 
 class SpanError(ValueError):
@@ -106,24 +108,11 @@ class ComplexIndex(NamedTuple):
     tail: list[int]  # edge index -> vertex index
     head: list[int]
     sides: array  # four per square, 2*e + direction bit, held unboxed
+    ends: list[int]  # edge end -> its vertex: the head of e at 2*e, the tail at 2*e + 1
+    next_sides: array  # ``sides`` turned within each square: 4*s + n holds side (n + 1) % 4
     height: list[Optional[int]]  # vertex index -> height
     type: list[Optional[int]]  # edge index -> type
     params: Optional[GroupParams]
-
-    def ends(self) -> list[int]:
-        """Vertex of every edge end: head of e at ``2*e``, tail at ``2*e + 1``."""
-        out = [0] * (2 * len(self.edge_ids))
-        out[0::2] = self.head
-        out[1::2] = self.tail
-        return out
-
-    def next_sides(self) -> list[int]:
-        """``sides`` turned within each square: entry 4*s + n is side (n + 1) % 4."""
-        sides = self.sides
-        out = [0] * len(sides)
-        for n in range(4):
-            out[n::4] = sides[(n + 1) % 4::4]
-        return out
 
     def node(self, x: int) -> list[str]:
         """An edge end named as in documents: [edge id, "head" | "tail"]."""
@@ -163,17 +152,22 @@ def validate_complex(cells: Cells) -> ComplexIndex:
             if v not in v_index
         )
         raise ComplexFormatError(f"edges[{eid!r}]: unknown vertex {end!r}") from None
+    ends = [0] * (2 * len(e_ids))
+    ends[0::2], ends[1::2] = head, tail
     ix = ComplexIndex(
-        v_ids, e_ids, [square_ids[i] for i in s_order], tail, head, array("l"),
+        v_ids, e_ids, [square_ids[i] for i in s_order], tail, head, array("l"), ends, array("l"),
         [cells.heights[i] for i in v_order], [cells.types[i] for i in e_order], cells.params,
     )
-    ends, boundaries = ix.ends(), cells.boundaries
+    sides, after, boundaries = ix.sides, ix.next_sides, cells.boundaries
     try:
         if {4}.issuperset(map(len, boundaries)):
             flat = list(itertools.chain.from_iterable([boundaries[i] for i in s_order]))
             nodes = map(node.__getitem__, map(_EDGE_OF, flat))
-            ix.sides.extend(map(operator.add, nodes, map(_DIR_BIT.__getitem__, map(_DIR_OF, flat))))
-            if [ends[w] for w in ix.sides] == [ends[w ^ 1] for w in ix.next_sides()]:
+            sides.extend(map(operator.add, nodes, map(_DIR_BIT.__getitem__, map(_DIR_OF, flat))))
+            after.extend(sides)
+            for n in range(4):
+                after[n::4] = sides[(n + 1) % 4 :: 4]
+            if [ends[w] for w in sides] == [ends[w ^ 1] for w in after]:
                 return ix
     except (KeyError, TypeError):
         pass
@@ -285,11 +279,11 @@ def link_corners(ix: ComplexIndex) -> list[list[int]]:
     The link of v has the edge ends at v as nodes and one adjacency per
     square corner at v.  Corner c = 4*s + n follows side n of square s:
     it joins node ``sides[c]``, the end where side n stops, to node
-    ``next_sides()[c] ^ 1``, the end where the next side starts.  Each
+    ``next_sides[c] ^ 1``, the end where the next side starts.  Each
     vertex lists its corners in ascending c: sorted square order, then
     corner position.
     """
-    ends = ix.ends()
+    ends = ix.ends
     corners: list[list[int]] = [[] for _ in ix.vertex_ids]
     for c, side in enumerate(ix.sides):
         corners[ends[side]].append(c)
@@ -322,8 +316,7 @@ def check_npc(ix: ComplexIndex) -> NpcReport:
     once; only when that fails is each link tested on its own, and a
     link that fails walked corner by corner, to list its failures.
     """
-    sides, far = ix.sides, [x ^ 1 for x in ix.next_sides()]
-    ends = ix.ends()
+    sides, far, ends = ix.sides, [x ^ 1 for x in ix.next_sides], ix.ends
     rank = [0] * len(ix.vertex_ids)  # vertex -> ends given a bit so far
     bit = [0] * len(ends)
     for x, v in enumerate(ends):
@@ -404,11 +397,6 @@ def _link_failures(
 # JSON round trip
 
 
-def _members(obj: dict) -> str:
-    """Members of a top-level object, laid out by ``json.dumps(indent=2)``."""
-    return json.dumps(obj, indent=2)[2:-2]
-
-
 # record templates, laid out as ``json.dumps(indent=2)`` lays out a list item
 _VERTEX = '    {\n      "id": %s,\n      "height": %d\n    }'
 _EDGE = '    {\n      "id": %s,\n      "tail": %s,\n      "head": %s,\n      "type": %d\n    }'
@@ -417,7 +405,6 @@ _SQUARE = (  # the id, then the edge and dir of each of the four sides
     + ",\n".join(['        {\n          "edge": %s,\n          "dir": %s\n        }'] * 4)
     + "\n      ]\n    }"
 )
-_BATCH = 1024  # records per chunk of the document text
 
 
 def _interleave(cols: list, count: int) -> tuple:
@@ -441,43 +428,27 @@ def _fields(cells: Cells, section: str, lo: int, hi: int) -> tuple:
     return _interleave([ids, *(quoted[n::8] for n in range(8))], hi - lo)
 
 
-def _chunks(cells: Cells, stamp: Optional[dict]) -> Iterator[str]:
-    """The document text of ``cells`` in pieces, a batch of records at a time.
-
-    A batch is laid out by one ``%`` of its records' template, repeated,
-    over the fields of all its records.
-    """
-    params = cells.params
-    yield "{\n"
-    yield _members({"params": None if params is None else {"m": params.m, "k": params.k}})
-    sections = (
-        ("vertices", _VERTEX, len(cells.vertex_ids)),
-        ("edges", _EDGE, len(cells.edge_ids)),
-        ("squares", _SQUARE, len(cells.square_ids)),
-    )
-    for key, template, count in sections:
-        yield f',\n  "{key}": [' + ("\n" if count else "]")
-        for lo in range(0, count, _BATCH):
-            hi = min(lo + _BATCH, count)
-            yield ",\n".join([template] * (hi - lo)) % _fields(cells, key, lo, hi)
-            yield ",\n" if hi < count else "\n  ]"
-    if stamp is not None:
-        yield ",\n"
-        yield _members({"stamp": stamp})
-    yield "\n}\n"
-
-
 def complex_to_json(cells: Cells, out: TextIO, stamp: Optional[dict] = None) -> None:
     """Write the document of a built complex to the text stream ``out``.
 
     The text is ``json.dumps(doc, indent=2) + "\n"`` of the object with
     keys params, vertices, edges and squares, and then ``stamp`` when it
-    is given.  The records are in column order, each made from a
-    template with its ids quoted as ``json.dumps`` quotes them, so every
-    height and type must be an int, as in a build.  The text is written
-    a batch of records at a time, so the whole document is never held.
+    is given.  Each section is declared as ``Rows`` in column order, its
+    records made from a template, so every height and type must be an
+    int, as in a build.  The text is written a batch of records at a
+    time, so the whole document is never held.
     """
-    out.writelines(_chunks(cells, stamp))
+    params = cells.params
+    doc: dict = {"params": None if params is None else {"m": params.m, "k": params.k}}
+    for key, template, ids in (
+        ("vertices", _VERTEX, cells.vertex_ids),
+        ("edges", _EDGE, cells.edge_ids),
+        ("squares", _SQUARE, cells.square_ids),
+    ):
+        doc[key] = Rows(template, len(ids), functools.partial(_fields, cells, key))
+    if stamp is not None:
+        doc["stamp"] = stamp
+    out.writelines(pieces(doc))
 
 
 def _require(cond: bool, path: str, message: str) -> None:

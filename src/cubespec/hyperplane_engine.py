@@ -158,7 +158,7 @@ def square_corner_pairs(ix: ComplexIndex) -> set[int]:
     """Distinct edge pairs adjacent at some square corner, packed."""
     n = len(ix.edge_ids)
     return {
-        _pair(a >> 1, b >> 1, n) for a, b in zip(ix.sides, ix.next_sides()) if a >> 1 != b >> 1
+        _pair(a >> 1, b >> 1, n) for a, b in zip(ix.sides, ix.next_sides) if a >> 1 != b >> 1
     }
 
 
@@ -280,10 +280,10 @@ def interaction_report(
         c1, c2 = divmod(pair, n)
         crossed[o[c1]] |= 1 << o[c2]
         crossed[o[c2]] |= 1 << o[c1]
-    ends = ix.ends()
+    ends = ix.ends
     exempt = [0] * len(ends)  # edge end -> classes met at a corner
     adjacent: set[int] = set()  # packed pairs of edges with the same ends and a corner
-    for x, after in zip(sides, ix.next_sides()):
+    for x, after in zip(sides, ix.next_sides):
         a, b = x >> 1, after >> 1
         if mask is not None and not (mask[a] and mask[b]):
             continue

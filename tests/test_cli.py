@@ -617,8 +617,9 @@ class TestDeterminism:
 class TestWriter:
     """Every report is the text of ``json.dumps(doc, indent=2) + "\\n"``.
 
-    ``check`` lays its bigon pairs out from a row template, a batch of
-    1,024 rows at a time, and the rest of a report through ``json.dumps``.
+    ``check`` declares its bigon pairs as ``Rows``, which the writer lays
+    out from a row template a batch at a time, and every other member
+    goes through ``json.dumps``.
     """
 
     # (m, k, h) -> bigon pairs of `check` at the default margin over +-h
@@ -673,12 +674,12 @@ class TestWriter:
         self.assert_dumps_layout(out)
 
     def test_rows_written_without_a_second_copy(self, tmp_path):
-        # the parent's json.dumps held the whole text and its list of pieces,
-        # about 4.6 times the size of the text; the writer holds one batch
+        # one json.dumps of the report would hold the whole text and its list
+        # of pieces, about 4.6 times the size of the text; the writer holds one batch
         rows = [[f"e/{i}/1/0,0,0", f"e/{i}/2/0,0,0", f"v/{i}/0,0", f"v/{i + 1}/0,é"]
                 for i in range(40000)]
-        doc = {"classes": 1, "bigon_pairs": rows, "clean": True}
-        want = json.dumps(doc, indent=2) + "\n"
+        want = json.dumps({"classes": 1, "bigon_pairs": rows, "clean": True}, indent=2) + "\n"
+        doc = {"classes": 1, "bigon_pairs": cli._bigon_rows(rows), "clean": True}
         path = tmp_path / "report.json"
         args = argparse.Namespace(stamp=False, output=str(path), json=False)
         tracemalloc.start()

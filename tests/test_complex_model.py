@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cubespec import complex_model
 from cubespec.coeff_group import Elem, GroupParams, constant, identity, prefix, unit
 from cubespec.complex_model import (
-    _BATCH,
     Cells,
     ComplexFormatError,
     SpanError,
@@ -31,6 +30,7 @@ from cubespec.incidence import (
     edge_endpoints,
     square_boundary,
 )
+from cubespec.layout import BATCH
 from cubespec.verifier import core_coefficients
 
 from reference_impl import (
@@ -83,7 +83,7 @@ def named_links(X):
     """``link_corners`` of X by vertex id, each corner named (in node, out
     node, square id, corner), and the sorted distinct edges at each vertex."""
     ix = indexed(X)
-    after = ix.next_sides()
+    after = ix.next_sides
     corners = {
         ix.vertex_ids[v]: [
             (tuple(ix.node(ix.sides[c])), tuple(ix.node(after[c] ^ 1)), ix.square_ids[c >> 2], c % 4)
@@ -765,7 +765,7 @@ class TestWriter:
         X = records(cells)
         X.extra = {"stamp": stamp}
         assert text == record_complex_to_json(X)
-        if len(cells.edge_ids) > _BATCH:  # more than one batch of records
+        if len(cells.edge_ids) > BATCH:  # more than one batch of records
             assert max(map(len, chunks)) < len(text) / 2
 
     @pytest.mark.parametrize(
