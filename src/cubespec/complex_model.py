@@ -113,6 +113,7 @@ class ComplexIndex(NamedTuple):
     height: list[Optional[int]]  # vertex index -> height
     type: list[Optional[int]]  # edge index -> type
     params: Optional[GroupParams]
+    links: list  # ``link_masks`` of the view, made on first use
 
     def node(self, x: int) -> list[str]:
         """An edge end named as in documents: [edge id, "head" | "tail"]."""
@@ -156,7 +157,7 @@ def validate_complex(cells: Cells) -> ComplexIndex:
     ends[0::2], ends[1::2] = head, tail
     ix = ComplexIndex(
         v_ids, e_ids, [square_ids[i] for i in s_order], tail, head, array("l"), ends, array("l"),
-        [cells.heights[i] for i in v_order], [cells.types[i] for i in e_order], cells.params,
+        [cells.heights[i] for i in v_order], [cells.types[i] for i in e_order], cells.params, [],
     )
     sides, after, boundaries = ix.sides, ix.next_sides, cells.boundaries
     try:
@@ -290,6 +291,25 @@ def link_corners(ix: ComplexIndex) -> list[list[int]]:
     return corners
 
 
+def link_masks(ix: ComplexIndex) -> list[list[int]]:
+    """``[bit, nb]``: each edge end's rank among the ends at its vertex, as a bit, and the
+    mask of its neighbours in its link, so ends x, y meet at a square corner when
+    ``nb[x] & bit[y]``.  Made once per view, in ``ix.links``; kernels only read it."""
+    if not ix.links:
+        ends = ix.ends
+        rank = [0] * len(ix.vertex_ids)  # vertex -> ends given a bit so far
+        bit = [0] * len(ends)
+        for x, v in enumerate(ends):
+            bit[x] = 1 << rank[v]
+            rank[v] += 1
+        nb = [0] * len(ends)  # node -> its neighbours in its link
+        for a, after in zip(ix.sides, ix.next_sides):
+            nb[a] |= bit[after ^ 1]
+            nb[after ^ 1] |= bit[a]
+        ix.links.extend((bit, nb))
+    return ix.links
+
+
 class NpcReport(NamedTuple):
     passed: bool
     failures: list[dict]
@@ -306,26 +326,16 @@ def check_npc(ix: ComplexIndex) -> NpcReport:
     come in sorted order; within one, the first two kinds in corner
     order, then the triangles in sorted node order.
 
-    The links are decided on bitmasks.  Each edge end has a bit, its rank
-    among the ends at its vertex, and each node the mask of its
-    neighbours in its link, all filled in one pass over the corners.  A
-    link is simple exactly when its masks hold two bits per corner: a
+    The links are decided on the bitmasks of ``link_masks``.  A link is
+    simple exactly when its masks hold two bits per corner: a
     self-adjacency adds one, a repeated adjacency none.  A simple link
     has a triangle exactly when the two ends of some corner share a
     neighbour.  The masks are summed and met over the whole complex at
     once; only when that fails is each link tested on its own, and a
     link that fails walked corner by corner, to list its failures.
     """
-    sides, far, ends = ix.sides, [x ^ 1 for x in ix.next_sides], ix.ends
-    rank = [0] * len(ix.vertex_ids)  # vertex -> ends given a bit so far
-    bit = [0] * len(ends)
-    for x, v in enumerate(ends):
-        bit[x] = 1 << rank[v]
-        rank[v] += 1
-    nb = [0] * len(ends)  # node -> its neighbours in its link
-    for a, b in zip(sides, far):
-        nb[a] |= bit[b]
-        nb[b] |= bit[a]
+    sides, far = ix.sides, [x ^ 1 for x in ix.next_sides]
+    nb = link_masks(ix)[1]
     at = nb.__getitem__
     if sum(map(int.bit_count, nb)) == 2 * len(sides) and not any(
         map(operator.and_, map(at, sides), map(at, far))
@@ -344,11 +354,11 @@ def check_npc(ix: ComplexIndex) -> NpcReport:
 def _link_failures(
     ix: ComplexIndex, v: int, corners: list[int], sides: array, far: list[int]
 ) -> list[dict]:
-    """The failures of the link of vertex v, found corner by corner."""
+    """The failures of the link of vertex v: adjacencies corner by corner, triangles on masks."""
+    bit, masks = link_masks(ix)
     failures: list[dict] = []
     n_nodes = 2 * len(ix.edge_ids)
     seen: dict[int, int] = {}  # packed node pair -> first square
-    neighbours: dict[int, set[int]] = {}
     for c in corners:
         na, nb = sides[c], far[c]
         if na == nb:
@@ -374,22 +384,19 @@ def _link_failures(
             )
         else:
             seen[key] = c >> 2
-        neighbours.setdefault(na, set()).add(nb)
-        neighbours.setdefault(nb, set()).add(na)
-    for na in sorted(neighbours):
-        around = neighbours[na]
-        for nb in sorted(around):
-            if nb <= na:
-                continue
-            for nc in sorted(around & neighbours[nb]):
-                if nc > nb:
-                    failures.append(
-                        {
-                            "kind": "triangle",
-                            "vertex": ix.vertex_ids[v],
-                            "nodes": [ix.node(na), ix.node(nb), ix.node(nc)],
-                        }
-                    )
+    nodes = sorted({*(sides[c] for c in corners), *(far[c] for c in corners)})
+    for i, na in enumerate(nodes):  # a self-adjacency is in no triangle: the nodes ascend
+        for j, nb in enumerate(nodes[i + 1:], i + 1):
+            if masks[na] & bit[nb]:
+                for nc in nodes[j + 1:]:
+                    if masks[na] & masks[nb] & bit[nc]:
+                        failures.append(
+                            {
+                                "kind": "triangle",
+                                "vertex": ix.vertex_ids[v],
+                                "nodes": [ix.node(na), ix.node(nb), ix.node(nc)],
+                            }
+                        )
     return failures
 
 

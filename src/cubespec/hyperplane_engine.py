@@ -13,10 +13,10 @@ exactly when some parallelism cycle has odd parity.  A class is named by
 its least member edge.
 
 Osculation is evaluated on pairs of distinct edges sharing a vertex, and
-the exempting "adjacent in some square" clause is checked globally over
-all squares.  A pair of edges sharing both endpoints is flagged; each
-shared vertex counts as an independent witness.  Edge pairs and class
-pairs are packed as ``a * E + b`` with a <= b, for E edges.
+the exempting "adjacent in some square" clause is read off the one corner
+relation of ``link_masks``.  A pair of edges sharing both endpoints is
+flagged; each shared vertex counts as an independent witness.  Edge pairs
+and class pairs are packed as ``a * E + b`` with a <= b, for E edges.
 
 Each vertex star is decided on bitmasks over the classes; witnesses are
 listed only where a star repeats a class or osculates with a crossing one.
@@ -24,9 +24,9 @@ listed only where a star repeats a class or osculates with a crossing one.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from cubespec.complex_model import ComplexIndex
+from cubespec.complex_model import ComplexIndex, link_masks
 
 
 class HyperplanePartition(NamedTuple):
@@ -154,38 +154,46 @@ def _pair(a: int, b: int, n: int) -> int:
     return a * n + b if a <= b else b * n + a
 
 
-def square_corner_pairs(ix: ComplexIndex) -> set[int]:
-    """Distinct edge pairs adjacent at some square corner, packed."""
-    n = len(ix.edge_ids)
-    return {
-        _pair(a >> 1, b >> 1, n) for a, b in zip(ix.sides, ix.next_sides) if a >> 1 != b >> 1
-    }
+def _corners(ix: ComplexIndex, core: Optional[Core]) -> tuple[Callable, list[list[str]]]:
+    """``star_masks(v, edges)``, the square corners read per vertex star, and the bigons.
 
-
-def _bigon_pairs(ix: ComplexIndex, adjacent: set[int], core: Optional[Core]) -> list[list[str]]:
-    """[e, f, lower, higher] for each pair of edges e < f that osculate at
-    both of their two ends, both in the core if one is given.
-
-    Only distinct edges with the same two ends can, and the corner
-    exemption and core membership do not depend on the vertex, so such
-    a pair osculates at both ends or at neither: at neither if it is in
-    ``adjacent``.  Sorted by (higher, e, f), the witness order.
+    Each edge of the star at v gets the ``link_masks`` rank bits of its ends there
+    (two for a loop) and the bits they meet at a corner: e, f are adjacent in some
+    square exactly when what e meets holds a bit of f.  Two distinct core edges with
+    the same two ends that meet at a corner at one end are exempted at both; if at
+    neither, they are a bigon [e, f, lower, higher], e < f, sorted by (higher, e, f).
     """
-    n, n_v = len(ix.edge_ids), len(ix.vertex_ids)
+    bit, nb = link_masks(ix)
+    n_v, ends = len(ix.vertex_ids), ix.ends
     parallel: dict[int, list[int]] = {}  # packed ends -> edges, ascending
     for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
         if t != h and (core is None or core.mask[e]):
             parallel.setdefault(_pair(t, h, n_v), []).append(e)
+    twin: dict[int, int] = {}  # edge end -> the bits met at the far end of parallel edges
     found = []
-    for ends, edges in parallel.items():
-        lower, higher = divmod(ends, n_v)
-        for i, e in enumerate(edges):
-            for f in edges[i + 1:]:
-                if e * n + f not in adjacent:
+    for packed, edges in parallel.items():
+        lower, higher = divmod(packed, n_v)
+        at = [2 * e + (ends[2 * e] != lower) for e in edges] if len(edges) > 1 else []
+        for i, (e, x) in enumerate(zip(edges, at)):  # x: the end of e at lower
+            for f, y in zip(edges[i + 1:], at[i + 1:]):
+                if nb[x] & bit[y] or nb[x ^ 1] & bit[y ^ 1]:
+                    for a, b in ((x, y), (y, x), (x ^ 1, y ^ 1), (y ^ 1, x ^ 1)):
+                        twin[a] = twin.get(a, 0) | bit[b]
+                else:
                     found.append((higher, e, f, lower))
     found.sort()
     eids, vids = ix.edge_ids, ix.vertex_ids
-    return [[eids[e], eids[f], vids[lo], vids[hi]] for hi, e, f, lo in found]
+
+    def star_masks(v: int, edges: list[int]) -> tuple[list[int], list[int]]:
+        bits, near = [], []
+        for e in edges:
+            x = 2 * e + (ends[2 * e] != v)  # its head, unless only its tail is at v
+            loop = ends[x ^ 1] == v
+            bits.append(bit[x] | (bit[x ^ 1] if loop else 0))
+            near.append(nb[x] | (nb[x ^ 1] if loop else twin.get(x, 0)))
+        return bits, near
+
+    return star_masks, [[eids[e], eids[f], vids[lo], vids[hi]] for hi, e, f, lo in found]
 
 
 def iter_osculations(
@@ -196,8 +204,8 @@ def iter_osculations(
     The star of v is its incident edges, in the core if one is given,
     ascending; a loop is in it once.  Vertices come in ascending order.
     Its osculation witnesses are its pairs e < f that no square has as
-    adjacent sides; ``interaction_report`` decides a star on class masks
-    and lists them, by ``_star_witnesses``, only where the masks fail.
+    adjacent sides, which ``_star_witnesses`` lists; ``interaction_report``
+    decides a star on class masks and lists them only where the masks fail.
     """
     incident: list[list[int]] = [[] for _ in ix.vertex_ids]
     for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
@@ -211,13 +219,12 @@ def iter_osculations(
 
 
 def _star_witnesses(
-    v: int, edges: list[int], corner_pairs: set[int], n: int
+    v: int, edges: list[int], bits: list[int], near: list[int]
 ) -> Iterator[tuple[int, int, int]]:
-    """(e, f, v) for each pair e < f of the star at v, ascending, not in ``corner_pairs``."""
-    for i, e in enumerate(edges):
-        base = e * n
-        for f in edges[i + 1:]:
-            if base + f not in corner_pairs:
+    """(e, f, v) for each pair e < f of the star at v, ascending, that meets at no corner."""
+    for i, (e, met) in enumerate(zip(edges, near)):
+        for f, b in zip(edges[i + 1:], bits[i + 1:]):
+            if not met & b:
                 yield e, f, v
 
 
@@ -243,13 +250,12 @@ def interaction_report(
     1), one-sided classes (2), same-class osculation (3), and class pairs
     that both cross and osculate (4).
 
-    Osculation is decided per vertex on bitmasks over the classes.  An
-    edge end holds the classes of the core edges that meet it at a square
-    corner (for two edges with the same ends, at either end).  Where a
-    star holds each class once, the star less an edge's class and mask is
-    what the edge osculates with; if none of that crosses the edge's
-    class, only the vertex's new class pairs are named.  Other vertices
-    are walked witness by witness, against one ``square_corner_pairs``.
+    Osculation is decided per vertex on bitmasks over the classes, none of
+    them held per edge end.  Where a star holds each class once, each rank
+    bit of its star masks names a class, and the star less an edge's class
+    and the classes it meets at a square corner is what the edge osculates
+    with; if none of that crosses the edge's class, only the vertex's new
+    class pairs are named.  Other vertices are walked witness by witness.
     """
     n = len(ix.edge_ids)
     eids, vids, sids = ix.edge_ids, ix.vertex_ids, ix.square_ids
@@ -280,33 +286,22 @@ def interaction_report(
         c1, c2 = divmod(pair, n)
         crossed[o[c1]] |= 1 << o[c2]
         crossed[o[c2]] |= 1 << o[c1]
-    ends = ix.ends
-    exempt = [0] * len(ends)  # edge end -> classes met at a corner
-    adjacent: set[int] = set()  # packed pairs of edges with the same ends and a corner
-    for x, after in zip(sides, ix.next_sides):
-        a, b = x >> 1, after >> 1
-        if mask is not None and not (mask[a] and mask[b]):
-            continue
-        y = after ^ 1  # the corner joins end x of a to end y of b
-        bit_a, bit_b = 1 << o[a], 1 << o[b]
-        exempt[x] |= bit_b
-        exempt[y] |= bit_a
-        if ends[x ^ 1] == ends[y ^ 1]:
-            exempt[x ^ 1] |= bit_b
-            exempt[y ^ 1] |= bit_a
-            adjacent.add(_pair(a, b, n))
+    star_masks, bigons = _corners(ix, core)
     seen = [0] * len(ordinal)  # class ordinal -> the classes it osculates with so far
     osculations: dict[int, tuple[int, int, int]] = {}
-    corner_pairs = None
     for v, edges in iter_osculations(ix, core):
-        bits = [1 << o[e] for e in edges]
-        star = sum(bits)  # as many bits as edges exactly when the classes differ
-        if star.bit_count() == len(edges):
-            free = [  # the classes e osculates with at v; a loop has both ends here
-                star & ~(b | (exempt[2 * e] if ends[2 * e] == v else 0)
-                         | (exempt[2 * e + 1] if ends[2 * e + 1] == v else 0))
-                for e, b in zip(edges, bits)
-            ]
+        bits, near = star_masks(v, edges)
+        classes = [1 << o[e] for e in edges]
+        star, ranks = sum(classes), sum(bits)  # as many class bits as edges when the classes differ
+        if star.bit_count() == len(edges):  # each rank bit (two for a loop) names one class
+            of_rank = {r: c for b, c in zip(bits, classes) for r in (b & -b, b & (b - 1) or b)}
+            free = []  # the classes e osculates with at v
+            for c, met in zip(classes, near):
+                met &= ranks  # the edges of the star that e meets at a corner
+                while met:
+                    c |= of_rank[met & -met]
+                    met &= met - 1
+                free.append(star & ~c)
             if not any(w & crossed[o[e]] for e, w in zip(edges, free)):
                 for i, (e, w) in enumerate(zip(edges, free)):
                     new = w & ~seen[o[e]]
@@ -316,9 +311,7 @@ def interaction_report(
                             if new >> o[f] & 1:
                                 osculations[_pair(rep[e], rep[f], n)] = (e, f, v)
                 continue
-        if corner_pairs is None:
-            corner_pairs = square_corner_pairs(ix)
-        for e, f, _ in _star_witnesses(v, edges, corner_pairs, n):
+        for e, f, _ in _star_witnesses(v, edges, bits, near):
             ce, cf = rep[e], rep[f]
             pair = ce * n + cf if ce <= cf else cf * n + ce  # _pair, inlined per witness
             if pair not in osculations:
@@ -343,7 +336,6 @@ def interaction_report(
         "inter_osc": inter_osc,
     }
     span = None if core is None else core.span
-    bigons = _bigon_pairs(ix, adjacent, core)
     return InteractionReport(crossings, osculations, violations, bigons, span)
 
 

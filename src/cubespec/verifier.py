@@ -683,13 +683,13 @@ def cross_validate(
     # the geometric route is imported here, so that a plain ``verify``,
     # which runs the certificates alone, does not load it
     from cubespec.hyperplane_engine import (
+        _corners,
         _pair,
         _star_witnesses,
         compute_hyperplanes,
         core_edges,
         interaction_report,
         iter_osculations,
-        square_corner_pairs,
     )
 
     params = ix.params
@@ -705,7 +705,7 @@ def cross_validate(
         raise ValueError(f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]")
     n, eids, vids = len(ix.edge_ids), ix.edge_ids, ix.vertex_ids
     H = compute_hyperplanes(ix)
-    report = interaction_report(ix, H, core)  # first: its masks are gone before the corner set
+    report = interaction_report(ix, H, core)
     cc = core_coefficients(ix, core)
 
     by_class: dict[int, set] = {}
@@ -739,9 +739,9 @@ def cross_validate(
             findings.append(
                 {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}
             )
-    corner_pairs = square_corner_pairs(ix)
-    for star in iter_osculations(ix, core):
-        for e, f, v in _star_witnesses(*star, corner_pairs, n):
+    star_masks = _corners(ix, core)[0]
+    for v, edges in iter_osculations(ix, core):
+        for e, f, _ in _star_witnesses(v, edges, *star_masks(v, edges)):
             got = classify_osculation(cc, e, f, v)
             case_id = got["case_id"]
             if case_id == "unmatched":

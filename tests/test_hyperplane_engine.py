@@ -1,11 +1,13 @@
+import gc
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from cubespec.coeff_group import GroupParams
-from cubespec.complex_model import build_quotient_complex
+from cubespec.complex_model import build_quotient_complex, validate_complex
 from cubespec.hyperplane_engine import (
     compute_hyperplanes,
     core_edges,
@@ -31,7 +33,7 @@ from reference_impl import (
     revalidate_osculation,
 )
 from reference_impl import complex_from_json as record_complex_from_json
-from test_integer_kernels import corner_sets_made
+from test_integer_kernels import fallback_stars
 
 P42 = GroupParams(4, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
@@ -255,16 +257,16 @@ class TestBuiltComplexChecks:
         assert rep.osculations == {}
         assert rep.violation_count() == 0
 
-    @pytest.mark.parametrize("m, k, h, corner_sets", [(4, 3, 8, 0), (3, 3, 6, 1)])
-    def test_clean_core_decided_without_corner_set(self, m, k, h, corner_sets, monkeypatch):
-        # a clean core never reaches the witness walk, so it makes no corner set;
-        # an m = 3 core has findings and makes one, however many vertices hold them
+    @pytest.mark.parametrize("m, k, h, walked", [(4, 3, 8, 0), (3, 3, 6, 63)])
+    def test_clean_core_walks_no_star(self, m, k, h, walked, monkeypatch):
+        # a clean core never reaches the witness walk; an m = 3 core has findings
+        # and walks exactly the stars that hold them
         ix = indexed(records(build_quotient_complex(GroupParams(m, k), -h, h)))
         H, core = compute_hyperplanes(ix), core_edges(ix, 2 - h, h - 2)
-        calls = corner_sets_made(monkeypatch)
+        stars = fallback_stars(monkeypatch)
         rep = interaction_report(ix, H, core)
-        assert len(calls) == corner_sets
-        assert (rep.violation_count() == 0) == (corner_sets == 0)
+        assert len(stars) == walked
+        assert (rep.violation_count() == 0) == (walked == 0)
         assert rep.osculations
 
     def test_core_needs_heights(self):
@@ -295,6 +297,34 @@ class TestBuiltComplexChecks:
             assert revalidate_osculation(X, e, f, v)
         for pair, sid in sorted(rep.crossings.items())[::7]:
             assert revalidate_crossing(X, H, pair[0], pair[-1], sid)
+
+
+def transient_bytes_per_end(m, k, h):
+    """Bytes per edge end that ``interaction_report`` holds at its peak over
+    what its report keeps, on the clean core 2 inside [-h, h], from a view
+    without its link masks."""
+    ix = validate_complex(build_quotient_complex(GroupParams(m, k), -h, h))
+    H, core = compute_hyperplanes(ix), core_edges(ix, 2 - h, h - 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = interaction_report(ix, H, core)
+        peak = tracemalloc.get_traced_memory()[1]
+        ix.links.clear()  # the view keeps the link masks made in the call; the report does not
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.violation_count() == 0 and kept > base
+    return (peak - kept) / len(ix.ends)
+
+
+def test_report_memory_does_not_grow_with_the_classes():
+    # (7,2) has 2.3 times the classes of (6,2), and 17 edge ends a vertex to 14.
+    # Masks over the classes held per edge end grow with the class count (they
+    # went 84 -> 99 B/end); the rank bits per end and the masks per class do not.
+    low, high = transient_bytes_per_end(6, 2, 3), transient_bytes_per_end(7, 2, 3)
+    assert high < 1.05 * low, (low, high)
 
 
 def brute_force_bigons(X, core):

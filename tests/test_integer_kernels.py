@@ -22,12 +22,12 @@ from cubespec.coeff_group import GroupParams
 from cubespec.complex_model import ComplexFormatError, build_quotient_complex, check_npc
 from cubespec import complex_model, hyperplane_engine
 from cubespec.hyperplane_engine import (
+    _corners,
     _star_witnesses,
     compute_hyperplanes,
     core_edges,
     interaction_report,
     iter_osculations,
-    square_corner_pairs,
 )
 
 from reference_impl import Edge, Square, SquareComplex, Vertex, indexed, records
@@ -63,26 +63,26 @@ def assert_like_reference(X: SquareComplex, span=None) -> None:
     assert got.core == want.core
 
 
-def corner_sets_made(monkeypatch) -> list:
-    """Calls of ``square_corner_pairs`` from here on, one entry each."""
-    made, calls = hyperplane_engine.square_corner_pairs, []
+def fallback_stars(monkeypatch) -> list:
+    """The vertex of every star walked witness by witness from here on, in order."""
+    walk, stars = hyperplane_engine._star_witnesses, []
 
-    def counted(ix):
-        calls.append(1)
-        return made(ix)
+    def counted(v, *rest):
+        stars.append(v)
+        return walk(v, *rest)
 
-    monkeypatch.setattr(hyperplane_engine, "square_corner_pairs", counted)
-    return calls
+    monkeypatch.setattr(hyperplane_engine, "_star_witnesses", counted)
+    return stars
 
 
 def star_witnesses(ix, core=None) -> list[tuple[str, str, str]]:
     """The witnesses of every vertex star of ix, named by id, in walk order."""
-    corner_pairs, n = square_corner_pairs(ix), len(ix.edge_ids)
+    star_masks = _corners(ix, core)[0]
     eids, vids = ix.edge_ids, ix.vertex_ids
     return [
         (eids[e], eids[f], vids[v])
-        for star in iter_osculations(ix, core)
-        for e, f, v in _star_witnesses(*star, corner_pairs, n)
+        for v, edges in iter_osculations(ix, core)
+        for e, f, _ in _star_witnesses(v, edges, *star_masks(v, edges))
     ]
 
 
@@ -267,13 +267,19 @@ class TestAgainstReference:
          (4, 2, 2, 0), (4, 3, 2, 0), (4, 4, 2, 0), (5, 3, 2, 0)],
     )
     def test_build_core(self, m, k, margin, walked, monkeypatch):
-        # a core with violations is walked at the vertices that hold them, against
-        # one corner set; a clean core is decided on the class masks alone
+        # a core with violations is walked at the vertices that hold them, and
+        # only there; a clean core is decided on the class masks alone
         span = k + 2
         X = records(build_quotient_complex(GroupParams(m, k), -span, span))
-        calls = corner_sets_made(monkeypatch)
         assert_like_reference(X, (margin - span, span - margin))
-        assert len(calls) == walked
+        ix = indexed(X)
+        stars = fallback_stars(monkeypatch)
+        report = interaction_report(
+            ix, compute_hyperplanes(ix), core_edges(ix, margin - span, span - margin)
+        )
+        held = {w["vertex"] for key in ("self_osc", "inter_osc") for w in report.violations[key]}
+        assert sorted(ix.vertex_ids[v] for v in stars) == sorted(held)
+        assert bool(stars) == bool(walked)
 
     def test_parallel_edges_adjacent_at_one_end(self, monkeypatch):
         # a and b run from u to w and meet at a corner only at u; the clause
@@ -285,9 +291,9 @@ class TestAgainstReference:
         for eid, tail, head in (("a", "u", "w"), ("b", "u", "w"), ("c", "w", "z"), ("d", "z", "w")):
             X.edges[eid] = Edge(eid, tail, head)
         X.squares["S"] = Square("S", (("b", "-"), ("a", "+"), ("c", "+"), ("d", "+")))
-        calls = corner_sets_made(monkeypatch)
+        stars = fallback_stars(monkeypatch)
         assert_like_reference(X, (0, 1))
-        assert calls == []
+        assert stars == []
         ix = indexed(X)
         report = interaction_report(ix, compute_hyperplanes(ix), core_edges(ix, 0, 1))
         assert report.osculations == {} and report.bigon_pairs == []
@@ -302,9 +308,9 @@ class TestAgainstReference:
         for eid, tail, head in (("e", "v", "v"), ("g", "v", "w"), ("f", "w", "x"), ("h", "x", "v")):
             X.edges[eid] = Edge(eid, tail, head)
         X.squares["S"] = Square("S", (("e", "-"), ("g", "+"), ("f", "+"), ("h", "+")))
-        calls = corner_sets_made(monkeypatch)
+        stars = fallback_stars(monkeypatch)
         assert_like_reference(X, (0, 1))
-        assert calls == []
+        assert stars == []
         assert_like_reference(X)
 
     def test_two_edges_of_one_class_at_a_vertex(self, monkeypatch):
@@ -316,10 +322,10 @@ class TestAgainstReference:
         for eid, tail, head in (("a", "u", "w"), ("c", "w", "z"), ("b", "z", "w"), ("d", "w", "u")):
             X.edges[eid] = Edge(eid, tail, head)
         X.squares["S"] = Square("S", (("a", "+"), ("c", "+"), ("b", "+"), ("d", "+")))
-        calls = corner_sets_made(monkeypatch)
+        stars = fallback_stars(monkeypatch)
         assert_like_reference(X)
-        assert len(calls) == 1
         ix = indexed(X)
+        assert [ix.vertex_ids[v] for v in stars] == ["w"]
         report = interaction_report(ix, compute_hyperplanes(ix))
         assert {"class": "a", "edges": ["a", "b"], "vertex": "w"} in report.violations["self_osc"]
 
