@@ -87,11 +87,11 @@ def _params(args) -> GroupParams:
     return GroupParams(args.m, args.k)
 
 
-def _read_text(path: str) -> str:
-    """The text of a UTF-8 file; a decode error names the file."""
+def _read_file(path: str, read):
+    """``read`` of a UTF-8 file open as text; a decode error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return read(fh)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -129,7 +129,7 @@ def cmd_check(args) -> int:
         report_to_json,
     )
 
-    ix = complex_from_json(_read_text(args.input))  # the loader drops the text once it is read
+    ix = _read_file(args.input, complex_from_json)  # read a block at a time, never whole
     heights = ix.height
     margin = args.margin
     if margin is None:
@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
 def _read_matrix(path: str):
     from cubespec.algebra_tools import IntMatrix
 
-    text = _read_text(path)
+    text = _read_file(path, lambda fh: fh.read())
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:

@@ -4,9 +4,10 @@ A square complex is a set of vertices, directed edges and squares whose
 boundaries are closed walks of four directed edges, keyed by id.  It
 comes in two forms.  ``Cells`` lists it in document order, one column
 per field: ``build_quotient_complex`` makes it, ``complex_to_json``
-writes it to a text stream, and ``complex_from_json`` reads it back out
-of the document text, record by record; ``json.loads`` runs only to
-name the fault of a text that this reader does not take.
+writes it to a text stream, and ``complex_from_json`` reads it back from
+a text stream, a block at a time and record by record, so the whole
+text is never held; ``json.loads`` runs only to name the fault of a
+text that this reader does not take.
 ``validate_complex`` checks the incidences of the columns once and
 numbers the cells in sorted-id order.  That gives the ``ComplexIndex``
 on which the curvature check and the kernels of ``hyperplane_engine``
@@ -479,7 +480,7 @@ def _sweep(cols: list[list], last: list, optional: Optional[str]) -> bool:
     (edge, dir) sides.  True when every string field is a string, the
     ids are unique, and every optional field is an int or None or every
     boundary has four sides, each with a string edge and a dir of '+' or
-    '-'.  An unhashable dir raises ``TypeError``.
+    '-'.
     """
     ok = {str}.issuperset(map(type, itertools.chain(*cols))) and len(set(cols[0])) == len(last)
     if optional:
@@ -533,22 +534,79 @@ def _params(raw) -> Optional[GroupParams]:
 _DECODER = json.JSONDecoder()
 _WS = json.decoder.WHITESPACE.match
 _NEXT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|(\]))").match
+_BLOCK = 1 << 16  # characters read from the stream at a time
+_LOOKAHEAD = 1 << 14  # unread characters kept ahead of each record
 
 
-class _Unread(Exception):
-    """A section value that the reader cannot make columns of."""
+def _space(text: str, pos: int) -> tuple:
+    return None, _WS(text, pos).end()
+
+
+def _separator(text: str, pos: int) -> tuple:
+    """Whether the comma or closing bracket at ``pos`` closes the array, and the end."""
+    after = _NEXT(text, pos)
+    if after is None:
+        raise ValueError("expected ',' or ']'")
+    return after.lastindex, after.end()
+
+
+class _Window:
+    """The part of a text stream that is read and not yet taken.
+
+    ``text`` holds what has been read, and ``pos`` is where the taken
+    part ends; ``eof`` is true once the stream has no more.
+    """
+
+    def __init__(self, stream: TextIO):
+        self.stream, self.text, self.pos, self.eof = stream, "", 0, False
+
+    def read(self) -> None:
+        """Drop the taken text and read a block, or as much as is unread if that is more."""
+        chunk = self.stream.read(max(_BLOCK, len(self.text) - self.pos))
+        self.text, self.pos, self.eof = self.text[self.pos :] + chunk, 0, not chunk
+
+    def limit(self) -> int:
+        """The position past which less than the lookahead is unread."""
+        return len(self.text) if self.eof else len(self.text) - _LOOKAHEAD
+
+    def take(self, scan):
+        """The value that ``scan(text, pos) -> (value, end)`` finds at ``pos``; step past it.
+
+        A value that fails to decode, or that ends less than three
+        characters before the read text ends, may go on in the stream
+        (a number cut at "1" of "1.5" or "1e+5"): it is scanned again on
+        twice the text, until the stream ends and the last failure raises.
+        """
+        while True:
+            try:
+                value, end = scan(self.text, self.pos)
+                if end + 2 < len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+            except (StopIteration, ValueError):
+                if self.eof:
+                    raise
+            self.read()
+
+    def skip(self, char: str) -> bool:
+        """Step over whitespace, then over ``char`` if it comes next."""
+        self.take(_space)
+        found = self.text[self.pos : self.pos + 1] == char
+        self.pos += found
+        return found
 
 
 def _square_row(rec: dict, share) -> tuple:
-    """A square's id and its sides as (edge, dir) pairs, each edge id shared."""
+    """A square's id and its four (edge, dir) sides, each side and edge id shared.
+
+    Sharing hashes every side, so an unhashable edge or dir raises
+    ``TypeError`` here, before the sweep.
+    """
     a, b, c, d = rec["boundary"]  # raises unless four sides, which the sweep needs
     ea, eb, ec, ed = a["edge"], b["edge"], c["edge"], d["edge"]
-    return rec["id"], (
-        (share(ea, ea), a["dir"]),
-        (share(eb, eb), b["dir"]),
-        (share(ec, ec), c["dir"]),
-        (share(ed, ed), d["dir"]),
-    )
+    sa, sb = (share(ea, ea), a["dir"]), (share(eb, eb), b["dir"])
+    sc, sd = (share(ec, ec), c["dir"]), (share(ed, ed), d["dir"])
+    return rec["id"], (share(sa, sa), share(sb, sb), share(sc, sc), share(sd, sd))
 
 
 # section -> the fields of one record that the loader reads, the ids first
@@ -559,82 +617,94 @@ _ROW = {
 }
 
 
-def _read_section(text: str, pos: int, section: str, names: dict) -> tuple[list[list], int]:
-    """The fields of the records in the array at ``pos`` and the position past it.
+def _read_section(win: _Window, section: str, names: dict) -> Optional[list[list]]:
+    """The fields of the records in the array at the window, or None when it is unread.
 
     Records are decoded one at a time, and only their fields are kept,
     a square's sides as (edge, dir) pairs.  The names of vertices and
     edges, which other records repeat, are held once, as the string
-    that ``names`` maps each to.  Raises ``_Unread`` when the value is
-    not an array or its records fail the sweep, and ``KeyError``,
-    ``TypeError`` or ``ValueError`` when a record lacks a field.
+    that ``names`` maps each to, and so is each (edge, dir) side.  The
+    window is left past the value, read or not.  None when the value is
+    not an array, a record lacks a field, or the records fail the
+    sweep; a decode error raises.
     """
     _, strings, optional = _SCHEMA[section]
-    if text[pos : pos + 1] != "[":
-        raise _Unread
     row, share, scan, rows = _ROW[section], names.setdefault, _DECODER.scan_once, []
-    pos = _WS(text, pos + 1).end()
-    if text[pos : pos + 1] == "]":
-        pos += 1
-    else:
-        while True:
-            rec, pos = scan(text, pos)
-            rows.append(row(rec, share))
-            after = _NEXT(text, pos)  # a comma or the closing bracket
-            if after is None:
-                raise _Unread
-            pos = after.end()
-            if after.lastindex:
-                break
+    if not win.skip("["):
+        win.take(scan)
+        return None
+    if not win.skip("]"):
+        text, pos, limit, closed = win.text, win.pos, win.limit(), None
+        while not closed:
+            if pos > limit:
+                win.pos = pos
+                win.read()
+                text, pos, limit = win.text, 0, win.limit()
+            after = None
+            try:
+                rec, end = scan(text, pos)
+                after = _NEXT(text, end)  # a comma or the closing bracket
+            except (StopIteration, ValueError):
+                pass
+            if after is None:  # the record or what follows it may go on past the read text
+                win.pos = pos
+                win.take(_space)
+                rec = win.take(scan)
+                closed = win.take(_separator)
+                text, pos, limit = win.text, win.pos, win.limit()
+            else:
+                closed, pos = after.lastindex, after.end()
+            if rows is not None:
+                try:
+                    rows.append(row(rec, share))
+                except (KeyError, TypeError, ValueError):
+                    rows = None  # unread: the rest of the array is stepped over
+        win.pos = pos
+    if rows is None:
+        return None
     cols = [list(col) for col in zip(*rows)] or [[] for _ in range(len(strings) + 1)]
     del rows
     if not _sweep(cols[:-1], cols[-1], optional):
-        raise _Unread
+        return None
     if section != "squares":
         cols[:-1] = [list(map(share, col, col)) for col in cols[:-1]]
-    return cols, pos
+    return cols
 
 
-def _read_columns(text: str) -> Optional[Cells]:
-    """The columns of a document text, or None when the text has a fault.
+def _read_columns(stream: TextIO) -> Optional[Cells]:
+    """The columns of the document in a text stream, or None when the text has a fault.
 
-    The top level is walked key by key and each section record by
-    record, so no record outlives the reading of its fields.  A repeated
-    key keeps its last value, as in ``json.loads``.  A section value that
-    cannot be made into columns is skipped as unread, so the reader
-    takes every valid document.  None when a section is missing or its
-    last value is unread (not a list, or a record that fails the sweep),
-    for a top level that is not an object, invalid ``params``, trailing
+    The stream is read a block at a time, the top level key by key and
+    each section record by record, so neither the whole text nor a
+    record outlives the reading of its fields.  A repeated key keeps its
+    last value, as in ``json.loads``.  A section value that cannot be
+    made into columns is stepped over as unread, so the reader takes
+    every valid document.  None when a section is missing or its last
+    value is unread (not a list, or a record that fails the sweep), for
+    a top level that is not an object, invalid ``params``, trailing
     data, a BOM, or any decode error.
     """
-    found: dict = {}
-    names: dict = {}
+    win, found, names = _Window(stream), {}, {}
     try:
-        pos = _WS(text, 0).end()
-        if text[pos : pos + 1] != "{":
+        if not win.skip("{"):
             return None
-        pos = _WS(text, pos + 1).end()
         while True:
-            if text[pos : pos + 1] != '"':
+            if not win.skip('"'):
                 return None
-            key, pos = scanstring(text, pos + 1)
-            pos = _WS(text, pos).end()
-            if text[pos : pos + 1] != ":":
+            key = win.take(scanstring)
+            if not win.skip(":"):
                 return None
-            pos = _WS(text, pos + 1).end()
-            if key not in _SCHEMA:
-                found[key], pos = _DECODER.scan_once(text, pos)
+            win.take(_space)
+            if key in _SCHEMA:
+                found[key] = _read_section(win, key, names)
             else:
-                try:
-                    found[key], pos = _read_section(text, pos, key, names)
-                except (_Unread, KeyError, TypeError, ValueError):
-                    # unread; a decode error raises again in the rescan
-                    found[key], pos = None, _DECODER.scan_once(text, pos)[1]
-            pos = _WS(text, pos).end()
-            if text[pos : pos + 1] != ",":
+                found[key] = win.take(_DECODER.scan_once)
+            if not win.skip(","):
                 break
-            pos = _WS(text, pos + 1).end()
-        if text[pos : pos + 1] != "}" or _WS(text, pos + 1).end() != len(text):
+        if not win.skip("}"):
+            return None
+        win.take(_space)
+        if win.pos < len(win.text):  # trailing data
             return None
         if None in map(found.get, _SCHEMA):  # a section missing or unread
             return None
@@ -644,28 +714,30 @@ def _read_columns(text: str) -> Optional[Cells]:
     return Cells(params, *itertools.chain.from_iterable(found[key] for key in _SCHEMA))
 
 
-def complex_from_json(text: str) -> ComplexIndex:
-    """Validate the text of a complex document straight into its integer view.
+def complex_from_json(stream: TextIO) -> ComplexIndex:
+    """Validate the complex document in a text stream straight into its integer view.
 
-    The text is read one record at a time into the columns of ``Cells``,
-    and ``validate_complex`` checks their incidences.  Unknown fields
-    are ignored, and a repeated top-level key keeps its last value, as
-    in ``json.loads``.
+    The stream is read a block at a time into the columns of ``Cells``,
+    so the whole text is never held, and ``validate_complex`` checks
+    their incidences.  Unknown fields are ignored, and a repeated
+    top-level key keeps its last value, as in ``json.loads``.
 
     The reader takes every valid document, so text it does not take has
-    a fault, and what is left is to name the first one.  The text is
-    parsed whole by ``json.loads`` and checked in order: the top level
-    and ``params``, then the records of the vertices, edges and squares,
-    each in document order.  The first fault raises
-    ``ComplexFormatError`` naming its path; invalid JSON raises
-    "invalid JSON: ...", and nesting too deep for the decoder names $.
+    a fault, and what is left is to name the first one.  The stream is
+    read again from its start, the text is parsed whole by
+    ``json.loads`` and checked in order: the top level and ``params``,
+    then the records of the vertices, edges and squares, each in
+    document order.  The first fault raises ``ComplexFormatError``
+    naming its path; invalid JSON raises "invalid JSON: ...", and
+    nesting too deep for the decoder names $.  A text stream's decode
+    error is raised by that second read.
     """
-    cells = _read_columns(text)
+    cells = _read_columns(stream)
     if cells is not None:
-        del text  # the text is dropped before the view is made
         return validate_complex(cells)
+    stream.seek(0)
     try:
-        doc = json.loads(text)
+        doc = json.loads(stream.read())
     except json.JSONDecodeError as exc:
         raise ComplexFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError:

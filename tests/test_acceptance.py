@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import io
 import json
 import time
 from contextlib import contextmanager
@@ -133,13 +134,13 @@ def test_criterion_7_negative_controls():
     with criterion(7, "negative controls with re-validated witnesses"):
         # the program's view for the kernels, records for the re-validation
         text = (FIXTURES / "klein_bottle.json").read_text()
-        ix, klein = complex_from_json(text), record_complex_from_json(json.loads(text))
+        ix, klein = complex_from_json(io.StringIO(text)), record_complex_from_json(json.loads(text))
         H = named_partition(ix, compute_hyperplanes(ix))
         assert H.one_sided == frozenset({"a"})
         assert revalidate_one_sided(klein, "a")
 
         text = (FIXTURES / "osculating_wedge.json").read_text()
-        ix, wedge = complex_from_json(text), record_complex_from_json(json.loads(text))
+        ix, wedge = complex_from_json(io.StringIO(text)), record_complex_from_json(json.loads(text))
         rep = interaction_report(ix, compute_hyperplanes(ix))
         H = named_partition(ix, compute_hyperplanes(ix))
         self_osc = rep.violations["self_osc"]
@@ -148,7 +149,7 @@ def test_criterion_7_negative_controls():
         assert H.class_of[witness["edges"][0]] == H.class_of[witness["edges"][1]]
         assert revalidate_osculation(wedge, *witness["edges"], witness["vertex"])
 
-        npc = check_npc(complex_from_json((FIXTURES / "link_triangle.json").read_text()))
+        npc = check_npc(complex_from_json(io.StringIO((FIXTURES / "link_triangle.json").read_text())))
         assert not npc.passed
         kinds = {f["kind"] for f in npc.failures}
         assert kinds == {"triangle"}

@@ -289,6 +289,15 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(bad))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+        # past the first block the message is still that of the whole file decoded at once
+        late = tmp_path / "late.json"
+        late.write_bytes(b'{"a": "' + b"x" * 100_000 + b'\xff"}')
+        with pytest.raises(UnicodeDecodeError) as whole:
+            late.read_bytes().decode("utf-8")
+        code, out, err = run(capsys, "check", str(late))
+        assert (code, out) == (2, "")
+        assert err == f"error: {late}: {whole.value}\n"
+        assert "utf-8" in err and "position 100007" in err
 
 
 class TestVerify:

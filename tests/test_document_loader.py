@@ -11,6 +11,7 @@ whole or with up to three faults put in, and texts with a repeated
 top-level key.
 """
 
+import contextlib
 import functools
 import hashlib
 import io
@@ -183,22 +184,32 @@ def reference(doc):
     return ref.indexed(ref.complex_from_json(doc))
 
 
+def loaded(text):
+    """``complex_from_json`` of a text, read from a stream."""
+    return complex_from_json(io.StringIO(text))
+
+
+def read_columns(text):
+    """The reader's columns of a text, or None when it does not take the text."""
+    return complex_model._read_columns(io.StringIO(text))
+
+
 class TestAgainstReferenceLoader:
     @given(mutated_documents(faults=1))
     @settings(max_examples=400, deadline=None)
     def test_one_fault(self, doc):
-        assert outcome(complex_from_json, json.dumps(doc)) == outcome(reference, doc)
+        assert outcome(loaded, json.dumps(doc)) == outcome(reference, doc)
 
     @given(st.integers(2, 3).flatmap(lambda n: mutated_documents(faults=n)))
     @settings(max_examples=200, deadline=None)
     def test_several_faults(self, doc):
         # the first fault in the reference's order wins
-        assert outcome(complex_from_json, json.dumps(doc)) == outcome(reference, doc)
+        assert outcome(loaded, json.dumps(doc)) == outcome(reference, doc)
 
     @given(documents())
     @settings(max_examples=150, deadline=None)
     def test_valid_documents(self, doc):
-        got = complex_from_json(json.dumps(doc))
+        got = loaded(json.dumps(doc))
         assert got == reference(doc)
         assert got.params == (None if doc["params"] is None else GroupParams(**doc["params"]))
 
@@ -226,7 +237,7 @@ class TestAgainstReferenceLoader:
         target[path[-1]] = value
         want = outcome(reference, doc)
         assert isinstance(want, str)
-        assert outcome(complex_from_json, json.dumps(doc)) == want
+        assert outcome(loaded, json.dumps(doc)) == want
         assert re.search(message, want)
 
 
@@ -236,7 +247,7 @@ class TestAgainstReferenceLoader:
 
 def text_outcome(text):
     """What ``complex_from_json`` makes of a text: a view or a message."""
-    return outcome(complex_from_json, text)
+    return outcome(loaded, text)
 
 
 def parsed_outcome(text):
@@ -275,26 +286,48 @@ def repeated_key_texts(draw) -> str:
     return member_text(pairs)
 
 
-class TestTextReader:
-    @given(st.integers(0, 3).flatmap(lambda n: mutated_documents(faults=n)), st.sampled_from([2, None]))
-    @settings(max_examples=400, deadline=None)
-    def test_text_reads_as_the_parsed_document(self, doc, indent):
-        text = json.dumps(doc, indent=indent)
-        assert text_outcome(text) == parsed_outcome(text)
+# (block, lookahead) sizes of the reader's window, down to a character at a time
+WINDOWS = [(1, 0), (3, 1), (7, 4), (101, 37), (977, 101)]
+windows = st.sampled_from([None, *WINDOWS])
 
-    @given(documents(), st.sampled_from([2, None]))
+
+@contextlib.contextmanager
+def window(size):
+    """The reader's window shrunk to ``size``, or as it is for None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(complex_model, "_BLOCK", size[0])
+            mp.setattr(complex_model, "_LOOKAHEAD", size[1])
+        yield
+
+
+class TestTextReader:
+    @given(
+        st.integers(0, 3).flatmap(lambda n: mutated_documents(faults=n)),
+        st.sampled_from([2, None]),
+        windows,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_text_reads_as_the_parsed_document(self, doc, indent, size):
+        text = json.dumps(doc, indent=indent)
+        with window(size):
+            assert text_outcome(text) == parsed_outcome(text)
+
+    @given(documents(), st.sampled_from([2, None]), windows)
     @settings(max_examples=100, deadline=None)
-    def test_valid_documents_are_read_record_by_record(self, doc, indent):
+    def test_valid_documents_are_read_record_by_record(self, doc, indent, size):
         # the reader takes every valid document itself, with no json.loads
         text = json.dumps(doc, indent=indent)
-        assert complex_model._read_columns(text) is not None
-        assert text_outcome(text) == reference(doc)
+        with window(size):
+            assert read_columns(text) is not None
+            assert text_outcome(text) == reference(doc)
 
-    @given(repeated_key_texts())
+    @given(repeated_key_texts(), windows)
     @settings(max_examples=300, deadline=None)
-    def test_a_repeated_key_keeps_its_last_value(self, text):
+    def test_a_repeated_key_keeps_its_last_value(self, text, size):
         # as json.loads does; never an AssertionError from the diagnosis
-        assert text_outcome(text) == parsed_outcome(text)
+        with window(size):
+            assert text_outcome(text) == parsed_outcome(text)
 
 
 BUILT = built_text(4, 2, 0, 2)
@@ -331,7 +364,7 @@ TAKEN = {
 @pytest.mark.parametrize("name", sorted(TAKEN))
 def test_reader_takes_any_member_order(name):
     text = TAKEN[name]
-    assert complex_model._read_columns(text) is not None
+    assert read_columns(text) is not None
     assert text_outcome(text) == parsed_outcome(text)
 
 
@@ -369,7 +402,96 @@ def test_fallback_gives_the_parsed_documents_message(name):
     assert text != BUILT
     assert text_outcome(text) == parsed_outcome(text)
     if name != "unknown edge":  # the sweep passes; the incidence check raises
-        assert complex_model._read_columns(text) is None
+        assert read_columns(text) is None
+
+
+@pytest.mark.parametrize("name", sorted(TAKEN))
+def test_small_blocks_take_any_member_order(name):
+    text = TAKEN[name]
+    want = parsed_outcome(text)
+    for size in WINDOWS:
+        with window(size):
+            assert read_columns(text) is not None, size
+            assert text_outcome(text) == want, size
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK))
+def test_small_blocks_give_the_parsed_documents_message(name):
+    text = FALLBACK[name]
+    want = parsed_outcome(text)
+    for size in WINDOWS:
+        with window(size):
+            assert text_outcome(text) == want, size
+            if name != "unknown edge":
+                assert read_columns(text) is None, size
+
+
+# ---------------------------------------------------------------------------
+# block boundaries
+
+BIG = json.loads(built_text(4, 2, -4, 4))  # 236,453 characters written: four default blocks
+FIRST_ID = json.loads(BUILT)["vertices"][0]["id"]
+
+
+def _renamed(new_id) -> str:
+    """The small build with its first vertex renamed wherever it stands."""
+    return BUILT.replace(json.dumps(FIRST_ID), json.dumps(new_id))
+
+
+def _padded(doc, note) -> str:
+    """The small build with ``note`` as an unknown field of its first vertex."""
+    doc["vertices"][0]["note"] = note
+    return json.dumps(doc, indent=2)
+
+
+BIG_UNREAD = BIG["squares"][:-1] + [THREE_SIDES[0]]  # unread only at its last record
+
+BOUNDARY = {
+    "whitespace across block ends": re.sub(r",\n *", "," + " \t\r\n" * 40, BUILT),
+    "whitespace past the default block": BUILT.replace("},\n    {", "}," + " " * 70_000 + "{", 1),
+    "record past the default block": _padded(json.loads(BUILT), "x" * 100_000),
+    "record past the lookahead": _padded(json.loads(BUILT), ["ab"] * 2_000),
+    "a first section unread over many blocks": _text(
+        ("squares", BIG_UNREAD), "params", "vertices", "edges", "squares"
+    ),
+    "a repeated key with a large first value": _text(
+        ("vertices", BIG["vertices"]), ("squares", BIG["squares"]),
+        "params", "vertices", "edges", "squares",
+    ),
+    "an unknown key with a large value": _text(("a", ["x" * 999] * 200), *json.loads(BUILT)),
+    # a number cut after "1" of "1.5" or "1e-300" still decodes, as the wrong number
+    "numbers at the top level": _text(
+        ("a", -12.5), ("b", 1e-300), ("c", [2.5e300, 0.0]), *json.loads(BUILT), ("d", 10)
+    ),
+    "one line": json.dumps(json.loads(BUILT)),
+    "one line, no spaces": json.dumps(json.loads(BUILT), separators=(",", ":")),
+    "tab-indented": json.dumps(json.loads(BUILT), indent="\t"),
+    "hand-indented": BUILT.replace("\n", "\n \t   "),
+    "an id with a record separator": _renamed('a},\n    {"id": "b'),
+    "an id with an escaped newline": _renamed("a\nb},"),
+    "CRLF": BUILT.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_texts_read_alike_across_block_boundaries(name):
+    text = BOUNDARY[name]
+    want = parsed_outcome(text)
+    assert not isinstance(want, str), want  # every text is a valid document
+    for size in [None, *WINDOWS]:
+        with window(size):
+            assert read_columns(text) is not None, size
+            assert text_outcome(text) == want, size
+
+
+def test_crlf_file_reads_as_its_lf_text(tmp_path):
+    # a file opened as text turns each \r\n into \n, also where a block splits the pair
+    path = tmp_path / "crlf.json"
+    path.write_bytes(BUILT.replace("\n", "\r\n").encode())
+    want = loaded(BUILT)
+    for size in [None, *WINDOWS]:
+        with window(size), open(path, encoding="utf-8") as fh:
+            assert complex_from_json(fh) == want, size
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +514,53 @@ def _guard_build():
     return build_quotient_complex(GroupParams(4, 3), -8, 8)
 
 
-def test_streamed_load_peaks_below_half_of_a_whole_parse():
+@pytest.fixture
+def guard_file(tmp_path):
+    """The (4,3) +-8 document in a file."""
+    path = tmp_path / "guard.json"
+    path.write_text(written(_guard_build()), encoding="utf-8")
+    return path
+
+
+def _opened(load, path):
+    with open(path, encoding="utf-8") as fh:
+        return load(fh)
+
+
+class HeldText(io.TextIOBase):
+    """A text held whole and read as a stream with no copy, as a file read whole is."""
+
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+
+    def read(self, size=-1):
+        chunk = self.text[self.pos : None if size < 0 else self.pos + size]
+        self.pos += len(chunk)
+        return chunk
+
+
+def test_streamed_load_peaks_below_half_of_a_whole_parse(guard_file):
     # the reading alone on both sides; with the view made, the load still peaks below the parse
-    text = written(_guard_build())
-    streamed = _peak(lambda: complex_model._read_columns(text))
+    text = guard_file.read_text(encoding="utf-8")
+    streamed = _peak(lambda: _opened(complex_model._read_columns, guard_file))
     whole = _peak(lambda: json.loads(text))
     assert streamed < whole / 2, (streamed, whole)
-    assert _peak(lambda: complex_from_json(text)) < whole
+    assert _peak(lambda: _opened(complex_from_json, guard_file)) < whole
+
+
+def test_file_load_peaks_below_a_whole_read_by_half_the_text(guard_file):
+    chars = len(guard_file.read_text(encoding="utf-8"))
+    streamed = _peak(lambda: _opened(complex_from_json, guard_file))
+    whole = _peak(lambda: complex_from_json(HeldText(guard_file.read_text(encoding="utf-8"))))
+    assert streamed < whole - chars / 2, (streamed, whole, chars)
+
+
+def test_loaded_sides_are_shared():
+    # one (edge, dir) tuple per edge end, holding the edge column's own id
+    cells = read_columns(written(_guard_build()))
+    sides = [side for boundary in cells.boundaries for side in boundary]
+    assert len(set(map(id, sides))) == len(set(sides)) < len(sides)
+    assert {id(edge) for edge, _ in sides} <= set(map(id, cells.edge_ids))
 
 
 def test_streamed_write_peaks_below_the_document():

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import resource
 
@@ -427,7 +428,7 @@ class TestCrossValidation:
         # the edge ids carry everything cross-validation reads off a build
         params = GroupParams(m, k)
         X = build_quotient_complex(params, -span, span)
-        Y = complex_from_json(written(X))
+        Y = complex_from_json(io.StringIO(written(X)))
         certificates = verify_all(params).certificates
         want = cross_validate(validate_complex(X), 2, certificates).to_json()
         assert cross_validate(Y, 2, certificates).to_json() == want
