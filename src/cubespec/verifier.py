@@ -30,12 +30,17 @@ It computes on coefficient indices, the base-k numbering of the builder:
 a core edge is a (height, type, coefficient index) triple, each fixed
 translation of the group is an index table made once per run, a climb
 coset is keyed by its least index, and the discrete log of a constant
-vector is one lookup per height residue.  Every witness is still
-classified on its own.
+vector is one lookup per height residue.  ``classify_osculation`` takes
+a vertex star at a time: the family row of each pair of types and ends
+is a table made once per run, and each edge of the star is read once.
+Every witness is still classified on its own, by its height gap, the
+diagonal classes of its two coefficients, one discrete-log lookup and
+the trivial-twist test.
 """
 
 from __future__ import annotations
 
+import itertools
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -175,26 +180,56 @@ def _reading(row: Family) -> tuple:
     -log(f/(e*d(b))).  At composite k these name different members of
     the same twist, and the ``Elem`` classifier fixes which.
 
-    Gives (case id, residue name, residue minus base, read e over f,
-    sign of c, constant of c, multiples of the base to take off the
-    ratio, reason when there is no c, reason when the twist is trivial),
-    the last None where a trivial twist is allowed.
+    Gives (case id, residue minus base, read e over f, sign of c,
+    constant of c, multiples of the base to take off the ratio, reason
+    when there is no c, reason when the twist is trivial), the last None
+    where a trivial twist is allowed.
     """
     if row.wraps is None:
         level = row.e_tail == row.f_tail
         off = "level same-type pair with trivial or missing twist" if level else (
             f"same-type height-{'drop' if row.e_tail else 'rise'} pair off the stabiliser coset"
         )
-        return row.case_id, "a", row.e_tail, False, 1, 0, 0, off, off if level else None
+        return row.case_id, row.e_tail, False, 1, 0, 0, off, off if level else None
     c_form = (-1, 1 - row.e_tail, row.e_tail) if row.wraps else (1, 0, 0)
     return (
-        row.case_id, "b", 0, not (row.wraps or row.twist_on_f), *c_form,
+        row.case_id, 0, not (row.wraps or row.twist_on_f), *c_form,
         "adjacent-type corner pair off the stabiliser coset",
         "adjacent-type pair with trivial twist survived exemption",
     )
 
 
 _READ = {(row.wraps, row.e_tail, row.f_tail): _reading(row) for row in FAMILIES}
+
+
+def _pair_readings(m: int) -> list[list[Optional[tuple]]]:
+    """The ``_READ`` row of each (e type, e at tail, f type, f at tail), at [2j-2+tail].
+
+    None where the types are neither equal nor cyclically adjacent.  The
+    row is read with e of the lower type, so an f of the lower type swaps
+    the two; either way the pair's heights must differ by f's end less
+    e's, and its twist's base is e's height less e's end.  Gives (that
+    height difference, case id, the lower type, the sign that turns f's
+    first exponent less e's into the row's, then the rest of the
+    ``_READ`` row but its flip).
+    """
+    out = []
+    for je, e_tail in itertools.product(range(1, m + 1), (0, 1)):
+        side = []
+        for jf, f_tail in itertools.product(range(1, m + 1), (0, 1)):
+            if je == jf:
+                lower, swap, wraps = je, False, None
+            elif je - jf in (1, 1 - m) or jf - je in (1, 1 - m):
+                swap = je - jf in (1, 1 - m)
+                lower = jf if swap else je
+                wraps = lower == m
+            else:
+                side.append(None)
+                continue
+            case_id, lift, flip, *rest = _READ[(wraps, f_tail, e_tail) if swap else (wraps, e_tail, f_tail)]
+            side.append((f_tail - e_tail, case_id, lower, -1 if swap != flip else 1, lift, *rest))
+        out.append(side)
+    return out
 
 
 def _twist(k: int, s: int, shape: tuple[int, ...], n: int = 1) -> tuple[int, ...]:
@@ -504,10 +539,14 @@ class CoreCoefficients(NamedTuple):
     A coefficient's index reads its exponents base k, first exponent most
     significant, as the builder numbers them.  Core edge e is (``height[e]``,
     ``type_j[e]``, ``coeff[e]``), read at the ascending core ``edges``.  The
-    tables are made once per run: ``up[i]`` maps g to g * P(i) for i in
-    [0, m); ``diag`` maps g to the least index in its
-    coset of the diagonal subgroup <d(1)>; ``log[b][r]`` is the least c in
-    [0, k) with c * b = r mod k, or None.
+    tables are made once per run.  Edge end 2e + (1 at its tail) holds the
+    coefficient of e there, g at the head and g * P(j-1) at the tail:
+    ``end_class`` gives the least index in its coset of the diagonal
+    subgroup <d(1)>, and ``end_first`` its first exponent.  ``log[b][r]``
+    is the least c in [0, k) with c * b = r mod k, or None.
+    ``read[2j-2+t][2j'-2+t']`` is the ``_READ`` row of a type-j edge (at its
+    tail if t) against a type-j' edge (at its tail if t'), as
+    ``_pair_readings`` gives it.
     """
 
     ix: ComplexIndex
@@ -516,9 +555,10 @@ class CoreCoefficients(NamedTuple):
     height: list[int]
     type_j: list[int]
     coeff: list[int]
-    up: list[list[int]]
-    diag: list[int]
+    end_class: list[int]
+    end_first: list[int]
     log: list[list[Optional[int]]]
+    read: list[list[Optional[tuple]]]
 
 
 def _coset_floor(params: GroupParams, gen: Elem) -> list[int]:
@@ -572,14 +612,21 @@ def core_coefficients(ix: ComplexIndex, core: Core) -> CoreCoefficients:
         if ix.type[e] != j or ix.height[ix.head[e]] != h:
             raise ValueError(f"edge id {eid!r}: no stored edge of that type and head height")
         height[e], type_j[e], coeff[e] = h, j, c
+    up = [_translation(params, prefix(params, i)) for i in range(m)]
+    diag = _coset_floor(params, constant(params, 1))
+    top = params.order // k  # the weight of the first exponent
+    end_class, end_first = [0] * 2 * n, [0] * 2 * n
+    for e in edges:
+        g = coeff[e]
+        for x, y in ((2 * e, g), (2 * e + 1, up[type_j[e] - 1][g])):
+            end_class[x], end_first[x] = diag[y], y // top
     return CoreCoefficients(
-        ix, params, edges, height, type_j, coeff,
-        up=[_translation(params, prefix(params, i)) for i in range(m)],
-        diag=_coset_floor(params, constant(params, 1)),
+        ix, params, edges, height, type_j, coeff, end_class, end_first,
         log=[
             [next((c for c in range(k) if c * b % k == r), None) for r in range(k)]
             for b in range(k)
         ],
+        read=_pair_readings(m),
     )
 
 
@@ -605,58 +652,85 @@ def _unmatched(cc: CoreCoefficients, reason: str, e: int, f: int, v: int) -> dic
     return {"case_id": "unmatched", "reason": reason, "edges": [eids[e], eids[f]], "vertex": vertex}
 
 
-def classify_osculation(cc: CoreCoefficients, e: int, f: int, v: int) -> dict:
-    """Map a geometric osculation witness onto an enumerated configuration.
+def _by_heights(cc: CoreCoefficients, e: int, f: int, gap: int) -> tuple | str:
+    """Read a witness whose height gap ``gap`` contradicts its ends at the vertex.
 
-    ``e`` and ``f`` are core edges of ``cc`` meeting at vertex ``v``, by
-    index.  Returns a dict with a ``case_id`` (or ``benign_nonadjacent``)
-    and the residues recovered from the two coefficients, or ``unmatched``
-    with a reason when the witness fits no configuration.  Unmatched
-    witnesses are findings: they would mean the case split misses a source.
-
-    The types, the heights and the ends at ``v`` pick the row of
-    ``FAMILIES``, read back through one dict lookup; a same-type pair one
-    height apart takes its ends from the heights.  Each edge's coefficient
-    at the vertex is its own at its head and one ``up`` lookup at its tail
-    (the tail of a type-j edge is g * P(j-1)).  Their ratio is a constant
-    vector exactly when the two have the same least index modulo the
-    diagonal subgroup; then c is one lookup in the discrete-log table of
-    the base residue, at the difference of their first exponents.
+    A same-type pair one height apart takes its ends from the heights,
+    the lower edge at its head and the higher at its tail: gives its
+    ``read`` row, its base and the class and first exponent of e's and of
+    f's end.  Any other pair gives the reason it fits no row.
     """
-    m, up = cc.params.m, cc.up
-    he, je, g = cc.height[e], cc.type_j[e], cc.coeff[e]
-    hf, jf, g2 = cc.height[f], cc.type_j[f], cc.coeff[f]
-    e_tail, f_tail = cc.ix.tail[e] == v, cc.ix.tail[f] == v
-    if je == jf:
-        wraps, gap = None, hf - he
-        if gap == 1 or gap == -1:  # one height apart: the heights fix the ends
-            e_tail, f_tail = gap < 0, gap > 0
-        elif gap:
-            return _unmatched(cc, "same-type pair at height gap > 1", e, f, v)
-        elif e_tail != f_tail:
-            return _unmatched(cc, "level same-type pair with mixed ends", e, f, v)
-    else:
-        if je - jf in (1, 1 - m):  # f carries the lower type: read the pair from f
-            he, je, g, e_tail, hf, jf, g2, f_tail = hf, jf, g2, f_tail, he, je, g, e_tail
-        elif jf - je not in (1, 1 - m):
-            return {"case_id": "benign_nonadjacent", "types": sorted((je, jf))}
-        if hf - he != f_tail - e_tail:
-            return _unmatched(cc, "adjacent-type pair in an unrecognised relative position", e, f, v)
-        wraps = je == m
-    case_id, residue, lift, flip, sign, turn, shift, off, trivial = _READ[wraps, e_tail, f_tail]
-    base, k, diag = he - e_tail, cc.params.k, cc.diag
-    x = up[jf - 1][g2] if f_tail else g2  # f's and e's coefficients at the vertex
-    y = up[je - 1][g] if e_tail else g
-    if flip:
-        x, y = y, x
-    top = len(diag) // k  # the weight of the first exponent
-    c = cc.log[base % k][(x // top - y // top - shift * base) % k] if diag[x] == diag[y] else None
-    if c is None:
-        return _unmatched(cc, off, e, f, v)
-    c = (turn + sign * c) % k
-    if trivial and (c == 0 or base % k == 0):
-        return _unmatched(cc, trivial, e, f, v)
-    return {"case_id": case_id, "j": je, residue: (base + lift) % k, "c": c}
+    if cc.type_j[e] != cc.type_j[f]:
+        return "adjacent-type pair in an unrecognised relative position"
+    if gap != 1 and gap != -1:
+        return "level same-type pair with mixed ends" if gap == 0 else "same-type pair at height gap > 1"
+    x, y, side = 2 * e + (gap < 0), 2 * f + (gap > 0), 2 * cc.type_j[e] - 2
+    how = cc.read[side + (gap < 0)][side + (gap > 0)]
+    cls, first = cc.end_class, cc.end_first
+    return how, cc.height[e] - (gap < 0), cls[x], first[x], cls[y], first[y]
+
+
+def classify_osculation(
+    cc: CoreCoefficients, v: int, edges: list[int], bits: list[int], near: list[int]
+) -> list:
+    """Map the osculation witnesses of one vertex star onto enumerated configurations.
+
+    ``edges`` is the star of core edges at vertex ``v``, ascending, and
+    ``bits`` and ``near`` its square-corner masks as ``hyperplane_engine``
+    makes them: the witnesses are the pairs e before f in ``edges`` that
+    meet at no corner, in ``_star_witnesses`` order.  Returns one reading
+    per witness, in that order: (case id, j, residue, c) for an
+    enumerated configuration, ("benign_nonadjacent", e, f) for types
+    neither equal nor adjacent, or a dict with case id ``unmatched`` and a
+    reason when the witness fits no configuration.  Unmatched witnesses
+    are findings: they would mean the case split misses a source.
+
+    Each edge of the star is read once: its type and end at ``v`` pick its
+    side of ``cc.read``, its end the class and first exponent of its
+    coefficient at ``v``, and its height less its end the base of the
+    twist.  Each witness is then classified on its own.  Its two sides
+    give its row of ``FAMILIES``, and its height gap must be the row's
+    (a same-type pair one height apart takes its ends from the heights).
+    The ratio of the two coefficients is a constant vector exactly when
+    their classes are equal; then c is one lookup in the discrete-log
+    table of the base residue, at the difference of their first
+    exponents, and a row that needs a twist rejects a trivial one.
+    """
+    k, log, tail, height = cc.params.k, cc.log, cc.ix.tail, cc.height
+    type_j, end_class, end_first, read = cc.type_j, cc.end_class, cc.end_first, cc.read
+    star = []
+    for e, b, met in zip(edges, bits, near):
+        at = tail[e] == v
+        x, h = 2 * e + at, height[e]
+        star.append((e, b, met, 2 * type_j[e] - 2 + at, h, h - at, end_class[x], end_first[x]))
+    out = []
+    for i, (e, _, met, side, he, e_base, e_class, e_first) in enumerate(star):
+        row = read[side]
+        for f, b, _, f_side, hf, _, cf, ff in star[i + 1:]:
+            if met & b:
+                continue
+            how = row[f_side]
+            if how is None:
+                out.append(("benign_nonadjacent", e, f))
+                continue
+            base, ce, fe = e_base, e_class, e_first
+            if hf - he != how[0]:
+                how = _by_heights(cc, e, f, hf - he)
+                if how.__class__ is str:
+                    out.append(_unmatched(cc, how, e, f, v))
+                    continue
+                how, base, ce, fe, cf, ff = how
+            _, case_id, j, sign_f, lift, sign, turn, shift, off, trivial = how
+            c = log[base % k][(sign_f * (ff - fe) - shift * base) % k] if ce == cf else None
+            if c is None:
+                out.append(_unmatched(cc, off, e, f, v))
+                continue
+            c = (turn + sign * c) % k
+            if trivial and (c == 0 or base % k == 0):
+                out.append(_unmatched(cc, trivial, e, f, v))
+                continue
+            out.append((case_id, j, (base + lift) % k, c))
+    return out
 
 
 def cross_validate(
@@ -685,7 +759,6 @@ def cross_validate(
     from cubespec.hyperplane_engine import (
         _corners,
         _pair,
-        _star_witnesses,
         compute_hyperplanes,
         core_edges,
         interaction_report,
@@ -739,16 +812,15 @@ def cross_validate(
             findings.append(
                 {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}
             )
-    star_masks = _corners(ix, core)[0]
+    star_masks, rep, crossings = _corners(ix, core)[0], H.rep, report.crossings
     for v, edges in iter_osculations(ix, core):
-        for e, f, _ in _star_witnesses(v, edges, *star_masks(v, edges)):
-            got = classify_osculation(cc, e, f, v)
-            case_id = got["case_id"]
-            if case_id == "unmatched":
+        for got in classify_osculation(cc, v, edges, *star_masks(v, edges)):
+            if got.__class__ is dict:
                 findings.append({"kind": "osculation", **got})
                 continue
-            if case_id == "benign_nonadjacent" and _pair(H.rep[e], H.rep[f], n) in report.crossings:
-                witness = {"edges": [eids[e], eids[f]], "vertex": vids[v]}
+            case_id = got[0]
+            if case_id == "benign_nonadjacent" and _pair(rep[got[1]], rep[got[2]], n) in crossings:
+                witness = {"edges": [eids[got[1]], eids[got[2]]], "vertex": vids[v]}
                 findings.append({"kind": "nonadjacent_crossing_pair", **witness})
             case_matches[case_id] = case_matches.get(case_id, 0) + 1
     return CrossValidation(

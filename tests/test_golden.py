@@ -4,7 +4,10 @@ The hashes pin the byte-identical JSON that ``build``, ``check``,
 ``verify`` and ``verify --cross-validate`` emit.  A change that moves
 one of them changes the output contract and must say why.  (3, 3) lies
 outside the guarantee regime and locks the findings: its ``check`` has
-5,346 ``inter_osc`` violations and 324 bigon pairs.
+5,346 ``inter_osc`` violations and 324 bigon pairs.  ``COMPOSITE_K``
+pins ``verify --cross-validate`` at (4, 4) and (3, 4): every pair above
+has prime k, and only a composite k reaches the members of a wrap
+row's twist other than the least.
 
 The ``verify`` and ``cross_validate`` hashes moved once, deliberately,
 when ``verify`` stopped building a truncation: the two structural
@@ -63,6 +66,13 @@ def _commands(m: int, k: int, doc: str) -> dict[str, list[str]]:
         "verify": ["verify", *pair],
         "cross_validate": ["verify", *pair, "--cross-validate", *span, "--margin", str(k)],
     }
+
+
+# (m, k) -> (exit code, sha256 of the verify --cross-validate document)
+COMPOSITE_K = {
+    (3, 4): (1, "474b404feefce7e05b37e6753a9f26477fa3146a7b15bb90a2f8b50a0bcdd580"),
+    (4, 4): (1, "38bb520098866b7183959176a06c977fc447b0caca07a80715c3e16e39612aba"),
+}
 
 
 # (m, k) -> command -> (exit code, sha256 of the document without cond*)
@@ -128,6 +138,14 @@ def produced(tmp_path_factory):
 def test_documents_match_golden_hashes(pair, produced):
     got = {name: (code, _sha256(body)) for name, (code, body) in produced(pair).items()}
     assert got == GOLDEN[pair]
+
+
+@pytest.mark.parametrize("pair", sorted(COMPOSITE_K))
+def test_composite_k_cross_validation_matches_golden_hash(pair, tmp_path, capsys):
+    path = tmp_path / "cross_validate.json"
+    code = main([*_commands(*pair, "")["cross_validate"], "-o", str(path)])
+    capsys.readouterr()
+    assert (code, _sha256(path.read_bytes())) == COMPOSITE_K[pair]
 
 
 @pytest.mark.parametrize("pair", sorted(WITHOUT_STRUCTURAL))

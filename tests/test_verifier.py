@@ -392,16 +392,23 @@ class TestCrossValidation:
             cross_validate(ix, 2, [])
 
     def test_witnesses_expanded_once_per_star(self, monkeypatch):
-        # the report decides a clean core without walking a star; the classifying
-        # walk expands every star of the core once
+        # the report decides a clean core without walking a star; the classifier
+        # expands every star of the core once
         from cubespec.hyperplane_engine import core_edges, iter_osculations
 
         ix = built_view(P43, -5, 5)
-        stars = fallback_stars(monkeypatch)
+        walked, classified, real = fallback_stars(monkeypatch), [], verifier.classify_osculation
+
+        def counted(cc, v, *star):
+            classified.append(v)
+            return real(cc, v, *star)
+
+        monkeypatch.setattr(verifier, "classify_osculation", counted)
         certificates = check_self_osculation_cases(P43) + check_inter_osculation_cases(P43)
         cv = cross_validate(ix, 2, certificates)
         assert cv.agreement and sum(cv.case_matches.values()) > 0
-        assert stars == [v for v, _ in iter_osculations(ix, core_edges(ix, -3, 3))]
+        assert walked == []
+        assert classified == [v for v, _ in iter_osculations(ix, core_edges(ix, -3, 3))]
 
     def test_every_core_witness_classifies(self):
         from cubespec.hyperplane_engine import (
@@ -417,11 +424,102 @@ class TestCrossValidation:
         star_masks = _corners(ix, core)[0]
         witnesses = 0
         for v, edges in iter_osculations(ix, core):
-            for e, f, _ in _star_witnesses(v, edges, *star_masks(v, edges)):
-                got = classify_osculation(cc, e, f, v)
-                assert got["case_id"] != "unmatched", (e, f, v, got)
+            readings = classify_osculation(cc, v, edges, *star_masks(v, edges))
+            pairs = list(_star_witnesses(v, edges, *star_masks(v, edges)))
+            assert len(readings) == len(pairs), v
+            for got, pair in zip(readings, pairs):
+                assert not isinstance(got, dict), (pair, got)  # only unmatched readings are dicts
+                assert got[0] in SELF_OSC_CASES + INTER_OSC_CASES + ("benign_nonadjacent",), got
                 witnesses += 1
         assert witnesses
+
+    def test_workload_witness_count_and_order(self):
+        # the cross-validate benchmark's truncation: one reading per witness, star by star
+        from cubespec.hyperplane_engine import (
+            _corners,
+            _star_witnesses,
+            core_edges,
+            iter_osculations,
+        )
+
+        ix = built_view(P43, -8, 8)
+        core = core_edges(ix, -5, 5)
+        cc = core_coefficients(ix, core)
+        star_masks = _corners(ix, core)[0]
+        witnesses = 0
+        for v, edges in iter_osculations(ix, core):
+            n = sum(1 for _ in _star_witnesses(v, edges, *star_masks(v, edges)))
+            assert len(classify_osculation(cc, v, edges, *star_masks(v, edges))) == n, v
+            witnesses += n
+        assert witnesses == 47_628
+        cv = cross_validate(ix, 3, verify_all(P43).certificates)
+        assert sum(cv.case_matches.values()) == witnesses and cv.witness_findings == []
+
+    def test_findings_come_in_witness_order(self, monkeypatch):
+        # one star yields both kinds of witness finding: the class of its last
+        # edge's end is spoilt, so every equal- or adjacent-type witness with
+        # that edge is unmatched, and the classes of one benign witness between
+        # two of those are made to cross
+        from cubespec import hyperplane_engine
+        from cubespec.hyperplane_engine import (
+            _corners,
+            _pair,
+            _star_witnesses,
+            core_edges,
+            iter_osculations,
+        )
+
+        ix = built_view(P43, -5, 5)
+        core, n = core_edges(ix, -3, 3), len(ix.edge_ids)
+        star_masks, rep = _corners(ix, core)[0], compute_hyperplanes(ix).rep
+        type_j = core_coefficients(ix, core).type_j
+
+        def benign(e, f):
+            return (type_j[e] - type_j[f]) % 4 == 2
+
+        def layout(v, edges):
+            last, pairs = edges[-1], list(_star_witnesses(v, edges, *star_masks(v, edges)))
+            spoilt = [i for i, (e, f, _) in enumerate(pairs) if last in (e, f) and not benign(e, f)]
+            inside = range(spoilt[0] + 1, spoilt[-1]) if spoilt else ()
+            return pairs, next((i for i in inside if benign(*pairs[i][:2])), None)
+
+        v, edges = next((v, edges) for v, edges in iter_osculations(ix, core) if layout(v, edges)[1])
+        pairs, i = layout(v, edges)
+        crossed = _pair(rep[pairs[i][0]], rep[pairs[i][1]], n)
+        end = 2 * edges[-1] + (ix.tail[edges[-1]] == v)
+        real_cc, real_report = verifier.core_coefficients, hyperplane_engine.interaction_report
+
+        def spoilt_cc(ix, core):
+            cc = real_cc(ix, core)
+            end_class = list(cc.end_class)
+            end_class[end] = -1
+            return cc._replace(end_class=end_class)
+
+        def crossing_report(ix, H, core):
+            report = real_report(ix, H, core)
+            crossings = dict(report.crossings)
+            crossings[crossed] = next(iter(crossings.values()))  # a real square, of adjacent types
+            return report._replace(crossings=crossings)
+
+        monkeypatch.setattr(verifier, "core_coefficients", spoilt_cc)
+        monkeypatch.setattr(hyperplane_engine, "interaction_report", crossing_report)
+        cv = cross_validate(ix, 2, verify_all(P43).certificates)
+        eids, vids = ix.edge_ids, ix.vertex_ids
+        want = []
+        for u, star in iter_osculations(ix, core):
+            for e, f, _ in _star_witnesses(u, star, *star_masks(u, star)):
+                if u == v and edges[-1] in (e, f) and not benign(e, f):
+                    want.append(("osculation", [eids[e], eids[f]], vids[u]))
+                elif benign(e, f) and _pair(rep[e], rep[f], n) == crossed:
+                    want.append(("nonadjacent_crossing_pair", [eids[e], eids[f]], vids[u]))
+        got = [(w["kind"], w["edges"], w["vertex"]) for w in cv.witness_findings]
+        assert got == want
+        at_v = [kind for kind, _, u in got if u == vids[v]]
+        first = at_v.index("nonadjacent_crossing_pair")
+        assert "osculation" in at_v[:first] and "osculation" in at_v[first + 1:]
+        off = {how[6] for how in verifier._READ.values()}  # the reasons for no c
+        unmatched = [w for w in cv.witness_findings if w["kind"] == "osculation"]
+        assert all(w["case_id"] == "unmatched" and w["reason"] in off for w in unmatched)
 
     @pytest.mark.parametrize("m, k, span", [(4, 2, 6), (3, 3, 8)])
     def test_reloaded_document_cross_validates_like_the_build(self, m, k, span):
