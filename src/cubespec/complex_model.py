@@ -3,13 +3,13 @@
 A square complex is a set of vertices, directed edges and squares whose
 boundaries are closed walks of four directed edges, keyed by id.  It
 comes in two forms.  ``Cells`` lists it in document order, one column
-per field: ``build_quotient_complex`` makes it, ``complex_to_json``
-writes it to a text stream, and ``complex_from_json`` reads it back from
-a text stream, a block at a time and record by record, so the whole
-text is never held; ``json.loads`` runs only to name the fault of a
-text that this reader does not take.
-``validate_complex`` checks the incidences of the columns once and
-numbers the cells in sorted-id order.  That gives the ``ComplexIndex``
+per field, each incidence the position of a cell:
+``build_quotient_complex`` makes it, ``complex_to_json`` writes it to a
+text stream, and ``complex_from_json`` reads it back, a block at a time
+and record by record, so the whole text is never held; ``json.loads``
+runs only to name the fault of a text that this reader does not take.
+``validate_complex`` checks that the walks of the columns close and
+renumbers the cells in sorted-id order.  That gives the ``ComplexIndex``
 on which the curvature check and the kernels of ``hyperplane_engine``
 run.  The two orders differ: a build lists its cells by (height, type,
 coefficient index), but as strings ``v/-1/..`` sorts before
@@ -29,6 +29,7 @@ heights both branch.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -70,18 +71,19 @@ class Cells(NamedTuple):
 
     A built complex has ``params``, an int height on every vertex and an
     int type on every edge; a document may have null for any of them.
-    Each boundary is four (edge id, dir) sides.
+    Incidences are positions: ``tails`` and ``heads`` in ``vertex_ids``, and side n of
+    square s is ``sides[4*s + n] = 2 * edge position + (dir == "-")``, as in the view.
     """
 
     params: Optional[GroupParams]
     vertex_ids: list[str]
     heights: list[Optional[int]]
     edge_ids: list[str]
-    tails: list[str]
-    heads: list[str]
+    tails: array
+    heads: array
     types: list[Optional[int]]
     square_ids: list[str]
-    boundaries: list[tuple[tuple[str, str], ...]]
+    sides: array
 
     def counts(self) -> dict[str, int]:
         return {
@@ -122,69 +124,71 @@ class ComplexIndex(NamedTuple):
 
 
 _DIR_BIT = {"+": 0, "-": 1}
-_EDGE_OF, _DIR_OF = operator.itemgetter(0), operator.itemgetter(1)
+
+
+def _positions(order, size: int, width: int = 1) -> list:
+    """``pos[width * order[p] + b] = width * p + b`` for b < width, and None for the other
+    numbers below ``width * size``: with width 2, edge ends move as ``order`` moves edges."""
+    pos: list = [None] * (width * size)
+    for b in range(width):
+        for p, x in enumerate(order):
+            pos[width * x + b] = width * p + b
+    return pos
 
 
 def validate_complex(cells: Cells) -> ComplexIndex:
-    """Check the incidences of a complex and return its integer view.
+    """Check that every square boundary of a complex closes; return its integer view.
 
-    Every edge endpoint must be a vertex; every square boundary must have
-    four sides on known edges, each with direction '+' or '-', that walk
-    a closed loop.  The ids of each kind must be unique, as the loader
-    checks and the builder makes them.  One pass in sorted-id order
-    checks everything; when it fails, the ordered checks raise
-    ``ComplexFormatError`` for the first fault, naming its path: edges
-    before squares, each in document order.
-    """
+    The ids of each kind are unique, as the loader checks and the builder makes them.  The
+    view renumbers the cells in sorted-id order.  When a walk does not close, the first
+    fault in document order raises ``ComplexFormatError``, by ``_check_incidences``."""
     vertex_ids, edge_ids, square_ids = cells.vertex_ids, cells.edge_ids, cells.square_ids
     v_order, e_order, s_order = (
         sorted(range(len(ids)), key=ids.__getitem__) for ids in (vertex_ids, edge_ids, square_ids)
     )
-    v_ids, e_ids = [vertex_ids[i] for i in v_order], [edge_ids[i] for i in e_order]
-    v_index = dict(zip(v_ids, range(len(v_ids))))
-    node = dict(zip(e_ids, range(0, 2 * len(e_ids), 2)))  # edge id -> 2*e, its head end
-    try:
-        tail = [v_index[cells.tails[i]] for i in e_order]
-        head = [v_index[cells.heads[i]] for i in e_order]
-    except KeyError:
-        eid, end = next(
-            (e, v)
-            for e, *ends in zip(edge_ids, cells.tails, cells.heads)
-            for v in ends
-            if v not in v_index
-        )
-        raise ComplexFormatError(f"edges[{eid!r}]: unknown vertex {end!r}") from None
-    ends = [0] * (2 * len(e_ids))
+    at = _positions(v_order, len(v_order))
+    tail, head = ([at[col[i]] for i in e_order] for col in (cells.tails, cells.heads))
+    ends = [0] * (2 * len(e_order))
     ends[0::2], ends[1::2] = head, tail
     ix = ComplexIndex(
-        v_ids, e_ids, [square_ids[i] for i in s_order], tail, head, array("l"), ends, array("l"),
-        [cells.heights[i] for i in v_order], [cells.types[i] for i in e_order], cells.params, [],
+        [vertex_ids[i] for i in v_order], [edge_ids[i] for i in e_order],
+        [square_ids[i] for i in s_order], tail, head, array("l", [0]) * len(cells.sides), ends,
+        array("l"), [cells.heights[i] for i in v_order], [cells.types[i] for i in e_order],
+        cells.params, [],
     )
-    sides, after, boundaries = ix.sides, ix.next_sides, cells.boundaries
-    try:
-        if {4}.issuperset(map(len, boundaries)):
-            flat = list(itertools.chain.from_iterable([boundaries[i] for i in s_order]))
-            nodes = map(node.__getitem__, map(_EDGE_OF, flat))
-            sides.extend(map(operator.add, nodes, map(_DIR_BIT.__getitem__, map(_DIR_OF, flat))))
-            after.extend(sides)
-            for n in range(4):
-                after[n::4] = sides[(n + 1) % 4 :: 4]
-            if [ends[w] for w in sides] == [ends[w ^ 1] for w in after]:
-                return ix
-    except (KeyError, TypeError):
-        pass
-    for sid, boundary in zip(square_ids, boundaries):
+    sides, after, node = ix.sides, ix.next_sides, _positions(e_order, len(e_order), 2)
+    for n in range(4):
+        sides[n::4] = array("l", map(node.__getitem__, map(cells.sides[n::4].__getitem__, s_order)))
+    after.extend(sides)
+    for n in range(4):
+        after[n::4] = sides[(n + 1) % 4 :: 4]
+    starts = map(ends.__getitem__, map(operator.xor, after, itertools.repeat(1)))
+    if all(map(operator.eq, map(ends.__getitem__, sides), starts)):
+        return ix
+    named, edge_of = vertex_ids.__getitem__, edge_ids.__getitem__
+    doc_sides = [(edge_of(x >> 1), "+-"[x & 1]) for x in cells.sides]
+    edges = zip(edge_ids, map(named, cells.tails), map(named, cells.heads))
+    _check_incidences(vertex_ids, edges, zip(square_ids, zip(*[iter(doc_sides)] * 4)))
+
+
+def _check_incidences(vertex_ids, edges, squares) -> None:
+    """Raise the first fault of ``edges``, as (id, tail, head), and then of ``squares``, as
+    (id, four (edge, dir) sides), all by id in document order: an edge end that is not a
+    vertex, a side on no edge, or else a walk that does not close, with its path."""
+    known, ends = set(vertex_ids), {}  # edge id -> (tail, head)
+    for eid, tail, head in edges:
+        for v in (tail, head):
+            _require(v in known, f"edges[{eid!r}]", f"unknown vertex {v!r}")
+        ends[eid] = (tail, head)
+    for sid, boundary in squares:
         path = f"squares[{sid!r}].boundary"
-        _require(len(boundary) == 4, path, f"expected 4 sides, got {len(boundary)}")
-        for n, (eid, d) in enumerate(boundary):
-            _require(eid in node, f"{path}[{n}].edge", f"unknown edge {eid!r}")
-            _require(d in ("+", "-"), f"{path}[{n}].dir", f"expected '+' or '-', got {d!r}")
-        stops = [ends[node[eid] + _DIR_BIT[d]] for eid, d in boundary]
-        starts = [ends[node[eid] + 1 - _DIR_BIT[d]] for eid, d in boundary]
+        for n, (eid, _) in enumerate(boundary):
+            _require(eid in ends, f"{path}[{n}].edge", f"unknown edge {eid!r}")
+        walk = [ends[eid] if d == "+" else ends[eid][::-1] for eid, d in boundary]  # (start, stop)
         for n in range(4):
-            stop, start = stops[n], starts[(n + 1) % 4]
-            where = f"side {n} ends at {v_ids[stop]!r}, side {(n + 1) % 4} starts at"
-            _require(stop == start, path, f"walk does not close ({where} {v_ids[start]!r})")
+            stop, start = walk[n][1], walk[(n + 1) % 4][0]
+            where = f"side {n} ends at {stop!r}, side {(n + 1) % 4} starts at"
+            _require(stop == start, path, f"walk does not close ({where} {start!r})")
     raise AssertionError("the ordered checks found no fault")
 
 
@@ -212,7 +216,7 @@ def build_quotient_complex(
     the faces of the identity cell translated by g.  So the faces of the
     identity cells are read off ``edge_endpoints`` and ``square_boundary``
     once per (height, type), each translation becomes an index table, and
-    the per-cell loops only look up shared ids.
+    the per-cell loops only read the positions of faces off those tables.
     Reduction modulo a vertex stabiliser commutes with translation, so
     vertex faces go through ``canonical_vertex`` only once per
     coefficient and height residue mod k, which fixes the stabiliser.
@@ -235,39 +239,37 @@ def build_quotient_complex(
             tables[t.exps] = _translation(params, t)
         return tables[t.exps]
 
-    cells = Cells(params, [], [], [], [], [], [], [], [])
+    cells = Cells(params, [], [], [], array("l"), array("l"), [], [], array("l"))
     canon_by_residue: dict[int, list[int]] = {}
-    vertex_ids: dict[int, list[str]] = {}  # height -> coefficient index -> id
+    vertex_at: dict[int, list[int]] = {}  # height -> coefficient index -> vertex position
     for i in range(h_min, h_max + 1):
         if i % k not in canon_by_residue:
             canon_by_residue[i % k] = [
                 index_of[canonical_vertex(g, i).coeff.exps] for g in elems
             ]
         canon = canon_by_residue[i % k]
-        ids = {c: f"v/{i}/{exps_strs[c]}" for c in sorted(set(canon))}
-        cells.vertex_ids.extend(ids.values())
-        cells.heights.extend([i] * len(ids))
-        vertex_ids[i] = [ids[c] for c in canon]
-    edge_ids: dict[tuple[int, int], list[str]] = {}
+        reps = sorted(set(canon))
+        at = dict(zip(reps, itertools.count(len(cells.vertex_ids))))
+        cells.vertex_ids.extend([f"v/{i}/{exps_strs[c]}" for c in reps])
+        cells.heights.extend([i] * len(reps))
+        vertex_at[i] = [at[c] for c in canon]
+    edge_at: dict[tuple[int, int], int] = {}  # (height, type) -> position of its identity edge
     for i in range(h_min + 1, h_max + 1):
         for j in range(1, params.m + 1):
-            eids = edge_ids[i, j] = [f"e/{i}/{j}/{s}" for s in exps_strs]
+            edge_at[i, j] = len(cells.edge_ids)
             tail, head = edge_endpoints(EdgeRef(i, j, one))
-            cells.edge_ids.extend(eids)
-            cells.tails.extend([vertex_ids[tail.height][x] for x in table(tail.coeff)])
-            cells.heads.extend([vertex_ids[head.height][x] for x in table(head.coeff)])
-            cells.types.extend([j] * len(eids))
-    side_of: dict[tuple[int, int, str], list[tuple[str, str]]] = {}  # one per edge end
+            cells.edge_ids.extend([f"e/{i}/{j}/{s}" for s in exps_strs])
+            cells.tails.extend(map(vertex_at[tail.height].__getitem__, table(tail.coeff)))
+            cells.heads.extend(map(vertex_at[head.height].__getitem__, table(head.coeff)))
+            cells.types.extend([j] * len(elems))
+    block = array("l", [0]) * (4 * len(elems))  # the sides of one (height, type), square by square
     for i in range(h_min + 1, h_max):
         for j in range(1, params.m + 1):
-            sides = []
-            for er, d in square_boundary(SquareRef(i, j, one)):
-                key = (er.height, er.type_j, d)
-                if key not in side_of:
-                    side_of[key] = [(eid, d) for eid in edge_ids[er.height, er.type_j]]
-                sides.append(list(map(side_of[key].__getitem__, table(er.coeff))))
+            for n, (er, d) in enumerate(square_boundary(SquareRef(i, j, one))):
+                end = 2 * edge_at[er.height, er.type_j] + _DIR_BIT[d]
+                block[n::4] = array("l", [end + 2 * x for x in table(er.coeff)])
             cells.square_ids.extend([f"s/{i}/{j}/{s}" for s in exps_strs])
-            cells.boundaries.extend(zip(*sides))
+            cells.sides.extend(block)
     return cells
 
 
@@ -423,17 +425,22 @@ def _interleave(cols: list, count: int) -> tuple:
     return tuple(flat)
 
 
-def _fields(cells: Cells, section: str, lo: int, hi: int) -> tuple:
-    """The template fields of records lo..hi-1 of a section, strings quoted."""
+def _fields(cells: Cells, by_end: tuple, section: str, lo: int, hi: int) -> tuple:
+    """The template fields of records lo..hi-1 of a section, strings quoted; ``by_end``
+    holds the edge id and the quoted dir of each edge end, which the sides name."""
     if section == "vertices":
         return _interleave([map(_enc, cells.vertex_ids[lo:hi]), cells.heights[lo:hi]], hi - lo)
     if section == "edges":
-        cols = [cells.edge_ids, cells.tails, cells.heads]
-        return _interleave([*(map(_enc, col[lo:hi]) for col in cols), cells.types[lo:hi]], hi - lo)
-    sides = itertools.chain.from_iterable(itertools.chain.from_iterable(cells.boundaries[lo:hi]))
-    quoted = list(map(_enc, sides))  # edge and dir of side 0, ..., side 3, square by square
-    ids = map(_enc, cells.square_ids[lo:hi])
-    return _interleave([ids, *(quoted[n::8] for n in range(8))], hi - lo)
+        named = cells.vertex_ids.__getitem__
+        ends = (map(named, col[lo:hi]) for col in (cells.tails, cells.heads))
+        cols = [*(map(_enc, col) for col in (cells.edge_ids[lo:hi], *ends)), cells.types[lo:hi]]
+        return _interleave(cols, hi - lo)
+    edge_of, dir_of = (col.__getitem__ for col in by_end)
+    cols = [map(_enc, cells.square_ids[lo:hi])]
+    for n in range(4):  # the edge and dir of side n, square by square
+        side = cells.sides[4 * lo + n : 4 * hi : 4]
+        cols += [map(_enc, map(edge_of, side)), map(dir_of, side)]
+    return _interleave(cols, hi - lo)
 
 
 def complex_to_json(cells: Cells, out: TextIO, stamp: Optional[dict] = None) -> None:
@@ -448,12 +455,14 @@ def complex_to_json(cells: Cells, out: TextIO, stamp: Optional[dict] = None) -> 
     """
     params = cells.params
     doc: dict = {"params": None if params is None else {"m": params.m, "k": params.k}}
+    by_end = ([""] * (2 * len(cells.edge_ids)), ['"+"', '"-"'] * len(cells.edge_ids))
+    by_end[0][0::2] = by_end[0][1::2] = cells.edge_ids
     for key, template, ids in (
         ("vertices", _VERTEX, cells.vertex_ids),
         ("edges", _EDGE, cells.edge_ids),
         ("squares", _SQUARE, cells.square_ids),
     ):
-        doc[key] = Rows(template, len(ids), functools.partial(_fields, cells, key))
+        doc[key] = Rows(template, len(ids), functools.partial(_fields, cells, by_end, key))
     if stamp is not None:
         doc["stamp"] = stamp
     out.writelines(pieces(doc))
@@ -470,27 +479,6 @@ _SCHEMA = {
     "edges": ("edge", ("id", "tail", "head"), "type"),
     "squares": ("square", ("id",), None),
 }
-
-
-def _sweep(cols: list[list], last: list, optional: Optional[str]) -> bool:
-    """The set-based checks of one section's columns, over all records at once.
-
-    ``cols`` are the string fields, the ids first; ``last`` holds the
-    optional integers or, for squares, the boundaries as sequences of
-    (edge, dir) sides.  True when every string field is a string, the
-    ids are unique, and every optional field is an int or None or every
-    boundary has four sides, each with a string edge and a dir of '+' or
-    '-'.
-    """
-    ok = {str}.issuperset(map(type, itertools.chain(*cols))) and len(set(cols[0])) == len(last)
-    if optional:
-        return ok and {int, type(None)}.issuperset(map(type, last))
-    if not (ok and {4}.issuperset(map(len, last))):
-        return False
-    sides = list(itertools.chain.from_iterable(last))
-    return {str}.issuperset(map(type, map(_EDGE_OF, sides))) and {"+", "-"}.issuperset(
-        map(_DIR_OF, sides)
-    )
 
 
 def _check_records(recs: list, section: str) -> None:
@@ -596,40 +584,38 @@ class _Window:
         return found
 
 
-def _square_row(rec: dict, share) -> tuple:
-    """A square's id and its four (edge, dir) sides, each side and edge id shared.
+def _vertex_row(rec: dict, name, cols: list) -> None:
+    cols[0].append(name(rec["id"]))
+    cols[1].append(rec.get("height"))
 
-    Sharing hashes every side, so an unhashable edge or dir raises
-    ``TypeError`` here, before the sweep.
+
+def _edge_row(rec: dict, name, cols: list) -> None:
+    cols[0].append(name(rec["id"]))
+    cols[1].append(name(rec["tail"]))
+    cols[2].append(name(rec["head"]))
+    cols[3].append(rec.get("type"))
+
+
+def _square_row(rec: dict, name, cols: list, bit=_DIR_BIT) -> None:
+    a, b, c, d = rec["boundary"]  # raises unless four sides
+    cols[0].append(name(rec["id"]))
+    cols[1].extend((2 * name(a["edge"]) + bit[a["dir"]], 2 * name(b["edge"]) + bit[b["dir"]],
+                    2 * name(c["edge"]) + bit[c["dir"]], 2 * name(d["edge"]) + bit[d["dir"]]))
+
+
+def _read_section(win: _Window, section: str, name) -> Optional[list]:
+    """The columns of the records in the array at the window, or None when it is unread.
+
+    Records are decoded one at a time, and only their fields are kept:
+    each id and reference as the ordinal that ``name`` gives it, a side
+    as 2 * the ordinal of its edge + its direction bit, and heights and
+    types as they are.  The window is left past the value, read or not.
+    None when the value is not an array or a record lacks a field or has
+    one that cannot be kept so; a decode error raises.
     """
-    a, b, c, d = rec["boundary"]  # raises unless four sides, which the sweep needs
-    ea, eb, ec, ed = a["edge"], b["edge"], c["edge"], d["edge"]
-    sa, sb = (share(ea, ea), a["dir"]), (share(eb, eb), b["dir"])
-    sc, sd = (share(ec, ec), c["dir"]), (share(ed, ed), d["dir"])
-    return rec["id"], (share(sa, sa), share(sb, sb), share(sc, sc), share(sd, sd))
-
-
-# section -> the fields of one record that the loader reads, the ids first
-_ROW = {
-    "vertices": lambda rec, share: (rec["id"], rec.get("height")),
-    "edges": lambda rec, share: (rec["id"], rec["tail"], rec["head"], rec.get("type")),
-    "squares": _square_row,
-}
-
-
-def _read_section(win: _Window, section: str, names: dict) -> Optional[list[list]]:
-    """The fields of the records in the array at the window, or None when it is unread.
-
-    Records are decoded one at a time, and only their fields are kept,
-    a square's sides as (edge, dir) pairs.  The names of vertices and
-    edges, which other records repeat, are held once, as the string
-    that ``names`` maps each to, and so is each (edge, dir) side.  The
-    window is left past the value, read or not.  None when the value is
-    not an array, a record lacks a field, or the records fail the
-    sweep; a decode error raises.
-    """
-    _, strings, optional = _SCHEMA[section]
-    row, share, scan, rows = _ROW[section], names.setdefault, _DECODER.scan_once, []
+    row = {"vertices": _vertex_row, "edges": _edge_row, "squares": _square_row}[section]
+    scan, (_, strings, optional) = _DECODER.scan_once, _SCHEMA[section]
+    cols = [array("l") for _ in strings] + [[] if optional else array("l")]
     if not win.skip("["):
         win.take(scan)
         return None
@@ -654,21 +640,32 @@ def _read_section(win: _Window, section: str, names: dict) -> Optional[list[list
                 text, pos, limit = win.text, win.pos, win.limit()
             else:
                 closed, pos = after.lastindex, after.end()
-            if rows is not None:
+            if cols is not None:
                 try:
-                    rows.append(row(rec, share))
+                    row(rec, name, cols)
                 except (KeyError, TypeError, ValueError):
-                    rows = None  # unread: the rest of the array is stepped over
+                    cols = None  # unread: the rest of the array is stepped over
         win.pos = pos
-    if rows is None:
-        return None
-    cols = [list(col) for col in zip(*rows)] or [[] for _ in range(len(strings) + 1)]
-    del rows
-    if not _sweep(cols[:-1], cols[-1], optional):
-        return None
-    if section != "squares":
-        cols[:-1] = [list(map(share, col, col)) for col in cols[:-1]]
     return cols
+
+
+def _resolve(params, names: list[str], vertices: list, edges: list, squares: list):
+    """The ``Cells`` of the sections' columns, ``names`` giving the string of each ordinal,
+    or None when an id is not a string or repeats within its kind, a height or type is
+    neither an int nor null, or a reference names no cell of its kind."""
+    (v_ids, heights), (e_ids, tails, heads, types), (s_ids, sides) = vertices, edges, squares
+    ids = [list(map(names.__getitem__, col)) for col in (v_ids, e_ids, s_ids)]
+    typed = {str}.issuperset(map(type, itertools.chain(*ids)))
+    typed = typed and {int, type(None)}.issuperset(map(type, itertools.chain(heights, types)))
+    if not typed or any(len(set(col)) < len(col) for col in ids):
+        return None
+    at, node = _positions(v_ids, len(names)).__getitem__, _positions(e_ids, len(names), 2)
+    try:  # a reference that names no cell of its kind is at None
+        tails, heads = array("l", map(at, tails)), array("l", map(at, heads))
+        sides = array("l", map(node.__getitem__, sides))
+    except TypeError:
+        return None
+    return Cells(params, ids[0], heights, ids[1], tails, heads, types, ids[2], sides)
 
 
 def _read_columns(stream: TextIO) -> Optional[Cells]:
@@ -676,15 +673,15 @@ def _read_columns(stream: TextIO) -> Optional[Cells]:
 
     The stream is read a block at a time, the top level key by key and
     each section record by record, so neither the whole text nor a
-    record outlives the reading of its fields.  A repeated key keeps its
-    last value, as in ``json.loads``.  A section value that cannot be
-    made into columns is stepped over as unread, so the reader takes
-    every valid document.  None when a section is missing or its last
-    value is unread (not a list, or a record that fails the sweep), for
-    a top level that is not an object, invalid ``params``, trailing
-    data, a BOM, or any decode error.
+    record outlives the reading of its fields.  Names are ordinals in
+    one dict until all sections are read.  A repeated key keeps its last
+    value, as in ``json.loads``.  A section value that cannot be made
+    into columns is stepped over as unread, so the reader takes every
+    valid document.  None when a section is missing or its last value is
+    unread or faulty for ``_resolve``, for a top level that is not an
+    object, invalid ``params``, trailing data, a BOM, or any decode error.
     """
-    win, found, names = _Window(stream), {}, {}
+    win, found, names = _Window(stream), {}, collections.defaultdict(itertools.count().__next__)
     try:
         if not win.skip("{"):
             return None
@@ -696,7 +693,7 @@ def _read_columns(stream: TextIO) -> Optional[Cells]:
                 return None
             win.take(_space)
             if key in _SCHEMA:
-                found[key] = _read_section(win, key, names)
+                found[key] = _read_section(win, key, names.__getitem__)
             else:
                 found[key] = win.take(_DECODER.scan_once)
             if not win.skip(","):
@@ -711,7 +708,7 @@ def _read_columns(stream: TextIO) -> Optional[Cells]:
         params = _params(found.get("params"))
     except (StopIteration, ValueError, RecursionError):
         return None
-    return Cells(params, *itertools.chain.from_iterable(found[key] for key in _SCHEMA))
+    return _resolve(params, list(names), *(found[key] for key in _SCHEMA))
 
 
 def complex_from_json(stream: TextIO) -> ComplexIndex:
@@ -719,15 +716,16 @@ def complex_from_json(stream: TextIO) -> ComplexIndex:
 
     The stream is read a block at a time into the columns of ``Cells``,
     so the whole text is never held, and ``validate_complex`` checks
-    their incidences.  Unknown fields are ignored, and a repeated
+    that their walks close.  Unknown fields are ignored, and a repeated
     top-level key keeps its last value, as in ``json.loads``.
 
     The reader takes every valid document, so text it does not take has
     a fault, and what is left is to name the first one.  The stream is
     read again from its start, the text is parsed whole by
     ``json.loads`` and checked in order: the top level and ``params``,
-    then the records of the vertices, edges and squares, each in
-    document order.  The first fault raises ``ComplexFormatError``
+    the records of the vertices, edges and squares, each in document
+    order, and then their incidences, by ``_check_incidences`` as in
+    ``validate_complex``.  The first fault raises ``ComplexFormatError``
     naming its path; invalid JSON raises "invalid JSON: ...", and
     nesting too deep for the decoder names $.  A text stream's decode
     error is raised by that second read.
@@ -749,4 +747,6 @@ def complex_from_json(stream: TextIO) -> ComplexIndex:
     _params(doc.get("params"))
     for key in _SCHEMA:
         _check_records(doc[key], key)
-    raise AssertionError("the ordered checks found no fault")
+    edges = [(e["id"], e["tail"], e["head"]) for e in doc["edges"]]
+    squares = [(s["id"], [(x["edge"], x["dir"]) for x in s["boundary"]]) for s in doc["squares"]]
+    _check_incidences([v["id"] for v in doc["vertices"]], edges, squares)

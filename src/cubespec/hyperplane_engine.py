@@ -167,8 +167,8 @@ def _corners(ix: ComplexIndex, core: Optional[Core]) -> tuple[Callable, list[lis
     n_v, ends = len(ix.vertex_ids), ix.ends
     parallel: dict[int, list[int]] = {}  # packed ends -> edges, ascending
     for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
-        if t != h and (core is None or core.mask[e]):
-            parallel.setdefault(_pair(t, h, n_v), []).append(e)
+        if t != h and (core is None or core.mask[e]):  # the ends packed by _pair, inlined
+            parallel.setdefault(t * n_v + h if t < h else h * n_v + t, []).append(e)
     twin: dict[int, int] = {}  # edge end -> the bits met at the far end of parallel edges
     found = []
     for packed, edges in parallel.items():
@@ -240,7 +240,10 @@ class InteractionReport(NamedTuple):
 
 
 def interaction_report(
-    ix: ComplexIndex, H: HyperplanePartition, core: Optional[Core] = None
+    ix: ComplexIndex,
+    H: HyperplanePartition,
+    core: Optional[Core] = None,
+    corners: Optional[tuple] = None,
 ) -> InteractionReport:
     """Crossing and osculation relations plus the four violation lists.
 
@@ -248,7 +251,8 @@ def interaction_report(
     the core are considered; parallelism and the adjacency exemption stay
     global.  Violations: per-square equal transverse classes (condition
     1), one-sided classes (2), same-class osculation (3), and class pairs
-    that both cross and osculate (4).
+    that both cross and osculate (4).  ``corners`` is ``_corners(ix, core)``
+    when the caller has made it.
 
     Osculation is decided per vertex on bitmasks over the classes, none of
     them held per edge end.  Where a star holds each class once, each rank
@@ -271,7 +275,7 @@ def interaction_report(
         if mask is not None and not (mask[a >> 1] and mask[b >> 1] and mask[c >> 1] and mask[d >> 1]):
             continue
         c1, c2 = rep[a >> 1], rep[b >> 1]
-        crossings.setdefault(_pair(c1, c2, n), s)
+        crossings.setdefault(c1 * n + c2 if c1 <= c2 else c2 * n + c1, s)  # _pair, inlined
         if c1 == c2:
             self_cross.append({"class": eids[c1], "square": sids[s]})
     for cls, (e, f, s) in H.one_sided.items():
@@ -286,7 +290,7 @@ def interaction_report(
         c1, c2 = divmod(pair, n)
         crossed[o[c1]] |= 1 << o[c2]
         crossed[o[c2]] |= 1 << o[c1]
-    star_masks, bigons = _corners(ix, core)
+    star_masks, bigons = corners or _corners(ix, core)
     seen = [0] * len(ordinal)  # class ordinal -> the classes it osculates with so far
     osculations: dict[int, tuple[int, int, int]] = {}
     for v, edges in iter_osculations(ix, core):

@@ -778,7 +778,8 @@ def cross_validate(
         raise ValueError(f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]")
     n, eids, vids = len(ix.edge_ids), ix.edge_ids, ix.vertex_ids
     H = compute_hyperplanes(ix)
-    report = interaction_report(ix, H, core)
+    corners = _corners(ix, core)  # one corner reader for the report and the walk below
+    report = interaction_report(ix, H, core, corners)
     cc = core_coefficients(ix, core)
 
     by_class: dict[int, set] = {}
@@ -812,7 +813,7 @@ def cross_validate(
             findings.append(
                 {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}
             )
-    star_masks, rep, crossings = _corners(ix, core)[0], H.rep, report.crossings
+    star_masks, rep, crossings = corners[0], H.rep, report.crossings
     for v, edges in iter_osculations(ix, core):
         for got in classify_osculation(cc, v, edges, *star_masks(v, edges)):
             if got.__class__ is dict:

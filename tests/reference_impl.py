@@ -11,7 +11,8 @@ They run on ``SquareComplex``, a complex as ``Vertex``/``Edge``/``Square``
 records keyed by id, each with its unknown fields, as the program held
 one before it kept a complex as document-order columns (``Cells``).
 ``records`` and ``columns`` turn one form into the other, and
-``indexed`` makes the program's view of a record complex.
+``indexed`` checks the incidences of a record complex by the id-keyed
+``validate_complex`` here and makes the program's view of it.
 ``complex_from_json`` is the document loader that builds records and
 keeps unknown fields, as it ran before the program loaded a document
 straight into its integer view; it does not validate the incidences.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -100,27 +102,36 @@ class SquareComplex:
 def records(cells: Cells) -> SquareComplex:
     """The records of a complex given as columns, inserted in column order."""
     X = SquareComplex(params=cells.params)
-    for vid, height in zip(cells.vertex_ids, cells.heights):
+    vids, eids = cells.vertex_ids, cells.edge_ids
+    for vid, height in zip(vids, cells.heights):
         X.vertices[vid] = Vertex(vid, height)
-    for eid, tail, head, type_j in zip(cells.edge_ids, cells.tails, cells.heads, cells.types):
-        X.edges[eid] = Edge(eid, tail, head, type_j)
-    for sid, boundary in zip(cells.square_ids, cells.boundaries):
-        X.squares[sid] = Square(sid, tuple(boundary))
+    for eid, tail, head, type_j in zip(eids, cells.tails, cells.heads, cells.types):
+        X.edges[eid] = Edge(eid, vids[tail], vids[head], type_j)
+    for s, sid in enumerate(cells.square_ids):
+        sides = cells.sides[4 * s : 4 * s + 4]
+        X.squares[sid] = Square(sid, tuple((eids[x // 2], "+-"[x % 2]) for x in sides))
     return X
 
 
 def columns(X: SquareComplex) -> Cells:
-    """The columns of a record complex, in insertion order; unknown fields are dropped."""
+    """The columns of a record complex, in insertion order; unknown fields are dropped.
+
+    Every reference must name a cell, as ``validate_complex`` of the
+    records checks."""
     vs, es = X.vertices.values(), X.edges.values()
+    v_at = {vid: p for p, vid in enumerate(X.vertices)}
+    e_at = {eid: p for p, eid in enumerate(X.edges)}
+    sides = [2 * e_at[eid] + (d == "-") for s in X.squares.values() for eid, d in s.boundary]
     return Cells(
         X.params, list(X.vertices), [v.height for v in vs], list(X.edges),
-        [e.tail for e in es], [e.head for e in es], [e.type for e in es],
-        list(X.squares), [s.boundary for s in X.squares.values()],
+        array("l", [v_at[e.tail] for e in es]), array("l", [v_at[e.head] for e in es]),
+        [e.type for e in es], list(X.squares), array("l", sides),
     )
 
 
 def indexed(X: SquareComplex) -> ComplexIndex:
-    """The program's view of a record complex, checked by its ``validate_complex``."""
+    """The program's view of a record complex, once ``validate_complex`` here passes it."""
+    validate_complex(X)
     return complex_model.validate_complex(columns(X))
 
 

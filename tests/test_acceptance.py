@@ -165,9 +165,8 @@ def test_criterion_8_structural_conditions(acceptance_builds):
             assert cond2.empty and cond2.witnesses == (), (m, k)
             # the built complex itself: every corner, every parity
             X = acceptance_builds[(m, k)]
-            type_of = dict(zip(X.edge_ids, X.types))
-            for sid, sides in zip(X.square_ids, X.boundaries):
-                types = [type_of[e] for e, _ in sides]
+            for s, sid in enumerate(X.square_ids):
+                types = [X.types[x >> 1] for x in X.sides[4 * s : 4 * s + 4]]
                 assert all(types[n] != types[n - 1] for n in range(4)), (m, k, sid)
             H = compute_hyperplanes(validate_complex(X))
             assert set(H.parity) == {0}, (m, k)

@@ -5,7 +5,7 @@ import resource
 
 import pytest
 
-from cubespec import verifier
+from cubespec import hyperplane_engine, verifier
 from cubespec.coeff_group import (
     Character,
     Elem,
@@ -368,6 +368,13 @@ class TestCrossValidation:
         assert cv.certificates_empty
         assert not cv.agreement
 
+    def test_corners_read_once(self, monkeypatch):
+        # the interaction report and the witness walk share one corner reader
+        calls, real = [], hyperplane_engine._corners
+        monkeypatch.setattr(hyperplane_engine, "_corners", lambda *a: calls.append(a) or real(*a))
+        assert run_cross_validation(P42, -4, 4, 2).agreement
+        assert len(calls) == 1
+
     def test_reuses_prebuilt_complex(self):
         ix = built_view(P42, -4, 4)
         certificates = verify_all(P42).certificates
@@ -495,8 +502,8 @@ class TestCrossValidation:
             end_class[end] = -1
             return cc._replace(end_class=end_class)
 
-        def crossing_report(ix, H, core):
-            report = real_report(ix, H, core)
+        def crossing_report(ix, H, core, corners=None):
+            report = real_report(ix, H, core, corners)
             crossings = dict(report.crossings)
             crossings[crossed] = next(iter(crossings.values()))  # a real square, of adjacent types
             return report._replace(crossings=crossings)
