@@ -97,18 +97,14 @@ def _read_file(path: str, read):
 
 
 def cmd_build(args) -> int:
-    from cubespec.complex_model import build_quotient_complex, complex_to_json, validate_complex
+    from cubespec.complex_model import _closed_walks, build_quotient_complex, complex_to_json
 
     params = _params(args)
     size_cap = _size_cap(args, DEFAULT_SIZE_CAP)
     cells = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
-    validate_complex(cells)  # the incidences are checked before the document is written
+    _closed_walks(cells)  # the walks are checked before the document is written
     stamp = _stamp() if args.stamp else None
-    counts = cells.counts()
-    summary = (
-        f"vertices={counts['vertices']} edges={counts['edges']} "
-        f"squares={counts['squares']}"
-    )
+    summary = " ".join(f"{kind}={count}" for kind, count in cells.counts().items())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             complex_to_json(cells, fh, stamp)

@@ -8,12 +8,13 @@ per field, each incidence the position of a cell:
 text stream, and ``complex_from_json`` reads it back, a block at a time
 and record by record, so the whole text is never held; ``json.loads``
 runs only to name the fault of a text that this reader does not take.
-``validate_complex`` checks that the walks of the columns close and
-renumbers the cells in sorted-id order.  That gives the ``ComplexIndex``
-on which the curvature check and the kernels of ``hyperplane_engine``
-run.  The two orders differ: a build lists its cells by (height, type,
-coefficient index), but as strings ``v/-1/..`` sorts before
-``v/-10/..``, and an exponent 10 before an exponent 2.
+``validate_complex`` renumbers the cells in sorted-id order and checks
+that the walks close.  That gives the ``ComplexIndex`` on which the
+curvature check and the kernels of ``hyperplane_engine`` run; ``build``
+needs no view and checks the walks on the columns themselves, by the
+same ``_closed_walks``.  The two orders differ: a build lists its cells
+by (height, type, coefficient index), but as strings ``v/-1/..`` sorts
+before ``v/-10/..``, and an exponent 10 before an exponent 2.
 
 The builder materialises finite height-truncations of the quotient
 complex for parameters (m, k): one vertex orbit per height (coefficients
@@ -140,8 +141,7 @@ def validate_complex(cells: Cells) -> ComplexIndex:
     """Check that every square boundary of a complex closes; return its integer view.
 
     The ids of each kind are unique, as the loader checks and the builder makes them.  The
-    view renumbers the cells in sorted-id order.  When a walk does not close, the first
-    fault in document order raises ``ComplexFormatError``, by ``_check_incidences``."""
+    view renumbers the cells in sorted-id order, and ``_closed_walks`` checks its walks."""
     vertex_ids, edge_ids, square_ids = cells.vertex_ids, cells.edge_ids, cells.square_ids
     v_order, e_order, s_order = (
         sorted(range(len(ids)), key=ids.__getitem__) for ids in (vertex_ids, edge_ids, square_ids)
@@ -150,25 +150,34 @@ def validate_complex(cells: Cells) -> ComplexIndex:
     tail, head = ([at[col[i]] for i in e_order] for col in (cells.tails, cells.heads))
     ends = [0] * (2 * len(e_order))
     ends[0::2], ends[1::2] = head, tail
-    ix = ComplexIndex(
-        [vertex_ids[i] for i in v_order], [edge_ids[i] for i in e_order],
-        [square_ids[i] for i in s_order], tail, head, array("l", [0]) * len(cells.sides), ends,
-        array("l"), [cells.heights[i] for i in v_order], [cells.types[i] for i in e_order],
-        cells.params, [],
-    )
-    sides, after, node = ix.sides, ix.next_sides, _positions(e_order, len(e_order), 2)
+    sides, node = array("l", [0]) * len(cells.sides), _positions(e_order, len(e_order), 2)
     for n in range(4):
         sides[n::4] = array("l", map(node.__getitem__, map(cells.sides[n::4].__getitem__, s_order)))
-    after.extend(sides)
+    return ComplexIndex(
+        [vertex_ids[i] for i in v_order], [edge_ids[i] for i in e_order],
+        [square_ids[i] for i in s_order], tail, head, sides, ends,
+        _closed_walks(cells, ends, sides), [cells.heights[i] for i in v_order],
+        [cells.types[i] for i in e_order], cells.params, [],
+    )
+
+
+def _closed_walks(cells: Cells, ends=None, sides=None) -> array:
+    """``sides`` turned in each square, 4*s + n holding side (n + 1) % 4, once side n stops
+    at ``ends[sides[4*s + n]]``, where side n + 1 starts; numbered as in a view, or else as in
+    ``cells``.  A walk that does not close raises the first fault, by ``_check_incidences``."""
+    if ends is None:
+        ends, sides = [0] * (2 * len(cells.edge_ids)), cells.sides
+        ends[0::2], ends[1::2] = cells.heads, cells.tails
+    after = array("l", sides)
     for n in range(4):
         after[n::4] = sides[(n + 1) % 4 :: 4]
     starts = map(ends.__getitem__, map(operator.xor, after, itertools.repeat(1)))
     if all(map(operator.eq, map(ends.__getitem__, sides), starts)):
-        return ix
-    named, edge_of = vertex_ids.__getitem__, edge_ids.__getitem__
+        return after
+    named, edge_of = cells.vertex_ids.__getitem__, cells.edge_ids.__getitem__
     doc_sides = [(edge_of(x >> 1), "+-"[x & 1]) for x in cells.sides]
-    edges = zip(edge_ids, map(named, cells.tails), map(named, cells.heads))
-    _check_incidences(vertex_ids, edges, zip(square_ids, zip(*[iter(doc_sides)] * 4)))
+    edges = zip(cells.edge_ids, map(named, cells.tails), map(named, cells.heads))
+    _check_incidences(cells.vertex_ids, edges, zip(cells.square_ids, zip(*[iter(doc_sides)] * 4)))
 
 
 def _check_incidences(vertex_ids, edges, squares) -> None:
@@ -209,8 +218,8 @@ def build_quotient_complex(
     above and below.  Boundary layers simply lack the squares that would
     extend past the truncation; downstream checks compensate with a core
     margin.  Cell ids are deterministic, and each kind of cell is listed
-    by (height, type, coefficient index); ``validate_complex`` checks
-    and indexes the result.
+    by (height, type, coefficient index).  ``_closed_walks`` checks the
+    result, and ``validate_complex`` checks and indexes it.
 
     The incidence rules are equivariant: the cell with coefficient g has
     the faces of the identity cell translated by g.  So the faces of the
@@ -425,21 +434,19 @@ def _interleave(cols: list, count: int) -> tuple:
     return tuple(flat)
 
 
-def _fields(cells: Cells, by_end: tuple, section: str, lo: int, hi: int) -> tuple:
-    """The template fields of records lo..hi-1 of a section, strings quoted; ``by_end``
-    holds the edge id and the quoted dir of each edge end, which the sides name."""
+def _fields(cells: Cells, quoted: tuple, section: str, lo: int, hi: int) -> tuple:
+    """The template fields of records lo..hi-1 of a section, strings quoted; ``quoted``
+    holds each vertex id, and the edge id and the dir of each edge end, already quoted."""
+    vertex_ids, edge_of, dir_of = quoted
     if section == "vertices":
-        return _interleave([map(_enc, cells.vertex_ids[lo:hi]), cells.heights[lo:hi]], hi - lo)
+        return _interleave([vertex_ids[lo:hi], cells.heights[lo:hi]], hi - lo)
     if section == "edges":
-        named = cells.vertex_ids.__getitem__
-        ends = (map(named, col[lo:hi]) for col in (cells.tails, cells.heads))
-        cols = [*(map(_enc, col) for col in (cells.edge_ids[lo:hi], *ends)), cells.types[lo:hi]]
-        return _interleave(cols, hi - lo)
-    edge_of, dir_of = (col.__getitem__ for col in by_end)
+        ends = (map(vertex_ids.__getitem__, col[lo:hi]) for col in (cells.tails, cells.heads))
+        return _interleave([edge_of[2 * lo : 2 * hi : 2], *ends, cells.types[lo:hi]], hi - lo)
     cols = [map(_enc, cells.square_ids[lo:hi])]
     for n in range(4):  # the edge and dir of side n, square by square
         side = cells.sides[4 * lo + n : 4 * hi : 4]
-        cols += [map(_enc, map(edge_of, side)), map(dir_of, side)]
+        cols += [map(edge_of.__getitem__, side), map(dir_of.__getitem__, side)]
     return _interleave(cols, hi - lo)
 
 
@@ -455,14 +462,15 @@ def complex_to_json(cells: Cells, out: TextIO, stamp: Optional[dict] = None) -> 
     """
     params = cells.params
     doc: dict = {"params": None if params is None else {"m": params.m, "k": params.k}}
-    by_end = ([""] * (2 * len(cells.edge_ids)), ['"+"', '"-"'] * len(cells.edge_ids))
-    by_end[0][0::2] = by_end[0][1::2] = cells.edge_ids
+    edge_ids = list(map(_enc, cells.edge_ids))  # each id quoted once, then read by position
+    quoted = (list(map(_enc, cells.vertex_ids)), edge_ids * 2, ['"+"', '"-"'] * len(edge_ids))
+    quoted[1][0::2] = quoted[1][1::2] = edge_ids  # by edge end, as the sides name them
     for key, template, ids in (
         ("vertices", _VERTEX, cells.vertex_ids),
         ("edges", _EDGE, cells.edge_ids),
         ("squares", _SQUARE, cells.square_ids),
     ):
-        doc[key] = Rows(template, len(ids), functools.partial(_fields, cells, by_end, key))
+        doc[key] = Rows(template, len(ids), functools.partial(_fields, cells, quoted, key))
     if stamp is not None:
         doc["stamp"] = stamp
     out.writelines(pieces(doc))

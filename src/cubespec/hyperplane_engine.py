@@ -20,6 +20,7 @@ and class pairs are packed as ``a * E + b`` with a <= b, for E edges.
 
 Each vertex star is decided on bitmasks over the classes; witnesses are
 listed only where a star repeats a class or osculates with a crossing one.
+The osculation relation is kept as those masks, one per class.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def _star_witnesses(
 
 class InteractionReport(NamedTuple):
     crossings: dict[int, int]  # packed class pair -> first crossing square
-    osculations: dict[int, tuple[int, int, int]]  # packed class pair -> first witness
+    classes: list[int]  # class ordinal -> its class, ascending
+    osculating: list[int]  # class ordinal -> the class ordinals it osculates with: symmetric
     violations: dict[str, list[dict]]
     bigon_pairs: list[list[str]]
     core: Optional[tuple[int, int]] = None
@@ -258,8 +260,8 @@ def interaction_report(
     them held per edge end.  Where a star holds each class once, each rank
     bit of its star masks names a class, and the star less an edge's class
     and the classes it meets at a square corner is what the edge osculates
-    with; if none of that crosses the edge's class, only the vertex's new
-    class pairs are named.  Other vertices are walked witness by witness.
+    with; if none of that crosses the edge's class, it joins the edge's row
+    of ``osculating``.  Other vertices are walked witness by witness.
     """
     n = len(ix.edge_ids)
     eids, vids, sids = ix.edge_ids, ix.vertex_ids, ix.square_ids
@@ -283,7 +285,7 @@ def interaction_report(
             continue
         cited = [eids[x] for x in sorted({e, f})]
         one_sided.append({"class": eids[cls], "edges": cited, "square": sids[s]})
-    ordinal: dict[int, int] = {}
+    ordinal: dict[int, int] = {}  # class -> ordinal: a class is its least edge, so they ascend
     o = [ordinal.setdefault(c, len(ordinal)) for c in rep]  # edge -> ordinal of its class
     crossed = [0] * len(ordinal)  # class ordinal -> the classes crossing it
     for pair in crossings:
@@ -292,7 +294,6 @@ def interaction_report(
         crossed[o[c2]] |= 1 << o[c1]
     star_masks, bigons = corners or _corners(ix, core)
     seen = [0] * len(ordinal)  # class ordinal -> the classes it osculates with so far
-    osculations: dict[int, tuple[int, int, int]] = {}
     for v, edges in iter_osculations(ix, core):
         bits, near = star_masks(v, edges)
         classes = [1 << o[e] for e in edges]
@@ -307,24 +308,16 @@ def interaction_report(
                     met &= met - 1
                 free.append(star & ~c)
             if not any(w & crossed[o[e]] for e, w in zip(edges, free)):
-                for i, (e, w) in enumerate(zip(edges, free)):
-                    new = w & ~seen[o[e]]
-                    if new:
-                        seen[o[e]] |= new
-                        for f in edges[i + 1:]:
-                            if new >> o[f] & 1:
-                                osculations[_pair(rep[e], rep[f], n)] = (e, f, v)
+                for e, w in zip(edges, free):
+                    seen[o[e]] |= w
                 continue
         for e, f, _ in _star_witnesses(v, edges, bits, near):
             ce, cf = rep[e], rep[f]
-            pair = ce * n + cf if ce <= cf else cf * n + ce  # _pair, inlined per witness
-            if pair not in osculations:
-                osculations[pair] = (e, f, v)
-                seen[o[e]] |= 1 << o[f]
-                seen[o[f]] |= 1 << o[e]
+            seen[o[e]] |= 1 << o[f]
+            seen[o[f]] |= 1 << o[e]
             if ce == cf:
                 self_osc.append({"class": eids[ce], "edges": [eids[e], eids[f]], "vertex": vids[v]})
-            elif pair in crossings:
+            elif (pair := ce * n + cf if ce <= cf else cf * n + ce) in crossings:  # _pair
                 inter_osc.append(
                     {
                         "classes": [eids[x] for x in divmod(pair, n)],
@@ -340,7 +333,7 @@ def interaction_report(
         "inter_osc": inter_osc,
     }
     span = None if core is None else core.span
-    return InteractionReport(crossings, osculations, violations, bigons, span)
+    return InteractionReport(crossings, list(ordinal), seen, violations, bigons, span)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +351,7 @@ def report_to_json(
             for key in ("self_cross", "one_sided", "self_osc", "inter_osc")
         },
         "crossing_pairs": len(report.crossings),
-        "osculating_pairs": len(report.osculations),
+        "osculating_pairs": sum((w >> i).bit_count() for i, w in enumerate(report.osculating)),
         "bigon_pairs": report.bigon_pairs,
     }
     if report.core is not None:
@@ -370,12 +363,15 @@ def dot_export(ix: ComplexIndex, report: InteractionReport) -> str:
     """Interaction graph in DOT: solid for crossing, dashed for osculation."""
     n, eids = len(ix.edge_ids), ix.edge_ids
     lines = ["graph interactions {", "  node [shape=box];"]
-    classes = {c for pair in (*report.crossings, *report.osculations) for c in divmod(pair, n)}
-    for c in sorted(classes):
+    classes, osc = report.classes, report.osculating
+    named = {c for pair in report.crossings for c in divmod(pair, n)}
+    for c in sorted(named.union(c for c, w in zip(classes, osc) if w)):
         lines.append(f'  "{eids[c]}";')
-    for pairs, style in ((report.crossings, "solid"), (report.osculations, "dashed")):
-        for pair in sorted(pairs):
-            a, b = divmod(pair, n)
+    crossing = (divmod(pair, n) for pair in sorted(report.crossings))
+    dashed = ((classes[i], classes[i + j]) for i, w in enumerate(osc)  # a <= b, ascending
+              for j, bit in enumerate(bin(w >> i)[:1:-1]) if bit == "1")
+    for pairs, style in ((crossing, "solid"), (dashed, "dashed")):
+        for a, b in pairs:
             lines.append(f'  "{eids[a]}" -- "{eids[b]}" [style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

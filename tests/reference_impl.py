@@ -27,7 +27,9 @@ all k^m characters (``all_characters``) that the program ran when a
 family's named character failed, before it kept the named character as
 the only one.  ``named_partition``,
 ``named_report`` and ``named_core`` turn the program's index-keyed
-results into the id-keyed form of these references.
+results into the id-keyed form of these references; the program keeps
+no witness per osculating class pair, so ``named_report`` lists its
+pairs in ascending order, where the reference keys its first witnesses.
 ``identity_matrix``, ``matrix_product`` and ``determinant`` check the
 unimodular transforms of a Smith Normal Form.
 """
@@ -555,7 +557,8 @@ def iter_osculations(
 @dataclass
 class InteractionReport:
     crossings: dict[tuple[str, ...], str]  # sorted class tuple -> witness square
-    osculations: dict[tuple[str, ...], tuple[str, str, str]]
+    # sorted class tuple -> first witness; named from the program, the tuples ascending
+    osculations: dict[tuple[str, ...], tuple[str, str, str]] | list[tuple[str, ...]]
     violations: dict[str, list[dict]]
     bigon_pairs: list[list[str]]
     core: Optional[tuple[int, int]] = None
@@ -648,7 +651,10 @@ def core_edges(X: SquareComplex, h_lo: int, h_hi: int) -> frozenset[str]:
 
 
 def _named_pair(ix: ComplexIndex, pair: int) -> tuple[str, ...]:
-    a, b = divmod(pair, len(ix.edge_ids))
+    return _named_classes(ix, *divmod(pair, len(ix.edge_ids)))
+
+
+def _named_classes(ix: ComplexIndex, a: int, b: int) -> tuple[str, ...]:
     return (ix.edge_ids[a],) if a == b else (ix.edge_ids[a], ix.edge_ids[b])
 
 
@@ -670,13 +676,19 @@ def named_partition(ix: ComplexIndex, H: engine.HyperplanePartition) -> Hyperpla
 
 
 def named_report(ix: ComplexIndex, report: engine.InteractionReport) -> InteractionReport:
-    eids, vids = ix.edge_ids, ix.vertex_ids
+    """The program's report named by id, its osculating class pairs listed ascending from
+    its class masks, which must be symmetric."""
+    classes, osc = report.classes, report.osculating
+    bits = [[w >> j & 1 for j in range(len(classes))] for w in osc]
+    assert all(bits[i][j] == bits[j][i] for i in range(len(classes)) for j in range(i))
     return InteractionReport(
         {_named_pair(ix, p): ix.square_ids[s] for p, s in report.crossings.items()},
-        {
-            _named_pair(ix, p): (eids[e], eids[f], vids[v])
-            for p, (e, f, v) in report.osculations.items()
-        },
+        [
+            _named_classes(ix, classes[i], classes[j])
+            for i in range(len(classes))
+            for j in range(i, len(classes))
+            if bits[i][j]
+        ],
         report.violations,
         report.bigon_pairs,
         report.core,

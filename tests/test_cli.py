@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cubespec import cli, complex_model, hyperplane_engine, verifier
+from cubespec.coeff_group import GroupParams
 from cubespec.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,6 +118,37 @@ class TestBuild:
         code, _, err = run(capsys, *self.BUILD_42, "--json")
         assert code == 2
         assert "--json" in err
+
+    def test_walks_checked_without_a_view(self, tmp_path, capsys, monkeypatch):
+        # build checks the walks on its own columns: it never sorts the ids into a view
+        calls = []
+        made = complex_model.validate_complex
+
+        def counted(cells):
+            calls.append(1)
+            return made(cells)
+
+        for module in (complex_model, cli):
+            monkeypatch.setattr(module, "validate_complex", counted, raising=False)
+        assert run(capsys, *self.BUILD_42, "-o", str(tmp_path / "x.json"))[0] == 0
+        assert calls == []
+
+    def test_walk_that_does_not_close_refused(self, tmp_path, capsys, monkeypatch):
+        build = complex_model.build_quotient_complex
+
+        def flipped(*args, **kwargs):
+            cells = build(*args, **kwargs)
+            cells.sides[5] ^= 1  # side 1 of square 1 runs down its edge
+            return cells
+
+        monkeypatch.setattr(complex_model, "build_quotient_complex", flipped)
+        with pytest.raises(complex_model.ComplexFormatError) as fault:
+            complex_model.validate_complex(flipped(GroupParams(4, 2), -3, 3))
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, *self.BUILD_42, "-o", str(out))
+        assert code == 2
+        assert err == f"error: {fault.value}\n" and "walk does not close" in err
+        assert stdout == "" and not out.exists()
 
 
 class TestCheck:

@@ -18,10 +18,15 @@ rest of those documents: the hashes of each document re-dumped without
 its two ``cond*`` certificates, recorded before that change.  They prove
 every other byte, the osculation certificates, stabilisers and the
 ``cross_validation`` section included, stayed the same.
+
+``GOLDEN_DOT`` pins the interaction graph that ``check --dot`` writes, its
+dashed osculation edges included, as recorded while ``interaction_report``
+still kept a first witness per osculating class pair.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +101,15 @@ WITHOUT_STRUCTURAL = {
 }
 
 
+# (build (m, k, h) over heights +-h, or a fixture), margin -> sha256 of the ``check --dot`` text
+GOLDEN_DOT = {
+    ((4, 2, 2), "0"): "ab2ff74160e7550231375e7cdad16d47da9686fadd0b02043e58fff13429e1db",
+    ((4, 3, 4), "2"): "ec5d79881f615c37fe34a21d708f2962ff5f4b34866c30214d94542e74a0b6a0",
+    ("osculating_wedge", "0"): "fb736e901d08117f1a7838100b0880fe4d5dec7f9eb8ef6994d6aea86dc2c479",
+}
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
+
+
 def documents(m: int, k: int, workdir) -> dict[str, tuple[int, bytes]]:
     """Exit code and document bytes of each of the four commands."""
     doc = str(workdir / f"x{m}{k}.json")
@@ -156,6 +170,20 @@ def test_documents_outside_structural_certificates_unchanged(pair, produced):
         for name in WITHOUT_STRUCTURAL[pair]
     }
     assert got == WITHOUT_STRUCTURAL[pair]
+
+
+@pytest.mark.parametrize("source, margin", list(GOLDEN_DOT))
+def test_dot_matches_golden_hash(source, margin, tmp_path, capsys):
+    if isinstance(source, str):
+        doc = str(FIXTURES / f"{source}.json")
+    else:
+        m, k, h = map(str, source)
+        doc = str(tmp_path / "doc.json")
+        assert main(["build", "--m", m, "--k", k, "--hmin", f"-{h}", "--hmax", h, "-o", doc]) == 0
+    dot = tmp_path / "graph.dot"
+    main(["check", doc, "--margin", margin, "--dot", str(dot), "--json"])
+    capsys.readouterr()
+    assert _sha256(dot.read_bytes()) == GOLDEN_DOT[source, margin]
 
 
 # the doc-pipeline benchmark workload: build (4,5) over +-12, then check it

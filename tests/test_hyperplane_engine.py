@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cubespec.coeff_group import GroupParams
-from cubespec.complex_model import build_quotient_complex, validate_complex
+from cubespec.complex_model import build_quotient_complex, link_masks, validate_complex
 from cubespec.hyperplane_engine import (
     compute_hyperplanes,
     core_edges,
@@ -33,6 +33,8 @@ from reference_impl import (
     revalidate_osculation,
 )
 from reference_impl import complex_from_json as record_complex_from_json
+from reference_impl import compute_hyperplanes as reference_partition
+from reference_impl import interaction_report as reference_report
 from test_integer_kernels import fallback_stars
 
 P42 = GroupParams(4, 2)
@@ -63,6 +65,11 @@ def report(X, core_span=None):
     H = compute_hyperplanes(ix)
     core = None if core_span is None else core_edges(ix, *core_span)
     return named_partition(ix, H), named_report(ix, interaction_report(ix, H, core))
+
+
+def reference_witnesses(X) -> dict:
+    """The reference's first witness of each osculating class pair of X, keyed by the pair."""
+    return reference_report(X, reference_partition(X)).osculations
 
 
 def free_square():
@@ -155,13 +162,13 @@ class TestInteractions:
     def test_single_square_report(self):
         _, rep = report(free_square())
         assert list(rep.crossings) == [("a", "b")]
-        assert rep.osculations == {}
+        assert rep.osculations == []
         assert rep.violation_count() == 0
 
     def test_torus_exempts_adjacent_loops(self):
         _, rep = report(torus())
         assert list(rep.crossings) == [("a", "b")]
-        assert rep.osculations == {}
+        assert rep.osculations == []
         assert rep.violation_count() == 0
 
     def test_klein_bottle_violation(self):
@@ -192,8 +199,10 @@ class TestInteractions:
     def test_all_witnesses_revalidate(self):
         X = osculating_wedge()
         H, rep = report(X)
-        for pair, (e, f, v) in rep.osculations.items():
-            assert revalidate_osculation(X, e, f, v)
+        witnesses = reference_witnesses(X)
+        assert rep.osculations
+        for pair in rep.osculations:
+            assert revalidate_osculation(X, *witnesses[pair])
         for pair, sid in rep.crossings.items():
             assert revalidate_crossing(X, H, pair[0], pair[-1], sid)
 
@@ -254,7 +263,7 @@ class TestBuiltComplexChecks:
         assert len(core) == 0 and not core
         _, rep = report(X, core_span=(5, 7))
         assert rep.crossings == {}
-        assert rep.osculations == {}
+        assert rep.osculations == []
         assert rep.violation_count() == 0
 
     @pytest.mark.parametrize("m, k, h, walked", [(4, 3, 8, 0), (3, 3, 6, 63)])
@@ -267,7 +276,7 @@ class TestBuiltComplexChecks:
         rep = interaction_report(ix, H, core)
         assert len(stars) == walked
         assert (rep.violation_count() == 0) == (walked == 0)
-        assert rep.osculations
+        assert any(rep.osculating)
 
     def test_core_needs_heights(self):
         ix = indexed(osculating_wedge())
@@ -291,10 +300,10 @@ class TestBuiltComplexChecks:
     def test_built_witnesses_revalidate(self):
         X = records(build_quotient_complex(P42, -2, 2))
         H, rep = report(X)
-        sample = sorted(rep.osculations.items())[::7]
-        assert sample
-        for _, (e, f, v) in sample:
-            assert revalidate_osculation(X, e, f, v)
+        witnesses = reference_witnesses(X)
+        assert rep.osculations
+        for pair in rep.osculations:
+            assert revalidate_osculation(X, *witnesses[pair])
         for pair, sid in sorted(rep.crossings.items())[::7]:
             assert revalidate_crossing(X, H, pair[0], pair[-1], sid)
 
@@ -325,6 +334,26 @@ def test_report_memory_does_not_grow_with_the_classes():
     # went 84 -> 99 B/end); the rank bits per end and the masks per class do not.
     low, high = transient_bytes_per_end(6, 2, 3), transient_bytes_per_end(7, 2, 3)
     assert high < 1.05 * low, (low, high)
+
+
+def test_report_keeps_no_witness_per_osculating_pair():
+    # (4,5) +-6 margin 2: 58,500 osculating class pairs.  The report keeps 4.4 MB,
+    # mostly its 30,000 bigon rows and 12,500 crossing pairs; with a first witness
+    # per osculating pair it kept 12.7 MB.
+    ix = validate_complex(build_quotient_complex(GroupParams(4, 5), -6, 6))
+    H, core = compute_hyperplanes(ix), core_edges(ix, -4, 4)
+    link_masks(ix)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = interaction_report(ix, H, core)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert report_to_json(ix, H, rep)["osculating_pairs"] == 58_500
+    assert len(rep.bigon_pairs) == 30_000
+    assert kept < 6_000_000, kept
 
 
 def brute_force_bigons(X, core):

@@ -57,7 +57,7 @@ def assert_like_reference(X: SquareComplex, span=None) -> None:
     got = ref.named_report(ix, interaction_report(ix, H, core))
     want = ref.interaction_report(X, want_H, core=want_core, core_span=span)
     assert list(got.crossings.items()) == list(want.crossings.items())
-    assert list(got.osculations.items()) == list(want.osculations.items())
+    assert got.osculations == sorted(want.osculations)  # the reference keys first witnesses
     assert got.violations == want.violations
     assert got.bigon_pairs == want.bigon_pairs
     assert got.core == want.core
@@ -296,7 +296,7 @@ class TestAgainstReference:
         assert stars == []
         ix = indexed(X)
         report = interaction_report(ix, compute_hyperplanes(ix), core_edges(ix, 0, 1))
-        assert report.osculations == {} and report.bigon_pairs == []
+        assert not any(report.osculating) and report.bigon_pairs == []
         assert_like_reference(X)
 
     def test_loop_adjacent_at_its_tail_end_only(self, monkeypatch):
