@@ -9,7 +9,6 @@ periodicity probe.
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
@@ -169,50 +168,23 @@ def abelianization_invariants(params: GroupParams) -> tuple[list[int], int]:
     return torsion, rank
 
 
-def _membership_period(params: GroupParams) -> Optional[int]:
-    """Smallest n > 0 with n*e1 in the crossing-identification lattice.
-
-    The lattice is spanned by e1+e2, e2+e3 (images of the two hyperplane
-    stabilisers) and the relation vector (k, ..., k).  None means only
-    n = 0 lies in the lattice.
-    """
-    m, k = params.m, params.k
-    cols = []
-    for gen in (
-        [1, 1] + [0] * (m - 2),
-        [0, 1, 1] + [0] * (m - 3),
-        [k] * m,
-    ):
-        cols.append(gen)
-    lattice = IntMatrix.from_rows([[cols[c][i] for c in range(3)] for i in range(m)])
-    res = smith_normal_form(lattice)
-    ue1 = [res.U.entries[i][0] for i in range(m)]
-    rank = len(res.invariant_factors)
-    if any(ue1[i] != 0 for i in range(rank, m)):
-        return None
-    period = 1
-    for i in range(rank):
-        d = res.invariant_factors[i]
-        step = d // math.gcd(d, ue1[i])
-        period = period * step // math.gcd(period, step)
-    return period
-
-
 def crossing_orbit_growth(params: GroupParams, r: int) -> int:
     """Number of stabiliser-orbit classes among powers x1^i for |i| <= r.
 
-    Two powers are identified when their difference times e1 lies in the
-    lattice of :func:`_membership_period`.  The count is computed in the
-    abelianisation, so it is a lower bound on the orbit count.
+    Two powers x1^i and x1^j are identified when (i - j) * e1 lies in the
+    crossing-identification lattice, spanned by e1+e2 and e2+e3 (images of
+    the two hyperplane stabilisers) and the relation vector (k, ..., k).
+    For m >= 4 only n = 0 puts n*e1 in it: if n*e1 = a(e1+e2) + b(e2+e3)
+    + c(k, ..., k), coordinate 4 gives c = 0, and coordinates 3, 2 and 1
+    then give b = 0, a = 0 and n = 0.  So the 2r + 1 powers are pairwise
+    distinct.  The count is taken in the abelianisation, so it is a lower
+    bound on the orbit count.
     """
     if params.m < 4:
         raise ValueError("orbit growth needs m >= 4 (a coordinate off the lattice)")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    period = _membership_period(params)
-    if period is None:
-        return 2 * r + 1
-    return min(2 * r + 1, period)
+    return 2 * r + 1
 
 
 class OrderSeq(NamedTuple):

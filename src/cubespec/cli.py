@@ -102,7 +102,8 @@ def cmd_build(args) -> int:
     params = _params(args)
     size_cap = _size_cap(args, DEFAULT_SIZE_CAP)
     cells = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
-    _closed_walks(cells)  # the walks are checked before the document is written
+    # the walks are checked before the document is written; ends read as a list box no int
+    _closed_walks(cells, cells.ends.tolist(), cells.sides)
     stamp = _stamp() if args.stamp else None
     summary = " ".join(f"{kind}={count}" for kind, count in cells.counts().items())
     if args.output:

@@ -3,7 +3,7 @@
 A square complex is a set of vertices, directed edges and squares whose
 boundaries are closed walks of four directed edges, keyed by id.  It
 comes in two forms.  ``Cells`` lists it in document order, one column
-per field, each incidence the position of a cell:
+per field, an edge's two ends in one, each incidence the position of a cell:
 ``build_quotient_complex`` makes it, ``complex_to_json`` writes it to a
 text stream, and ``complex_from_json`` reads it back, a block at a time
 and record by record, so the whole text is never held; ``json.loads``
@@ -41,13 +41,13 @@ from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _enc
 from typing import NamedTuple, Optional, TextIO
 
-from cubespec.coeff_group import Elem, GroupParams, identity
+from cubespec.coeff_group import GroupParams, constant, identity
 from cubespec.incidence import (
     DEFAULT_SIZE_CAP,
     EdgeRef,
     SquareRef,
+    _coset_floor,
     _translation,
-    canonical_vertex,
     check_size_cap,
     edge_endpoints,
     square_boundary,
@@ -72,16 +72,16 @@ class Cells(NamedTuple):
 
     A built complex has ``params``, an int height on every vertex and an
     int type on every edge; a document may have null for any of them.
-    Incidences are positions: ``tails`` and ``heads`` in ``vertex_ids``, and side n of
-    square s is ``sides[4*s + n] = 2 * edge position + (dir == "-")``, as in the view.
+    Incidences are positions, encoded as in the view: edge end 2*e + b, the head of
+    edge position e for b = 0 and its tail for b = 1, is at vertex position ``ends[2*e + b]``,
+    and side n of square s is ``sides[4*s + n] = 2 * edge position + (dir == "-")``.
     """
 
     params: Optional[GroupParams]
     vertex_ids: list[str]
     heights: list[Optional[int]]
     edge_ids: list[str]
-    tails: array
-    heads: array
+    ends: array
     types: list[Optional[int]]
     square_ids: list[str]
     sides: array
@@ -101,16 +101,17 @@ class ComplexIndex(NamedTuple):
     lexicographic tie-break on ids is a comparison of indices.  An edge
     end, a node of a vertex link, is ``2*e`` for the head of edge e and
     ``2*e + 1`` for its tail, which keeps the order (edge id, "head" <
-    "tail").  Side n of square s is ``sides[4*s + n] = 2*e + (dir ==
-    "-")``: read as a node, that is the end of e where the side stops.
-    Ids are looked up only where a result names a cell.
+    "tail"), and ``ends`` is the one column of the edges' ends: the
+    head of e is vertex ``ends[2*e]`` and its tail ``ends[2*e + 1]``;
+    kernels walk it as (head, tail) pairs.  Side n of square s is
+    ``sides[4*s + n] = 2*e + (dir == "-")``: read as a node, that is the
+    end of e where the side stops.  Ids are looked up only where a result
+    names a cell.
     """
 
     vertex_ids: list[str]
     edge_ids: list[str]
     square_ids: list[str]
-    tail: list[int]  # edge index -> vertex index
-    head: list[int]
     sides: array  # four per square, 2*e + direction bit, held unboxed
     ends: list[int]  # edge end -> its vertex: the head of e at 2*e, the tail at 2*e + 1
     next_sides: array  # ``sides`` turned within each square: 4*s + n holds side (n + 1) % 4
@@ -147,27 +148,27 @@ def validate_complex(cells: Cells) -> ComplexIndex:
         sorted(range(len(ids)), key=ids.__getitem__) for ids in (vertex_ids, edge_ids, square_ids)
     )
     at = _positions(v_order, len(v_order))
-    tail, head = ([at[col[i]] for i in e_order] for col in (cells.tails, cells.heads))
-    ends = [0] * (2 * len(e_order))
-    ends[0::2], ends[1::2] = head, tail
+    ends = [0] * len(cells.ends)
+    for b in range(2):  # the heads, then the tails
+        col = cells.ends[b::2]
+        ends[b::2] = [at[col[i]] for i in e_order]
+    del col  # freed before the walks are checked, where the transient peaks
     sides, node = array("l", [0]) * len(cells.sides), _positions(e_order, len(e_order), 2)
     for n in range(4):
         sides[n::4] = array("l", map(node.__getitem__, map(cells.sides[n::4].__getitem__, s_order)))
     return ComplexIndex(
         [vertex_ids[i] for i in v_order], [edge_ids[i] for i in e_order],
-        [square_ids[i] for i in s_order], tail, head, sides, ends,
+        [square_ids[i] for i in s_order], sides, ends,
         _closed_walks(cells, ends, sides), [cells.heights[i] for i in v_order],
         [cells.types[i] for i in e_order], cells.params, [],
     )
 
 
-def _closed_walks(cells: Cells, ends=None, sides=None) -> array:
+def _closed_walks(cells: Cells, ends, sides) -> array:
     """``sides`` turned in each square, 4*s + n holding side (n + 1) % 4, once side n stops
-    at ``ends[sides[4*s + n]]``, where side n + 1 starts; numbered as in a view, or else as in
-    ``cells``.  A walk that does not close raises the first fault, by ``_check_incidences``."""
-    if ends is None:
-        ends, sides = [0] * (2 * len(cells.edge_ids)), cells.sides
-        ends[0::2], ends[1::2] = cells.heads, cells.tails
+    at ``ends[sides[4*s + n]]``, where side n + 1 starts.  ``ends`` and ``sides`` are those of
+    ``cells`` or of its view, both numbered alike; a walk that does not close raises the first
+    fault of ``cells``, by ``_check_incidences``."""
     after = array("l", sides)
     for n in range(4):
         after[n::4] = sides[(n + 1) % 4 :: 4]
@@ -176,7 +177,7 @@ def _closed_walks(cells: Cells, ends=None, sides=None) -> array:
         return after
     named, edge_of = cells.vertex_ids.__getitem__, cells.edge_ids.__getitem__
     doc_sides = [(edge_of(x >> 1), "+-"[x & 1]) for x in cells.sides]
-    edges = zip(cells.edge_ids, map(named, cells.tails), map(named, cells.heads))
+    edges = zip(cells.edge_ids, map(named, cells.ends[1::2]), map(named, cells.ends[0::2]))
     _check_incidences(cells.vertex_ids, edges, zip(cells.square_ids, zip(*[iter(doc_sides)] * 4)))
 
 
@@ -226,9 +227,10 @@ def build_quotient_complex(
     identity cells are read off ``edge_endpoints`` and ``square_boundary``
     once per (height, type), each translation becomes an index table, and
     the per-cell loops only read the positions of faces off those tables.
-    Reduction modulo a vertex stabiliser commutes with translation, so
-    vertex faces go through ``canonical_vertex`` only once per
-    coefficient and height residue mod k, which fixes the stabiliser.
+    A vertex coefficient is reduced to the least index of its coset of
+    the height-i stabiliser <d(i)>, as ``canonical_vertex`` reduces it:
+    one ``_coset_floor`` table per height residue mod k, which fixes the
+    stabiliser.
     """
     if h_max < h_min + 2:
         raise SpanError(
@@ -236,42 +238,31 @@ def build_quotient_complex(
             f"got [{h_min}, {h_max}]"
         )
     check_size_cap(params, size_cap)
-    k = params.k
-    elems = [Elem(params, exps) for exps in itertools.product(range(k), repeat=params.m)]
-    index_of = {g.exps: c for c, g in enumerate(elems)}
-    exps_strs = [",".join(map(str, g.exps)) for g in elems]
+    k, order = params.k, params.order
+    exps_strs = [",".join(map(str, exps)) for exps in itertools.product(range(k), repeat=params.m)]
     one = identity(params)
-    tables: dict[tuple[int, ...], list[int]] = {}
-
-    def table(t: Elem) -> list[int]:
-        if t.exps not in tables:
-            tables[t.exps] = _translation(params, t)
-        return tables[t.exps]
-
-    cells = Cells(params, [], [], [], array("l"), array("l"), [], [], array("l"))
-    canon_by_residue: dict[int, list[int]] = {}
+    table = functools.cache(functools.partial(_translation, params))  # t -> the table of g * t
+    floor = functools.cache(lambda r: _coset_floor(params, constant(params, r)))  # r = height % k
+    cells = Cells(params, [], [], [], array("l"), [], [], array("l"))
     vertex_at: dict[int, list[int]] = {}  # height -> coefficient index -> vertex position
     for i in range(h_min, h_max + 1):
-        if i % k not in canon_by_residue:
-            canon_by_residue[i % k] = [
-                index_of[canonical_vertex(g, i).coeff.exps] for g in elems
-            ]
-        canon = canon_by_residue[i % k]
+        canon = floor(i % k)
         reps = sorted(set(canon))
         at = dict(zip(reps, itertools.count(len(cells.vertex_ids))))
         cells.vertex_ids.extend([f"v/{i}/{exps_strs[c]}" for c in reps])
         cells.heights.extend([i] * len(reps))
         vertex_at[i] = [at[c] for c in canon]
     edge_at: dict[tuple[int, int], int] = {}  # (height, type) -> position of its identity edge
+    pair = array("l", [0]) * (2 * order)  # the ends of one (height, type), edge by edge
     for i in range(h_min + 1, h_max + 1):
         for j in range(1, params.m + 1):
             edge_at[i, j] = len(cells.edge_ids)
-            tail, head = edge_endpoints(EdgeRef(i, j, one))
+            for b, end in enumerate(edge_endpoints(EdgeRef(i, j, one))[::-1]):  # head, then tail
+                pair[b::2] = array("l", map(vertex_at[end.height].__getitem__, table(end.coeff)))
             cells.edge_ids.extend([f"e/{i}/{j}/{s}" for s in exps_strs])
-            cells.tails.extend(map(vertex_at[tail.height].__getitem__, table(tail.coeff)))
-            cells.heads.extend(map(vertex_at[head.height].__getitem__, table(head.coeff)))
-            cells.types.extend([j] * len(elems))
-    block = array("l", [0]) * (4 * len(elems))  # the sides of one (height, type), square by square
+            cells.ends.extend(pair)
+            cells.types.extend([j] * order)
+    block = array("l", [0]) * (4 * order)  # the sides of one (height, type), square by square
     for i in range(h_min + 1, h_max):
         for j in range(1, params.m + 1):
             for n, (er, d) in enumerate(square_boundary(SquareRef(i, j, one))):
@@ -292,7 +283,8 @@ def link_corners(ix: ComplexIndex) -> list[list[int]]:
     The link of v has the edge ends at v as nodes and one adjacency per
     square corner at v.  Corner c = 4*s + n follows side n of square s:
     it joins node ``sides[c]``, the end where side n stops, to node
-    ``next_sides[c] ^ 1``, the end where the next side starts.  Each
+    ``next_sides[c] ^ 1``, the end where the next side starts, and
+    it lies at vertex ``ends[sides[c]]``.  Each
     vertex lists its corners in ascending c: sorted square order, then
     corner position.
     """
@@ -346,33 +338,33 @@ def check_npc(ix: ComplexIndex) -> NpcReport:
     once; only when that fails is each link tested on its own, and a
     link that fails walked corner by corner, to list its failures.
     """
-    sides, far = ix.sides, [x ^ 1 for x in ix.next_sides]
+    sides, after = ix.sides, ix.next_sides
     nb = link_masks(ix)[1]
     at = nb.__getitem__
     if sum(map(int.bit_count, nb)) == 2 * len(sides) and not any(
-        map(operator.and_, map(at, sides), map(at, far))
+        map(operator.and_, map(at, sides), map(at, map(operator.xor, after, itertools.repeat(1))))
     ):
         return NpcReport(True, [])
     failures: list[dict] = []
     for v, corners in enumerate(link_corners(ix)):
-        near_v, far_v = [sides[c] for c in corners], [far[c] for c in corners]
-        if sum(nb[x].bit_count() for x in {*near_v, *far_v}) != 2 * len(corners) or any(
-            map(operator.and_, map(at, near_v), map(at, far_v))
+        near, far = [sides[c] for c in corners], [after[c] ^ 1 for c in corners]
+        if sum(nb[x].bit_count() for x in {*near, *far}) != 2 * len(corners) or any(
+            map(operator.and_, map(at, near), map(at, far))
         ):
-            failures.extend(_link_failures(ix, v, corners, sides, far))
+            failures.extend(_link_failures(ix, v, corners, near, far))
     return NpcReport(not failures, failures)
 
 
 def _link_failures(
-    ix: ComplexIndex, v: int, corners: list[int], sides: array, far: list[int]
+    ix: ComplexIndex, v: int, corners: list[int], near: list[int], far: list[int]
 ) -> list[dict]:
-    """The failures of the link of vertex v: adjacencies corner by corner, triangles on masks."""
+    """The failures of the link of vertex v, whose corner c joins nodes ``near[i]`` and
+    ``far[i]`` for c = ``corners[i]``: adjacencies corner by corner, triangles on masks."""
     bit, masks = link_masks(ix)
     failures: list[dict] = []
     n_nodes = 2 * len(ix.edge_ids)
     seen: dict[int, int] = {}  # packed node pair -> first square
-    for c in corners:
-        na, nb = sides[c], far[c]
+    for c, na, nb in zip(corners, near, far):
         if na == nb:
             failures.append(
                 {
@@ -396,7 +388,7 @@ def _link_failures(
             )
         else:
             seen[key] = c >> 2
-    nodes = sorted({*(sides[c] for c in corners), *(far[c] for c in corners)})
+    nodes = sorted({*near, *far})
     for i, na in enumerate(nodes):  # a self-adjacency is in no triangle: the nodes ascend
         for j, nb in enumerate(nodes[i + 1:], i + 1):
             if masks[na] & bit[nb]:
@@ -441,7 +433,7 @@ def _fields(cells: Cells, quoted: tuple, section: str, lo: int, hi: int) -> tupl
     if section == "vertices":
         return _interleave([vertex_ids[lo:hi], cells.heights[lo:hi]], hi - lo)
     if section == "edges":
-        ends = (map(vertex_ids.__getitem__, col[lo:hi]) for col in (cells.tails, cells.heads))
+        ends = (map(vertex_ids.__getitem__, cells.ends[2 * lo + b : 2 * hi : 2]) for b in (1, 0))
         return _interleave([edge_of[2 * lo : 2 * hi : 2], *ends, cells.types[lo:hi]], hi - lo)
     cols = [map(_enc, cells.square_ids[lo:hi])]
     for n in range(4):  # the edge and dir of side n, square by square
@@ -599,9 +591,8 @@ def _vertex_row(rec: dict, name, cols: list) -> None:
 
 def _edge_row(rec: dict, name, cols: list) -> None:
     cols[0].append(name(rec["id"]))
-    cols[1].append(name(rec["tail"]))
-    cols[2].append(name(rec["head"]))
-    cols[3].append(rec.get("type"))
+    cols[1].extend((name(rec["head"]), name(rec["tail"])))
+    cols[2].append(rec.get("type"))
 
 
 def _square_row(rec: dict, name, cols: list, bit=_DIR_BIT) -> None:
@@ -615,15 +606,19 @@ def _read_section(win: _Window, section: str, name) -> Optional[list]:
     """The columns of the records in the array at the window, or None when it is unread.
 
     Records are decoded one at a time, and only their fields are kept:
-    each id and reference as the ordinal that ``name`` gives it, a side
-    as 2 * the ordinal of its edge + its direction bit, and heights and
-    types as they are.  The window is left past the value, read or not.
-    None when the value is not an array or a record lacks a field or has
-    one that cannot be kept so; a decode error raises.
+    each id and reference as the ordinal that ``name`` gives it, an
+    edge's head and then its tail in one column, a side as 2 * the
+    ordinal of its edge + its direction bit, and heights and types as
+    they are.  The window is left past the value, read or not.  None
+    when the value is not an array or a record lacks a field or has one
+    that cannot be kept so; a decode error raises.
     """
-    row = {"vertices": _vertex_row, "edges": _edge_row, "squares": _square_row}[section]
-    scan, (_, strings, optional) = _DECODER.scan_once, _SCHEMA[section]
-    cols = [array("l") for _ in strings] + [[] if optional else array("l")]
+    row, cols = {
+        "vertices": (_vertex_row, [array("l"), []]),
+        "edges": (_edge_row, [array("l"), array("l"), []]),
+        "squares": (_square_row, [array("l"), array("l")]),
+    }[section]
+    scan = _DECODER.scan_once
     if not win.skip("["):
         win.take(scan)
         return None
@@ -661,7 +656,7 @@ def _resolve(params, names: list[str], vertices: list, edges: list, squares: lis
     """The ``Cells`` of the sections' columns, ``names`` giving the string of each ordinal,
     or None when an id is not a string or repeats within its kind, a height or type is
     neither an int nor null, or a reference names no cell of its kind."""
-    (v_ids, heights), (e_ids, tails, heads, types), (s_ids, sides) = vertices, edges, squares
+    (v_ids, heights), (e_ids, ends, types), (s_ids, sides) = vertices, edges, squares
     ids = [list(map(names.__getitem__, col)) for col in (v_ids, e_ids, s_ids)]
     typed = {str}.issuperset(map(type, itertools.chain(*ids)))
     typed = typed and {int, type(None)}.issuperset(map(type, itertools.chain(heights, types)))
@@ -669,11 +664,11 @@ def _resolve(params, names: list[str], vertices: list, edges: list, squares: lis
         return None
     at, node = _positions(v_ids, len(names)).__getitem__, _positions(e_ids, len(names), 2)
     try:  # a reference that names no cell of its kind is at None
-        tails, heads = array("l", map(at, tails)), array("l", map(at, heads))
+        ends = array("l", map(at, ends))
         sides = array("l", map(node.__getitem__, sides))
     except TypeError:
         return None
-    return Cells(params, ids[0], heights, ids[1], tails, heads, types, ids[2], sides)
+    return Cells(params, ids[0], heights, ids[1], ends, types, ids[2], sides)
 
 
 def _read_columns(stream: TextIO) -> Optional[Cells]:

@@ -137,7 +137,7 @@ def core_edges(ix: ComplexIndex, h_lo: int, h_hi: int) -> Core:
     """Edges whose top height lies in [h_lo, h_hi]; needs height metadata."""
     height = ix.height
     mask = bytearray(len(ix.edge_ids))
-    for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
+    for e, (h, t) in enumerate(zip(*[iter(ix.ends)] * 2)):
         ht, hh = height[t], height[h]
         if ht is None or hh is None:
             raise ValueError(f"edge {ix.edge_ids[e]}: missing height metadata on endpoints")
@@ -167,7 +167,7 @@ def _corners(ix: ComplexIndex, core: Optional[Core]) -> tuple[Callable, list[lis
     bit, nb = link_masks(ix)
     n_v, ends = len(ix.vertex_ids), ix.ends
     parallel: dict[int, list[int]] = {}  # packed ends -> edges, ascending
-    for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
+    for e, (h, t) in enumerate(zip(*[iter(ends)] * 2)):
         if t != h and (core is None or core.mask[e]):  # the ends packed by _pair, inlined
             parallel.setdefault(t * n_v + h if t < h else h * n_v + t, []).append(e)
     twin: dict[int, int] = {}  # edge end -> the bits met at the far end of parallel edges
@@ -209,11 +209,11 @@ def iter_osculations(
     decides a star on class masks and lists them only where the masks fail.
     """
     incident: list[list[int]] = [[] for _ in ix.vertex_ids]
-    for e, (t, h) in enumerate(zip(ix.tail, ix.head)):
+    for e, (h, t) in enumerate(zip(*[iter(ix.ends)] * 2)):
         if core is None or core.mask[e]:
-            incident[t].append(e)
-            if h != t:
-                incident[h].append(e)
+            incident[h].append(e)
+            if t != h:
+                incident[t].append(e)
     for v, edges in enumerate(incident):
         if len(edges) > 1:
             yield v, edges

@@ -5,7 +5,8 @@ coefficient in the group C_k^m.  The rules here give the faces of a
 cell from its reference alone, so the builder in ``complex_model`` and
 the symbolic route in ``verifier`` read the same square shapes without
 either needing the other.  This module also holds the size cap on the
-group order, which both of them check.
+group order, which both of them check, and the index tables over the
+coefficients that both read: translations and coset floors.
 """
 
 from __future__ import annotations
@@ -109,3 +110,19 @@ def _translation(params: GroupParams, t: Elem) -> list[int]:
         digits = [(d + x) % k for d in range(k)]
         table = [base * k + d for base in table for d in digits]
     return table
+
+
+def _coset_floor(params: GroupParams, gen: Elem) -> list[int]:
+    """Least coefficient index of the coset g * <gen>, for every index g.
+
+    In ascending order the first index met in a coset is its least, and
+    walking the coset by ``gen`` labels the rest.
+    """
+    step = _translation(params, gen)
+    least = [-1] * params.order
+    for x in range(params.order):
+        y = x
+        while least[y] < 0:
+            least[y] = x
+            y = step[y]
+    return least

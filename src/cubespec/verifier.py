@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from cubespec.coeff_group import (
     Character,
-    Elem,
     GroupParams,
     Subgroup,
     constant,
@@ -58,7 +57,7 @@ from cubespec.coeff_group import (
     unit,
     unit_character,
 )
-from cubespec.incidence import SquareRef, _translation, square_boundary
+from cubespec.incidence import SquareRef, _coset_floor, _translation, square_boundary
 
 if TYPE_CHECKING:
     from cubespec.complex_model import ComplexIndex
@@ -537,9 +536,11 @@ class CoreCoefficients(NamedTuple):
     """The core edges of a built truncation on coefficient indices.
 
     A coefficient's index reads its exponents base k, first exponent most
-    significant, as the builder numbers them.  Core edge e is (``height[e]``,
-    ``type_j[e]``, ``coeff[e]``), read at the ascending core ``edges``.  The
-    tables are made once per run.  Edge end 2e + (1 at its tail) holds the
+    significant, as the builder numbers them.  Core edge e has coefficient
+    index ``coeff[e]``, read at the ascending core ``edges``; its type and
+    head height are the view's, ``ix.type[e]`` and ``ix.height[ix.ends[2*e]]``,
+    which its id agrees with.  The tables are made once per run.  Edge end
+    2e + (1 at its tail) holds the
     coefficient of e there, g at the head and g * P(j-1) at the tail:
     ``end_class`` gives the least index in its coset of the diagonal
     subgroup <d(1)>, and ``end_first`` its first exponent.  ``log[b][r]``
@@ -550,31 +551,12 @@ class CoreCoefficients(NamedTuple):
     """
 
     ix: ComplexIndex
-    params: GroupParams
     edges: list[int]
-    height: list[int]
-    type_j: list[int]
     coeff: list[int]
     end_class: list[int]
     end_first: list[int]
     log: list[list[Optional[int]]]
     read: list[list[Optional[tuple]]]
-
-
-def _coset_floor(params: GroupParams, gen: Elem) -> list[int]:
-    """Least coefficient index of the coset g * <gen>, for every index g.
-
-    In ascending order the first index met in a coset is its least, and
-    walking the coset by ``gen`` labels the rest.
-    """
-    step = _translation(params, gen)
-    least = [-1] * params.order
-    for x in range(params.order):
-        y = x
-        while least[y] < 0:
-            least[y] = x
-            y = step[y]
-    return least
 
 
 def core_coefficients(ix: ComplexIndex, core: Core) -> CoreCoefficients:
@@ -592,7 +574,11 @@ def core_coefficients(ix: ComplexIndex, core: Core) -> CoreCoefficients:
         raise ValueError("edge ids name refs only in a built complex; params is null")
     m, k, n = params.m, params.k, len(ix.edge_ids)
     edges = [e for e in range(n) if core.mask[e]]
-    height, type_j, coeff = [0] * n, [0] * n, [0] * n
+    coeff = [0] * n
+    up = [_translation(params, prefix(params, i)) for i in range(m)]
+    diag = _coset_floor(params, constant(params, 1))
+    top = params.order // k  # the weight of the first exponent
+    end_class, end_first = [0] * 2 * n, [0] * 2 * n
     index_of: dict[str, int] = {}  # exponents as written -> coefficient index
     for e in edges:
         eid = ix.edge_ids[e]
@@ -609,19 +595,13 @@ def core_coefficients(ix: ComplexIndex, core: Core) -> CoreCoefficients:
             raise ValueError(f"edge id {eid!r}: type or exponents out of range for {params}")
         if c is None:
             c = index_of[text] = sum(x * k**p for p, x in enumerate(reversed(exps)))
-        if ix.type[e] != j or ix.height[ix.head[e]] != h:
+        if ix.type[e] != j or ix.height[ix.ends[2 * e]] != h:
             raise ValueError(f"edge id {eid!r}: no stored edge of that type and head height")
-        height[e], type_j[e], coeff[e] = h, j, c
-    up = [_translation(params, prefix(params, i)) for i in range(m)]
-    diag = _coset_floor(params, constant(params, 1))
-    top = params.order // k  # the weight of the first exponent
-    end_class, end_first = [0] * 2 * n, [0] * 2 * n
-    for e in edges:
-        g = coeff[e]
-        for x, y in ((2 * e, g), (2 * e + 1, up[type_j[e] - 1][g])):
+        coeff[e] = c
+        for x, y in ((2 * e, c), (2 * e + 1, up[j - 1][c])):
             end_class[x], end_first[x] = diag[y], y // top
     return CoreCoefficients(
-        ix, params, edges, height, type_j, coeff, end_class, end_first,
+        ix, edges, coeff, end_class, end_first,
         log=[
             [next((c for c in range(k) if c * b % k == r), None) for r in range(k)]
             for b in range(k)
@@ -639,12 +619,14 @@ def _climb_keys(cc: CoreCoefficients) -> list[int]:
     edge reads the P(j)^h table of its type and height residue, then the
     least-in-coset table of Stab(j).
     """
-    params, k = cc.params, cc.params.k
-    residues = {(cc.type_j[e], cc.height[e] % k) for e in cc.edges}
+    ix = cc.ix
+    params, k, heights, ends = ix.params, ix.params.k, ix.height, ix.ends
+    keys = [(ix.type[e], heights[ends[2 * e]] % k) for e in cc.edges]
+    residues = set(keys)
     least = {j: _coset_floor(params, edge_type_stabilizer(params, j).generator) for j, _ in residues}
     shift = {(j, r): _translation(params, prefix(params, j) ** r) for j, r in residues}
     tables = {(j, r): [least[j][x] for x in shift[j, r]] for j, r in residues}
-    return [tables[cc.type_j[e], cc.height[e] % k][cc.coeff[e]] for e in cc.edges]
+    return [tables[key][cc.coeff[e]] for key, e in zip(keys, cc.edges)]
 
 
 def _unmatched(cc: CoreCoefficients, reason: str, e: int, f: int, v: int) -> dict:
@@ -660,14 +642,15 @@ def _by_heights(cc: CoreCoefficients, e: int, f: int, gap: int) -> tuple | str:
     ``read`` row, its base and the class and first exponent of e's and of
     f's end.  Any other pair gives the reason it fits no row.
     """
-    if cc.type_j[e] != cc.type_j[f]:
+    ix = cc.ix
+    if ix.type[e] != ix.type[f]:
         return "adjacent-type pair in an unrecognised relative position"
     if gap != 1 and gap != -1:
         return "level same-type pair with mixed ends" if gap == 0 else "same-type pair at height gap > 1"
-    x, y, side = 2 * e + (gap < 0), 2 * f + (gap > 0), 2 * cc.type_j[e] - 2
+    x, y, side = 2 * e + (gap < 0), 2 * f + (gap > 0), 2 * ix.type[e] - 2
     how = cc.read[side + (gap < 0)][side + (gap > 0)]
     cls, first = cc.end_class, cc.end_first
-    return how, cc.height[e] - (gap < 0), cls[x], first[x], cls[y], first[y]
+    return how, ix.height[ix.ends[2 * e]] - (gap < 0), cls[x], first[x], cls[y], first[y]
 
 
 def classify_osculation(
@@ -696,13 +679,14 @@ def classify_osculation(
     table of the base residue, at the difference of their first
     exponents, and a row that needs a twist rejects a trivial one.
     """
-    k, log, tail, height = cc.params.k, cc.log, cc.ix.tail, cc.height
-    type_j, end_class, end_first, read = cc.type_j, cc.end_class, cc.end_first, cc.read
+    ix = cc.ix
+    k, log, ends, heights, types = ix.params.k, cc.log, ix.ends, ix.height, ix.type
+    end_class, end_first, read = cc.end_class, cc.end_first, cc.read
     star = []
     for e, b, met in zip(edges, bits, near):
-        at = tail[e] == v
-        x, h = 2 * e + at, height[e]
-        star.append((e, b, met, 2 * type_j[e] - 2 + at, h, h - at, end_class[x], end_first[x]))
+        at = ends[2 * e + 1] == v
+        x, h = 2 * e + at, heights[ends[2 * e]]
+        star.append((e, b, met, 2 * types[e] - 2 + at, h, h - at, end_class[x], end_first[x]))
     out = []
     for i, (e, _, met, side, he, e_base, e_class, e_first) in enumerate(star):
         row = read[side]
@@ -785,7 +769,7 @@ def cross_validate(
     by_class: dict[int, set] = {}
     by_key: dict[tuple, set] = {}
     for e, c in zip(cc.edges, _climb_keys(cc)):
-        key = (cc.type_j[e], c)
+        key = (ix.type[e], c)
         by_class.setdefault(H.rep[e], set()).add(key)
         by_key.setdefault(key, set()).add(H.rep[e])
 
@@ -807,8 +791,8 @@ def cross_validate(
     findings = []
     case_matches: dict[str, int] = {}
     for _, s in sorted(report.crossings.items()):
-        t1 = cc.type_j[ix.sides[4 * s] >> 1]
-        t2 = cc.type_j[ix.sides[4 * s + 1] >> 1]
+        t1 = ix.type[ix.sides[4 * s] >> 1]
+        t2 = ix.type[ix.sides[4 * s + 1] >> 1]
         if (t1 - t2) % params.m not in (1, params.m - 1):
             findings.append(
                 {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}

@@ -107,7 +107,7 @@ def records(cells: Cells) -> SquareComplex:
     vids, eids = cells.vertex_ids, cells.edge_ids
     for vid, height in zip(vids, cells.heights):
         X.vertices[vid] = Vertex(vid, height)
-    for eid, tail, head, type_j in zip(eids, cells.tails, cells.heads, cells.types):
+    for eid, head, tail, type_j in zip(eids, cells.ends[0::2], cells.ends[1::2], cells.types):
         X.edges[eid] = Edge(eid, vids[tail], vids[head], type_j)
     for s, sid in enumerate(cells.square_ids):
         sides = cells.sides[4 * s : 4 * s + 4]
@@ -126,7 +126,7 @@ def columns(X: SquareComplex) -> Cells:
     sides = [2 * e_at[eid] + (d == "-") for s in X.squares.values() for eid, d in s.boundary]
     return Cells(
         X.params, list(X.vertices), [v.height for v in vs], list(X.edges),
-        array("l", [v_at[e.tail] for e in es]), array("l", [v_at[e.head] for e in es]),
+        array("l", [v_at[x] for e in es for x in (e.head, e.tail)]),
         [e.type for e in es], list(X.squares), array("l", sides),
     )
 

@@ -2,6 +2,7 @@ import collections
 import io
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from cubespec.complex_model import (
     complex_from_json,
     complex_to_json,
     link_corners,
+    link_masks,
     validate_complex,
 )
 from cubespec.hyperplane_engine import core_edges
@@ -344,7 +346,9 @@ def read_ids(X):
     ix = indexed(X)
     heights = [v.height for v in X.vertices.values()]
     cc = core_coefficients(ix, core_edges(ix, min(heights), max(heights)))
-    return {ix.edge_ids[e]: (cc.height[e], cc.type_j[e], cc.coeff[e]) for e in cc.edges}
+    return {
+        ix.edge_ids[e]: (ix.height[ix.ends[2 * e]], ix.type[e], cc.coeff[e]) for e in cc.edges
+    }
 
 
 def id_fault(read, *args):
@@ -569,6 +573,20 @@ class TestNpc:
         report = check_npc(validate_complex(build_quotient_complex(GroupParams(m, k), -8, 8)))
         assert report == (True, [])
 
+    def test_clean_check_allocates_nothing_per_corner(self):
+        # (4,3) +-6 has 14,256 square corners: a list with an int per corner
+        # is about 0.5 MB; the clean check streams them and holds no column
+        ix = validate_complex(build_quotient_complex(P43, -6, 6))
+        link_masks(ix)  # made once per view and kept in it, so left out here
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = check_npc(ix)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.passed and peak < 8192, peak
+
 
 class TestJsonRoundTrip:
     def test_round_trip_built(self):
@@ -729,7 +747,7 @@ class TestWriter:
         assert complex_from_json(io.StringIO(text)) == validate_complex(cells)
 
     def test_empty_complex(self):
-        cells = Cells(None, [], [], [], [], [], [], [], [])
+        cells = Cells(None, [], [], [], [], [], [], [])
         assert written(cells) == record_complex_to_json(SquareComplex())
         assert '"vertices": []' in written(cells)
 

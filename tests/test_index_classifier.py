@@ -56,7 +56,7 @@ def as_dicts(cc, readings) -> list[dict]:
         if isinstance(got, dict):
             out.append(got)
         elif got[0] == "benign_nonadjacent":
-            out.append({"case_id": got[0], "types": sorted(cc.type_j[e] for e in got[1:])})
+            out.append({"case_id": got[0], "types": sorted(cc.ix.type[e] for e in got[1:])})
         else:
             case_id, j, residue, c = got
             out.append({"case_id": case_id, "j": j, RESIDUE[case_id]: residue, "c": c})
@@ -88,8 +88,8 @@ def truncation(m, k, h_min, layers, margin):
     refs = parse_edge_ids(X, [ix.edge_ids[e] for e in cc.edges])
     incident = [[] for _ in ix.vertex_ids]  # core edges at each vertex, ascending
     for e in cc.edges:
-        incident[ix.tail[e]].append(e)
-        incident[ix.head[e]].append(e)
+        incident[ix.ends[2 * e + 1]].append(e)
+        incident[ix.ends[2 * e]].append(e)
     core_vertices = [v for v, edges in enumerate(incident) if len(edges) > 1]
     return X, ix, cc, refs, incident, core_vertices
 

@@ -388,7 +388,7 @@ class TestCrossValidation:
         assert cv.class_mismatches == [] and cv.inconclusive == []
 
     def test_classification_requires_refs(self):
-        ix = validate_complex(Cells(None, ["v"], [None], [], [], [], [], [], []))
+        ix = validate_complex(Cells(None, ["v"], [None], [], [], [], [], []))
         with pytest.raises(ValueError):
             cross_validate(ix, 2, check_self_osculation_cases(P42))
 
@@ -479,7 +479,7 @@ class TestCrossValidation:
         ix = built_view(P43, -5, 5)
         core, n = core_edges(ix, -3, 3), len(ix.edge_ids)
         star_masks, rep = _corners(ix, core)[0], compute_hyperplanes(ix).rep
-        type_j = core_coefficients(ix, core).type_j
+        type_j = ix.type
 
         def benign(e, f):
             return (type_j[e] - type_j[f]) % 4 == 2
@@ -493,7 +493,7 @@ class TestCrossValidation:
         v, edges = next((v, edges) for v, edges in iter_osculations(ix, core) if layout(v, edges)[1])
         pairs, i = layout(v, edges)
         crossed = _pair(rep[pairs[i][0]], rep[pairs[i][1]], n)
-        end = 2 * edges[-1] + (ix.tail[edges[-1]] == v)
+        end = 2 * edges[-1] + (ix.ends[2 * edges[-1] + 1] == v)
         real_cc, real_report = verifier.core_coefficients, hyperplane_engine.interaction_report
 
         def spoilt_cc(ix, core):
