@@ -97,13 +97,12 @@ def _read_file(path: str, read):
 
 
 def cmd_build(args) -> int:
-    from cubespec.complex_model import _closed_walks, build_quotient_complex, complex_to_json
+    from cubespec.complex_model import build_quotient_complex, complex_to_json, validate_complex
 
     params = _params(args)
     size_cap = _size_cap(args, DEFAULT_SIZE_CAP)
     cells = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
-    # the walks are checked before the document is written; ends read as a list box no int
-    _closed_walks(cells, cells.ends.tolist(), cells.sides)
+    validate_complex(cells)  # the walks are checked before the document is written
     stamp = _stamp() if args.stamp else None
     summary = " ".join(f"{kind}={count}" for kind, count in cells.counts().items())
     if args.output:
@@ -137,6 +136,8 @@ def cmd_check(args) -> int:
             raise ComplexFormatError(
                 "vertices: --margin needs height metadata on every vertex"
             )
+        if not heights:
+            raise ComplexFormatError("vertices: --margin needs at least one vertex")
         lo, hi = min(heights), max(heights)
         core = core_edges(ix, lo + margin, hi - margin)
         if not core:

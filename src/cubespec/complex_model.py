@@ -1,20 +1,16 @@
-"""Square complexes as document-order columns, their integer view, and the builder.
+"""Square complexes as columns in sorted-id order, their integer view, and the builder.
 
 A square complex is a set of vertices, directed edges and squares whose
-boundaries are closed walks of four directed edges, keyed by id.  It
-comes in two forms.  ``Cells`` lists it in document order, one column
-per field, an edge's two ends in one, each incidence the position of a cell:
-``build_quotient_complex`` makes it, ``complex_to_json`` writes it to a
-text stream, and ``complex_from_json`` reads it back, a block at a time
-and record by record, so the whole text is never held; ``json.loads``
-runs only to name the fault of a text that this reader does not take.
-``validate_complex`` renumbers the cells in sorted-id order and checks
-that the walks close.  That gives the ``ComplexIndex`` on which the
-curvature check and the kernels of ``hyperplane_engine`` run; ``build``
-needs no view and checks the walks on the columns themselves, by the
-same ``_closed_walks``.  The two orders differ: a build lists its cells
-by (height, type, coefficient index), but as strings ``v/-1/..`` sorts
-before ``v/-10/..``, and an exponent 10 before an exponent 2.
+boundaries are closed walks of four directed edges, keyed by id.  ``Cells``
+lists it as columns, one per field, each kind of cell in sorted-id order,
+each incidence the position of a cell: ``build_quotient_complex`` lays a
+build out so, ``complex_to_json`` writes it to a text stream, and
+``complex_from_json`` reads it back a block at a time, never holding the
+whole text, and sorts each kind by id, the one sort of a complex;
+``json.loads`` runs only to name the fault of a text this reader does not
+take.  ``validate_complex`` checks that the ids ascend and the walks close
+and keeps the columns as the ``ComplexIndex`` on which the curvature check
+and the kernels of ``hyperplane_engine`` run.
 
 The builder materialises finite height-truncations of the quotient
 complex for parameters (m, k): one vertex orbit per height (coefficients
@@ -31,6 +27,7 @@ heights both branch.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import json
@@ -68,7 +65,7 @@ class ComplexFormatError(ValueError):
 
 
 class Cells(NamedTuple):
-    """A complex as columns, one per field, with its cells in document order.
+    """A complex as columns, one per field, each kind of cell in sorted-id order.
 
     A built complex has ``params``, an int height on every vertex and an
     int type on every edge; a document may have null for any of them.
@@ -97,16 +94,16 @@ class Cells(NamedTuple):
 class ComplexIndex(NamedTuple):
     """Integer view of a complex, made by ``validate_complex``.
 
-    Vertices, edges and squares are numbered in sorted-id order, so a
-    lexicographic tie-break on ids is a comparison of indices.  An edge
-    end, a node of a vertex link, is ``2*e`` for the head of edge e and
-    ``2*e + 1`` for its tail, which keeps the order (edge id, "head" <
-    "tail"), and ``ends`` is the one column of the edges' ends: the
-    head of e is vertex ``ends[2*e]`` and its tail ``ends[2*e + 1]``;
-    kernels walk it as (head, tail) pairs.  Side n of square s is
-    ``sides[4*s + n] = 2*e + (dir == "-")``: read as a node, that is the
-    end of e where the side stops.  Ids are looked up only where a result
-    names a cell.
+    Vertices, edges and squares are numbered in sorted-id order, as in the
+    ``Cells`` whose columns the view keeps, so a lexicographic tie-break on
+    ids is a comparison of indices.  An edge end, a node of a vertex link,
+    is ``2*e`` for the head of edge e and ``2*e + 1`` for its tail, which
+    keeps the order (edge id, "head" < "tail"), and ``ends`` is the one
+    column of the edges' ends: the head of e is vertex ``ends[2*e]`` and its
+    tail ``ends[2*e + 1]``; kernels walk it as (head, tail) pairs.  Side n of
+    square s is ``sides[4*s + n] = 2*e + (dir == "-")``: read as a node, that
+    is the end of e where the side stops.  Ids are looked up only where a
+    result names a cell.
     """
 
     vertex_ids: list[str]
@@ -139,41 +136,28 @@ def _positions(order, size: int, width: int = 1) -> list:
 
 
 def validate_complex(cells: Cells) -> ComplexIndex:
-    """Check that every square boundary of a complex closes; return its integer view.
-
-    The ids of each kind are unique, as the loader checks and the builder makes them.  The
-    view renumbers the cells in sorted-id order, and ``_closed_walks`` checks its walks."""
-    vertex_ids, edge_ids, square_ids = cells.vertex_ids, cells.edge_ids, cells.square_ids
-    v_order, e_order, s_order = (
-        sorted(range(len(ids)), key=ids.__getitem__) for ids in (vertex_ids, edge_ids, square_ids)
-    )
-    at = _positions(v_order, len(v_order))
-    ends = [0] * len(cells.ends)
-    for b in range(2):  # the heads, then the tails
-        col = cells.ends[b::2]
-        ends[b::2] = [at[col[i]] for i in e_order]
-    del col  # freed before the walks are checked, where the transient peaks
-    sides, node = array("l", [0]) * len(cells.sides), _positions(e_order, len(e_order), 2)
-    for n in range(4):
-        sides[n::4] = array("l", map(node.__getitem__, map(cells.sides[n::4].__getitem__, s_order)))
+    """Check that each kind's ids strictly ascend, else raise ``ValueError``, and that every
+    square boundary closes, by ``_closed_walks``; return the view that keeps the columns."""
+    for kind, ids in zip(_SCHEMA, (cells.vertex_ids, cells.edge_ids, cells.square_ids)):
+        if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))):
+            raise ValueError(f"{kind}: ids must strictly ascend")
+    # the ends share one int per vertex, where ``cells.ends.tolist()`` would box one per end
+    ends = list(map(list(range(len(cells.vertex_ids))).__getitem__, cells.ends))
     return ComplexIndex(
-        [vertex_ids[i] for i in v_order], [edge_ids[i] for i in e_order],
-        [square_ids[i] for i in s_order], sides, ends,
-        _closed_walks(cells, ends, sides), [cells.heights[i] for i in v_order],
-        [cells.types[i] for i in e_order], cells.params, [],
+        cells.vertex_ids, cells.edge_ids, cells.square_ids, cells.sides, ends,
+        _closed_walks(cells, ends), cells.heights, cells.types, cells.params, [],
     )
 
 
-def _closed_walks(cells: Cells, ends, sides) -> array:
-    """``sides`` turned in each square, 4*s + n holding side (n + 1) % 4, once side n stops
-    at ``ends[sides[4*s + n]]``, where side n + 1 starts.  ``ends`` and ``sides`` are those of
-    ``cells`` or of its view, both numbered alike; a walk that does not close raises the first
-    fault of ``cells``, by ``_check_incidences``."""
-    after = array("l", sides)
+def _closed_walks(cells: Cells, ends: list[int]) -> array:
+    """``cells.sides`` turned in each square, 4*s + n holding side (n + 1) % 4, once side n
+    stops at ``ends[sides[4*s + n]]`` (``cells.ends`` as a list), where side n + 1 starts; a
+    walk that does not close raises the first fault of ``cells``, by ``_check_incidences``."""
+    after = array("l", cells.sides)
     for n in range(4):
-        after[n::4] = sides[(n + 1) % 4 :: 4]
+        after[n::4] = cells.sides[(n + 1) % 4 :: 4]
     starts = map(ends.__getitem__, map(operator.xor, after, itertools.repeat(1)))
-    if all(map(operator.eq, map(ends.__getitem__, sides), starts)):
+    if all(map(operator.eq, map(ends.__getitem__, cells.sides), starts)):
         return after
     named, edge_of = cells.vertex_ids.__getitem__, cells.edge_ids.__getitem__
     doc_sides = [(edge_of(x >> 1), "+-"[x & 1]) for x in cells.sides]
@@ -183,7 +167,7 @@ def _closed_walks(cells: Cells, ends, sides) -> array:
 
 def _check_incidences(vertex_ids, edges, squares) -> None:
     """Raise the first fault of ``edges``, as (id, tail, head), and then of ``squares``, as
-    (id, four (edge, dir) sides), all by id in document order: an edge end that is not a
+    (id, four (edge, dir) sides), all by id in the order given: an edge end that is not a
     vertex, a side on no edge, or else a walk that does not close, with its path."""
     known, ends = set(vertex_ids), {}  # edge id -> (tail, head)
     for eid, tail, head in edges:
@@ -214,23 +198,23 @@ def build_quotient_complex(
 ) -> Cells:
     """Materialise the height-truncation of the quotient complex.
 
-    Vertices appear at every height in [h_min, h_max], edges at every
-    height with a layer below, and squares on every layer with room both
-    above and below.  Boundary layers simply lack the squares that would
-    extend past the truncation; downstream checks compensate with a core
-    margin.  Cell ids are deterministic, and each kind of cell is listed
-    by (height, type, coefficient index).  ``_closed_walks`` checks the
-    result, and ``validate_complex`` checks and indexes it.
+    Vertices appear at every height in [h_min, h_max], edges at every height
+    with a layer below, and squares on every layer with room both above and
+    below.  Boundary layers simply lack the squares that would extend past the
+    truncation; downstream checks compensate with a core margin.  Cell ids are
+    deterministic, and each kind of cell is listed in sorted-id order, where
+    ``v/-1/..`` comes before ``v/-10/..`` and an exponent 10 before an exponent
+    2; ``validate_complex`` checks the result.
 
-    The incidence rules are equivariant: the cell with coefficient g has
-    the faces of the identity cell translated by g.  So the faces of the
-    identity cells are read off ``edge_endpoints`` and ``square_boundary``
-    once per (height, type), each translation becomes an index table, and
-    the per-cell loops only read the positions of faces off those tables.
-    A vertex coefficient is reduced to the least index of its coset of
-    the height-i stabiliser <d(i)>, as ``canonical_vertex`` reduces it:
-    one ``_coset_floor`` table per height residue mod k, which fixes the
-    stabiliser.
+    The incidence rules are equivariant: the cell with coefficient g has the
+    faces of the identity cell translated by g.  So the faces of the identity
+    cells are read off ``edge_endpoints`` and ``square_boundary`` once per
+    (height, type), each translation becomes an index table, from the rank of g
+    in exponent-text order to the rank of g * t, and the per-cell loops only
+    read the positions of faces off those tables.  A vertex coefficient is
+    reduced to the least index of its coset of the height-i stabiliser <d(i)>,
+    as ``canonical_vertex`` reduces it: one ``_coset_floor`` table per height
+    residue mod k, which fixes the stabiliser.
     """
     if h_max < h_min + 2:
         raise SpanError(
@@ -239,36 +223,41 @@ def build_quotient_complex(
         )
     check_size_cap(params, size_cap)
     k, order = params.k, params.order
-    exps_strs = [",".join(map(str, exps)) for exps in itertools.product(range(k), repeat=params.m)]
+    texts = [",".join(map(str, exps)) for exps in itertools.product(range(k), repeat=params.m)]
+    by_id = sorted(range(order), key=texts.__getitem__)  # coefficient indices in id order
+    rank, labels = _positions(by_id, order), [texts[c] for c in by_id]
     one = identity(params)
-    table = functools.cache(functools.partial(_translation, params))  # t -> the table of g * t
+    table = functools.cache(  # t -> the rank of g * t, by the rank of g
+        lambda t: [rank[x] for x in map(_translation(params, t).__getitem__, by_id)]
+    )
     floor = functools.cache(lambda r: _coset_floor(params, constant(params, r)))  # r = height % k
+    in_id_order = functools.partial(sorted, key="{}/".format)  # heights and types, as ids sort
     cells = Cells(params, [], [], [], array("l"), [], [], array("l"))
-    vertex_at: dict[int, list[int]] = {}  # height -> coefficient index -> vertex position
-    for i in range(h_min, h_max + 1):
+    vertex_at: dict[int, list[int]] = {}  # height -> coefficient rank -> vertex position
+    for i in in_id_order(range(h_min, h_max + 1)):
         canon = floor(i % k)
-        reps = sorted(set(canon))
+        reps = [c for c in by_id if canon[c] == c]
         at = dict(zip(reps, itertools.count(len(cells.vertex_ids))))
-        cells.vertex_ids.extend([f"v/{i}/{exps_strs[c]}" for c in reps])
+        cells.vertex_ids.extend([f"v/{i}/{texts[c]}" for c in reps])
         cells.heights.extend([i] * len(reps))
-        vertex_at[i] = [at[c] for c in canon]
-    edge_at: dict[tuple[int, int], int] = {}  # (height, type) -> position of its identity edge
+        vertex_at[i] = [at[canon[c]] for c in by_id]
+    edge_at: dict[tuple[int, int], int] = {}  # (height, type) -> position of its first edge
     pair = array("l", [0]) * (2 * order)  # the ends of one (height, type), edge by edge
-    for i in range(h_min + 1, h_max + 1):
-        for j in range(1, params.m + 1):
+    for i in in_id_order(range(h_min + 1, h_max + 1)):
+        for j in in_id_order(range(1, params.m + 1)):
             edge_at[i, j] = len(cells.edge_ids)
             for b, end in enumerate(edge_endpoints(EdgeRef(i, j, one))[::-1]):  # head, then tail
                 pair[b::2] = array("l", map(vertex_at[end.height].__getitem__, table(end.coeff)))
-            cells.edge_ids.extend([f"e/{i}/{j}/{s}" for s in exps_strs])
+            cells.edge_ids.extend([f"e/{i}/{j}/{s}" for s in labels])
             cells.ends.extend(pair)
             cells.types.extend([j] * order)
     block = array("l", [0]) * (4 * order)  # the sides of one (height, type), square by square
-    for i in range(h_min + 1, h_max):
-        for j in range(1, params.m + 1):
+    for i in in_id_order(range(h_min + 1, h_max)):
+        for j in in_id_order(range(1, params.m + 1)):
             for n, (er, d) in enumerate(square_boundary(SquareRef(i, j, one))):
                 end = 2 * edge_at[er.height, er.type_j] + _DIR_BIT[d]
                 block[n::4] = array("l", [end + 2 * x for x in table(er.coeff)])
-            cells.square_ids.extend([f"s/{i}/{j}/{s}" for s in exps_strs])
+            cells.square_ids.extend([f"s/{i}/{j}/{s}" for s in labels])
             cells.sides.extend(block)
     return cells
 
@@ -655,20 +644,28 @@ def _read_section(win: _Window, section: str, name) -> Optional[list]:
 def _resolve(params, names: list[str], vertices: list, edges: list, squares: list):
     """The ``Cells`` of the sections' columns, ``names`` giving the string of each ordinal,
     or None when an id is not a string or repeats within its kind, a height or type is
-    neither an int nor null, or a reference names no cell of its kind."""
+    neither an int nor null, or a reference names no cell of its kind.  Here, and only here,
+    each kind is sorted by id, and a reference maps from its ordinal to its cell's position."""
     (v_ids, heights), (e_ids, ends, types), (s_ids, sides) = vertices, edges, squares
     ids = [list(map(names.__getitem__, col)) for col in (v_ids, e_ids, s_ids)]
     typed = {str}.issuperset(map(type, itertools.chain(*ids)))
     typed = typed and {int, type(None)}.issuperset(map(type, itertools.chain(heights, types)))
     if not typed or any(len(set(col)) < len(col) for col in ids):
         return None
-    at, node = _positions(v_ids, len(names)).__getitem__, _positions(e_ids, len(names), 2)
+    v_order, e_order, s_order = orders = [sorted(range(len(c)), key=c.__getitem__) for c in ids]
+    ids = [list(map(col.__getitem__, order)) for col, order in zip(ids, orders)]
+    at = _positions([v_ids[p] for p in v_order], len(names)).__getitem__
+    node = _positions([e_ids[p] for p in e_order], len(names), 2).__getitem__
+    sorted_ends, sorted_sides = array("l", [0]) * len(ends), array("l", [0]) * len(sides)
     try:  # a reference that names no cell of its kind is at None
-        ends = array("l", map(at, ends))
-        sides = array("l", map(node.__getitem__, sides))
+        for b in range(2):  # the heads, then the tails
+            sorted_ends[b::2] = array("l", map(at, map(ends[b::2].__getitem__, e_order)))
+        for n in range(4):
+            sorted_sides[n::4] = array("l", map(node, map(sides[n::4].__getitem__, s_order)))
     except TypeError:
         return None
-    return Cells(params, ids[0], heights, ids[1], ends, types, ids[2], sides)
+    heights, types = [heights[p] for p in v_order], [types[p] for p in e_order]
+    return Cells(params, ids[0], heights, ids[1], sorted_ends, types, ids[2], sorted_sides)
 
 
 def _read_columns(stream: TextIO) -> Optional[Cells]:
@@ -676,13 +673,14 @@ def _read_columns(stream: TextIO) -> Optional[Cells]:
 
     The stream is read a block at a time, the top level key by key and
     each section record by record, so neither the whole text nor a
-    record outlives the reading of its fields.  Names are ordinals in
-    one dict until all sections are read.  A repeated key keeps its last
-    value, as in ``json.loads``.  A section value that cannot be made
-    into columns is stepped over as unread, so the reader takes every
-    valid document.  None when a section is missing or its last value is
-    unread or faulty for ``_resolve``, for a top level that is not an
-    object, invalid ``params``, trailing data, a BOM, or any decode error.
+    record outlives the reading of its fields.  Names are ordinals in one
+    dict until all sections are read, dropped before ``_resolve`` sorts.
+    A repeated key keeps its last value, as in ``json.loads``.  A section
+    value that cannot be made into columns is stepped over as unread, so
+    the reader takes every valid document.  None when a section is missing
+    or its last value is unread or faulty for ``_resolve``, for a top level
+    that is not an object, invalid ``params``, trailing data, a BOM, or any
+    decode error.
     """
     win, found, names = _Window(stream), {}, collections.defaultdict(itertools.count().__next__)
     try:
@@ -711,31 +709,32 @@ def _read_columns(stream: TextIO) -> Optional[Cells]:
         params = _params(found.get("params"))
     except (StopIteration, ValueError, RecursionError):
         return None
-    return _resolve(params, list(names), *(found[key] for key in _SCHEMA))
+    names = list(names)
+    return _resolve(params, names, *(found[key] for key in _SCHEMA))
 
 
 def complex_from_json(stream: TextIO) -> ComplexIndex:
     """Validate the complex document in a text stream straight into its integer view.
 
-    The stream is read a block at a time into the columns of ``Cells``,
-    so the whole text is never held, and ``validate_complex`` checks
-    that their walks close.  Unknown fields are ignored, and a repeated
-    top-level key keeps its last value, as in ``json.loads``.
+    The stream is read a block at a time into the columns of ``Cells``, sorted
+    by id, so the whole text is never held, and ``validate_complex`` checks that
+    their walks close.  Unknown fields are ignored, and a repeated top-level key
+    keeps its last value, as in ``json.loads``.
 
-    The reader takes every valid document, so text it does not take has
-    a fault, and what is left is to name the first one.  The stream is
-    read again from its start, the text is parsed whole by
-    ``json.loads`` and checked in order: the top level and ``params``,
-    the records of the vertices, edges and squares, each in document
-    order, and then their incidences, by ``_check_incidences`` as in
-    ``validate_complex``.  The first fault raises ``ComplexFormatError``
-    naming its path; invalid JSON raises "invalid JSON: ...", and
-    nesting too deep for the decoder names $.  A text stream's decode
-    error is raised by that second read.
+    The reader takes every valid document, so text it does not take, or whose
+    walks do not close, has a fault, and what is left is to name the first one
+    in document order.  The stream is read again from its start, the text is
+    parsed whole by ``json.loads`` and checked in order: the top level and
+    ``params``, the records of the vertices, edges and squares, each in document
+    order, and then their incidences, by ``_check_incidences``.  The first fault
+    raises ``ComplexFormatError`` naming its path; invalid JSON raises "invalid
+    JSON: ...", and nesting too deep for the decoder names $.  A text stream's
+    decode error is raised by that second read.
     """
     cells = _read_columns(stream)
     if cells is not None:
-        return validate_complex(cells)
+        with contextlib.suppress(ComplexFormatError):  # a walk fault, named in document order below
+            return validate_complex(cells)
     stream.seek(0)
     try:
         doc = json.loads(stream.read())

@@ -9,10 +9,12 @@ program moved to the integer view of a complex.
 
 They run on ``SquareComplex``, a complex as ``Vertex``/``Edge``/``Square``
 records keyed by id, each with its unknown fields, as the program held
-one before it kept a complex as document-order columns (``Cells``).
-``records`` and ``columns`` turn one form into the other, and
-``indexed`` checks the incidences of a record complex by the id-keyed
-``validate_complex`` here and makes the program's view of it.
+one before it kept a complex as columns (``Cells``).  ``records`` and
+``columns`` turn one form into the other, in insertion order;
+``in_id_order`` reinserts each kind of record in sorted-id order, the one
+order of the program's ``Cells``, and ``indexed`` checks the incidences
+of a record complex by the id-keyed ``validate_complex`` here and makes
+the program's view of it.
 ``complex_from_json`` is the document loader that builds records and
 keeps unknown fields, as it ran before the program loaded a document
 straight into its integer view; it does not validate the incidences.
@@ -131,10 +133,18 @@ def columns(X: SquareComplex) -> Cells:
     )
 
 
+def in_id_order(X: SquareComplex) -> SquareComplex:
+    """The same records, each kind inserted in sorted-id order."""
+    return SquareComplex(
+        *(dict(sorted(cells.items())) for cells in (X.vertices, X.edges, X.squares)),
+        X.params, X.extra,
+    )
+
+
 def indexed(X: SquareComplex) -> ComplexIndex:
     """The program's view of a record complex, once ``validate_complex`` here passes it."""
     validate_complex(X)
-    return complex_model.validate_complex(columns(X))
+    return complex_model.validate_complex(columns(in_id_order(X)))
 
 
 def complex_to_json(X: SquareComplex) -> str:

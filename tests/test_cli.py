@@ -119,20 +119,6 @@ class TestBuild:
         assert code == 2
         assert "--json" in err
 
-    def test_walks_checked_without_a_view(self, tmp_path, capsys, monkeypatch):
-        # build checks the walks on its own columns: it never sorts the ids into a view
-        calls = []
-        made = complex_model.validate_complex
-
-        def counted(cells):
-            calls.append(1)
-            return made(cells)
-
-        for module in (complex_model, cli):
-            monkeypatch.setattr(module, "validate_complex", counted, raising=False)
-        assert run(capsys, *self.BUILD_42, "-o", str(tmp_path / "x.json"))[0] == 0
-        assert calls == []
-
     def test_walk_that_does_not_close_refused(self, tmp_path, capsys, monkeypatch):
         build = complex_model.build_quotient_complex
 
@@ -230,6 +216,13 @@ class TestCheck:
         )
         assert code == 2
         assert "height" in err
+
+    def test_margin_needs_a_vertex(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"params": null, "vertices": [], "edges": [], "squares": []}')
+        code, stdout, err = run(capsys, "check", str(path), "--margin", "1")
+        assert (code, stdout) == (2, "")
+        assert err == "error: vertices: --margin needs at least one vertex\n"
 
     @pytest.mark.parametrize("margin", ["10", "-2"])
     def test_margin_without_core_rejected(self, margin, tmp_path, capsys):

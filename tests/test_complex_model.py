@@ -43,6 +43,7 @@ from reference_impl import (
     built_square_refs,
     columns,
     edge_id,
+    in_id_order,
     indexed,
     parse_edge_ids,
     records,
@@ -223,6 +224,17 @@ class TestBuilder:
     def test_boundaries_close(self):
         validate_complex(build_quotient_complex(P43, -1, 2))
 
+    @pytest.mark.parametrize(
+        "kind, field", [("vertices", "vertex_ids"), ("edges", "edge_ids"), ("squares", "square_ids")]
+    )
+    def test_view_takes_only_ascending_ids(self, kind, field):
+        # the one cell order: a view keeps the columns, so it refuses any other order
+        cells = build_quotient_complex(P42, -1, 2)
+        ids = getattr(cells, field)
+        ids[0], ids[1] = ids[1], ids[0]
+        with pytest.raises(ValueError, match=f"^{kind}: ids must strictly ascend$"):
+            validate_complex(cells)
+
     def test_no_loop_edges_and_unit_steps(self):
         X = built(P43, -1, 2)
         for e in X.edges.values():
@@ -309,15 +321,16 @@ class TestBuilder:
             for j in range(1, m + 1):
                 for g in coeffs:
                     square_refs[square_id(SquareRef(i, j, g))] = SquareRef(i, j, g)
-        assert list(parse_edge_ids(X, X.edges).items()) == list(edge_refs.items())
-        assert list(built_square_refs(X).items()) == list(square_refs.items())
-        assert list(X.edges) == list(edge_refs)
-        assert list(X.squares) == list(square_refs)
-        assert set(X.vertices) == {
+        # each kind of cell is listed in sorted-id order
+        assert list(parse_edge_ids(X, X.edges).items()) == sorted(edge_refs.items())
+        assert list(built_square_refs(X).items()) == sorted(square_refs.items())
+        assert list(X.edges) == sorted(edge_refs)
+        assert list(X.squares) == sorted(square_refs)
+        assert list(X.vertices) == sorted({
             vertex_id(canonical_vertex(g, i))
             for i in range(h_min, h_max + 1)
             for g in coeffs
-        }
+        })
         for eid, ref in edge_refs.items():
             tail, head = edge_endpoints(ref)
             e = X.edges[eid]
@@ -740,9 +753,10 @@ class TestWriter:
     @given(plain_complexes())
     @settings(max_examples=150, deadline=None)
     def test_text_equals_old_dump_and_round_trips(self, X):
-        cells = columns(X)
-        text = written(cells)
+        # the writer keeps the records' order; the reader sorts each kind by id
+        text = written(columns(X))
         assert text == record_complex_to_json(X)
+        cells = columns(in_id_order(X))
         assert complex_model._read_columns(io.StringIO(text)) == cells
         assert complex_from_json(io.StringIO(text)) == validate_complex(cells)
 
@@ -791,11 +805,11 @@ class TestWriter:
         [(4, 2, -11, 11), (3, 11, -3, 3)],  # heights past -10; two-digit exponents
     )
     def test_build_order_round_trips(self, m, k, h_min, h_max):
-        # a document lists a build's cells in build order, which is not
-        # sorted-id order; the text reads back into exactly the build's columns
+        # a build lists each kind of cell in sorted-id order, where heights and
+        # exponents do not sort as numbers; the text reads back into exactly its columns
         cells = build_quotient_complex(GroupParams(m, k), h_min, h_max)
         for ids in (cells.vertex_ids, cells.edge_ids, cells.square_ids):
-            assert ids != sorted(ids)
+            assert ids == sorted(ids)
         text = written(cells)
         assert text == record_complex_to_json(records(cells))
         assert complex_model._read_columns(io.StringIO(text)) == cells

@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -615,6 +616,21 @@ def test_validation_transient_stays_within_its_view():
     finally:
         tracemalloc.stop()
     assert ix.sides and peak - held < 1.6 * (held - base), (peak - held, held - base)
+
+
+def test_a_build_is_indexed_without_a_permutation():
+    # the view keeps the build's columns and allocates only its end list and turned sides
+    cells = _guard_build()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ix = validate_complex(cells)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ix.sides is cells.sides and ix.edge_ids is cells.edge_ids
+    made = sys.getsizeof(ix.ends) + sys.getsizeof(ix.next_sides)
+    assert peak <= 1.25 * made, (peak, made)
 
 
 def test_streamed_write_peaks_below_the_document():

@@ -19,6 +19,12 @@ its two ``cond*`` certificates, recorded before that change.  They prove
 every other byte, the osculation certificates, stabilisers and the
 ``cross_validation`` section included, stayed the same.
 
+The ``build`` hashes, ``WORKLOAD_BUILD`` included, moved once, as a
+reorder only, when the builder began to lay out each kind of cell in
+sorted-id order: each is the sha256 of the document written before, with
+its vertices, edges and squares each sorted by id and re-dumped by
+``json.dumps(indent=2)``.
+
 ``GOLDEN_DOT`` pins the interaction graph that ``check --dot`` writes, its
 dashed osculation edges included, as recorded while ``interaction_report``
 still kept a first witness per osculating class pair.
@@ -35,25 +41,25 @@ from cubespec.cli import main
 # (m, k) -> command -> (exit code, sha256 of the document)
 GOLDEN = {
     (3, 3): {
-        "build": (0, "98f8dba167d613ab5c1294bb04b4ec2016f3193e5536a95c10469a7d6125ecc8"),
+        "build": (0, "78043dad936a95a98be6326e0ae43a0973018a9fc1ba02ea03bfaf1d9d095e32"),
         "check": (1, "8e8412bf5ed602115a8b58f216de8a940c184139a91bbb2a86b3349bc5cfec3a"),
         "verify": (1, "db6eacdec87649b4074be587ab6acca48c0e2109e47f62c78606d981f6769e57"),
         "cross_validate": (1, "af84dd9d9a08e0e9dcabe14c38ceb6f92ccaa7c4b646fc4c3a7a5f23a2ae6a6c"),
     },
     (4, 2): {
-        "build": (0, "f9802b24bbe650ab9134358d8cf2d2d1ecdaa22821f12663a9e720011a2acfdb"),
+        "build": (0, "e07101b808e641714a6fcfd6e9006d73da583b2ac07fefd127d264ffe22b243a"),
         "check": (0, "b5d96a892647bac3629b5caeab85b8fcdfab33c0cffda389d0eab013876558ec"),
         "verify": (0, "728b3d08222d70f7d5c88741f7704314852a5ced5da142507723054b408b6c9a"),
         "cross_validate": (0, "8dc09240a0950a649ed10e06297166059815ace1add18539221d34e58142041e"),
     },
     (4, 3): {
-        "build": (0, "e6567cb4d5bb6eac055a9fcb85acb6565d344ec6f21986f72422636ce6b03a5e"),
+        "build": (0, "a5da2a9660ea0638b7dd527d12391e9640e9643d48ae62523de5b406cbaa699b"),
         "check": (0, "3308547c0848eabc59451d5daf52c3632631428c007114f402d8ae5aaa674e2d"),
         "verify": (0, "a61b884b9b30846a3e466e04c28656d068d89fa61bad36ae4fa26aa5cbf9240a"),
         "cross_validate": (0, "b0b5e79e48c9d9e388f36edb402baeddf9349fffd0de8d3f7cfb4398635fcd16"),
     },
     (5, 2): {
-        "build": (0, "44a64488744c2f26f2a080fea96c0346dcfb5cb9127eb5f50f05b97c7b2bf7b6"),
+        "build": (0, "da52923f76e1006ba744afcd99a7b3532565463163a09eb9bb1546b3b15cdf3f"),
         "check": (0, "f298212418adb342c1ba0395df1e97222fbd21ccbb45efc1f9d1ea904268b832"),
         "verify": (0, "0d926cb2a3e17d841f3aefca099f34b80f0f965735f10c126ec9ee2db6f2e507"),
         "cross_validate": (0, "4bd108bd176f742b4b07b8bd38fe5bc93ea473b569812ae8b6c035e251e9b13f"),
@@ -187,7 +193,7 @@ def test_dot_matches_golden_hash(source, margin, tmp_path, capsys):
 
 
 # the doc-pipeline benchmark workload: build (4,5) over +-12, then check it
-WORKLOAD_BUILD = "139e88bd31ca6d2cda26623606349feb90a58febe9677568722d4ef1d58481ab"
+WORKLOAD_BUILD = "9cd7c6436fcc4b21e545694a46b464e66d9c26f145a4af2015da242b6f5d28c7"
 WORKLOAD_CHECK = "3a158878b11724d55be94fd9c251cdaf8635d42bc15be928b478e62fe342a4a2"
 
 

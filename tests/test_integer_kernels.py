@@ -1,7 +1,9 @@
 """The kernels on the integer view against the id-keyed reference kernels.
 
-``validate_complex`` must raise the reference's first fault, message for
-message, on corrupted complexes given as records.  ``check_npc``,
+The document of a corrupted complex given as records must fail to load
+with the reference's first fault, message for message: ``validate_complex``
+finds a walk that does not close in sorted-id order, and
+``complex_from_json`` names the first one in document order.  ``check_npc``,
 ``compute_hyperplanes``, ``core_edges`` and ``interaction_report`` run
 on the integer view of a complex;
 ``tests/reference_impl.py`` keeps the id-keyed versions they replaced.
@@ -10,6 +12,7 @@ order included, with and without a core.  The osculation witnesses
 expanded from the vertex stars must be the reference's, in its order.
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -19,7 +22,12 @@ from hypothesis import strategies as st
 
 import reference_impl as ref
 from cubespec.coeff_group import GroupParams
-from cubespec.complex_model import ComplexFormatError, build_quotient_complex, check_npc
+from cubespec.complex_model import (
+    ComplexFormatError,
+    build_quotient_complex,
+    check_npc,
+    complex_from_json,
+)
 from cubespec import complex_model, hyperplane_engine
 from cubespec.hyperplane_engine import (
     _corners,
@@ -203,6 +211,17 @@ def first_fault(validate, X):
     return None
 
 
+def loaded(X):
+    """The program's view of the document of X, read from a stream."""
+    return complex_from_json(io.StringIO(ref.complex_to_json(X)))
+
+
+def reference_loaded(X):
+    """The reference's reading of the same document: the faults of its records by position,
+    then those of its incidences by id, each in document order."""
+    ref.validate_complex(ref.complex_from_json(json.loads(ref.complex_to_json(X))))
+
+
 def corrupt_built(*faults) -> SquareComplex:
     """A (4,2) build with each (fault, n) put in its n-th edge or square,
     its cells inserted in reverse id order."""
@@ -227,16 +246,16 @@ class TestAgainstReference:
     @given(corrupted_complexes())
     @settings(max_examples=300, deadline=None)
     def test_validation_faults(self, X):
-        assert first_fault(indexed, X) == first_fault(ref.validate_complex, X)
+        assert first_fault(loaded, X) == first_fault(reference_loaded, X)
 
     @pytest.mark.parametrize("fault", ["tail", "head", "edge", "dir", "flip", "count"])
     def test_each_fault_in_insertion_order(self, fault):
-        # edges are checked before squares, and each in insertion order
+        # edges are checked before squares, and each in document order, not in id order
         for faults in [[(fault, 5)], [(fault, 5), ("flip", 40)], [("head", 40), (fault, 5)]]:
             X = corrupt_built(*faults)
-            want = first_fault(ref.validate_complex, X)
+            want = first_fault(reference_loaded, X)
             assert want is not None
-            assert first_fault(indexed, X) == want
+            assert first_fault(loaded, X) == want
 
     @given(st.one_of(complexes(), glued_complexes()), st.data())
     @settings(max_examples=300, deadline=None)

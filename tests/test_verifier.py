@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import resource
+from array import array
 
 import pytest
 
@@ -388,7 +389,7 @@ class TestCrossValidation:
         assert cv.class_mismatches == [] and cv.inconclusive == []
 
     def test_classification_requires_refs(self):
-        ix = validate_complex(Cells(None, ["v"], [None], [], [], [], [], []))
+        ix = validate_complex(Cells(None, ["v"], [None], [], array("l"), [], [], array("l")))
         with pytest.raises(ValueError):
             cross_validate(ix, 2, check_self_osculation_cases(P42))
 
