@@ -196,12 +196,6 @@ class Subgroup(NamedTuple):
     def params(self) -> GroupParams:
         return self.generator.params
 
-    def __contains__(self, e: Elem) -> bool:
-        return e in self.elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def subgroup_cyclic(gen: Elem) -> Subgroup:
     elems = [identity(gen.params)]

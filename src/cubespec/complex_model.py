@@ -643,14 +643,15 @@ def _read_section(win: _Window, section: str, name) -> Optional[list]:
 
 def _resolve(params, names: list[str], vertices: list, edges: list, squares: list):
     """The ``Cells`` of the sections' columns, ``names`` giving the string of each ordinal,
-    or None when an id is not a string or repeats within its kind, a height or type is
-    neither an int nor null, or a reference names no cell of its kind.  Here, and only here,
-    each kind is sorted by id, and a reference maps from its ordinal to its cell's position."""
+    or None when an id is not a string, a height or type is neither an int nor null, or a
+    reference names no cell of its kind (a repeated id fails ``validate_complex``'s ascent).
+    Here, and only here, each kind is sorted by id, and a reference maps from its ordinal to
+    its cell's position."""
     (v_ids, heights), (e_ids, ends, types), (s_ids, sides) = vertices, edges, squares
     ids = [list(map(names.__getitem__, col)) for col in (v_ids, e_ids, s_ids)]
     typed = {str}.issuperset(map(type, itertools.chain(*ids)))
     typed = typed and {int, type(None)}.issuperset(map(type, itertools.chain(heights, types)))
-    if not typed or any(len(set(col)) < len(col) for col in ids):
+    if not typed:
         return None
     v_order, e_order, s_order = orders = [sorted(range(len(c)), key=c.__getitem__) for c in ids]
     ids = [list(map(col.__getitem__, order)) for col, order in zip(ids, orders)]
@@ -718,22 +719,22 @@ def complex_from_json(stream: TextIO) -> ComplexIndex:
 
     The stream is read a block at a time into the columns of ``Cells``, sorted
     by id, so the whole text is never held, and ``validate_complex`` checks that
-    their walks close.  Unknown fields are ignored, and a repeated top-level key
-    keeps its last value, as in ``json.loads``.
+    no id repeats and the walks close.  Unknown fields are ignored, and a
+    repeated top-level key keeps its last value, as in ``json.loads``.
 
     The reader takes every valid document, so text it does not take, or whose
-    walks do not close, has a fault, and what is left is to name the first one
-    in document order.  The stream is read again from its start, the text is
-    parsed whole by ``json.loads`` and checked in order: the top level and
-    ``params``, the records of the vertices, edges and squares, each in document
-    order, and then their incidences, by ``_check_incidences``.  The first fault
-    raises ``ComplexFormatError`` naming its path; invalid JSON raises "invalid
-    JSON: ...", and nesting too deep for the decoder names $.  A text stream's
-    decode error is raised by that second read.
+    ids repeat or walks do not close, has a fault, and what is left is to name
+    the first one in document order.  The stream is read again from its start,
+    the text is parsed whole by ``json.loads`` and checked in order: the top
+    level and ``params``, the records of the vertices, edges and squares, each
+    in document order, and then their incidences, by ``_check_incidences``.  The
+    first fault raises ``ComplexFormatError`` naming its path; invalid JSON
+    raises "invalid JSON: ...", and nesting too deep for the decoder names $.  A
+    text stream's decode error is raised by that second read.
     """
     cells = _read_columns(stream)
     if cells is not None:
-        with contextlib.suppress(ComplexFormatError):  # a walk fault, named in document order below
+        with contextlib.suppress(ValueError):  # a repeated id or a walk fault, named below
             return validate_complex(cells)
     stream.seek(0)
     try:

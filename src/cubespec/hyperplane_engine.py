@@ -150,11 +150,6 @@ def core_edges(ix: ComplexIndex, h_lo: int, h_hi: int) -> Core:
 # interactions
 
 
-def _pair(a: int, b: int, n: int) -> int:
-    """Unordered pair of indices below n, packed."""
-    return a * n + b if a <= b else b * n + a
-
-
 def _corners(ix: ComplexIndex, core: Optional[Core]) -> tuple[Callable, list[list[str]]]:
     """``star_masks(v, edges)``, the square corners read per vertex star, and the bigons.
 
@@ -168,7 +163,7 @@ def _corners(ix: ComplexIndex, core: Optional[Core]) -> tuple[Callable, list[lis
     n_v, ends = len(ix.vertex_ids), ix.ends
     parallel: dict[int, list[int]] = {}  # packed ends -> edges, ascending
     for e, (h, t) in enumerate(zip(*[iter(ends)] * 2)):
-        if t != h and (core is None or core.mask[e]):  # the ends packed by _pair, inlined
+        if t != h and (core is None or core.mask[e]):  # the ends packed, lower * n_v + higher
             parallel.setdefault(t * n_v + h if t < h else h * n_v + t, []).append(e)
     twin: dict[int, int] = {}  # edge end -> the bits met at the far end of parallel edges
     found = []
@@ -230,7 +225,7 @@ def _star_witnesses(
 
 
 class InteractionReport(NamedTuple):
-    crossings: dict[int, int]  # packed class pair -> first crossing square
+    crossings: dict[int, int]  # class pair, packed lower * n + higher -> first crossing square
     classes: list[int]  # class ordinal -> its class, ascending
     osculating: list[int]  # class ordinal -> the class ordinals it osculates with: symmetric
     violations: dict[str, list[dict]]
@@ -277,7 +272,7 @@ def interaction_report(
         if mask is not None and not (mask[a >> 1] and mask[b >> 1] and mask[c >> 1] and mask[d >> 1]):
             continue
         c1, c2 = rep[a >> 1], rep[b >> 1]
-        crossings.setdefault(c1 * n + c2 if c1 <= c2 else c2 * n + c1, s)  # _pair, inlined
+        crossings.setdefault(c1 * n + c2 if c1 <= c2 else c2 * n + c1, s)
         if c1 == c2:
             self_cross.append({"class": eids[c1], "square": sids[s]})
     for cls, (e, f, s) in H.one_sided.items():
@@ -317,7 +312,7 @@ def interaction_report(
             seen[o[f]] |= 1 << o[e]
             if ce == cf:
                 self_osc.append({"class": eids[ce], "edges": [eids[e], eids[f]], "vertex": vids[v]})
-            elif (pair := ce * n + cf if ce <= cf else cf * n + ce) in crossings:  # _pair
+            elif (pair := ce * n + cf if ce <= cf else cf * n + ce) in crossings:
                 inter_osc.append(
                     {
                         "classes": [eids[x] for x in divmod(pair, n)],

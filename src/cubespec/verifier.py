@@ -733,6 +733,11 @@ def cross_validate(
     reported as inconclusive, never as violations.  (ii) Every core
     crossing must mix cyclically adjacent types and every core
     osculation witness must classify into an enumerated configuration.
+    The crossing check is what makes the case split complete, so a
+    ``benign_nonadjacent`` witness is only counted: its two classes can
+    cross only at a core square, whose first two sides are core edges of
+    those classes, and with no class mismatch these carry the witness's
+    two nonadjacent types, so the square is already a crossing finding.
     (iii) Core violation counts must be zero exactly when all
     certificates are empty.  An empty certificate list, a complex
     without ``params`` or heights, and an empty core raise
@@ -742,7 +747,6 @@ def cross_validate(
     # which runs the certificates alone, does not load it
     from cubespec.hyperplane_engine import (
         _corners,
-        _pair,
         compute_hyperplanes,
         core_edges,
         interaction_report,
@@ -760,7 +764,7 @@ def cross_validate(
     core = core_edges(ix, h_lo, h_hi)
     if not core:
         raise ValueError(f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]")
-    n, eids, vids = len(ix.edge_ids), ix.edge_ids, ix.vertex_ids
+    eids = ix.edge_ids
     H = compute_hyperplanes(ix)
     corners = _corners(ix, core)  # one corner reader for the report and the walk below
     report = interaction_report(ix, H, core, corners)
@@ -797,17 +801,12 @@ def cross_validate(
             findings.append(
                 {"kind": "crossing_types", "square": ix.square_ids[s], "types": [t1, t2]}
             )
-    star_masks, rep, crossings = corners[0], H.rep, report.crossings
     for v, edges in iter_osculations(ix, core):
-        for got in classify_osculation(cc, v, edges, *star_masks(v, edges)):
+        for got in classify_osculation(cc, v, edges, *corners[0](v, edges)):
             if got.__class__ is dict:
                 findings.append({"kind": "osculation", **got})
-                continue
-            case_id = got[0]
-            if case_id == "benign_nonadjacent" and _pair(rep[got[1]], rep[got[2]], n) in crossings:
-                witness = {"edges": [eids[got[1]], eids[got[2]]], "vertex": vids[v]}
-                findings.append({"kind": "nonadjacent_crossing_pair", **witness})
-            case_matches[case_id] = case_matches.get(case_id, 0) + 1
+            else:
+                case_matches[got[0]] = case_matches.get(got[0], 0) + 1
     return CrossValidation(
         params=params, span=(h_min, h_max), margin=margin, core_edge_count=len(core),
         class_mismatches=mismatches, inconclusive=inconclusive, witness_findings=findings,

@@ -729,7 +729,7 @@ class Coset:
         return self.rep.params
 
     def __contains__(self, e: Elem) -> bool:
-        return e * self.rep.inverse() in self.sub
+        return e * self.rep.inverse() in self.sub.elements
 
     def elements(self) -> frozenset[Elem]:
         return frozenset(self.rep * s for s in self.sub.elements)
@@ -757,7 +757,7 @@ def coset_intersection(c1: Coset, c2: Coset) -> frozenset[Elem]:
     """Exact intersection of two cosets, enumerated as exponent tuples."""
     if c1.params != c2.params:
         raise ParameterMismatchError(f"parameter mismatch: {c1.params} vs {c2.params}")
-    small, large = (c1, c2) if len(c1.sub) <= len(c2.sub) else (c2, c1)
+    small, large = (c1, c2) if len(c1.sub.elements) <= len(c2.sub.elements) else (c2, c1)
     inside = set(_member_exps(large.rep, large.sub))
     return frozenset(
         Elem(c1.params, e) for e in _member_exps(small.rep, small.sub) if e in inside

@@ -182,15 +182,15 @@ class TestSubgroups:
         assert got == [(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)]
 
     def test_identity_subgroup(self):
-        assert len(subgroup_cyclic(identity(P43))) == 1
+        assert len(subgroup_cyclic(identity(P43)).elements) == 1
 
     def test_order_two(self):
-        assert len(subgroup_cyclic(constant(P42, 1))) == 2
+        assert len(subgroup_cyclic(constant(P42, 1)).elements) == 2
 
     def test_nonidentity_has_order_k_for_prime_k(self):
         for g in all_elems(P43):
             if not g.is_identity:
-                assert len(subgroup_cyclic(g)) == 3
+                assert len(subgroup_cyclic(g).elements) == 3
 
     def test_edge_type_stabilizer(self):
         assert edge_type_stabilizer(P43, 2).generator == unit(P43, 1) * unit(P43, 2)
@@ -201,11 +201,11 @@ class TestSubgroups:
             edge_type_stabilizer(P43, 5)
 
     def test_vertex_stabilizer(self):
-        assert len(vertex_stabilizer(P43, 0)) == 1
+        assert len(vertex_stabilizer(P43, 0).elements) == 1
         sub = vertex_stabilizer(P43, 1)
-        assert len(sub) == 3
-        assert constant(P43, 1) in sub
-        assert len(vertex_stabilizer(P43, 3)) == 1
+        assert len(sub.elements) == 3
+        assert constant(P43, 1) in sub.elements
+        assert len(vertex_stabilizer(P43, 3).elements) == 1
 
 
 class TestCosets:

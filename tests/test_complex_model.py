@@ -150,7 +150,7 @@ class TestCanonicalVertex:
                 repeat=2,
             ):
                 same = canonical_vertex(a, i) == canonical_vertex(b, i)
-                in_stab = a * b.inverse() in vertex_stabilizer(P43, i)
+                in_stab = a * b.inverse() in vertex_stabilizer(P43, i).elements
                 assert same == in_stab
 
 

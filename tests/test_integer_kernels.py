@@ -387,21 +387,24 @@ class TestAgainstReference:
         assert H.one_sided_witness == {"a1": ("a1", "a1", "S1")}
         assert H.class_of["a2"] == "a1"
 
-    def test_path_compression_keeps_the_parity(self):
+    @pytest.mark.parametrize("d_first", [True, False], ids=["side_a", "side_b"])
+    def test_path_compression_keeps_the_parity(self, d_first):
         # S1 puts b under a and S2 d under c, each root of rank 1; S3 puts c
         # under a, so d is two steps from its root, at parity 1.  S4 finds d
-        # in the union loop, which compresses its path to one step.
+        # in the union loop, as the first or the second side of its pair,
+        # which compresses its path to one step.
         X = SquareComplex()
         for vid in "uv":
             X.vertices[vid] = Vertex(vid)
         for eid in ("a", "b", "c", "g", "f1", "f2", "f3", "f4"):
             X.edges[eid] = Edge(eid, "u", "v")
         X.edges["d"] = Edge("d", "v", "u")
+        s4 = [("d", "-"), ("g", "+")]
         for sid, (x, dx), (y, dy) in (
             ("S1", ("a", "+"), ("b", "+")),
             ("S2", ("c", "+"), ("d", "-")),
             ("S3", ("a", "+"), ("c", "+")),
-            ("S4", ("d", "-"), ("g", "+")),
+            ("S4", *(s4 if d_first else s4[::-1])),
         ):
             f = (f"f{sid[1]}", "-")
             X.squares[sid] = Square(sid, ((x, dx), f, (y, dy), f))

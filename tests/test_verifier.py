@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -52,9 +53,9 @@ class TestStabilizerDerivation:
     def test_named_instances(self):
         got = derive_stabilizer_from_loops(P43, 3)
         assert got.elements == edge_type_stabilizer(P43, 3).elements
-        assert (unit(P43, 2) * unit(P43, 3)) in got
+        assert (unit(P43, 2) * unit(P43, 3)) in got.elements
         wrap = derive_stabilizer_from_loops(P43, 1)
-        assert (unit(P43, 4) * unit(P43, 1)) in wrap
+        assert (unit(P43, 4) * unit(P43, 1)) in wrap.elements
 
     def test_matches_formula_on_grid(self):
         for m in range(3, 7):
@@ -464,23 +465,19 @@ class TestCrossValidation:
         assert sum(cv.case_matches.values()) == witnesses and cv.witness_findings == []
 
     def test_findings_come_in_witness_order(self, monkeypatch):
-        # one star yields both kinds of witness finding: the class of its last
-        # edge's end is spoilt, so every equal- or adjacent-type witness with
-        # that edge is unmatched, and the classes of one benign witness between
-        # two of those are made to cross
-        from cubespec import hyperplane_engine
+        # the class of one star's last edge end is spoilt, so every equal- or
+        # adjacent-type witness with that edge is unmatched; the benign witnesses
+        # between them are counted, and the findings keep the witness order
         from cubespec.hyperplane_engine import (
             _corners,
-            _pair,
             _star_witnesses,
             core_edges,
             iter_osculations,
         )
 
         ix = built_view(P43, -5, 5)
-        core, n = core_edges(ix, -3, 3), len(ix.edge_ids)
-        star_masks, rep = _corners(ix, core)[0], compute_hyperplanes(ix).rep
-        type_j = ix.type
+        core = core_edges(ix, -3, 3)
+        star_masks, type_j = _corners(ix, core)[0], ix.type
 
         def benign(e, f):
             return (type_j[e] - type_j[f]) % 4 == 2
@@ -489,13 +486,11 @@ class TestCrossValidation:
             last, pairs = edges[-1], list(_star_witnesses(v, edges, *star_masks(v, edges)))
             spoilt = [i for i, (e, f, _) in enumerate(pairs) if last in (e, f) and not benign(e, f)]
             inside = range(spoilt[0] + 1, spoilt[-1]) if spoilt else ()
-            return pairs, next((i for i in inside if benign(*pairs[i][:2])), None)
+            return [pairs[i][:2] for i in spoilt], any(benign(*pairs[i][:2]) for i in inside)
 
         v, edges = next((v, edges) for v, edges in iter_osculations(ix, core) if layout(v, edges)[1])
-        pairs, i = layout(v, edges)
-        crossed = _pair(rep[pairs[i][0]], rep[pairs[i][1]], n)
         end = 2 * edges[-1] + (ix.ends[2 * edges[-1] + 1] == v)
-        real_cc, real_report = verifier.core_coefficients, hyperplane_engine.interaction_report
+        real_cc = verifier.core_coefficients
 
         def spoilt_cc(ix, core):
             cc = real_cc(ix, core)
@@ -503,31 +498,77 @@ class TestCrossValidation:
             end_class[end] = -1
             return cc._replace(end_class=end_class)
 
-        def crossing_report(ix, H, core, corners=None):
-            report = real_report(ix, H, core, corners)
-            crossings = dict(report.crossings)
-            crossings[crossed] = next(iter(crossings.values()))  # a real square, of adjacent types
-            return report._replace(crossings=crossings)
-
         monkeypatch.setattr(verifier, "core_coefficients", spoilt_cc)
-        monkeypatch.setattr(hyperplane_engine, "interaction_report", crossing_report)
         cv = cross_validate(ix, 2, verify_all(P43).certificates)
         eids, vids = ix.edge_ids, ix.vertex_ids
-        want = []
-        for u, star in iter_osculations(ix, core):
-            for e, f, _ in _star_witnesses(u, star, *star_masks(u, star)):
-                if u == v and edges[-1] in (e, f) and not benign(e, f):
-                    want.append(("osculation", [eids[e], eids[f]], vids[u]))
-                elif benign(e, f) and _pair(rep[e], rep[f], n) == crossed:
-                    want.append(("nonadjacent_crossing_pair", [eids[e], eids[f]], vids[u]))
+        want = [("osculation", [eids[e], eids[f]], vids[v]) for e, f in layout(v, edges)[0]]
         got = [(w["kind"], w["edges"], w["vertex"]) for w in cv.witness_findings]
-        assert got == want
-        at_v = [kind for kind, _, u in got if u == vids[v]]
-        first = at_v.index("nonadjacent_crossing_pair")
-        assert "osculation" in at_v[:first] and "osculation" in at_v[first + 1:]
+        assert len(want) > 1 and got == want
         off = {how[6] for how in verifier._READ.values()}  # the reasons for no c
-        unmatched = [w for w in cv.witness_findings if w["kind"] == "osculation"]
-        assert all(w["case_id"] == "unmatched" and w["reason"] in off for w in unmatched)
+        assert all(w["case_id"] == "unmatched" and w["reason"] in off for w in cv.witness_findings)
+        assert not cv.agreement
+
+    def test_merged_climb_cosets_are_a_class_mismatch(self, monkeypatch):
+        # the engine is made to merge the classes of two core edges of
+        # nonadjacent types into one; cross-validation names that class
+        ix = built_view(P42, -4, 4)
+        core, real = hyperplane_engine.core_edges(ix, -2, 2), hyperplane_engine.compute_hyperplanes
+        H = real(ix)
+        e, f = (next(e for e, t in enumerate(ix.type) if t == j and core.mask[e]) for j in (1, 3))
+        keep, merged = sorted((H.rep[e], H.rep[f]))
+
+        def merging(ix):
+            H = real(ix)
+            return H._replace(rep=[keep if c == merged else c for c in H.rep])
+
+        monkeypatch.setattr(hyperplane_engine, "compute_hyperplanes", merging)
+        cv = cross_validate(ix, 2, verify_all(P42).certificates)
+        assert [m["class"] for m in cv.class_mismatches] == [ix.edge_ids[keep]]
+        types = [ast.literal_eval(coset)[0] for coset in cv.class_mismatches[0]["cosets"]]
+        assert sorted(types) == [1, 3]
+        assert not cv.agreement
+
+    def test_split_class_is_inconclusive(self, monkeypatch):
+        # the engine is made to split one core class in two at a later core
+        # member: its climb coset then holds two classes, reported, not passed
+        ix = built_view(P42, -4, 4)
+        core, real = hyperplane_engine.core_edges(ix, -2, 2), hyperplane_engine.compute_hyperplanes
+        H = real(ix)
+        second = next(e for e, c in enumerate(H.rep) if c != e and core.mask[e] and core.mask[c])
+        cls = H.rep[second]
+
+        def splitting(ix):
+            H = real(ix)
+            rep = [second if c == cls and e >= second else c for e, c in enumerate(H.rep)]
+            return H._replace(rep=rep)
+
+        monkeypatch.setattr(hyperplane_engine, "compute_hyperplanes", splitting)
+        cv = cross_validate(ix, 2, verify_all(P42).certificates)
+        assert [c["classes"] for c in cv.inconclusive] == [[ix.edge_ids[cls], ix.edge_ids[second]]]
+        assert cv.class_mismatches == []
+        assert not cv.agreement
+
+    def test_crossing_of_nonadjacent_types_is_a_finding(self):
+        # one core square is given the second and fourth sides of another whose
+        # second side is two types from its first: a crossing the case split misses
+        ix = built_view(P42, -4, 4)
+        core, old = hyperplane_engine.core_edges(ix, -2, 2), ix.sides
+        quads = zip(*[iter(old)] * 4)
+        squares = [s for s, quad in enumerate(quads) if all(core.mask[x >> 1] for x in quad)]
+
+        def side_type(s, n):
+            return ix.type[old[4 * s + n] >> 1]
+
+        s = squares[0]
+        t = next(t for t in squares if (side_type(t, 1) - side_type(s, 0)) % 4 == 2)
+        sides = array("l", old)
+        sides[4 * s + 1], sides[4 * s + 3] = old[4 * t + 1], old[4 * t + 3]
+        cv = cross_validate(ix._replace(sides=sides, links=[]), 2, verify_all(P42).certificates)
+        crossing = [w for w in cv.witness_findings if w["kind"] == "crossing_types"]
+        types = [side_type(s, 0), side_type(t, 1)]
+        assert crossing == [{"kind": "crossing_types", "square": ix.square_ids[s], "types": types}]
+        assert cv.class_mismatches == []
+        assert not cv.agreement
 
     @pytest.mark.parametrize("m, k, span", [(4, 2, 6), (3, 3, 8)])
     def test_reloaded_document_cross_validates_like_the_build(self, m, k, span):
