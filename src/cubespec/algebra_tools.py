@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
-from cubespec.coeff_group import Elem, GroupParams, ParameterMismatchError, unit
+from cubespec.coeff_group import GroupParams, unit
 
 
 class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple)])):
@@ -198,28 +198,11 @@ class OrderSeq(NamedTuple):
         return {"start": self.start, "values": list(self.values)}
 
 
-def order_sequence(images: Sequence[Elem], i_range: range) -> OrderSeq:
-    """Orders of the products image_1^i * ... * image_m^i over i_range.
-
-    The images must be elements of one coefficient group.
-    """
-    if not images:
-        raise ValueError("need at least one image")
-    if i_range.step != 1:
-        raise ValueError("i_range must have step 1")
-    params = images[0].params
-    if any(g.params != params for g in images):
-        raise ParameterMismatchError("images come from different groups")
-    values = []
-    for i in i_range:
-        prod = reduce(lambda x, y: x * y, (g ** i for g in images))
-        values.append(prod.order())
-    return OrderSeq(i_range.start, tuple(values))
-
-
 def canonical_order_sequence(params: GroupParams, i_range: range) -> OrderSeq:
-    """Order sequence of the m standard generators of the coefficient group."""
-    return order_sequence([unit(params, j) for j in range(1, params.m + 1)], i_range)
+    """Orders of unit(1)^i * ... * unit(m)^i, the standard generators, over i_range."""
+    units = [unit(params, j) for j in range(1, params.m + 1)]
+    values = [reduce(lambda x, y: x * y, (g ** i for g in units)).order() for i in i_range]
+    return OrderSeq(i_range.start, tuple(values))
 
 
 def is_periodic(seq: OrderSeq, max_period: int) -> Optional[int]:

@@ -232,9 +232,7 @@ def _read_matrix(path: str):
     from cubespec.algebra_tools import IntMatrix
 
     text = _read_file(path, lambda fh: fh.read())
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError:
+    if text.lstrip()[:1] != "[":  # a whitespace grid, even of one entry
         rows = [line.split() for line in text.splitlines() if line.strip()]
         if not rows:
             raise ValueError(f"{path}: empty matrix")
@@ -246,10 +244,14 @@ def _read_matrix(path: str):
                     raise ValueError(
                         f"{path}: entry [{i}][{j}] is {tok!r}, expected an integer"
                     ) from None
-    except RecursionError:
-        raise ValueError(f"{path}: nesting too deep for the JSON decoder") from None
     else:
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        try:
+            rows = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON array: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: nesting too deep for the JSON decoder") from None
+        if not all(isinstance(r, list) for r in rows):
             raise ValueError(f"{path}: expected a JSON 2-D integer array")
         for i, row in enumerate(rows):
             for j, x in enumerate(row):

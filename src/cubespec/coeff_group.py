@@ -1,14 +1,18 @@
 """Exact arithmetic in the finite coefficient group C_k x ... x C_k (m copies).
 
-Group elements are exponent vectors mod k.  Linear characters are dual
-exponent vectors; a character value is the exponent of a fixed primitive
-k-th root of unity, so character comparisons are exact residue
-comparisons in Z/k and no floating point appears anywhere.
+``Elem`` is the one vector type: a group element is its exponent vector
+mod k.  The group is self-dual, so a linear character is a plain dual
+exponent tuple, and its value on g is the residue dot product with
+g's exponents: the exponent of a fixed primitive k-th root of unity, so
+character comparisons are exact residue comparisons in Z/k and no
+floating point appears anywhere.  The subgroups in use are cyclic, and
+each is its generator; ``multiples`` lists the members when they are
+needed.
 
-Cosets are never normalised to a representative: two cosets x * H_l and
-y * H_r meet exactly when x * y^-1 lies in H_l * H_r, so ``coset_meet``
+Cosets are never normalised to a representative: two cosets x * <g> and
+y * <h> meet exactly when x * y^-1 lies in <g> * <h>, so ``coset_meet``
 makes that product set (the sumset of the exponent tuples) once for a
-subgroup pair and decides each pair of exponent tuples with one lookup.
+generator pair and decides each pair of exponent tuples with one lookup.
 
 Type indices j live in 1..m and wrap cyclically (j = m + 1 means 1).
 """
@@ -113,10 +117,6 @@ class Elem(NamedTuple("Elem", [("params", GroupParams), ("exps", tuple)])):
     def inverse(self) -> "Elem":
         return self ** (-1)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(x == 0 for x in self.exps)
-
     def order(self) -> int:
         k = self.params.k
         return k // math.gcd(k, *self.exps)
@@ -144,91 +144,34 @@ def prefix(params: GroupParams, j: int) -> Elem:
     return Elem(params, tuple(1 if i < j else 0 for i in range(params.m)))
 
 
-class Character(NamedTuple("Character", [("params", GroupParams), ("dual", tuple)])):
-    """Linear character as a dual exponent vector; values are mu-exponents."""
-
-    __slots__ = ()
-
-    def __new__(cls, params: GroupParams, dual: tuple[int, ...]) -> "Character":
-        if len(dual) != params.m:
-            raise ValueError(f"expected {params.m} dual exponents, got {len(dual)}")
-        k = params.k
-        if any(not 0 <= x < k for x in dual):
-            dual = tuple(x % k for x in dual)
-        return super().__new__(cls, params, dual)
-
-    def __call__(self, g: Elem) -> int:
-        _check_params(self.params, g.params)
-        return sum(d * e for d, e in zip(self.dual, g.exps)) % self.params.k
-
-    def __mul__(self, other: "Character") -> "Character":
-        _check_params(self.params, other.params)
-        k = self.params.k
-        return Character(
-            self.params,
-            tuple((a + b) % k for a, b in zip(self.dual, other.dual)),
-        )
-
-    def __pow__(self, n: int) -> "Character":
-        k = self.params.k
-        n %= k
-        return Character(self.params, tuple((a * n) % k for a in self.dual))
-
-    def inverse(self) -> "Character":
-        return self ** (-1)
+def multiples(g: Elem) -> list[tuple[int, ...]]:
+    """Exponent tuples of g^0, g^1, ..., g^(order-1): the members of <g>."""
+    k = g.params.k
+    return [tuple(i * x % k for x in g.exps) for i in range(g.order())]
 
 
-def unit_character(params: GroupParams, j: int) -> Character:
-    """Character sending the j-th generator to mu and the rest to 1 (cyclic j)."""
-    j = params.type_index(j)
-    return Character(
-        params, tuple(1 if i == j - 1 else 0 for i in range(params.m))
-    )
-
-
-class Subgroup(NamedTuple):
-    """Cyclic subgroup with its full element set materialised."""
-
-    generator: Elem
-    elements: frozenset[Elem]
-
-    @property
-    def params(self) -> GroupParams:
-        return self.generator.params
-
-
-def subgroup_cyclic(gen: Elem) -> Subgroup:
-    elems = [identity(gen.params)]
-    cur = gen
-    while not cur.is_identity:
-        elems.append(cur)
-        cur = cur * gen
-    return Subgroup(gen, frozenset(elems))
-
-
-def edge_type_stabilizer(params: GroupParams, j: int) -> Subgroup:
-    """Stabiliser of a type-j hyperplane: generated by unit(j-1) * unit(j)."""
+def edge_type_stabilizer(params: GroupParams, j: int) -> Elem:
+    """Generator of the stabiliser of a type-j hyperplane: unit(j-1) * unit(j)."""
     if not 1 <= j <= params.m:
         raise ValueError(f"type index must be in [1, m], got {j}")
-    return subgroup_cyclic(unit(params, j - 1) * unit(params, j))
+    return unit(params, j - 1) * unit(params, j)
 
 
 def coset_meet(
-    left: Subgroup, right: Subgroup
+    left: Elem, right: Elem
 ) -> Callable[[tuple[int, ...], tuple[int, ...]], Optional[tuple[int, ...]]]:
-    """The decider for cosets x * left and y * right, on exponent tuples.
+    """The decider for cosets x * <left> and y * <right>, on exponent tuples.
 
     The returned ``meet(x, y)`` gives the least member (lex order on
     exponents) of the intersection, or None when the cosets are disjoint.
-    They meet exactly when x * y^-1 lies in left * right, which is made
-    once here as at most |left| * |right| exponent tuples, so deciding a
+    They meet exactly when x * y^-1 lies in <left> * <right>, which is
+    made once here from the two generators' ``multiples``, so deciding a
     pair is one set lookup and only a meeting pair enumerates members.
     No member of either coset is singled out as its representative.
     """
     _check_params(left.params, right.params)
     k = left.params.k
-    left_exps = [s.exps for s in left.elements]
-    right_exps = [s.exps for s in right.elements]
+    left_exps, right_exps = multiples(left), multiples(right)
     sums = {tuple((a + b) % k for a, b in zip(g, h)) for g in left_exps for h in right_exps}
 
     def meet(x: tuple[int, ...], y: tuple[int, ...]) -> Optional[tuple[int, ...]]:

@@ -45,17 +45,15 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from cubespec.coeff_group import (
-    Character,
+    Elem,
     GroupParams,
-    Subgroup,
     constant,
     coset_meet,
     edge_type_stabilizer,
     identity,
+    multiples,
     prefix,
-    subgroup_cyclic,
     unit,
-    unit_character,
 )
 from cubespec.incidence import SquareRef, _coset_floor, _translation, square_boundary
 
@@ -69,9 +67,12 @@ class CaseCertificate(NamedTuple):
     ``empty`` is decided purely by enumeration.  Each witness is a
     quantified tuple followed by the exponents of the least member of
     its two cosets' intersection; no output depends on which member
-    represents a coset.  An osculation family's separating character is
-    its named character when that one is valid: it takes exponent 0 on
-    both subgroup generators and different values on the two coset
+    represents a coset.  ``left_subgroup`` and ``right_subgroup`` are the
+    exponents of the generators of the two cyclic subgroups.  A character
+    is its dual exponent tuple, and its value on g is the dot product
+    with g's exponents mod k.  An osculation family's separating
+    character is its named character when that one is valid: it takes
+    value 0 on both generators and different values on the two coset
     representatives of every enumerated tuple, which re-certifies
     emptiness independently.
     """
@@ -238,33 +239,32 @@ def _twist(k: int, s: int, shape: tuple[int, ...], n: int = 1) -> tuple[int, ...
 
 def _certify_family(
     row: Family, j: int, tuples: Sequence[tuple], pairs: Sequence[tuple],
-    subgroups: tuple[Subgroup, Subgroup], named: Character,
+    gens: tuple[Elem, Elem], named: tuple[int, ...],
 ) -> CaseCertificate:
     """Decide one family: does e's coset meet f's, for each tuple?
 
     ``pairs`` holds e's and f's representatives for each tuple and
-    ``subgroups`` their subgroups; ``row.f_left`` puts f's coset on the
-    left.  One ``coset_meet`` lookup decides each tuple.  A character
-    that kills both subgroups is constant on each coset, so the named
-    character is checked against the generators once and then compared
-    on the two representatives of each tuple by residue dot products.
+    ``gens`` their subgroups' generators; ``row.f_left`` puts f's coset
+    on the left.  One ``coset_meet`` lookup decides each tuple.  The
+    named character is its dual exponent tuple.  One that kills both
+    generators is constant on each coset, so it is checked against the
+    generators once and then compared on the two representatives of
+    each tuple, all by residue dot products.
     When it fails the family has no separating character; emptiness is
     still decided by the lookups alone.
     """
     if row.f_left:
-        pairs, subgroups = [(y, x) for x, y in pairs], subgroups[::-1]
-    left, right = subgroups
+        pairs, gens = [(y, x) for x, y in pairs], gens[::-1]
+    left, right = gens
     meet = coset_meet(left, right)
     witnesses = []
     for t, (x, y) in zip(tuples, pairs):
         member = meet(x, y)
         if member is not None:
             witnesses.append(t + (member,))
-    k, dual = left.params.k, named.dual
-    named_valid = (
-        named(left.generator) == 0
-        and named(right.generator) == 0
-        and all((sum(map(mul, dual, x)) - sum(map(mul, dual, y))) % k for x, y in pairs)
+    k = left.params.k
+    named_valid = not any(sum(map(mul, named, g.exps)) % k for g in gens) and all(
+        (sum(map(mul, named, x)) - sum(map(mul, named, y))) % k for x, y in pairs
     )
     return CaseCertificate(
         case_id=row.case_id,
@@ -272,11 +272,11 @@ def _certify_family(
         quantifiers=row.quantifiers,
         left=row.left,
         right=row.right,
-        left_subgroup=left.generator.exps,
-        right_subgroup=right.generator.exps,
+        left_subgroup=left.exps,
+        right_subgroup=right.exps,
         empty=not witnesses,
-        separating_character=dual if named_valid else None,
-        named_character=dual,
+        separating_character=named if named_valid else None,
+        named_character=named,
         named_character_valid=named_valid,
         enumerated=len(pairs),
         witnesses=tuple(witnesses),
@@ -296,11 +296,11 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
     D(j+1) for the equal heights.
     """
     m, k = params.m, params.k
-    trivial = subgroup_cyclic(identity(params))
+    trivial = identity(params)
     out = []
     for j in range(1, m + 1):
-        subs = (trivial, edge_type_stabilizer(params, j))
-        chi_mixed = unit_character(params, j - 1) * unit_character(params, j).inverse()
+        gens = (trivial, edge_type_stabilizer(params, j))
+        chi_mixed = (unit(params, j - 1) * unit(params, j).inverse()).exps
         p_prev, p_j = prefix(params, j - 1).exps, prefix(params, j).exps
         for row in _ROWS[None]:
             s, level = row.e_tail - row.f_tail, row.e_tail == row.f_tail
@@ -311,8 +311,8 @@ def check_self_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
             ]
             f_rep = _twist(k, 0, p_j, s)
             pairs = [(_twist(k, (a - row.e_tail) * c, p_prev, s), f_rep) for a, c in tuples]
-            named = unit_character(params, j + 1) if level else chi_mixed
-            out.append(_certify_family(row, j, tuples, pairs, subs, named))
+            named = unit(params, j + 1).exps if level else chi_mixed
+            out.append(_certify_family(row, j, tuples, pairs, gens, named))
     return out
 
 
@@ -333,9 +333,9 @@ def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
     tuples = [(a, b, c) for a in range(k) for b in range(1, k) for c in range(1, k)]
     out = []
     for j in range(1, m + 1):
-        subs = (edge_type_stabilizer(params, j), edge_type_stabilizer(params, j % m + 1))
+        gens = (edge_type_stabilizer(params, j), edge_type_stabilizer(params, j % m + 1))
         u_j, u_next = unit(params, j).exps, unit(params, j + 1).exps
-        named = unit_character(params, j + 2)  # read cyclically: D(2) for j = m
+        named = unit(params, j + 2).exps  # read cyclically: D(2) for j = m
         f_pows = [_twist(k, 0, u_next, n) for n in range(k)]
         for row in _ROWS[j == m]:
             e_tail, f_tail = row.e_tail, row.f_tail
@@ -347,7 +347,7 @@ def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
                     (_twist(k, b * c, u_j, e_tail), f_pows[(b - a + f_tail) % k])
                     for a, b, c in tuples
                 ]
-            out.append(_certify_family(row, j, tuples, pairs, subs, named))
+            out.append(_certify_family(row, j, tuples, pairs, gens, named))
     return out
 
 
@@ -355,8 +355,8 @@ def check_inter_osculation_cases(params: GroupParams) -> list[CaseCertificate]:
 # stabilisers from loops, structural conditions
 
 
-def derive_stabilizer_from_loops(params: GroupParams, j: int) -> Subgroup:
-    """Hyperplane stabiliser for type j computed from square boundaries.
+def derive_stabilizer_from_loops(params: GroupParams, j: int) -> Elem:
+    """Generator of the type-j hyperplane stabiliser, from square boundaries.
 
     Only squares of types j and j-1 carry type-j edges.  Dropping one
     layer through each multiplies the coefficient by that square's
@@ -372,7 +372,7 @@ def derive_stabilizer_from_loops(params: GroupParams, j: int) -> Subgroup:
     prev_type = params.type_index(j - 1)
     other = square_boundary(SquareRef(0, prev_type, base))
     ratio_other = other[3][0].coeff * other[1][0].coeff.inverse()  # BL over TR
-    return subgroup_cyclic(ratio_own * ratio_other.inverse())
+    return ratio_own * ratio_other.inverse()
 
 
 def check_structural_conditions(params: GroupParams) -> list[CaseCertificate]:
@@ -475,14 +475,9 @@ def verify_all(params: GroupParams) -> VerifyReport:
     for j in range(1, params.m + 1):
         derived = derive_stabilizer_from_loops(params, j)
         expected = edge_type_stabilizer(params, j)
-        stab_checks.append(
-            StabilizerCheck(
-                j,
-                derived.generator.exps,
-                expected.generator.exps,
-                derived.elements == expected.elements,
-            )
-        )
+        # one subgroup may have several generators, so compare members
+        same = set(multiples(derived)) == set(multiples(expected))
+        stab_checks.append(StabilizerCheck(j, derived.exps, expected.exps, same))
     certificates = (
         check_structural_conditions(params)
         + check_self_osculation_cases(params)
@@ -623,7 +618,7 @@ def _climb_keys(cc: CoreCoefficients) -> list[int]:
     params, k, heights, ends = ix.params, ix.params.k, ix.height, ix.ends
     keys = [(ix.type[e], heights[ends[2 * e]] % k) for e in cc.edges]
     residues = set(keys)
-    least = {j: _coset_floor(params, edge_type_stabilizer(params, j).generator) for j, _ in residues}
+    least = {j: _coset_floor(params, edge_type_stabilizer(params, j)) for j, _ in residues}
     shift = {(j, r): _translation(params, prefix(params, j) ** r) for j, r in residues}
     tables = {(j, r): [least[j][x] for x in shift[j, r]] for j, r in residues}
     return [tables[key][cc.coeff[e]] for key, e in zip(keys, cc.edges)]

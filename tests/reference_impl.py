@@ -21,7 +21,10 @@ straight into its integer view; it does not validate the incidences.
 ``complex_to_json`` writes records, their unknown fields, extra
 top-level keys and any height or type through ``json.dumps``.
 ``parse_edge_ids`` reads the ``EdgeRef`` of a built edge back from its
-id.  The climb coset and
+id.  A cyclic subgroup is its generator, as in the program, and
+``cyclic_closure`` lists its members by closing the generator under
+``*``; a character is its dual exponent tuple, and ``char_value`` takes
+the dot product mod k on an ``Elem``.  The climb coset and
 the osculation classifier compute with ``Elem`` arithmetic and a k-step
 discrete log, as they ran before the program moved to coefficient
 indices.  ``find_separating_character`` is the lexicographic search over
@@ -38,6 +41,7 @@ unimodular transforms of a Smith Normal Form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from array import array
@@ -47,16 +51,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from cubespec.algebra_tools import IntMatrix
 from cubespec.coeff_group import (
-    Character,
     Elem,
     GroupParams,
     ParameterMismatchError,
-    Subgroup,
     constant,
     edge_type_stabilizer,
     identity,
     prefix,
-    subgroup_cyclic,
     unit,
 )
 from cubespec.complex_model import Cells, ComplexFormatError, ComplexIndex, NpcReport
@@ -207,9 +208,9 @@ def parse_edge_ids(X: SquareComplex, eids: Iterable[str]) -> dict[str, EdgeRef]:
     return refs
 
 
-def vertex_stabilizer(params: GroupParams, i: int) -> Subgroup:
-    """Stabiliser of a height-i vertex: generated by the constant vector i."""
-    return subgroup_cyclic(constant(params, i))
+def vertex_stabilizer(params: GroupParams, i: int) -> Elem:
+    """Generator of the stabiliser of a height-i vertex: the constant vector i."""
+    return constant(params, i)
 
 
 def _exps_str(e: Elem) -> str:
@@ -713,58 +714,74 @@ def named_core(ix: ComplexIndex, core: engine.Core) -> frozenset[str]:
 # cosets and the certificate families on ``Elem``s
 
 
+@functools.cache
+def cyclic_closure(gen: Elem) -> frozenset[Elem]:
+    """The members of <gen>: gen, gen * gen, ... up to the identity."""
+    one = identity(gen.params)
+    members, cur = {one}, gen
+    while cur != one:
+        members.add(cur)
+        cur = cur * gen
+    return frozenset(members)
+
+
+def char_value(dual: tuple[int, ...], g: Elem) -> int:
+    """The character with dual exponents ``dual`` on g, as a mu-exponent."""
+    return sum(map(mul, dual, g.exps)) % g.params.k
+
+
 @dataclass(frozen=True)
 class Coset:
-    """Coset rep * sub with rep normalised to the lex-smallest member.
+    """Coset rep * <gen> with rep normalised to the lex-smallest member.
 
     Build instances through :func:`coset` so that equality of cosets is
     plain field equality of the canonical representative.
     """
 
     rep: Elem
-    sub: Subgroup
+    gen: Elem
 
     @property
     def params(self) -> GroupParams:
         return self.rep.params
 
     def __contains__(self, e: Elem) -> bool:
-        return e * self.rep.inverse() in self.sub.elements
+        return e * self.rep.inverse() in cyclic_closure(self.gen)
 
     def elements(self) -> frozenset[Elem]:
-        return frozenset(self.rep * s for s in self.sub.elements)
+        return frozenset(self.rep * s for s in cyclic_closure(self.gen))
 
     def to_json(self) -> dict:
         return {
             "rep": list(self.rep.exps),
-            "subgroup_generator": list(self.sub.generator.exps),
+            "subgroup_generator": list(self.gen.exps),
         }
 
 
-def _member_exps(rep: Elem, sub: Subgroup) -> list[tuple[int, ...]]:
-    """Exponent tuples of rep * s over the subgroup, made without ``Elem``s."""
+def _member_exps(rep: Elem, gen: Elem) -> list[tuple[int, ...]]:
+    """Exponent tuples of rep * s over <gen>, made without ``Elem`` products."""
     k = rep.params.k
-    return [tuple((a + b) % k for a, b in zip(rep.exps, s.exps)) for s in sub.elements]
+    return [tuple((a + b) % k for a, b in zip(rep.exps, s.exps)) for s in cyclic_closure(gen)]
 
 
-def coset(rep: Elem, sub: Subgroup) -> Coset:
-    if rep.params != sub.params:
-        raise ParameterMismatchError(f"parameter mismatch: {rep.params} vs {sub.params}")
-    return Coset(Elem(rep.params, min(_member_exps(rep, sub))), sub)
+def coset(rep: Elem, gen: Elem) -> Coset:
+    if rep.params != gen.params:
+        raise ParameterMismatchError(f"parameter mismatch: {rep.params} vs {gen.params}")
+    return Coset(Elem(rep.params, min(_member_exps(rep, gen))), gen)
 
 
 def coset_intersection(c1: Coset, c2: Coset) -> frozenset[Elem]:
     """Exact intersection of two cosets, enumerated as exponent tuples."""
     if c1.params != c2.params:
         raise ParameterMismatchError(f"parameter mismatch: {c1.params} vs {c2.params}")
-    small, large = (c1, c2) if len(c1.sub.elements) <= len(c2.sub.elements) else (c2, c1)
-    inside = set(_member_exps(large.rep, large.sub))
+    small, large = sorted((c1, c2), key=lambda c: len(cyclic_closure(c.gen)))
+    inside = set(_member_exps(large.rep, large.gen))
     return frozenset(
-        Elem(c1.params, e) for e in _member_exps(small.rep, small.sub) if e in inside
+        Elem(c1.params, e) for e in _member_exps(small.rep, small.gen) if e in inside
     )
 
 
-def separates(chi: Character, pairs: Sequence[tuple[Coset, Coset]]) -> bool:
+def separates(chi: tuple[int, ...], pairs: Sequence[tuple[Coset, Coset]]) -> bool:
     """True when chi certifies every coset pair disjoint.
 
     The character must take exponent 0 on both subgroups of a pair and
@@ -772,22 +789,21 @@ def separates(chi: Character, pairs: Sequence[tuple[Coset, Coset]]) -> bool:
     in both cosets.
     """
     for left, right in pairs:
-        if chi(left.sub.generator) != 0 or chi(right.sub.generator) != 0:
+        if char_value(chi, left.gen) != 0 or char_value(chi, right.gen) != 0:
             return False
-        if chi(left.rep) == chi(right.rep):
+        if char_value(chi, left.rep) == char_value(chi, right.rep):
             return False
     return True
 
 
-def all_characters(params: GroupParams) -> Iterator[Character]:
-    """All k^m characters in lexicographic order of their dual vectors."""
-    for dual in itertools.product(range(params.k), repeat=params.m):
-        yield Character(params, dual)
+def all_characters(params: GroupParams) -> Iterator[tuple[int, ...]]:
+    """All k^m characters, as dual exponent tuples in lexicographic order."""
+    return itertools.product(range(params.k), repeat=params.m)
 
 
 def find_separating_character(
     left: Elem, right: Elem, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> Optional[Character]:
+) -> Optional[tuple[int, ...]]:
     """First character (lex order on duals) that separates a whole family.
 
     The family is the coset pairs x * <left> and y * <right>, one for each
@@ -804,8 +820,8 @@ def find_separating_character(
     k = left.params.k
     ratios = {tuple((a - b) % k for a, b in zip(x, y)) for x, y in pairs}
     for chi in all_characters(left.params):
-        if chi(left) == 0 and chi(right) == 0 and all(
-            sum(map(mul, chi.dual, r)) % k for r in ratios
+        if char_value(chi, left) == 0 and char_value(chi, right) == 0 and all(
+            sum(map(mul, chi, r)) % k for r in ratios
         ):
             return chi
     return None
@@ -819,7 +835,7 @@ def family_cosets(params: GroupParams, case_id: str, j: int, t: tuple) -> tuple[
     coset is restated from its ``left`` or ``right`` description with
     ``Elem`` arithmetic; ``Stab(j)`` is ``<u(j-1)u(j)>``.
     """
-    def stab(i: int) -> Subgroup:
+    def stab(i: int) -> Elem:
         return edge_type_stabilizer(params, params.type_index(i))
 
     def d(i: int) -> Elem:
@@ -829,7 +845,7 @@ def family_cosets(params: GroupParams, case_id: str, j: int, t: tuple) -> tuple[
         return unit(params, i)
 
     one = identity(params)
-    trivial = subgroup_cyclic(one)
+    trivial = one
     if case_id.startswith("selfosc"):
         a, c = t
         return {

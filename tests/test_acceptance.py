@@ -30,7 +30,8 @@ from cubespec.verifier import (
 
 from conftest import ACCEPTANCE_PAIRS
 from reference_impl import complex_from_json as record_complex_from_json
-from reference_impl import named_partition, revalidate_one_sided, revalidate_osculation
+from reference_impl import cyclic_closure, named_partition
+from reference_impl import revalidate_one_sided, revalidate_osculation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cubespec" / "fixtures"
 
@@ -73,10 +74,8 @@ def test_criterion_2_stabilizer_formula():
                 for j in range(1, m + 1):
                     derived = derive_stabilizer_from_loops(params, j)
                     expected = edge_type_stabilizer(params, j)
-                    assert derived.elements == expected.elements, (m, k, j)
-                    assert derived.generator == unit(params, j - 1) * unit(
-                        params, j
-                    ), (m, k, j)
+                    assert cyclic_closure(derived) == cyclic_closure(expected), (m, k, j)
+                    assert derived == unit(params, j - 1) * unit(params, j), (m, k, j)
 
 
 def test_criterion_3_climb_coset_closed_form(acceptance_builds):

@@ -8,11 +8,10 @@ from cubespec.algebra_tools import (
     canonical_order_sequence,
     crossing_orbit_growth,
     is_periodic,
-    order_sequence,
     smith_normal_form,
     OrderSeq,
 )
-from cubespec.coeff_group import GroupParams, identity
+from cubespec.coeff_group import GroupParams
 
 from reference_impl import determinant, identity_matrix, matrix_product
 
@@ -153,11 +152,6 @@ class TestOrbitGrowth:
 
 
 class TestOrderSequence:
-    def test_all_trivial(self):
-        params = GroupParams(4, 3)
-        seq = order_sequence([identity(params)] * 4, range(-2, 5))
-        assert set(seq.values) == {1}
-
     def test_canonical_images(self):
         params = GroupParams(4, 3)
         seq = canonical_order_sequence(params, range(-6, 7))
@@ -167,15 +161,6 @@ class TestOrderSequence:
     def test_value_at_zero(self):
         seq = canonical_order_sequence(GroupParams(5, 2), range(-4, 5))
         assert seq.value_at(0) == 1
-
-    def test_mixed_images_rejected(self):
-        from cubespec.coeff_group import ParameterMismatchError
-
-        with pytest.raises(ParameterMismatchError):
-            order_sequence(
-                [identity(GroupParams(4, 2)), identity(GroupParams(4, 3))],
-                range(0, 3),
-            )
 
 
 class TestPeriodicity:

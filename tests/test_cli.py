@@ -515,6 +515,21 @@ class TestAlgebraCommands:
         assert code == 0
         assert stdout.strip() == "invariant_factors=2,4"
 
+    @pytest.mark.parametrize("text, factors", [("5", "5"), ("-3\n", "3")])
+    def test_snf_one_entry_grid(self, text, factors, capsys, tmp_path):
+        # a lone integer is a 1 x 1 grid, although JSON would decode it
+        mat = tmp_path / "m.txt"
+        mat.write_text(text)
+        code, stdout, _ = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, stdout) == (0, f"invariant_factors={factors}\n")
+
+    def test_snf_malformed_json_names_the_file(self, capsys, tmp_path):
+        mat = tmp_path / "m.json"
+        mat.write_text("[[1, 2]")
+        code, out, err = run(capsys, "snf", "--matrix", str(mat))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {mat}: not a JSON array: ")
+
     def test_snf_malformed(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"
         mat.write_text("2 x\n")

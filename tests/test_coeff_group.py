@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubespec.coeff_group import (
-    Character,
     Elem,
     GroupParams,
     ParameterMismatchError,
@@ -13,17 +12,18 @@ from cubespec.coeff_group import (
     coset_meet,
     edge_type_stabilizer,
     identity,
+    multiples,
     prefix,
-    subgroup_cyclic,
     unit,
-    unit_character,
 )
 
 from reference_impl import (
     all_characters,
+    char_value,
     climb_coset,
     coset,
     coset_intersection,
+    cyclic_closure,
     find_separating_character,
     separates,
     vertex_stabilizer,
@@ -46,10 +46,9 @@ def elems(params):
 
 
 def subgroups(params):
-    """The stabilisers the certificates use: edge types and the trivial one."""
+    """Generators of the stabilisers the certificates use: edge types and the trivial one."""
     return st.sampled_from(
-        [edge_type_stabilizer(params, j) for j in range(1, params.m + 1)]
-        + [subgroup_cyclic(identity(params))]
+        [edge_type_stabilizer(params, j) for j in range(1, params.m + 1)] + [identity(params)]
     )
 
 
@@ -70,10 +69,7 @@ same_subgroup_pair_lists = st.sampled_from([P42, P43]).flatmap(
         lambda sub: st.lists(st.tuples(cosets(p, sub), cosets(p, sub)), min_size=1, max_size=4)
     )
 )
-char_strategy = st.builds(
-    lambda dual: Character(P43, dual),
-    st.tuples(*(st.integers(0, 2) for _ in range(4))),
-)
+char_strategy = st.tuples(*(st.integers(0, 2) for _ in range(4)))
 
 
 class TestParams:
@@ -116,7 +112,7 @@ class TestElem:
         acc = identity(P43)
         for _ in range(3):
             acc = acc * g
-        assert acc.is_identity
+        assert acc == identity(P43)
 
     def test_pow_negative(self):
         assert (unit(P43, 2) ** (-1)).exps == (0, 2, 0, 0)
@@ -126,7 +122,7 @@ class TestElem:
 
     def test_pow_zero(self):
         g = Elem(P43, (1, 2, 0, 1))
-        assert (g ** 0).is_identity
+        assert g ** 0 == identity(P43)
 
     def test_param_mismatch(self):
         with pytest.raises(ParameterMismatchError):
@@ -138,26 +134,29 @@ class TestElem:
 
     @given(elem_strategy)
     def test_pow_k_is_identity(self, a):
-        assert (a ** 3).is_identity
+        assert a ** 3 == identity(P43)
 
 
 class TestCharacter:
+    # a character is its dual exponent tuple; its value is a dot product mod k
+
     def test_unit_character_values(self):
-        d2 = unit_character(P43, 2)
-        assert d2(unit(P43, 2)) == 1
-        assert d2(unit(P43, 1)) == 0
+        d2 = unit(P43, 2).exps
+        assert char_value(d2, unit(P43, 2)) == 1
+        assert char_value(d2, unit(P43, 1)) == 0
 
     def test_on_diagonal(self):
         # homomorphism forces exponent i on the constant vector i
-        assert unit_character(P43, 3)(constant(P43, 2)) == 2
+        assert char_value(unit(P43, 3).exps, constant(P43, 2)) == 2
 
     def test_vanishes_on_stabilizer_generator(self):
-        chi = unit_character(P43, 1) * unit_character(P43, 2).inverse()
-        assert chi(unit(P43, 1) * unit(P43, 2)) == 0
+        # the mixed character D(1) * D(2)^-1 kills the generator of Stab(2)
+        chi = (unit(P43, 1) * unit(P43, 2).inverse()).exps
+        assert char_value(chi, edge_type_stabilizer(P43, 2)) == 0
 
     @given(char_strategy, elem_strategy, elem_strategy)
     def test_homomorphism_random(self, chi, g, h):
-        assert chi(g * h) == (chi(g) + chi(h)) % 3
+        assert char_value(chi, g * h) == (char_value(chi, g) + char_value(chi, h)) % 3
 
     def test_homomorphism_exhaustive_small(self):
         params = GroupParams(4, 2)
@@ -165,47 +164,50 @@ class TestCharacter:
         for chi in all_characters(params):
             for g in elems:
                 for h in elems:
-                    assert chi(g * h) == (chi(g) + chi(h)) % 2
-
-    def test_character_group_is_dual_copy(self):
-        params = GroupParams(4, 2)
-        chars = list(all_characters(params))
-        assert len(chars) == 16
-        for chi in chars:
-            assert (chi * chi).dual == (0, 0, 0, 0)
+                    assert char_value(chi, g * h) == (char_value(chi, g) + char_value(chi, h)) % 2
 
 
 class TestSubgroups:
     def test_cyclic_enumeration(self):
-        sub = subgroup_cyclic(unit(P43, 1) * unit(P43, 2))
-        got = sorted(e.exps for e in sub.elements)
+        got = multiples(unit(P43, 1) * unit(P43, 2))
         assert got == [(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)]
 
     def test_identity_subgroup(self):
-        assert len(subgroup_cyclic(identity(P43)).elements) == 1
+        assert multiples(identity(P43)) == [(0, 0, 0, 0)]
 
     def test_order_two(self):
-        assert len(subgroup_cyclic(constant(P42, 1)).elements) == 2
+        assert len(multiples(constant(P42, 1))) == 2
 
     def test_nonidentity_has_order_k_for_prime_k(self):
         for g in all_elems(P43):
-            if not g.is_identity:
-                assert len(subgroup_cyclic(g).elements) == 3
+            if g != identity(P43):
+                assert len(multiples(g)) == 3
+
+    @pytest.mark.parametrize("m, k", [(3, 2), (4, 3), (3, 4), (4, 4)])
+    def test_multiples_match_the_closure(self, m, k):
+        # every element: g^0 .. g^(order-1) are exactly the closure of g under *
+        params, orders = GroupParams(m, k), set()
+        for g in all_elems(params):
+            got = multiples(g)
+            assert len(got) == len(set(got)) == g.order()
+            assert set(got) == {e.exps for e in cyclic_closure(g)}, g
+            orders.add(g.order())
+        assert orders == {d for d in (1, 2, 3, 4) if k % d == 0}
 
     def test_edge_type_stabilizer(self):
-        assert edge_type_stabilizer(P43, 2).generator == unit(P43, 1) * unit(P43, 2)
+        assert edge_type_stabilizer(P43, 2) == unit(P43, 1) * unit(P43, 2)
         # cyclic indexing wraps j=1 back to the last generator
-        assert edge_type_stabilizer(P43, 1).generator == unit(P43, 4) * unit(P43, 1)
-        assert edge_type_stabilizer(P43, 4).generator == unit(P43, 3) * unit(P43, 4)
+        assert edge_type_stabilizer(P43, 1) == unit(P43, 4) * unit(P43, 1)
+        assert edge_type_stabilizer(P43, 4) == unit(P43, 3) * unit(P43, 4)
         with pytest.raises(ValueError):
             edge_type_stabilizer(P43, 5)
 
     def test_vertex_stabilizer(self):
-        assert len(vertex_stabilizer(P43, 0).elements) == 1
-        sub = vertex_stabilizer(P43, 1)
-        assert len(sub.elements) == 3
-        assert constant(P43, 1) in sub.elements
-        assert len(vertex_stabilizer(P43, 3).elements) == 1
+        assert len(cyclic_closure(vertex_stabilizer(P43, 0))) == 1
+        sub = cyclic_closure(vertex_stabilizer(P43, 1))
+        assert len(sub) == 3
+        assert constant(P43, 1) in sub
+        assert len(cyclic_closure(vertex_stabilizer(P43, 3))) == 1
 
 
 class TestCosets:
@@ -260,14 +262,14 @@ def family_coset_pairs(draw):
     params = GroupParams(draw(st.integers(3, 6)), draw(st.integers(2, 9)))
     m, k = params.m, params.k
     j = draw(st.integers(1, m))
-    subs = [subgroup_cyclic(identity(params))] + [
+    subs = [identity(params)] + [
         edge_type_stabilizer(params, params.type_index(i)) for i in (j - 1, j, j + 1)
     ]
     left, right = draw(st.sampled_from(subs)), draw(st.sampled_from(subs))
     x = draw(elems(params))
     if draw(st.booleans()):
         p, q = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-        y = x * left.generator ** p * right.generator ** q
+        y = x * left ** p * right ** q
     else:
         y = draw(elems(params))
     return left, right, x, y
@@ -285,9 +287,9 @@ def test_coset_meet_matches_reference_intersection(args):
 
 
 def reference_subgroups(params):
-    """The trivial group, the edge stabilisers and the vertex stabilisers."""
+    """Generators of the trivial group, the edge and the vertex stabilisers."""
     return st.sampled_from(
-        [subgroup_cyclic(identity(params))]
+        [identity(params)]
         + [edge_type_stabilizer(params, j) for j in range(1, params.m + 1)]
         + [vertex_stabilizer(params, i) for i in range(1, params.k)]
     )
@@ -307,10 +309,10 @@ def test_tuple_cosets_match_elem_reference(args):
     # members of the two element sets
     r1, s1, r2, s2 = args
     c1, c2 = coset(r1, s1), coset(r2, s2)
-    members1 = [r1 * s for s in s1.elements]
-    members2 = [r2 * s for s in s2.elements]
-    assert c1.rep == min(members1, key=lambda e: e.exps) and c1.sub == s1
-    assert c2.rep == min(members2, key=lambda e: e.exps) and c2.sub == s2
+    members1 = [r1 * s for s in cyclic_closure(s1)]
+    members2 = [r2 * s for s in cyclic_closure(s2)]
+    assert c1.rep == min(members1, key=lambda e: e.exps) and c1.gen == s1
+    assert c2.rep == min(members2, key=lambda e: e.exps) and c2.gen == s2
     assert coset_intersection(c1, c2) == frozenset(members1) & frozenset(members2)
 
 
@@ -319,30 +321,29 @@ def brute_force_separator(pairs):
     every pair, with different constants on its two sides."""
     params = pairs[0][0].params
     for dual in itertools.product(range(params.k), repeat=params.m):
-        chi = Character(params, dual)
         values = [
-            ({chi(e) for e in left.elements()}, {chi(e) for e in right.elements()})
+            (
+                {char_value(dual, e) for e in left.elements()},
+                {char_value(dual, e) for e in right.elements()},
+            )
             for left, right in pairs
         ]
         if all(len(a) == 1 and len(b) == 1 and a != b for a, b in values):
-            return chi
+            return dual
     return None
 
 
 def search(pairs):
     """The reference search over coset pairs that share one subgroup pair."""
-    (left, right), = {(l.sub, r.sub) for l, r in pairs}
-    return find_separating_character(
-        left.generator, right.generator, [(l.rep.exps, r.rep.exps) for l, r in pairs]
-    )
+    (left, right), = {(l.gen, r.gen) for l, r in pairs}
+    return find_separating_character(left, right, [(l.rep.exps, r.rep.exps) for l, r in pairs])
 
 
 class TestSeparatingCharacter:
     def test_named_case_instance(self):
         sub = edge_type_stabilizer(P43, 2)
         chi = search([(coset(identity(P43), sub), coset(unit(P43, 1), sub))])
-        assert chi is not None
-        assert chi.dual == (1, 2, 0, 0)
+        assert chi == (1, 2, 0, 0)
 
     def test_equal_cosets_unseparable(self):
         c = coset(unit(P43, 3), edge_type_stabilizer(P43, 4))
@@ -353,16 +354,15 @@ class TestSeparatingCharacter:
         c1 = coset(identity(P42), edge_type_stabilizer(P42, 2))
         c2 = coset(constant(P42, 1), edge_type_stabilizer(P42, 3))
         chi = search([(c1, c2)])
-        assert chi is not None
-        assert chi.dual == (0, 0, 0, 1)
+        assert chi == (0, 0, 0, 1)
 
     def test_separator_certifies_emptiness(self):
         c1 = coset(identity(P42), edge_type_stabilizer(P42, 2))
         c2 = coset(constant(P42, 1), edge_type_stabilizer(P42, 3))
         chi = search([(c1, c2)])
         assert coset_intersection(c1, c2) == frozenset()
-        assert chi(c1.sub.generator) == 0 and chi(c2.sub.generator) == 0
-        assert chi(c1.rep) != chi(c2.rep)
+        assert char_value(chi, c1.gen) == 0 and char_value(chi, c2.gen) == 0
+        assert char_value(chi, c1.rep) != char_value(chi, c2.rep)
         assert separates(chi, [(c1, c2)])
 
     def test_disjoint_iff_separable_same_subgroup(self):
@@ -396,9 +396,9 @@ class TestSeparatingCharacter:
         if chi is not None:
             for left, right in pairs:
                 assert coset_intersection(left, right) == frozenset()
-                assert chi(left.sub.generator) == 0
-                assert chi(right.sub.generator) == 0
-        elif len(pairs) == 1 and pairs[0][0].sub == pairs[0][1].sub:
+                assert char_value(chi, left.gen) == 0
+                assert char_value(chi, right.gen) == 0
+        elif len(pairs) == 1 and pairs[0][0].gen == pairs[0][1].gen:
             # one pair over one subgroup: no separator exactly when they meet
             assert coset_intersection(*pairs[0])
 
@@ -422,7 +422,7 @@ class TestClimbCoset:
 
     def test_proper_coset(self):
         c = climb_coset(P43, 3, identity(P43), 1)
-        sub_elems = sorted(e.exps for e in edge_type_stabilizer(P43, 3).elements)
+        sub_elems = sorted(e.exps for e in cyclic_closure(edge_type_stabilizer(P43, 3)))
         assert sub_elems == [(0, 0, 0, 0), (0, 1, 1, 0), (0, 2, 2, 0)]
         assert prefix(P43, 3) in c
         assert identity(P43) not in c
@@ -442,7 +442,7 @@ class TestClimbCoset:
     @given(st.integers(1, 4), elem_strategy, st.integers(-7, 7))
     def test_coefficient_translates_the_coset(self, j, g, height):
         c = climb_coset(P43, j, g, height)
-        assert c == coset(g * climb_coset(P43, j, identity(P43), height).rep, c.sub)
+        assert c == coset(g * climb_coset(P43, j, identity(P43), height).rep, c.gen)
 
     def test_invalid_type_index(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ The certificates in ``cubespec/verifier.py`` and the group arithmetic in
 so they may not compute through the geometric engine.  ``verifier``
 imports ``hyperplane_engine`` only inside ``cross_validate``, which ties
 the two routes together, and under ``TYPE_CHECKING`` for annotations;
-``coeff_group`` imports no other ``cubespec`` module.
+``coeff_group`` imports no other ``cubespec`` module.  ``Elem`` is the
+one vector type of the group: a character is a dual exponent tuple and
+a cyclic subgroup is its generator, so no class of their own exists.
 """
 
 import ast
@@ -61,3 +63,9 @@ def test_coeff_group_imports_no_other_cubespec_module():
     tree = _tree("coeff_group.py")
     assert any(isinstance(n, ast.ClassDef) and n.name == "Elem" for n in tree.body)
     assert list(_cubespec_imports(tree)) == []
+
+
+def test_coeff_group_has_one_vector_type():
+    tree = _tree("coeff_group.py")
+    classes = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    assert classes == {"GroupParams", "Elem", "ParameterMismatchError"}

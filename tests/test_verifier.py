@@ -7,16 +7,14 @@ from array import array
 
 import pytest
 
-from cubespec import hyperplane_engine, verifier
+from cubespec import cli, hyperplane_engine, verifier
 from cubespec.coeff_group import (
-    Character,
     Elem,
     GroupParams,
     constant,
     edge_type_stabilizer,
     identity,
     unit,
-    unit_character,
 )
 from cubespec.complex_model import (
     Cells,
@@ -40,7 +38,7 @@ from cubespec.verifier import (
 )
 
 from reference_impl import built_square_refs, coset, coset_intersection, family_cosets, records
-from reference_impl import separates
+from reference_impl import char_value, cyclic_closure, separates
 
 from test_complex_model import written
 from test_integer_kernels import fallback_stars
@@ -51,11 +49,11 @@ P43 = GroupParams(4, 3)
 
 class TestStabilizerDerivation:
     def test_named_instances(self):
-        got = derive_stabilizer_from_loops(P43, 3)
-        assert got.elements == edge_type_stabilizer(P43, 3).elements
-        assert (unit(P43, 2) * unit(P43, 3)) in got.elements
-        wrap = derive_stabilizer_from_loops(P43, 1)
-        assert (unit(P43, 4) * unit(P43, 1)) in wrap.elements
+        got = cyclic_closure(derive_stabilizer_from_loops(P43, 3))
+        assert got == cyclic_closure(edge_type_stabilizer(P43, 3))
+        assert (unit(P43, 2) * unit(P43, 3)) in got
+        wrap = cyclic_closure(derive_stabilizer_from_loops(P43, 1))
+        assert (unit(P43, 4) * unit(P43, 1)) in wrap
 
     def test_matches_formula_on_grid(self):
         for m in range(3, 7):
@@ -64,11 +62,35 @@ class TestStabilizerDerivation:
                 for j in range(1, m + 1):
                     derived = derive_stabilizer_from_loops(params, j)
                     expected = edge_type_stabilizer(params, j)
-                    assert derived.elements == expected.elements, (m, k, j)
+                    assert cyclic_closure(derived) == cyclic_closure(expected), (m, k, j)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             derive_stabilizer_from_loops(P43, 0)
+
+    @pytest.mark.parametrize(
+        "params, power",
+        [(P43, 2), (GroupParams(4, 5), 2), (GroupParams(4, 5), -1), (GroupParams(3, 4), -1)],
+    )
+    def test_other_generator_of_the_subgroup_matches(self, params, power, monkeypatch):
+        # a power prime to k generates the same subgroup: match compares
+        # subgroups, not generators
+        real = verifier.derive_stabilizer_from_loops
+        monkeypatch.setattr(
+            verifier, "derive_stabilizer_from_loops", lambda p, j: real(p, j) ** power
+        )
+        report = verify_all(params)
+        assert all(s.derived != s.expected for s in report.stabilizers)
+        assert all(s.match for s in report.stabilizers)
+
+    def test_other_subgroup_is_a_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(verifier, "derive_stabilizer_from_loops", lambda p, j: unit(p, j))
+        report = verify_all(P43)
+        assert not any(s.match for s in report.stabilizers)
+        assert not report.all_empty
+        assert cli.main(["verify", "--m", "4", "--k", "3"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("MISMATCH") == 4 and "all_empty=False" in out
 
 
 class TestSelfOsculationCases:
@@ -83,11 +105,9 @@ class TestSelfOsculationCases:
     def test_named_characters(self):
         certs = {(c.case_id, c.j): c for c in check_self_osculation_cases(P43)}
         mixed = certs[("selfosc_b_eq_a_minus_1", 2)]
-        assert mixed.named_character == tuple(
-            (unit_character(P43, 1) * unit_character(P43, 2).inverse()).dual
-        )
+        assert mixed.named_character == (1, 2, 0, 0)  # D(1) * D(2)^-1
         level = certs[("selfosc_b_eq_a_at_a", 2)]
-        assert level.named_character == unit_character(P43, 3).dual
+        assert level.named_character == (0, 0, 1, 0)  # D(3)
 
     def test_m3_still_empty(self):
         # the equal-height case only needs three distinct indices
@@ -131,7 +151,7 @@ class TestInterOsculationCases:
             if c.case_id == "interosc_1_1" and c.j == 1
         )
         assert cert.empty
-        assert cert.named_character == unit_character(P43, 3).dual
+        assert cert.named_character == (0, 0, 1, 0)  # D(3)
 
     def test_case2_uses_second_unit_character(self):
         certs = [c for c in check_inter_osculation_cases(P43) if c.j == 4]
@@ -142,7 +162,7 @@ class TestInterOsculationCases:
             "interosc_2_4",
         }
         for c in certs:
-            assert c.named_character == unit_character(P43, 2).dual
+            assert c.named_character == (0, 1, 0, 0)  # D(2)
             assert c.named_character_valid
 
     def test_m3_honest_nonempty(self):
@@ -172,9 +192,9 @@ class TestSoundnessSpotCheck:
         params = P43
         for cert in check_inter_osculation_cases(params):
             assert cert.empty
-            chi = Character(params, cert.separating_character)
-            assert chi(Elem(params, cert.left_subgroup)) == 0
-            assert chi(Elem(params, cert.right_subgroup)) == 0
+            chi = cert.separating_character
+            assert char_value(chi, Elem(params, cert.left_subgroup)) == 0
+            assert char_value(chi, Elem(params, cert.right_subgroup)) == 0
 
     def test_character_splits_reps_on_rebuilt_tuples(self):
         # rebuild the first sub-case's cosets from scratch and check the
@@ -185,7 +205,7 @@ class TestSoundnessSpotCheck:
             for c in check_inter_osculation_cases(params)
             if c.case_id == "interosc_1_1" and c.j == 2
         )
-        chi = Character(params, cert.separating_character)
+        chi = cert.separating_character
         j = 2
         stab_j = edge_type_stabilizer(params, j)
         stab_next = edge_type_stabilizer(params, j + 1)
@@ -198,7 +218,7 @@ class TestSoundnessSpotCheck:
                         stab_next,
                     )
                     assert coset_intersection(left, right) == frozenset()
-                    assert chi(left.rep) != chi(right.rep), (a, b, c_)
+                    assert char_value(chi, left.rep) != char_value(chi, right.rep), (a, b, c_)
 
 
 QUANTIFIED_TUPLES = {
@@ -226,7 +246,7 @@ def test_witnesses_recheck_against_elem_cosets(m, k):
         tuples = QUANTIFIED_TUPLES[cert.quantifiers](k)
         assert cert.enumerated == len(tuples)
         pairs = [family_cosets(params, cert.case_id, cert.j, t) for t in tuples]
-        assert {(l.sub.generator.exps, r.sub.generator.exps) for l, r in pairs} == {
+        assert {(l.gen.exps, r.gen.exps) for l, r in pairs} == {
             (cert.left_subgroup, cert.right_subgroup)
         }
         by_tuple = {w[:-1]: Elem(params, w[-1]) for w in cert.witnesses}
@@ -239,11 +259,9 @@ def test_witnesses_recheck_against_elem_cosets(m, k):
             else:
                 assert common == [], (cert.case_id, cert.j, t)
         assert [w[:-1] for w in cert.witnesses] == [t for t in tuples if t in by_tuple]
-        assert cert.named_character_valid == separates(
-            Character(params, cert.named_character), pairs
-        )
+        assert cert.named_character_valid == separates(cert.named_character, pairs)
         if cert.separating_character is not None:
-            assert separates(Character(params, cert.separating_character), pairs)
+            assert separates(cert.separating_character, pairs)
 
 
 class TestStructuralConditions:
