@@ -9,10 +9,9 @@ periodicity probe.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
-from cubespec.coeff_group import GroupParams, unit
+from cubespec.coeff_group import GroupParams, constant
 
 
 class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple)])):
@@ -199,9 +198,8 @@ class OrderSeq(NamedTuple):
 
 
 def canonical_order_sequence(params: GroupParams, i_range: range) -> OrderSeq:
-    """Orders of unit(1)^i * ... * unit(m)^i, the standard generators, over i_range."""
-    units = [unit(params, j) for j in range(1, params.m + 1)]
-    values = [reduce(lambda x, y: x * y, (g ** i for g in units)).order() for i in i_range]
+    """Orders of unit(1)^i * ... * unit(m)^i, the constant vector d(i), over i_range."""
+    values = [constant(params, i).order() for i in i_range]
     return OrderSeq(i_range.start, tuple(values))
 
 

@@ -33,9 +33,11 @@ coset is keyed by its least index, and the discrete log of a constant
 vector is one lookup per height residue.  ``classify_osculation`` takes
 a vertex star at a time: the family row of each pair of types and ends
 is a table made once per run, and each edge of the star is read once.
-Every witness is still classified on its own, by its height gap, the
-diagonal classes of its two coefficients, one discrete-log lookup and
-the trivial-twist test.
+Every core edge rises one height, so the base of every twist at a vertex
+is the vertex's height, read once per star.  Every witness is still
+classified on its own, by its two sides at the vertex, the diagonal
+classes of its two coefficients, one discrete-log lookup and the
+trivial-twist test.
 """
 
 from __future__ import annotations
@@ -207,9 +209,7 @@ def _pair_readings(m: int) -> list[list[Optional[tuple]]]:
 
     None where the types are neither equal nor cyclically adjacent.  The
     row is read with e of the lower type, so an f of the lower type swaps
-    the two; either way the pair's heights must differ by f's end less
-    e's, and its twist's base is e's height less e's end.  Gives (that
-    height difference, case id, the lower type, the sign that turns f's
+    the two.  Gives (case id, the lower type, the sign that turns f's
     first exponent less e's into the row's, then the rest of the
     ``_READ`` row but its flip).
     """
@@ -227,7 +227,7 @@ def _pair_readings(m: int) -> list[list[Optional[tuple]]]:
                 side.append(None)
                 continue
             case_id, lift, flip, *rest = _READ[(wraps, f_tail, e_tail) if swap else (wraps, e_tail, f_tail)]
-            side.append((f_tail - e_tail, case_id, lower, -1 if swap != flip else 1, lift, *rest))
+            side.append((case_id, lower, -1 if swap != flip else 1, lift, *rest))
         out.append(side)
     return out
 
@@ -534,9 +534,9 @@ class CoreCoefficients(NamedTuple):
     significant, as the builder numbers them.  Core edge e has coefficient
     index ``coeff[e]``, read at the ascending core ``edges``; its type and
     head height are the view's, ``ix.type[e]`` and ``ix.height[ix.ends[2*e]]``,
-    which its id agrees with.  The tables are made once per run.  Edge end
-    2e + (1 at its tail) holds the
-    coefficient of e there, g at the head and g * P(j-1) at the tail:
+    which its id agrees with, and its tail lies one height below its head.
+    The tables are made once per run.  Edge end 2e + (1 at its tail) holds
+    the coefficient of e there, g at the head and g * P(j-1) at the tail:
     ``end_class`` gives the least index in its coset of the diagonal
     subgroup <d(1)>, and ``end_first`` its first exponent.  ``log[b][r]``
     is the least c in [0, k) with c * b = r mod k, or None.
@@ -562,7 +562,8 @@ def core_coefficients(ix: ComplexIndex, core: Core) -> CoreCoefficients:
     are read once.  Raises ``ValueError`` when ``params`` is null, and
     names the id when it does not parse, is not written as the builder
     writes it, has a type or exponents out of range for ``params``, or
-    disagrees with its edge's type or head height.
+    disagrees with its edge's type or head height, or when its edge's
+    tail is not one height below its head.  A build passes every check.
     """
     params = ix.params
     if params is None:
@@ -592,6 +593,8 @@ def core_coefficients(ix: ComplexIndex, core: Core) -> CoreCoefficients:
             c = index_of[text] = sum(x * k**p for p, x in enumerate(reversed(exps)))
         if ix.type[e] != j or ix.height[ix.ends[2 * e]] != h:
             raise ValueError(f"edge id {eid!r}: no stored edge of that type and head height")
+        if ix.height[ix.ends[2 * e + 1]] != h - 1:
+            raise ValueError(f"edge id {eid!r}: its tail is not one height below its head")
         coeff[e] = c
         for x, y in ((2 * e, c), (2 * e + 1, up[j - 1][c])):
             end_class[x], end_first[x] = diag[y], y // top
@@ -629,25 +632,6 @@ def _unmatched(cc: CoreCoefficients, reason: str, e: int, f: int, v: int) -> dic
     return {"case_id": "unmatched", "reason": reason, "edges": [eids[e], eids[f]], "vertex": vertex}
 
 
-def _by_heights(cc: CoreCoefficients, e: int, f: int, gap: int) -> tuple | str:
-    """Read a witness whose height gap ``gap`` contradicts its ends at the vertex.
-
-    A same-type pair one height apart takes its ends from the heights,
-    the lower edge at its head and the higher at its tail: gives its
-    ``read`` row, its base and the class and first exponent of e's and of
-    f's end.  Any other pair gives the reason it fits no row.
-    """
-    ix = cc.ix
-    if ix.type[e] != ix.type[f]:
-        return "adjacent-type pair in an unrecognised relative position"
-    if gap != 1 and gap != -1:
-        return "level same-type pair with mixed ends" if gap == 0 else "same-type pair at height gap > 1"
-    x, y, side = 2 * e + (gap < 0), 2 * f + (gap > 0), 2 * ix.type[e] - 2
-    how = cc.read[side + (gap < 0)][side + (gap > 0)]
-    cls, first = cc.end_class, cc.end_first
-    return how, ix.height[ix.ends[2 * e]] - (gap < 0), cls[x], first[x], cls[y], first[y]
-
-
 def classify_osculation(
     cc: CoreCoefficients, v: int, edges: list[int], bits: list[int], near: list[int]
 ) -> list:
@@ -664,43 +648,38 @@ def classify_osculation(
     are findings: they would mean the case split misses a source.
 
     Each edge of the star is read once: its type and end at ``v`` pick its
-    side of ``cc.read``, its end the class and first exponent of its
-    coefficient at ``v``, and its height less its end the base of the
-    twist.  Each witness is then classified on its own.  Its two sides
-    give its row of ``FAMILIES``, and its height gap must be the row's
-    (a same-type pair one height apart takes its ends from the heights).
+    side of ``cc.read``, and its end the class and first exponent of its
+    coefficient at ``v``.  Every core edge rises one height, so the base
+    of every twist in the star is the height of ``v``, and its row of the
+    discrete-log table is looked up once.  Each witness is then
+    classified on its own: its two sides give its row of ``FAMILIES``.
     The ratio of the two coefficients is a constant vector exactly when
     their classes are equal; then c is one lookup in the discrete-log
-    table of the base residue, at the difference of their first
-    exponents, and a row that needs a twist rejects a trivial one.
+    row of the base, at the difference of their first exponents, and a
+    row that needs a twist rejects a trivial one.
     """
     ix = cc.ix
-    k, log, ends, heights, types = ix.params.k, cc.log, ix.ends, ix.height, ix.type
+    k, ends, types = ix.params.k, ix.ends, ix.type
     end_class, end_first, read = cc.end_class, cc.end_first, cc.read
+    base = ix.height[v]
+    log = cc.log[base % k]
     star = []
     for e, b, met in zip(edges, bits, near):
         at = ends[2 * e + 1] == v
-        x, h = 2 * e + at, heights[ends[2 * e]]
-        star.append((e, b, met, 2 * types[e] - 2 + at, h, h - at, end_class[x], end_first[x]))
+        x = 2 * e + at
+        star.append((e, b, met, 2 * types[e] - 2 + at, end_class[x], end_first[x]))
     out = []
-    for i, (e, _, met, side, he, e_base, e_class, e_first) in enumerate(star):
+    for i, (e, _, met, side, ce, fe) in enumerate(star):
         row = read[side]
-        for f, b, _, f_side, hf, _, cf, ff in star[i + 1:]:
+        for f, b, _, f_side, cf, ff in star[i + 1:]:
             if met & b:
                 continue
             how = row[f_side]
             if how is None:
                 out.append(("benign_nonadjacent", e, f))
                 continue
-            base, ce, fe = e_base, e_class, e_first
-            if hf - he != how[0]:
-                how = _by_heights(cc, e, f, hf - he)
-                if how.__class__ is str:
-                    out.append(_unmatched(cc, how, e, f, v))
-                    continue
-                how, base, ce, fe, cf, ff = how
-            _, case_id, j, sign_f, lift, sign, turn, shift, off, trivial = how
-            c = log[base % k][(sign_f * (ff - fe) - shift * base) % k] if ce == cf else None
+            case_id, j, sign_f, lift, sign, turn, shift, off, trivial = how
+            c = log[(sign_f * (ff - fe) - shift * base) % k] if ce == cf else None
             if c is None:
                 out.append(_unmatched(cc, off, e, f, v))
                 continue

@@ -1,8 +1,10 @@
-"""Guard: no public library code exists only for the tests to call.
+"""Guard: no library code exists only for the tests to call.
 
 Every public module-level function or class in ``src/cubespec``, and
 every public method of a public class, must be used by code somewhere
-in ``src/cubespec`` other than its own definition.  A use is a name or
+in ``src/cubespec`` other than its own definition, and so must every
+private module-level function or class but the dunders: a private
+helper that its caller has left is dead code.  A use is a name or
 attribute reference in the syntax tree, so docstrings, comments and
 bare imports do not count.  The scan goes by name only: a method counts
 as used when anything in the package of the same name is referenced, so
@@ -23,8 +25,17 @@ def _public(nodes):
     return [node for node in nodes if isinstance(node, _DEFS) and not node.name.startswith("_")]
 
 
+def _private(nodes):
+    return [
+        node
+        for node in nodes
+        if isinstance(node, _DEFS) and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+
+
 def _definitions_and_uses():
     definitions = []  # (qualified name, module file, definition node)
+    private = []  # the same, of the private module-level definitions
     uses = []  # (module file, line, name)
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -33,12 +44,13 @@ def _definitions_and_uses():
             if isinstance(node, ast.ClassDef):
                 for method in _public(node.body):
                     definitions.append((f"{node.name}.{method.name}", path.name, method))
+        private += [(node.name, path.name, node) for node in _private(tree.body)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.append((path.name, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
                 uses.append((path.name, node.lineno, node.attr))
-    return definitions, uses
+    return definitions, private, uses
 
 
 def _used_outside_itself(module, node, uses):
@@ -49,13 +61,25 @@ def _used_outside_itself(module, node, uses):
     )
 
 
-def test_every_public_definition_is_used_by_the_package():
-    definitions, uses = _definitions_and_uses()
-    names = {name for name, _, _ in definitions}
-    assert {"coset_meet", "ComplexIndex.node"} <= names  # the scan sees src and methods
-    unused = sorted(
+def _unused(definitions, uses):
+    return sorted(
         f"{module}: {name}"
         for name, module, node in definitions
         if not _used_outside_itself(module, node, uses)
     )
-    assert unused == []
+
+
+def test_every_public_definition_is_used_by_the_package():
+    definitions, _, uses = _definitions_and_uses()
+    names = {name for name, _, _ in definitions}
+    assert {"coset_meet", "ComplexIndex.node"} <= names  # the scan sees src and methods
+    assert _unused(definitions, uses) == []
+
+
+def test_every_private_module_definition_is_used_by_the_package():
+    # a private helper imported by another module counts only where that
+    # module uses it, since an import is no name reference
+    _, private, uses = _definitions_and_uses()
+    names = {name for name, _, _ in private}
+    assert {"_corners", "_Window"} <= names  # the scan sees private functions and classes
+    assert _unused(private, uses) == []

@@ -599,6 +599,17 @@ class TestCrossValidation:
         assert cross_validate(Y, 2, certificates).to_json() == want
         assert want["span"] == [-span, span] and want["core_edge_count"] > 0
 
+    def test_edge_not_rising_one_height_is_rejected(self):
+        # a loaded document whose bottom vertex is moved a height down: the
+        # edges up from it no longer rise one height, and the classifier
+        # reads the base of a witness's twist off its vertex's height
+        doc = json.loads(written(build_quotient_complex(P42, -3, 3)))
+        bottom = next(v for v in doc["vertices"] if v["height"] == -3)
+        bottom["height"] = -4
+        ix = complex_from_json(io.StringIO(json.dumps(doc)))
+        with pytest.raises(ValueError, match="its tail is not one height below its head"):
+            cross_validate(ix, 1, verify_all(P42).certificates)
+
     def test_margin_without_core_rejected(self):
         ix = built_view(P42, -3, 3)
         with pytest.raises(ValueError, match="margin 4"):
