@@ -12,7 +12,6 @@ import argparse
 import gc
 import itertools
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii as _enc
 from typing import Optional
@@ -25,8 +24,6 @@ from cubespec.layout import Rows, pieces
 # complex_model, hyperplane_engine, verifier, algebra_tools and datetime
 # are imported inside the commands that use them: each command is its
 # own process, and a plain verify needs no complex.
-
-SIZE_CAP_ENV = "CUBESPEC_SIZE_CAP"
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -70,19 +67,6 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.writelines(pieces(doc))
 
 
-def _size_cap(args, default: Optional[int]) -> Optional[int]:
-    """``--cap``, else ``$CUBESPEC_SIZE_CAP``, else ``default``."""
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(SIZE_CAP_ENV)
-    if env is not None:
-        try:
-            return _at_least(1)(env)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{SIZE_CAP_ENV}: {exc}") from None
-    return default
-
-
 def _params(args) -> GroupParams:
     return GroupParams(args.m, args.k)
 
@@ -100,7 +84,7 @@ def cmd_build(args) -> int:
     from cubespec.complex_model import build_quotient_complex, complex_to_json, validate_complex
 
     params = _params(args)
-    size_cap = _size_cap(args, DEFAULT_SIZE_CAP)
+    size_cap = DEFAULT_SIZE_CAP if args.cap is None else args.cap
     cells = build_quotient_complex(params, args.hmin, args.hmax, size_cap=size_cap)
     validate_complex(cells)  # the walks are checked before the document is written
     stamp = _stamp() if args.stamp else None
@@ -116,12 +100,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from cubespec.complex_model import ComplexFormatError, check_npc, complex_from_json
+    from cubespec.complex_model import check_npc, complex_from_json
     from cubespec.hyperplane_engine import (
         compute_hyperplanes,
-        core_edges,
         dot_export,
         interaction_report,
+        margin_core,
         report_to_json,
     )
 
@@ -130,20 +114,7 @@ def cmd_check(args) -> int:
     margin = args.margin
     if margin is None:
         margin = BUILT_MARGIN if ix.params is not None and heights and None not in heights else 0
-    core = None
-    if margin:
-        if None in heights:
-            raise ComplexFormatError(
-                "vertices: --margin needs height metadata on every vertex"
-            )
-        if not heights:
-            raise ComplexFormatError("vertices: --margin needs at least one vertex")
-        lo, hi = min(heights), max(heights)
-        core = core_edges(ix, lo + margin, hi - margin)
-        if not core:
-            raise ValueError(
-                f"--margin {margin} leaves no core edges in heights [{lo}, {hi}]"
-            )
+    core = margin_core(ix, margin) if margin else None
     npc = check_npc(ix)
     H = compute_hyperplanes(ix)
     report = interaction_report(ix, H, core)
@@ -154,10 +125,7 @@ def cmd_check(args) -> int:
     _emit(out, args)
     if not args.json:
         print(f"classes={H.n_classes} one_sided={len(H.one_sided)}")
-        counts = " ".join(
-            f"{key}={len(report.violations[key])}"
-            for key in ("self_cross", "one_sided", "self_osc", "inter_osc")
-        )
+        counts = " ".join(f"{key}={len(found)}" for key, found in report.violations.items())
         print(f"violations: {counts}")
         print(f"npc={'pass' if npc.passed else 'fail'}")
     if args.dot:
@@ -171,7 +139,7 @@ def cmd_verify(args) -> int:
 
     params = _params(args)
     # only the cross-validation build walks the k^m coefficients
-    size_cap = _size_cap(args, DEFAULT_SIZE_CAP if args.cross_validate else None)
+    size_cap = DEFAULT_SIZE_CAP if args.cap is None and args.cross_validate else args.cap
     margin = args.margin if args.margin is not None else BUILT_MARGIN
     if not args.cross_validate:
         for flag in ("hmin", "hmax", "margin"):
@@ -371,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(b)
     b.add_argument("--hmin", type=int, required=True)
     b.add_argument("--hmax", type=int, required=True)
-    b.add_argument("--cap", type=_at_least(1), help=f"size cap override (or ${SIZE_CAP_ENV})")
+    b.add_argument("--cap", type=_at_least(1), help="size cap override")
     _add_output(b)
     b.set_defaults(fn=cmd_build)
 
@@ -405,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--cap",
         type=_at_least(1),
-        help=f"size cap on the group order k^m (or ${SIZE_CAP_ENV}); unbounded "
-        f"by default, {DEFAULT_SIZE_CAP} with --cross-validate",
+        help=f"size cap on the group order k^m; unbounded by default, "
+        f"{DEFAULT_SIZE_CAP} with --cross-validate",
     )
     _add_common_output(v)
     v.set_defaults(fn=cmd_verify)

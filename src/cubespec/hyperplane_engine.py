@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from cubespec.complex_model import ComplexIndex, link_masks
+from cubespec.complex_model import ComplexFormatError, ComplexIndex, link_masks
 
 
 class HyperplanePartition(NamedTuple):
@@ -144,6 +144,20 @@ def core_edges(ix: ComplexIndex, h_lo: int, h_hi: int) -> Core:
         if h_lo <= (ht if ht > hh else hh) <= h_hi:
             mask[e] = 1
     return Core((h_lo, h_hi), mask)
+
+
+def margin_core(ix: ComplexIndex, margin: int) -> Core:
+    """The core edges ``margin`` inside either end of the view's height range."""
+    heights = ix.height
+    if None in heights:
+        raise ComplexFormatError("vertices: --margin needs height metadata on every vertex")
+    if not heights:
+        raise ComplexFormatError("vertices: --margin needs at least one vertex")
+    lo, hi = min(heights), max(heights)
+    core = core_edges(ix, lo + margin, hi - margin)
+    if not core:
+        raise ValueError(f"--margin {margin} leaves no core edges in heights [{lo}, {hi}]")
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +355,7 @@ def report_to_json(
     doc = {
         "classes": H.n_classes,
         "one_sided": [ix.edge_ids[c] for c in H.one_sided],
-        "violations": {
-            key: report.violations[key]
-            for key in ("self_cross", "one_sided", "self_osc", "inter_osc")
-        },
+        "violations": report.violations,
         "crossing_pairs": len(report.crossings),
         "osculating_pairs": sum((w >> i).bit_count() for i, w in enumerate(report.osculating)),
         "bigon_pairs": report.bigon_pairs,

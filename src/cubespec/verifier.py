@@ -167,8 +167,6 @@ FAMILIES = (
            "d(b)^c * u(m) * <u(m-1)u(m)>", "u(1)^(b-a) * <u(m)u(1)>"),
 )
 _ROWS = {wraps: [row for row in FAMILIES if row.wraps is wraps] for wraps in (None, False, True)}
-SELF_OSC_CASES = tuple(row.case_id for row in _ROWS[None])
-INTER_OSC_CASES = tuple(row.case_id for row in _ROWS[False] + _ROWS[True])
 
 
 def _reading(row: Family) -> tuple:
@@ -232,7 +230,7 @@ def _pair_readings(m: int) -> list[list[Optional[tuple]]]:
     return out
 
 
-def _twist(k: int, s: int, shape: tuple[int, ...], n: int = 1) -> tuple[int, ...]:
+def _twist(k: int, s: int, shape: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Exponents of d(s) * V^n, for V with exponent tuple ``shape``."""
     return tuple((s + n * v) % k for v in shape)
 
@@ -698,8 +696,9 @@ def cross_validate(
 
     ``ix`` is the view of a built truncation, in memory or loaded from
     its document: its ``params`` give the group, its vertex heights the
-    span, and its edge ids the refs of the core edges.  The core is the
-    edges whose top height lies ``margin`` inside either end of the span.
+    span, and its edge ids the refs of the core edges.  The core is
+    ``margin_core(ix, margin)``, as for ``check --margin``: the edges
+    whose top height lies ``margin`` inside either end of the span.
     ``certificates`` are the symbolic case certificates for ``ix.params``.
 
     (i) On core edges, union-find classes must coincide with the climb
@@ -722,22 +721,15 @@ def cross_validate(
     from cubespec.hyperplane_engine import (
         _corners,
         compute_hyperplanes,
-        core_edges,
         interaction_report,
         iter_osculations,
+        margin_core,
     )
 
     params = ix.params
     if not certificates:
         raise ValueError("cross validation needs the case certificates, got none")
-    heights = ix.height
-    if not heights or None in heights:
-        raise ValueError("cross validation needs a height on every vertex")
-    h_min, h_max = min(heights), max(heights)
-    h_lo, h_hi = h_min + margin, h_max - margin
-    core = core_edges(ix, h_lo, h_hi)
-    if not core:
-        raise ValueError(f"margin {margin} leaves no core edges in heights [{h_min}, {h_max}]")
+    core = margin_core(ix, margin)
     eids = ix.edge_ids
     H = compute_hyperplanes(ix)
     corners = _corners(ix, core)  # one corner reader for the report and the walk below
@@ -782,8 +774,9 @@ def cross_validate(
             else:
                 case_matches[got[0]] = case_matches.get(got[0], 0) + 1
     return CrossValidation(
-        params=params, span=(h_min, h_max), margin=margin, core_edge_count=len(core),
-        class_mismatches=mismatches, inconclusive=inconclusive, witness_findings=findings,
-        case_matches=case_matches, violations_zero=report.violation_count() == 0,
+        params=params, span=(min(ix.height), max(ix.height)), margin=margin,
+        core_edge_count=len(core), class_mismatches=mismatches, inconclusive=inconclusive,
+        witness_findings=findings, case_matches=case_matches,
+        violations_zero=report.violation_count() == 0,
         certificates_empty=all(c.empty for c in certificates),
     )

@@ -56,20 +56,13 @@ class TestBuild:
         assert code == 3
         assert "size cap" in err
 
-    def test_size_cap_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("CUBESPEC_SIZE_CAP", "8")
-        code, _, err = run(
-            capsys,
-            "build", "--m", "4", "--k", "2", "--hmin", "0", "--hmax", "2",
-            "-o", str(tmp_path / "x.json"),
-        )
+    def test_cap_flag(self, capsys, tmp_path):
+        argv = ("build", "--m", "4", "--k", "2", "--hmin", "0", "--hmax", "2",
+                "-o", str(tmp_path / "x.json"))
+        code, _, err = run(capsys, *argv, "--cap", "8")
         assert code == 3
-        monkeypatch.setenv("CUBESPEC_SIZE_CAP", "64")
-        code, _, _ = run(
-            capsys,
-            "build", "--m", "4", "--k", "2", "--hmin", "0", "--hmax", "2",
-            "-o", str(tmp_path / "x.json"),
-        )
+        assert "size cap 8" in err
+        code, _, _ = run(capsys, *argv, "--cap", "64")
         assert code == 0
 
     def test_usage_error(self, capsys):
@@ -77,17 +70,13 @@ class TestBuild:
         assert code == 2
 
     @pytest.mark.parametrize("cap", ["-1", "0"])
-    def test_cap_below_one_rejected(self, cap, capsys, tmp_path, monkeypatch):
+    def test_cap_below_one_rejected(self, cap, capsys, tmp_path):
         # a cap below 1 is bad input, not a resource limit
         out = tmp_path / "x.json"
         argv = ("build", "--m", "4", "--k", "2", "--hmin", "0", "--hmax", "2", "-o", str(out))
         code, _, err = run(capsys, *argv, f"--cap={cap}")
         assert code == 2
         assert f"argument --cap: must be at least 1, got {cap}" in err
-        monkeypatch.setenv("CUBESPEC_SIZE_CAP", cap)
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert f"CUBESPEC_SIZE_CAP: must be at least 1, got {cap}" in err
         assert not out.exists()
 
     BUILD_42 = ("build", "--m", "4", "--k", "2", "--hmin", "-3", "--hmax", "3")
@@ -402,21 +391,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("cap", ["-1", "0"])
     @pytest.mark.parametrize("cross_validate", [False, True])
-    def test_cap_below_one_rejected(self, cap, cross_validate, capsys, monkeypatch):
+    def test_cap_below_one_rejected(self, cap, cross_validate, capsys):
         argv = ["verify", "--m", "4", "--k", "3", "--json"]
         if cross_validate:
             argv += ["--cross-validate", "--hmin", "-5", "--hmax", "5"]
         code, stdout, err = run(capsys, *argv, "--cap", cap)
         assert (code, stdout) == (2, "")
         assert f"argument --cap: must be at least 1, got {cap}" in err
-        monkeypatch.setenv("CUBESPEC_SIZE_CAP", cap)
-        code, stdout, err = run(capsys, *argv)
-        assert (code, stdout) == (2, "")
-        assert f"CUBESPEC_SIZE_CAP: must be at least 1, got {cap}" in err
 
     def test_order_past_the_default_cap(self, capsys):
-        # 7^6 = 117649 > 65536: verify builds nothing, so without --cap or
-        # the environment variable the group order is not bounded
+        # 7^6 = 117649 > 65536: verify builds nothing, so without --cap
+        # the group order is not bounded
         code, stdout, _ = run(capsys, "verify", "--m", "6", "--k", "7", "--json")
         assert code == 0
         assert json.loads(stdout)["all_empty"] is True
@@ -445,14 +430,15 @@ class TestVerify:
         assert len(families) == 8 * m
         assert all(c["named_character_valid"] is True for c in families)
 
-    def test_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBESPEC_SIZE_CAP", "10")
-        code, _, err = run(capsys, "verify", "--m", "4", "--k", "3")
-        assert code == 3
-        assert "size cap 10" in err
-        monkeypatch.setenv("CUBESPEC_SIZE_CAP", "81")
-        code, _, _ = run(capsys, "verify", "--m", "4", "--k", "3")
-        assert code == 0
+    @pytest.mark.parametrize("value", ["8", "-3"])
+    def test_size_cap_is_not_read_from_the_environment(self, value, capsys, tmp_path, monkeypatch):
+        # the cap of a run is its --cap flag: a cap of 8 in the environment
+        # would stop both runs, and -3 would be bad input
+        monkeypatch.setenv("CUBESPEC_SIZE_CAP", value)
+        build = ("build", "--m", "4", "--k", "2", "--hmin", "0", "--hmax", "2",
+                 "-o", str(tmp_path / "x.json"))
+        assert run(capsys, *build)[0] == 0
+        assert run(capsys, "verify", "--m", "4", "--k", "3")[0] == 0
 
     @pytest.mark.parametrize(
         "flags",

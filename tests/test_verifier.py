@@ -18,6 +18,7 @@ from cubespec.coeff_group import (
 )
 from cubespec.complex_model import (
     Cells,
+    ComplexFormatError,
     build_quotient_complex,
     complex_from_json,
     validate_complex,
@@ -25,8 +26,7 @@ from cubespec.complex_model import (
 from cubespec.hyperplane_engine import compute_hyperplanes
 from cubespec.incidence import DEFAULT_SIZE_CAP, SquareRef, square_boundary
 from cubespec.verifier import (
-    INTER_OSC_CASES,
-    SELF_OSC_CASES,
+    FAMILIES,
     check_inter_osculation_cases,
     check_self_osculation_cases,
     check_structural_conditions,
@@ -45,6 +45,8 @@ from test_integer_kernels import fallback_stars
 
 P42 = GroupParams(4, 2)
 P43 = GroupParams(4, 3)
+# what a core osculation witness may classify as: a row of the table, or benign
+WITNESS_CASES = {row.case_id for row in FAMILIES} | {"benign_nonadjacent"}
 
 
 class TestStabilizerDerivation:
@@ -375,9 +377,7 @@ class TestCrossValidation:
         assert cv.inconclusive == []
         assert cv.witness_findings == []
         assert cv.violations_zero and cv.certificates_empty
-        assert set(cv.case_matches) <= set(SELF_OSC_CASES) | set(INTER_OSC_CASES) | {
-            "benign_nonadjacent"
-        }
+        assert set(cv.case_matches) <= WITNESS_CASES
         assert sum(cv.case_matches.values()) > 0
 
     def test_margin_zero_never_reports_class_mismatch(self):
@@ -456,7 +456,7 @@ class TestCrossValidation:
             assert len(readings) == len(pairs), v
             for got, pair in zip(readings, pairs):
                 assert not isinstance(got, dict), (pair, got)  # only unmatched readings are dicts
-                assert got[0] in SELF_OSC_CASES + INTER_OSC_CASES + ("benign_nonadjacent",), got
+                assert got[0] in WITNESS_CASES, got
                 witnesses += 1
         assert witnesses
 
@@ -614,6 +614,28 @@ class TestCrossValidation:
         ix = built_view(P42, -3, 3)
         with pytest.raises(ValueError, match="margin 4"):
             cross_validate(ix, 4, verify_all(P42).certificates)
+
+    @pytest.mark.parametrize("null_height, margin, message", [
+        (True, 1, "vertices: --margin needs height metadata on every vertex"),
+        (False, 4, "--margin 4 leaves no core edges in heights [-3, 3]"),
+    ])
+    def test_margin_rejected_as_check_rejects_it(
+        self, null_height, margin, message, tmp_path, capsys
+    ):
+        # check --margin and cross-validation make the core by one rule, so
+        # they reject one document with one message
+        doc = json.loads(written(build_quotient_complex(P42, -3, 3)))
+        if null_height:
+            doc["vertices"][5]["height"] = None
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path), "--margin", str(margin)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        ix = complex_from_json(io.StringIO(path.read_text()))
+        with pytest.raises(ValueError) as raised:
+            cross_validate(ix, margin, verify_all(P42).certificates)
+        assert str(raised.value) == message
+        assert type(raised.value) is (ComplexFormatError if null_height else ValueError)
 
 
 @pytest.mark.slow
